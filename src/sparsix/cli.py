@@ -61,7 +61,7 @@ logger = logging.getLogger(__name__)
 
 
 class VerificationFailure(Exception):
-    """A verify-family check ran and did not hold."""
+    """A `verify` check ran and did not hold."""
 
 
 # --- configuration ----------------------------------------------------------
@@ -478,28 +478,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify_theory(args: argparse.Namespace) -> int:
-    dims = _parse_ks(args.dims)
-    failures = 0
-    for n in dims:
-        f_l = random_orthonormal_basis(n, args.seed + 2 * n)
-        r = random_orthonormal_basis(n, args.seed + 2 * n + 1)
-        x = np.random.Generator(np.random.PCG64(args.seed + 1000 + n)).standard_normal(
-            (args.num_inputs, n)
-        )
-        dev = verify_deferred_equivalence(x, f_l, r)
-        cos = cosine_deviation(x, f_l, r)
-        arg_ok = argmax_invariant(x, f_l, r)
-        ok = dev <= args.tol and cos <= args.tol and arg_ok
-        status = "PASS" if ok else "FAIL"
-        failures += 0 if ok else 1
-        print(
-            f"{status} n={n}: max deviation {dev:.3e}, cosine {cos:.3e}, "
-            f"argmax {'stable' if arg_ok else 'CHANGED'} (tol {args.tol:.1e})"
-        )
-    return EXIT_VERIFY if failures else EXIT_OK
-
-
 # --- argument parsing -------------------------------------------------------
 
 
@@ -558,13 +536,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grad-tol", type=float, default=1e-4)
     p.add_argument("--equiv-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("verify-theory", help="basis-rotation equivalence checks")
-    p.add_argument("--dims", default="1,2,8,32,128")
-    p.add_argument("--num-inputs", type=int, default=100)
-    p.add_argument("--seed", type=int, default=2026)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=cmd_verify_theory)
 
     p = sub.add_parser("build-index", help="build and persist the inverted index")
     p.add_argument("--manifest", help="take the code config from this manifest")

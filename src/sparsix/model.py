@@ -2,8 +2,11 @@
 
 Each chunk trains its own network mapping hashed features to a probability
 per bucket: ``p = sigmoid(W2 relu(W1 x + b1) + b2)``, against few-hot bucket
-targets under mean binary cross entropy.  Gradients are exact and analytic;
-``grad_check`` keeps them honest against central finite differences.
+targets under mean binary cross entropy.  :func:`batch_step` is the only
+code that computes the loss and its exact, analytic gradients, over a CSR
+batch of hashed documents; ``grad_check`` checks that same function, the
+one training calls, against central finite differences.  :func:`forward`
+embeds one document at query time.
 
 Parameters live in float64 (all verification runs in double precision) but
 are snapped to float32-representable values before persistence so that the
@@ -11,11 +14,14 @@ on-disk blobs round-trip bit-exactly.
 """
 from __future__ import annotations
 
+import io
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import BinaryIO
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit
 
 from .features import HashedFeatures
@@ -120,21 +126,13 @@ def zero_adam_state(model: ChunkModel) -> AdamState:
     return AdamState(step=0, m=zeros, v=zeros2)
 
 
-def _forward_parts(
-    model: ChunkModel, x: HashedFeatures
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
+    """Bucket probability vector for one document, unclamped."""
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
     # only the touched columns of W1 are read
-    h_pre = model.W1[:, x.indexes] @ x.values + model.b1
-    h = np.maximum(h_pre, 0.0)
-    p = expit(model.W2 @ h + model.b2)
-    return h_pre, h, p
-
-
-def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
-    """Bucket probability vector for one document, unclamped."""
-    return _forward_parts(model, x)[2]
+    h = np.maximum(model.W1[:, x.indexes] @ x.values + model.b1, 0.0)
+    return expit(model.W2 @ h + model.b2)
 
 
 def target_dense(t: TargetVector, output_dim: int) -> np.ndarray:
@@ -147,37 +145,46 @@ def target_dense(t: TargetVector, output_dim: int) -> np.ndarray:
     return y
 
 
-def bce_loss(p: np.ndarray, t: TargetVector) -> float:
-    """Mean binary cross entropy over all buckets.
+def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
+    """Mean binary cross entropy over every document and bucket.
 
     Probabilities are clamped to ``[eps, 1-eps]`` here and only here; raw
     probabilities flow to inference untouched.  Averaging over the bucket
     count keeps learning rates comparable across bucket-count sweeps.
     """
-    y = target_dense(t, p.shape[0])
     pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
     return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
 
 
-def backward(
-    model: ChunkModel, x: HashedFeatures, t: TargetVector
-) -> tuple[float, Gradients]:
-    """Loss and its exact gradients for one document.
+def _batch_forward(
+    model: ChunkModel, x_batch: sp.csr_matrix
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activations, hidden activations and probabilities, one row per document."""
+    h_pre = x_batch @ model.W1.T + model.b1
+    h = np.maximum(h_pre, 0.0)
+    return h_pre, h, expit(h @ model.W2.T + model.b2)
 
-    ReLU's subgradient at zero is taken as zero.  Columns of W1 for input
-    indexes absent from ``x`` get exactly zero gradient.
+
+def batch_step(
+    model: ChunkModel, x_batch: sp.csr_matrix, y_batch: np.ndarray
+) -> tuple[float, Gradients]:
+    """Mean-over-batch loss and its exact gradients, accumulated in a fixed order.
+
+    ``y_batch`` is the dense (rows, B) 0/1 target matrix.  ReLU's subgradient
+    at zero is taken as zero.  Columns of W1 for input indexes absent from
+    every row get exactly zero gradient.
     """
-    h_pre, h, p = _forward_parts(model, x)
-    y = target_dense(t, model.output_dim)
-    loss = bce_loss(p, t)
-    dz = (p - y) / model.output_dim
-    g_W2 = np.outer(dz, h)
-    g_b2 = dz
-    dh = model.W2.T @ dz
+    n = x_batch.shape[0]
+    h_pre, h, p = _batch_forward(model, x_batch)
+    loss = bce_loss(p, y_batch)
+    dz = (p - y_batch) / (model.output_dim * n)
+    g_W2 = dz.T @ h
+    g_b2 = dz.sum(axis=0)
+    dh = dz @ model.W2
     dh[h_pre <= 0.0] = 0.0
-    g_W1 = np.zeros_like(model.W1)
-    g_W1[:, x.indexes] = np.outer(dh, x.values)
-    return loss, Gradients(W1=g_W1, b1=dh, W2=g_W2, b2=g_b2)
+    g_W1 = (x_batch.T @ dh).T
+    g_b1 = dh.sum(axis=0)
+    return loss, Gradients(W1=np.ascontiguousarray(g_W1), b1=g_b1, W2=g_W2, b2=g_b2)
 
 
 def apply_update(
@@ -210,14 +217,32 @@ def grad_check(
     num_coords: int = 200,
     seed: int = 0,
 ) -> float:
-    """Max relative error of analytic vs central-difference gradients.
+    """Max relative error of :func:`batch_step` vs central differences for one document.
+
+    The document becomes a one-row batch, so this checks the gradient that
+    trains.
+    """
+    x_row = sp.csr_matrix((x.values, x.indexes, [0, x.indexes.size]), shape=(1, x.dim))
+    y_row = target_dense(t, model.output_dim)[np.newaxis, :]
+    return grad_check_batch(model, x_row, y_row, step, num_coords, seed)
+
+
+def grad_check_batch(
+    model: ChunkModel,
+    x_batch: sp.csr_matrix,
+    y_batch: np.ndarray,
+    step: float = 1e-4,
+    num_coords: int = 200,
+    seed: int = 0,
+) -> float:
+    """Max relative error of :func:`batch_step`'s gradients vs central differences.
 
     Samples ``num_coords`` parameter coordinates (all of them if the model is
     smaller).  Coordinates where both sides are exactly zero are skipped.
     """
     if step <= 0:
         raise ValueError("step must be positive")
-    _, grads = backward(model, x, t)
+    _, grads = batch_step(model, x_batch, y_batch)
     params = model.params()
     analytic = grads.arrays()
     sizes = [p.size for p in params]
@@ -232,9 +257,9 @@ def grad_check(
         p = params[pi].reshape(-1)
         saved = p[offset]
         p[offset] = saved + step
-        loss_plus = bce_loss(forward(model, x), t)
+        loss_plus = batch_step(model, x_batch, y_batch)[0]
         p[offset] = saved - step
-        loss_minus = bce_loss(forward(model, x), t)
+        loss_minus = batch_step(model, x_batch, y_batch)[0]
         p[offset] = saved
         fd = (loss_plus - loss_minus) / (2.0 * step)
         an = analytic[pi].reshape(-1)[offset]
@@ -292,10 +317,19 @@ def load_model(fh: BinaryIO) -> ChunkModel:
     if len(raw) != _HEADER.size:
         raise ValueError("truncated model blob header")
     chunk, f, h, b, init_seed = _HEADER.unpack(raw)
+    # Python ints: the product of two uint32 fields can overflow int64
+    claimed = 4 * (h * f + h + b * h + b)
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if claimed > left:
+        raise ValueError(
+            f"model blob header claims {claimed} payload bytes, only {left} follow"
+        )
     shapes = [(h, f), (h,), (b, h), (b,)]
     arrays = []
     for shape in shapes:
-        count = int(np.prod(shape))
+        count = math.prod(shape)
         buf = fh.read(4 * count)
         if len(buf) != 4 * count:
             raise ValueError("truncated model blob payload")

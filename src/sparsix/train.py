@@ -6,7 +6,14 @@ from its own derived seed.  A chunk's trained parameters are a pure function
 of (documents, code config, engine config, train config, chunk), so running
 the K chunks serially or across a process pool yields bit-identical models.
 Parallelism is across chunks only; within a chunk, batches are processed
-sequentially in a fixed order.
+sequentially in a fixed order, and each pool worker runs NumPy's BLAS on one
+thread.
+
+Inputs and targets are built once per chunk, not per document: one hashing
+call over every document's token ids gives the CSR input matrix, and one
+codebook lookup over every document's labels gives the CSR target matrix.
+Each batch slices both and takes one :func:`model.batch_step`, the only
+loss-and-gradient code in the package.
 
 Targets use positive-only association: a bucket is trained toward 1 whenever
 any label pooled into it is relevant to the document, i.e. the few-hot target
@@ -14,14 +21,16 @@ is the OR of the document's label codes for that chunk.
 """
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit
 
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import Document, FeatureMode, derive_chunk_seed, hash_token_ids
@@ -29,14 +38,13 @@ from .hashing import derive_seed
 from .model import (
     AdamParams,
     ChunkModel,
-    Gradients,
-    LOSS_CLAMP_EPS,
-    TargetVector,
     apply_update,
     init_model,
     quantize_to_f32,
     zero_adam_state,
 )
+# train_chunk calls the step through this module's name, where a tracer can wrap it
+from .model import batch_step as _batch_step
 
 logger = logging.getLogger(__name__)
 
@@ -115,69 +123,56 @@ class TrainResult:
     chunk_seconds: list[float]
 
 
-def or_target(cb: LabelCodebook, labels: np.ndarray, chunk: int) -> TargetVector:
-    """Few-hot target for one chunk: the union of the labels' buckets there."""
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValueError("or_target needs at least one label")
-    if labels.min() < 0 or labels.max() >= cb.config.num_labels:
-        raise ValueError("label id out of range")
-    hot = np.unique(cb.codes[labels, chunk].astype(np.int64))
-    return TargetVector(chunk=chunk, hot_buckets=hot)
-
-
 def split_labeled(documents: list[Document]) -> tuple[list[Document], int]:
     """Drop documents without labels; they cannot produce a target."""
     kept = [d for d in documents if d.labels.size > 0]
     return kept, len(documents) - len(kept)
 
 
+def _stacked_rows(
+    lengths: list[int], cols: np.ndarray, vals: np.ndarray, width: int
+) -> sp.csr_matrix:
+    """CSR matrix whose row r holds the next ``lengths[r]`` (col, val) pairs.
+
+    Duplicate (row, col) pairs add up.
+    """
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(lengths), width))
+
+
 def _chunk_matrix(
     documents: list[Document], chunk_seed: int, feature_dim: int, mode: FeatureMode
 ) -> sp.csr_matrix:
     """Hash every document for one chunk into a CSR matrix of inputs."""
-    rows = []
-    cols = []
-    vals = []
-    for r, doc in enumerate(documents):
-        if doc.num_tokens == 0:
-            continue
-        idx = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
-        rows.append(np.full(idx.size, r, dtype=np.int64))
-        cols.append(idx)
-        vals.append(doc.token_counts.astype(np.float64))
-    if rows:
-        mat = sp.csr_matrix(
-            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(len(documents), feature_dim),
-        )
-    else:
-        mat = sp.csr_matrix((len(documents), feature_dim), dtype=np.float64)
+    mat = _stacked_rows(
+        [doc.num_tokens for doc in documents],
+        hash_token_ids(
+            np.concatenate([doc.token_ids for doc in documents]), chunk_seed, feature_dim
+        ),
+        np.concatenate([doc.token_counts for doc in documents]).astype(np.float64),
+        feature_dim,
+    )
     if mode == "binary":
         mat.data = np.minimum(mat.data, 1.0)
     return mat
 
 
-def _batch_step(
-    model: ChunkModel, x_batch: sp.csr_matrix, y_batch: np.ndarray
-) -> tuple[float, Gradients]:
-    """Mean-over-batch loss and gradients, accumulated in a fixed order."""
-    n = x_batch.shape[0]
-    h_pre = x_batch @ model.W1.T + model.b1
-    h = np.maximum(h_pre, 0.0)
-    p = expit(h @ model.W2.T + model.b2)
-    pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
-    loss = float(
-        -np.mean(y_batch * np.log(pc) + (1.0 - y_batch) * np.log1p(-pc))
+def _target_matrix(
+    documents: list[Document], cb: LabelCodebook, chunk: int
+) -> sp.csr_matrix:
+    """Few-hot OR targets for one chunk: row r is 1 on every bucket of doc r's labels."""
+    labels = np.concatenate([doc.labels for doc in documents])
+    if labels.min() < 0 or labels.max() >= cb.config.num_labels:
+        raise ValueError("label id out of range")
+    mat = _stacked_rows(
+        [doc.labels.size for doc in documents],
+        cb.codes[labels, chunk],
+        np.ones(labels.size),
+        cb.config.buckets_per_chunk,
     )
-    dz = (p - y_batch) / (model.output_dim * n)
-    g_W2 = dz.T @ h
-    g_b2 = dz.sum(axis=0)
-    dh = dz @ model.W2
-    dh[h_pre <= 0.0] = 0.0
-    g_W1 = (x_batch.T @ dh).T
-    g_b1 = dh.sum(axis=0)
-    return loss, Gradients(W1=np.ascontiguousarray(g_W1), b1=g_b1, W2=g_W2, b2=g_b2)
+    # labels sharing a bucket make one hot entry, not a count
+    mat.data = np.minimum(mat.data, 1.0)
+    return mat
 
 
 def train_chunk(
@@ -202,7 +197,7 @@ def train_chunk(
     x_all = _chunk_matrix(
         labeled, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
     )
-    hots = [or_target(cb, doc.labels, chunk).hot_buckets for doc in labeled]
+    y_all = _target_matrix(labeled, cb, chunk)
 
     model = init_model(
         engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
@@ -220,11 +215,7 @@ def train_chunk(
         epoch_loss = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
-            x_batch = x_all[batch]
-            y_batch = np.zeros((batch.size, b))
-            for row, doc_i in enumerate(batch):
-                y_batch[row, hots[doc_i]] = 1.0
-            loss, grads = _batch_step(model, x_batch, y_batch)
+            loss, grads = _batch_step(model, x_all[batch], y_all[batch].toarray())
             apply_update(model, grads, state, hyper)
             epoch_loss += loss * batch.size
         mean_loss = epoch_loss / n
@@ -237,6 +228,48 @@ def train_chunk(
             time.perf_counter() - t0,
         )
     return quantize_to_f32(model), curve
+
+
+# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with NumPy's wheel, if this process has it loaded."""
+    numpy_dir = Path(np.__file__).resolve().parent
+    bundled = [
+        *numpy_dir.parent.glob("numpy.libs/*openblas*"),
+        *numpy_dir.glob(".dylibs/*openblas*"),
+    ]
+    for path in bundled:
+        try:
+            return ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+    return None
+
+
+def _one_blas_thread() -> bool:
+    """Pool initializer: run NumPy's OpenBLAS on one thread in this worker.
+
+    Training runs in parallel across chunks, one process each.  A BLAS thread
+    pool inside every worker oversubscribes the cores: its idle threads spin
+    while the other workers wait for a core.  With two workers on a 2-vCPU VM
+    a chunk took three times as long, by a factor that changed from run to
+    run.  The thread count does not change the learned bytes.  Returns False,
+    and changes nothing, where NumPy uses another BLAS or none is found.
+    """
+    lib = _numpy_openblas()
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            setter(1)
+            return True
+    return False
 
 
 def _train_chunk_task(
@@ -275,7 +308,9 @@ def train_all(
         for payload in payloads:
             results.append(_train_chunk_task(payload))
     else:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, k)) as pool:
+        with ProcessPoolExecutor(
+            max_workers=min(cfg.workers, k), initializer=_one_blas_thread
+        ) as pool:
             results = list(pool.map(_train_chunk_task, payloads))
 
     results.sort(key=lambda r: r[0])

@@ -224,12 +224,6 @@ class TestWorkflows:
             assert len(cells) == 8
             assert cells[7] == "ok"
 
-    def test_verify_theory(self, capsys):
-        rc = main(["verify-theory", "--dims", "1,2,8,32", "--num-inputs", "20"])
-        out = capsys.readouterr().out
-        assert rc == EXIT_OK
-        assert out.count("PASS") == 4
-
     def test_verify_suite_passes(self, workspace, capsys):
         rc = main(["verify", "--manifest", str(workspace / "engine" / "manifest.json")])
         out = capsys.readouterr().out

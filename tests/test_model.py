@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import io
+import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsix.features import HashedFeatures
 from sparsix.model import (
@@ -14,10 +16,11 @@ from sparsix.model import (
     NonFiniteGradientError,
     TargetVector,
     apply_update,
-    backward,
+    batch_step,
     bce_loss,
     forward,
     grad_check,
+    grad_check_batch,
     init_model,
     load_model,
     quantize_to_f32,
@@ -48,6 +51,18 @@ def feats(indexes, values, dim=3) -> HashedFeatures:
         indexes=np.array(indexes, dtype=np.int64),
         values=np.array(values, dtype=np.float64),
     )
+
+
+def rows(*dense_rows) -> sp.csr_matrix:
+    """A CSR batch from dense input rows."""
+    return sp.csr_matrix(np.array(dense_rows, dtype=np.float64))
+
+
+def hot(buckets, output_dim) -> np.ndarray:
+    """One dense target row with 1 on ``buckets``."""
+    y = np.zeros((1, output_dim))
+    y[0, buckets] = 1.0
+    return y
 
 
 class TestForward:
@@ -98,32 +113,40 @@ class TestLoss:
     def test_uninformative_point_gives_log_two(self):
         p = np.full(8, 0.5)
         t = TargetVector(chunk=0, hot_buckets=np.array([1, 5], dtype=np.int64))
-        np.testing.assert_allclose(bce_loss(p, t), np.log(2.0), rtol=1e-14)
+        np.testing.assert_allclose(bce_loss(p, target_dense(t, 8)), np.log(2.0), rtol=1e-14)
 
     def test_hand_value(self):
         # B=2, p=(0.9, 0.2), hot={0}: -(log 0.9 + log 0.8)/2
         p = np.array([0.9, 0.2])
-        t = TargetVector(chunk=0, hot_buckets=np.array([0], dtype=np.int64))
+        y = np.array([1.0, 0.0])
         np.testing.assert_allclose(
-            bce_loss(p, t), -(np.log(0.9) + np.log(0.8)) / 2.0, rtol=1e-12
+            bce_loss(p, y), -(np.log(0.9) + np.log(0.8)) / 2.0, rtol=1e-12
         )
-        assert abs(bce_loss(p, t) - 0.16425) < 5e-6
+        assert abs(bce_loss(p, y) - 0.16425) < 5e-6
+        # a batch averages over its rows as well as its buckets
+        p2 = np.array([[0.9, 0.2], [0.5, 0.5]])
+        y2 = np.array([[1.0, 0.0], [0.0, 1.0]])
+        np.testing.assert_allclose(
+            bce_loss(p2, y2), (bce_loss(p, y) + np.log(2.0)) / 2.0, rtol=1e-12
+        )
 
     def test_clamp_keeps_loss_finite(self):
         p = np.array([0.0, 1.0])
-        t = TargetVector(chunk=0, hot_buckets=np.array([1], dtype=np.int64))
-        assert np.isfinite(bce_loss(p, t))
+        assert np.isfinite(bce_loss(p, np.array([0.0, 1.0])))
+        assert np.isfinite(bce_loss(p, np.array([1.0, 0.0])))
 
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            p = rng.uniform(0, 1, size=6)
-            hot = np.sort(rng.choice(6, size=2, replace=False)).astype(np.int64)
-            assert bce_loss(p, TargetVector(0, hot)) >= 0.0
+            p = rng.uniform(0, 1, size=(3, 6))
+            y = (rng.uniform(0, 1, size=(3, 6)) < 0.3).astype(np.float64)
+            assert bce_loss(p, y) >= 0.0
 
     def test_target_dense(self):
         t = TargetVector(chunk=0, hot_buckets=np.array([0, 3], dtype=np.int64))
         assert target_dense(t, 5).tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
+        with pytest.raises(ValueError):
+            target_dense(t, 3)
 
 
 class TestBackward:
@@ -138,30 +161,45 @@ class TestBackward:
             rel = grad_check(m, x, TargetVector(0, hot), step=1e-4, num_coords=200, seed=trial)
             assert rel <= 1e-4
 
+    def test_batch_matches_finite_differences(self):
+        """The mean over a multi-row batch, 1/(B*n), is in the analytic gradients."""
+        rng = np.random.default_rng(4)
+        for trial in range(3):
+            m = init_model(20, 8, 10, init_seed=100 + trial)
+            m.b1 = rng.uniform(-0.2, 0.2, size=8)
+            n = 6
+            x = sp.random(n, 20, density=0.25, format="csr", random_state=trial)
+            x.data = rng.integers(1, 4, size=x.nnz).astype(np.float64)
+            y = (rng.uniform(0, 1, size=(n, 10)) < 0.2).astype(np.float64)
+            rel = grad_check_batch(m, x, y, step=1e-4, num_coords=400, seed=trial)
+            assert rel <= 1e-4
+
     def test_gradient_sparse_locality(self):
-        """W1 columns for absent input indexes get exactly zero gradient."""
+        """W1 columns for input indexes absent from every row get exactly zero gradient."""
         m = init_model(30, 6, 8, init_seed=1)
-        x = feats([2, 17], [1.0, 3.0], dim=30)
-        _, grads = backward(m, x, TargetVector(0, np.array([0], dtype=np.int64)))
+        dense = np.zeros((2, 30))
+        dense[0, [2, 17]] = [1.0, 3.0]
+        dense[1, 5] = 2.0
+        y = np.zeros((2, 8))
+        y[:, 0] = 1.0
+        _, grads = batch_step(m, rows(*dense), y)
         active = np.zeros(30, dtype=bool)
-        active[[2, 17]] = True
+        active[[2, 5, 17]] = True
         assert not np.any(grads.W1[:, ~active])
         assert np.any(grads.W1[:, active])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         m = hand_model()
         m.b1 = np.array([-2.0, -0.5])  # h_pre = [0.0, 0.5] for x = e2
-        x = feats([2], [1.0])
-        _, grads = backward(m, x, TargetVector(0, np.array([1], dtype=np.int64)))
+        _, grads = batch_step(m, rows([0.0, 0.0, 1.0]), hot([1], 2))
         assert not np.any(grads.W1[0])  # unit 0 sits exactly at the kink
         assert grads.b1[0] == 0.0
 
     def test_loss_value_matches_bce(self):
         m = hand_model()
-        x = feats([0, 2], [1.0, 2.0])
-        t = TargetVector(0, np.array([0], dtype=np.int64))
-        loss, _ = backward(m, x, t)
-        assert loss == bce_loss(forward(m, x), t)
+        y = hot([0], 2)
+        loss, _ = batch_step(m, rows([1.0, 0.0, 2.0]), y)
+        assert loss == bce_loss(forward(m, feats([0, 2], [1.0, 2.0])), y[0])
 
 
 class TestAdam:
@@ -200,13 +238,13 @@ class TestAdam:
 
     def test_training_reduces_loss(self):
         m = init_model(16, 6, 8, init_seed=5)
-        x = feats(np.arange(4, dtype=np.int64), [1.0, 2.0, 1.0, 1.0], dim=16)
-        t = TargetVector(0, np.array([2, 6], dtype=np.int64))
+        x = rows([1.0, 2.0, 1.0, 1.0] + [0.0] * 12)
+        y = hot([2, 6], 8)
         state = zero_adam_state(m)
-        first, _ = backward(m, x, t)
+        first, _ = batch_step(m, x, y)
         loss = first
         for _ in range(150):
-            loss, grads = backward(m, x, t)
+            loss, grads = batch_step(m, x, y)
             apply_update(m, grads, state, AdamParams(lr=1e-2))
         assert loss < first / 5
 
@@ -239,6 +277,29 @@ class TestPersistence:
         raw = buf.getvalue()
         with pytest.raises(ValueError):
             load_model(io.BytesIO(raw[:-3]))
+
+    def test_lying_header_reads_no_more_than_the_stream(self):
+        """A header claiming more payload than follows fails before any large read."""
+
+        class ReadRecorder(io.BytesIO):
+            largest = 0
+
+            def read(self, size=-1):
+                self.largest = max(self.largest, size)
+                return super().read(size)
+
+        m = quantize_to_f32(init_model(6, 3, 4, init_seed=1))
+        buf = io.BytesIO()
+        save_model(m, buf)
+        raw = buf.getvalue()
+        # F and H of 2**20 and 2**12 claim 16 GiB for W1; 2**32 - 1 everywhere
+        # claims more than int64 can count
+        for f, h, b in ((2**20, 2**12, 4), (2**32 - 1, 2**32 - 1, 2**32 - 1)):
+            lying = struct.pack("<IIIIQ", 0, f, h, b, 1) + raw[struct.calcsize("<IIIIQ"):]
+            stream = ReadRecorder(lying)
+            with pytest.raises(ValueError):
+                load_model(stream)
+            assert stream.largest <= len(lying)
 
     def test_forward_identical_after_reload(self):
         m = quantize_to_f32(init_model(10, 4, 6, init_seed=8))

@@ -4,15 +4,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.features import hash_features, make_document
-from sparsix.model import forward
+from sparsix.model import _batch_forward, forward
 from sparsix.train import (
     ChunkEnsemble,
     EngineConfig,
     TrainConfig,
     _chunk_matrix,
-    or_target,
+    _numpy_openblas,
+    _target_matrix,
     split_labeled,
     train_all,
     train_chunk,
@@ -32,40 +34,41 @@ def small_setup(num_labels=40, num_chunks=3, buckets=16, seed=7):
     return cb, eng, docs
 
 
+def hot_rows(cb, label_lists, chunk):
+    """The target matrix for one document per label list, as lists of hot buckets."""
+    docs = [make_document(i, [(1, 1)], labels) for i, labels in enumerate(label_lists)]
+    mat = _target_matrix(docs, cb, chunk)
+    assert np.all(mat.data == 1.0)
+    return [mat[r].indices.tolist() for r in range(mat.shape[0])]
+
+
 class TestOrTarget:
     def test_union_of_label_buckets(self):
         cb = build_codebook(CodeConfig(4, 2, 8, base_seed=42))
         # codes: label1 -> [3,3], label3 -> [5,5]
-        t = or_target(cb, np.array([1, 3]), chunk=0)
-        assert t.hot_buckets.tolist() == [3, 5]
-        assert t.chunk == 0
+        assert hot_rows(cb, [[1, 3]], chunk=0) == [[3, 5]]
 
     def test_colliding_labels_merge(self):
-        cb = build_codebook(CodeConfig(4, 2, 8, base_seed=42))
-        # labels 1 and 3 share nothing, label 1 twice would be invalid input;
-        # chunk 1 of labels 0 and 1: buckets 7 and 3
-        t = or_target(cb, np.array([0, 1]), chunk=1)
-        assert t.hot_buckets.tolist() == [3, 7]
+        cb = build_codebook(CodeConfig(12, 2, 8, base_seed=42))
+        # chunk 0 puts labels 2 and 5 in bucket 6: one hot entry, not a count of 2;
+        # chunk 1 puts labels 0 and 1 in buckets 7 and 3
+        assert hot_rows(cb, [[2, 5], [0, 1]], chunk=0)[0] == [6]
+        assert hot_rows(cb, [[2, 5], [0, 1]], chunk=1)[1] == [3, 7]
 
     def test_hot_count_bounded_by_label_count(self):
         cb = build_codebook(CodeConfig(100, 4, 8, base_seed=1))
         rng = np.random.default_rng(2)
-        for _ in range(50):
-            labels = np.unique(rng.integers(0, 100, size=6))
-            for chunk in range(4):
-                t = or_target(cb, labels, chunk)
-                assert 1 <= t.hot_buckets.size <= labels.size
-                assert np.all(np.diff(t.hot_buckets) > 0)
-
-    def test_empty_labels_rejected(self):
-        cb = build_codebook(CodeConfig(4, 2, 8, base_seed=42))
-        with pytest.raises(ValueError):
-            or_target(cb, np.array([], dtype=np.int64), 0)
+        label_lists = [np.unique(rng.integers(0, 100, size=6)).tolist() for _ in range(50)]
+        for chunk in range(4):
+            for labels, hot in zip(label_lists, hot_rows(cb, label_lists, chunk)):
+                assert 1 <= len(hot) <= len(labels)
+                assert np.all(np.diff(hot) > 0)
+                assert hot == sorted(set(cb.codes[labels, chunk].tolist()))
 
     def test_out_of_range_rejected(self):
         cb = build_codebook(CodeConfig(4, 2, 8, base_seed=42))
         with pytest.raises(ValueError):
-            or_target(cb, np.array([4]), 0)
+            hot_rows(cb, [[0], [4]], 0)
 
 
 class TestTrainChunk:
@@ -82,7 +85,7 @@ class TestTrainChunk:
         model, _ = train_chunk(0, docs[:1], cb, eng, cfg)
         x = hash_features(docs[0], eng.chunk_feature_seed(0), eng.feature_dim, "counts")
         p = forward(model, x)
-        hot = or_target(cb, docs[0].labels, 0).hot_buckets
+        hot = _target_matrix(docs[:1], cb, 0).indices
         mask = np.zeros(p.size, dtype=bool)
         mask[hot] = True
         assert p[mask].min() > 0.9
@@ -104,19 +107,54 @@ class TestTrainChunk:
 
     def test_batch_features_match_single_document_hashing(self):
         cb, eng, docs = small_setup()
+        # a collision-heavy width, and a document without tokens mid-batch
+        docs = docs[:5] + [make_document(99, [], [1])] + docs[5:]
         seed0 = eng.chunk_feature_seed(0)
-        mat = _chunk_matrix(docs, seed0, eng.feature_dim, "counts")
-        for row, doc in enumerate(docs[:10]):
-            feats = hash_features(doc, seed0, eng.feature_dim, "counts")
-            dense = np.zeros(eng.feature_dim)
-            dense[feats.indexes] = feats.values
-            assert np.array_equal(mat[row].toarray().ravel(), dense)
+        for mode in ("counts", "binary"):
+            mat = _chunk_matrix(docs, seed0, 16, mode)
+            for row, doc in enumerate(docs):
+                feats = hash_features(doc, seed0, 16, mode)
+                dense = np.zeros(16)
+                dense[feats.indexes] = feats.values
+                assert np.array_equal(mat[row].toarray().ravel(), dense)
+
+    def test_serving_forward_matches_batch_forward(self):
+        """The query-time forward and the training forward agree row for row."""
+        cb, eng, docs = small_setup()
+        model, _ = train_chunk(0, docs, cb, eng, TrainConfig(epochs=5, batch_size=8, lr=5e-3))
+        seed0 = eng.chunk_feature_seed(0)
+        _, _, batch_p = _batch_forward(model, _chunk_matrix(docs, seed0, eng.feature_dim, "counts"))
+        for row, doc in enumerate(docs):
+            p = forward(model, hash_features(doc, seed0, eng.feature_dim, "counts"))
+            # same products, but a BLAS may sum them in another order
+            np.testing.assert_allclose(p, batch_p[row], rtol=1e-12, atol=0.0)
 
     def test_no_labeled_documents_rejected(self):
         cb, eng, _ = small_setup()
         unlabeled = [make_document(0, [(1, 1)], [])]
         with pytest.raises(ValueError):
             train_chunk(0, unlabeled, cb, eng, TrainConfig(epochs=1))
+
+
+def _blas_threads() -> int:
+    lib = _numpy_openblas()
+    for name in (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        if hasattr(lib, name):
+            return getattr(lib, name)()
+    raise LookupError("no OpenBLAS thread-count getter")
+
+
+_CHUNK_TASK = train._train_chunk_task
+
+
+def _chunk_task_reporting_blas_threads(payload):
+    """A chunk task whose last field is the worker's BLAS thread count."""
+    chunk, model, curve, _ = _CHUNK_TASK(payload)
+    return chunk, model, curve, _blas_threads()
 
 
 class TestTrainAll:
@@ -138,6 +176,23 @@ class TestTrainAll:
             for p1, p2 in zip(m1.params(), m2.params()):
                 assert np.array_equal(p1, p2)
         assert serial.loss_curves == parallel.loss_curves
+
+    def test_parallel_matches_serial_bitwise_at_threaded_blas_sizes(self):
+        """Batches big enough for a multithreaded GEMM in the serial run."""
+        cb, eng, docs = small_setup(num_labels=200, num_chunks=2, buckets=256)
+        eng = EngineConfig(feature_dim=512, hidden_dim=48, feature_seed=5, init_seed=9)
+        serial = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=50, workers=1))
+        parallel = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=50, workers=2))
+        for m1, m2 in zip(serial.ensemble.models, parallel.ensemble.models):
+            for p1, p2 in zip(m1.params(), m2.params()):
+                assert np.array_equal(p1, p2)
+
+    @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
+    def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
+        cb, eng, docs = small_setup(num_chunks=2)
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_blas_threads)
+        result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
+        assert result.chunk_seconds == [1, 1]
 
     def test_unlabeled_documents_skipped_and_counted(self):
         cb, eng, docs = small_setup()
