@@ -7,10 +7,10 @@ to their top-m buckets, candidates come out of per-chunk inverted indexes,
 and candidate scores are exact code dot products, so retrieval quality
 degrades only through the candidate set, never through the scores.
 """
-from .codes import CodeConfig, LabelCodebook, build_codebook, code_dot
+from .codes import CodeConfig, LabelCodebook, build_codebook
 from .corpus import CorpusFormatError, parse_corpus, read_header, write_corpus
 from .features import Document, hash_features, make_document
-from .index import InvertedIndex, build_index, load_index, lookup, save_index
+from .index import InvertedIndex, build_index, lookup
 from .infer import InferParams, Prediction, predict, predict_full
 from .manifest import load_ensemble, save_ensemble
 from .metrics import MetricReport, evaluate, precision_at_k, recall_at_k
@@ -22,7 +22,6 @@ __all__ = [
     "CodeConfig",
     "LabelCodebook",
     "build_codebook",
-    "code_dot",
     "CorpusFormatError",
     "parse_corpus",
     "read_header",
@@ -32,9 +31,7 @@ __all__ = [
     "make_document",
     "InvertedIndex",
     "build_index",
-    "load_index",
     "lookup",
-    "save_index",
     "InferParams",
     "Prediction",
     "predict",

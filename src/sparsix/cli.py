@@ -1,4 +1,4 @@
-"""Command-line interface: train, predict, eval, sweep, verify, build-index.
+"""Command-line interface: train, predict, eval, sweep, verify.
 
 Exit codes: 0 success, 1 validation error (bad flags, config, or input
 files), 2 runtime failure, 3 verification failure (a check ran and failed,
@@ -37,7 +37,7 @@ from .equivalence import (
     verify_deferred_equivalence,
 )
 from .features import HashedFeatures
-from .index import build_index, bucket_loads, save_index
+from .index import build_index, bucket_loads
 from .infer import InferParams, predict, predict_full
 from .manifest import (
     BlobChecksumError,
@@ -47,7 +47,7 @@ from .manifest import (
     verify_blobs,
 )
 from .metrics import evaluate
-from .model import TargetVector, grad_check, init_model
+from .model import NonFiniteGradientError, TargetVector, grad_check, init_model
 from .train import EngineConfig, TrainConfig, train_all
 
 EXIT_OK = 0
@@ -196,7 +196,6 @@ def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> s
 def cmd_predict(args: argparse.Namespace) -> int:
     ensemble, _ = load_ensemble(args.manifest)
     cb = build_codebook(ensemble.code_config)
-    b = cb.config.buckets_per_chunk
     if args.mode == "sparse":
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
         idx = build_index(cb)
@@ -298,44 +297,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         Path(args.out).write_text(table, encoding="utf-8")
     else:
         sys.stdout.write(table)
-    return EXIT_OK
-
-
-def cmd_build_index(args: argparse.Namespace) -> int:
-    if args.manifest:
-        ensemble, _ = load_ensemble(args.manifest)
-        code = ensemble.code_config
-    else:
-        missing = [
-            name
-            for name, val in (
-                ("--num-labels", args.num_labels),
-                ("--num-chunks", args.num_chunks),
-                ("--buckets", args.buckets),
-            )
-            if val is None
-        ]
-        if missing:
-            raise ValueError(
-                "build-index needs --manifest or all of "
-                "--num-labels/--num-chunks/--buckets; missing " + ", ".join(missing)
-            )
-        code = CodeConfig(
-            num_labels=args.num_labels,
-            num_chunks=args.num_chunks,
-            buckets_per_chunk=args.buckets,
-            base_seed=args.code_seed,
-        )
-    idx = build_index(build_codebook(code))
-    with Path(args.out).open("wb") as fh:
-        save_index(idx, fh)
-    for chunk in range(code.num_chunks):
-        loads = bucket_loads(idx, chunk)
-        print(
-            f"chunk {chunk}: buckets={code.buckets_per_chunk} "
-            f"mean_load={loads.mean():.2f} max_load={loads.max()}"
-        )
-    print(args.out)
     return EXIT_OK
 
 
@@ -537,15 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equiv-tol", type=float, default=1e-10)
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("build-index", help="build and persist the inverted index")
-    p.add_argument("--manifest", help="take the code config from this manifest")
-    p.add_argument("--num-labels", type=int)
-    p.add_argument("--num-chunks", type=int)
-    p.add_argument("--buckets", type=int)
-    p.add_argument("--code-seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_build_index)
-
     return parser
 
 
@@ -561,7 +513,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, ManifestError, CorpusFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except OSError as exc:
+    except (OSError, NonFiniteGradientError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except Exception:

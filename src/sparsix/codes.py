@@ -88,25 +88,6 @@ def build_codebook(config: CodeConfig) -> LabelCodebook:
     return LabelCodebook(config=config, codes=codes)
 
 
-def global_nonzeros(cb: LabelCodebook, label: int) -> np.ndarray:
-    """Non-zero coordinates of one label's full sparse vector.
-
-    Chunk-local buckets are shifted by ``chunk * B``, giving a strictly
-    increasing list of ``num_chunks`` indexes below ``total_dim``.
-    """
-    _check_label(cb, label)
-    b = cb.config.buckets_per_chunk
-    offsets = np.arange(cb.config.num_chunks, dtype=np.int64) * b
-    return cb.codes[label].astype(np.int64) + offsets
-
-
-def code_dot(cb: LabelCodebook, i: int, j: int) -> int:
-    """Dot product of two labels' sparse vectors: the number of shared buckets."""
-    _check_label(cb, i)
-    _check_label(cb, j)
-    return int(np.count_nonzero(cb.codes[i] == cb.codes[j]))
-
-
 def orthogonality_stats(
     cb: LabelCodebook, num_pairs: int, sample_seed: int
 ) -> OrthogonalityStats:
@@ -136,13 +117,6 @@ def orthogonality_stats(
         histogram=hist,
         num_pairs=num_pairs,
     )
-
-
-def _check_label(cb: LabelCodebook, label: int) -> None:
-    if not 0 <= label < cb.config.num_labels:
-        raise ValueError(
-            f"label {label} out of range [0, {cb.config.num_labels})"
-        )
 
 
 def binomial_chisquare(

@@ -130,6 +130,8 @@ def _parse_line(
         tokens.append((token, cnt))
     try:
         return make_document(doc_id, tokens, labels)
+    except OverflowError:
+        raise CorpusFormatError(path, line_no, "id or count exceeds the 64-bit range") from None
     except ValueError as exc:
         raise CorpusFormatError(path, line_no, str(exc)) from None
 

@@ -16,7 +16,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hashing import derive_seed, murmur3_32_u64
+from .hashing import murmur3_32_u64
 
 FeatureMode = Literal["counts", "binary"]
 
@@ -79,11 +79,6 @@ class HashedFeatures:
             raise ValueError("feature values must be finite")
 
 
-def derive_chunk_seed(base_seed: int, chunk: int) -> int:
-    """Per-chunk feature-hash seed; the same split function the codebook uses."""
-    return derive_seed(base_seed, chunk)
-
-
 def hash_features(
     doc: Document,
     chunk_seed: int,
@@ -95,18 +90,9 @@ def hash_features(
     Colliding tokens accumulate: counts mode sums their counts, binary mode
     saturates the slot at 1.
     """
-    if feature_dim < 1:
-        raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
     if mode not in ("counts", "binary"):
         raise ValueError(f"unknown feature mode {mode!r}")
-    if doc.num_tokens == 0:
-        return HashedFeatures(
-            dim=feature_dim,
-            indexes=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-        )
-    hashed = murmur3_32_u64(doc.token_ids, chunk_seed) % np.uint32(feature_dim)
-    hashed = hashed.astype(np.int64)
+    hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
     indexes, inverse = np.unique(hashed, return_inverse=True)
     values = np.zeros(indexes.size, dtype=np.float64)
     np.add.at(values, inverse, doc.token_counts.astype(np.float64))

@@ -119,12 +119,3 @@ def derive_seed(base_seed: int, *parts: int) -> int:
         h = _splitmix64(h ^ (p & _MASK64))
     return h
 
-
-def u64_key(value: int) -> bytes:
-    """Little-endian 8-byte encoding used for label-id and token-id hashing."""
-    return (value & _MASK64).to_bytes(8, "little")
-
-
-def hash_u64(value: int, seed: int) -> int:
-    """Hash one 64-bit id with a (possibly 64-bit) seed; low 32 seed bits used."""
-    return murmur3_32(u64_key(value), seed & _MASK32)

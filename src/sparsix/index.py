@@ -4,24 +4,16 @@ One index per chunk.  Chunk ``k`` places label ``i`` in the postings list of
 bucket ``codes[i, k]``, so per chunk the postings lists partition the label
 space.  Storage is CSR-style: an offsets array of length ``B + 1`` plus a
 label array of length ``N``, which keeps lookups allocation-free and bucket
-loads O(1).
-
-The index is normally rebuilt from the code config, but a binary persisted
-form exists for large label catalogs (little-endian uint32 CSR arrays behind
-a magic/version header).
+loads O(1).  Like the codebook, the index is a pure function of the code
+config, so every reader rebuilds it rather than loading it from a file.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 
 from .codes import CodeConfig, LabelCodebook
-
-_MAGIC = b"SXIX"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -75,53 +67,6 @@ def bucket_loads(idx: InvertedIndex, chunk: int) -> np.ndarray:
     _check_chunk(idx, chunk)
     off = idx.offsets[chunk]
     return np.diff(off)
-
-
-def load_histogram(idx: InvertedIndex, chunk: int) -> dict[int, int]:
-    """Map from load value to the number of buckets carrying that load."""
-    loads = bucket_loads(idx, chunk)
-    counts = np.bincount(loads)
-    return {int(v): int(c) for v, c in enumerate(counts) if c > 0}
-
-
-def save_index(idx: InvertedIndex, fh: BinaryIO) -> None:
-    """Write the per-chunk CSR arrays as little-endian uint32 after a header."""
-    cfg = idx.config
-    fh.write(_MAGIC)
-    fh.write(
-        struct.pack(
-            "<IIIIQ",
-            _VERSION,
-            cfg.num_labels,
-            cfg.num_chunks,
-            cfg.buckets_per_chunk,
-            cfg.base_seed,
-        )
-    )
-    for k in range(cfg.num_chunks):
-        fh.write(idx.offsets[k].astype("<u4").tobytes())
-        fh.write(idx.labels[k].astype("<u4").tobytes())
-
-
-def load_index(fh: BinaryIO) -> InvertedIndex:
-    """Read an index written by :func:`save_index`."""
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ValueError(f"not an index file (magic {magic!r})")
-    version, n, k, b, seed = struct.unpack("<IIIIQ", fh.read(24))
-    if version != _VERSION:
-        raise ValueError(f"unsupported index version {version}")
-    cfg = CodeConfig(num_labels=n, num_chunks=k, buckets_per_chunk=b, base_seed=seed)
-    offsets = []
-    labels = []
-    for _ in range(k):
-        off = np.frombuffer(fh.read(4 * (b + 1)), dtype="<u4").astype(np.int64)
-        lab = np.frombuffer(fh.read(4 * n), dtype="<u4").astype(np.uint32)
-        if off.shape != (b + 1,) or lab.shape != (n,):
-            raise ValueError("truncated index file")
-        offsets.append(off)
-        labels.append(lab)
-    return InvertedIndex(config=cfg, offsets=offsets, labels=labels)
 
 
 def _check_chunk(idx: InvertedIndex, chunk: int) -> None:

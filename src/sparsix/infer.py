@@ -210,10 +210,13 @@ def predict_full(
 #
 # Comparison-count estimates for the retrieval stage, after the per-chunk
 # probability rows exist.  Logs are base 2.  Expected candidates per bucket
-# is N/B, so K chunks times m buckets yields K*m*N/B retrieved entries; each
-# is inserted into a top-k heap of the fixed evaluation depth 5, hence the
-# log2(5) factor.  The dense baseline scores all N labels at m=B and pushes
-# each into the same heap.
+# is N/B, so K chunks times m buckets yields K*m*N/B retrieved entries.  The
+# ranking term prices each entry as a push into a top-k heap of the fixed
+# evaluation depth 5, hence the log2(5) factor.  That heap is a model, not
+# the code: ``_rank`` lexsorts every unique candidate, which costs
+# O(U log U) for U unique candidates.  The formula stays the heap model
+# because acceptance criterion 8 pins it.  The dense baseline scores all N
+# labels at m=B and is priced with the same heap.
 
 
 def op_count_bound(num_labels: int, buckets: int, chunks: int, m: int) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .codes import CodeConfig, LabelCodebook, build_codebook
-from .features import Document, FeatureMode, derive_chunk_seed, hash_token_ids
+from .features import Document, FeatureMode, hash_token_ids
 from .hashing import derive_seed
 from .model import (
     AdamParams,
@@ -66,7 +67,7 @@ class EngineConfig:
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
     def chunk_feature_seed(self, chunk: int) -> int:
-        return derive_chunk_seed(self.feature_seed, chunk)
+        return derive_seed(self.feature_seed, chunk)
 
     def chunk_init_seed(self, chunk: int) -> int:
         return derive_seed(self.init_seed, chunk)
@@ -88,8 +89,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
             raise ValueError("epochs, batch_size and workers must be >= 1")
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
     def adam(self) -> AdamParams:
         return AdamParams(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)

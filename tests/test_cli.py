@@ -1,13 +1,17 @@
 """Command-line interface tests: config parsing, workflows, exit codes."""
 from __future__ import annotations
 
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
+from sparsix import cli
 from sparsix.cli import (
     CONFIG_DEFAULTS,
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     EXIT_VERIFY,
     _parse_ks,
@@ -172,37 +176,6 @@ class TestWorkflows:
             whole, frac = score.split(".")
             assert len(frac) == 6
 
-    def test_build_index_from_manifest(self, workspace, capsys):
-        out = workspace / "posts.idx"
-        rc = main(
-            [
-                "build-index",
-                "--manifest", str(workspace / "engine" / "manifest.json"),
-                "--out", str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == EXIT_OK
-        assert out.is_file()
-        assert out.read_bytes()[:4] == b"SXIX"
-
-    def test_build_index_from_flags(self, workspace, capsys):
-        out = workspace / "posts2.idx"
-        rc = main(
-            [
-                "build-index",
-                "--num-labels", "20",
-                "--num-chunks", "2",
-                "--buckets", "16",
-                "--code-seed", "0",
-                "--out", str(out),
-            ]
-        )
-        capsys.readouterr()
-        assert rc == EXIT_OK
-        # same code config as the manifest, so the same index bytes
-        assert out.read_bytes() == (workspace / "posts.idx").read_bytes()
-
     def test_sweep_table_shape(self, workspace, capsys):
         rc = main(
             [
@@ -300,3 +273,51 @@ class TestExitCodes:
         )
         capsys.readouterr()
         assert rc == EXIT_VALIDATION
+
+    def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None):
+        text = DESK_CONFIG.replace("lr = 5e-3", f"lr = {lr}")
+        text = text.replace("corpus = train.txt", f"corpus = {corpus or workspace / 'train.txt'}")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        return main(["train", "--config", str(cfg)])
+
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_validation_error(self, workspace, tmp_path, capsys, lr):
+        rc = self.train_with(workspace, tmp_path, lr=lr)
+        assert rc == EXIT_VALIDATION
+        assert "lr must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "engine" / "manifest.json").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_diverging_run_is_runtime_error(self, workspace, tmp_path, capsys):
+        rc = self.train_with(workspace, tmp_path, lr="1e300")
+        err = capsys.readouterr().err
+        assert rc == EXIT_RUNTIME
+        assert "error: " in err and "non-finite gradient" in err
+        assert "Traceback" not in err
+
+    def test_corpus_overflow_is_validation_error(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("1 10 5\n0 3:100000000000000000000\n", encoding="utf-8")
+        rc = self.train_with(workspace, tmp_path, corpus=bad)
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "huge.txt:2: " in err and "Traceback" not in err
+
+
+class TestDocs:
+    def test_commands_named_in_docs_match_parser(self):
+        """The parser, the module docstring and the README list the same commands."""
+        parser = cli.build_parser()
+        registered = {
+            name
+            for action in parser._actions
+            if hasattr(action, "choices") and isinstance(action.choices, dict)
+            for name in action.choices
+        }
+        first_line = cli.__doc__.splitlines()[0]
+        docstring = {name.strip(" .") for name in first_line.partition(":")[2].split(",")}
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.partition("### Commands")[2].partition("\n#")[0]
+        listed = set(re.findall(r"^- `([a-z-]+)`:", section, flags=re.MULTILINE))
+        assert registered == docstring == listed

@@ -8,11 +8,8 @@ from hypothesis import strategies as st
 
 from sparsix.codes import (
     CodeConfig,
-    LabelCodebook,
     binomial_chisquare,
     build_codebook,
-    code_dot,
-    global_nonzeros,
     orthogonality_stats,
 )
 from sparsix.hashing import derive_seed
@@ -90,62 +87,6 @@ class TestCodeConfig:
     def test_rejects_bad_values(self, bad):
         with pytest.raises(ValueError):
             small_config(**bad)
-
-
-class TestCodeDot:
-    def test_self_dot_is_num_chunks(self):
-        cb = build_codebook(CodeConfig(20, 5, 16, 3))
-        for label in range(20):
-            assert code_dot(cb, label, label) == 5
-
-    def test_symmetry(self):
-        cb = build_codebook(CodeConfig(20, 5, 16, 3))
-        for i in range(0, 20, 3):
-            for j in range(0, 20, 4):
-                assert code_dot(cb, i, j) == code_dot(cb, j, i)
-
-    def test_golden_values(self):
-        cb = build_codebook(small_config())
-        # codes: [1,7] vs [3,3] share nothing; [3,3] vs [5,5] share nothing
-        assert code_dot(cb, 0, 1) == 0
-        assert code_dot(cb, 1, 3) == 0
-
-    def test_out_of_range(self):
-        cb = build_codebook(small_config())
-        with pytest.raises(ValueError):
-            code_dot(cb, 0, 4)
-
-
-class TestGlobalNonzeros:
-    def test_offsets_by_chunk(self):
-        cb = build_codebook(small_config())
-        # chunk c's bucket appears at global coordinate bucket + c*B
-        assert global_nonzeros(cb, 0).tolist() == [1, 7 + 8]
-        assert global_nonzeros(cb, 3).tolist() == [5, 5 + 8]
-
-    def test_large_scale_offsets(self):
-        """B-shifted coordinates for a 16-chunk, 30000-bucket layout."""
-        codes = np.zeros((1, 16), dtype=np.int32)
-        codes[0, :3] = [18189, 8475, 23984]
-        codes[0, 14] = 17924
-        codes[0, 15] = 459
-        cb = LabelCodebook(
-            config=CodeConfig(num_labels=1, num_chunks=16, buckets_per_chunk=30000, base_seed=0),
-            codes=codes,
-        )
-        nz = global_nonzeros(cb, 0)
-        assert nz[0] == 18189
-        assert nz[1] == 38475
-        assert nz[2] == 83984
-        assert nz[14] == 437924
-        assert nz[15] == 450459
-
-    def test_strictly_increasing(self):
-        cb = build_codebook(CodeConfig(30, 6, 10, 9))
-        for label in range(30):
-            nz = global_nonzeros(cb, label)
-            assert np.all(np.diff(nz) > 0)
-            assert nz.min() >= 0 and nz.max() < 60
 
 
 class TestOrthogonalityStats:

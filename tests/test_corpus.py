@@ -94,6 +94,13 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match=r":3:"):
             list(parse_corpus(p))
 
+    @pytest.mark.parametrize("pair", ["3:100000000000000000000", f"{2**64}:1"])
+    def test_values_beyond_64_bits_rejected(self, tmp_path, pair):
+        # the header allows the token id, so only the 64-bit range can reject it
+        p = corpus_file(tmp_path, f"2 {2**70} 5\n0 1:1\n0 {pair}\n")
+        with pytest.raises(CorpusFormatError, match=r":3: .*64-bit"):
+            list(parse_corpus(p))
+
     def test_count_mismatch_over(self, tmp_path):
         p = corpus_file(tmp_path, "1 10 5\n0 1:1\n1 2:1\n")
         with pytest.raises(CorpusFormatError, match="more than"):

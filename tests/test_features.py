@@ -6,14 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsix.features import (
-    Document,
-    derive_chunk_seed,
-    hash_features,
-    hash_token_ids,
-    make_document,
-)
-from sparsix.hashing import derive_seed, hash_u64
+from sparsix.features import hash_features, hash_token_ids, make_document
+from sparsix.hashing import derive_seed, murmur3_32
+from sparsix.train import EngineConfig
 
 
 class TestDocument:
@@ -62,7 +57,7 @@ class TestHashFeatures:
         slots = {}
         pair = None
         for token in range(1000):
-            s = hash_u64(token, seed & 0xFFFFFFFF) % f
+            s = murmur3_32(int(token).to_bytes(8, "little"), seed & 0xFFFFFFFF) % f
             if s in slots:
                 pair = (slots[s], token)
                 break
@@ -119,20 +114,25 @@ class TestHashFeatures:
             hash_features(doc, 1, 0, "counts")
 
 
+def engine(feature_seed: int) -> EngineConfig:
+    return EngineConfig(feature_dim=8, hidden_dim=2, feature_seed=feature_seed)
+
+
 class TestChunkSeeds:
     def test_identical_to_shared_derivation(self):
         for base in (0, 42, 2**63):
             for chunk in range(5):
-                assert derive_chunk_seed(base, chunk) == derive_seed(base, chunk)
+                assert engine(base).chunk_feature_seed(chunk) == derive_seed(base, chunk)
 
     def test_distinct_across_chunks(self):
         for base in range(10**4):
-            assert derive_chunk_seed(base, 0) != derive_chunk_seed(base, 1)
+            eng = engine(base)
+            assert eng.chunk_feature_seed(0) != eng.chunk_feature_seed(1)
 
     def test_seed_changes_collision_pattern(self):
         """Different chunks disagree on most token placements."""
         f = 100
         tokens = np.arange(1000, dtype=np.uint64)
-        map0 = hash_token_ids(tokens, derive_chunk_seed(0, 0), f)
-        map1 = hash_token_ids(tokens, derive_chunk_seed(0, 1), f)
+        map0 = hash_token_ids(tokens, engine(0).chunk_feature_seed(0), f)
+        map1 = hash_token_ids(tokens, engine(0).chunk_feature_seed(1), f)
         assert (map0 != map1).mean() >= 0.90

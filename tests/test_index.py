@@ -1,7 +1,5 @@
-"""Inverted index tests: partition structure, golden postings, persistence."""
+"""Inverted index tests: partition structure, golden postings, bucket loads."""
 from __future__ import annotations
-
-import io
 
 import numpy as np
 import pytest
@@ -9,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsix.codes import CodeConfig, build_codebook
-from sparsix.index import (
-    build_index,
-    bucket_loads,
-    load_histogram,
-    load_index,
-    lookup,
-    save_index,
-)
+from sparsix.index import build_index, bucket_loads, lookup
 
 
 def golden_index():
@@ -84,17 +75,6 @@ class TestLookupErrors:
 
 
 class TestLoadStatistics:
-    def test_histogram_matches_loads(self):
-        cc = CodeConfig(num_labels=500, num_chunks=3, buckets_per_chunk=32, base_seed=6)
-        idx = build_index(build_codebook(cc))
-        for chunk in range(3):
-            loads = bucket_loads(idx, chunk)
-            hist = load_histogram(idx, chunk)
-            assert sum(hist.values()) == 32
-            assert sum(load * cnt for load, cnt in hist.items()) == 500
-            for load, cnt in hist.items():
-                assert int((loads == load).sum()) == cnt
-
     def test_balanced_at_scale(self):
         """Random assignment keeps the worst bucket near the binomial tail."""
         cc = CodeConfig(num_labels=30000, num_chunks=2, buckets_per_chunk=1000, base_seed=3)
@@ -103,34 +83,3 @@ class TestLoadStatistics:
             loads = bucket_loads(idx, chunk)
             assert loads.mean() == 30.0
             assert loads.max() <= 60
-
-
-class TestPersistence:
-    def test_round_trip(self):
-        cc = CodeConfig(num_labels=200, num_chunks=4, buckets_per_chunk=16, base_seed=12)
-        idx = build_index(build_codebook(cc))
-        buf = io.BytesIO()
-        save_index(idx, buf)
-        buf.seek(0)
-        back = load_index(buf)
-        assert back.config == idx.config
-        for chunk in range(4):
-            assert np.array_equal(back.offsets[chunk], idx.offsets[chunk])
-            assert np.array_equal(back.labels[chunk], idx.labels[chunk])
-
-    def test_truncated_stream_rejected(self):
-        idx = golden_index()
-        buf = io.BytesIO()
-        save_index(idx, buf)
-        raw = buf.getvalue()
-        with pytest.raises(ValueError):
-            load_index(io.BytesIO(raw[: len(raw) - 5]))
-
-    def test_bad_magic_rejected(self):
-        idx = golden_index()
-        buf = io.BytesIO()
-        save_index(idx, buf)
-        raw = bytearray(buf.getvalue())
-        raw[0] ^= 0xFF
-        with pytest.raises(ValueError):
-            load_index(io.BytesIO(bytes(raw)))

@@ -227,6 +227,8 @@ class TestConfigs:
             dict(workers=0),
             dict(lr=0.0),
             dict(lr=-1.0),
+            dict(lr=float("nan")),
+            dict(lr=float("inf")),
         ],
     )
     def test_train_config_validation(self, bad):
