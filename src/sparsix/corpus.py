@@ -34,12 +34,20 @@ class CorpusFormatError(ValueError):
 
 
 def _parse_count(raw: str) -> int:
-    value = float(raw)
-    if not np.isfinite(value):
-        raise ValueError("value is not finite")
-    if value != int(value) or value < 1:
+    # An integer literal is read exactly; only forms like "2.0" or "1e3" go
+    # through float, which is exact for every integer up to 2**53.
+    try:
+        value = int(raw)
+    except ValueError:
+        number = float(raw)
+        if not np.isfinite(number):
+            raise ValueError("value is not finite") from None
+        if number != int(number):
+            raise ValueError(f"count must be a positive integer, got {raw!r}") from None
+        value = int(number)
+    if value < 1:
         raise ValueError(f"count must be a positive integer, got {raw!r}")
-    return int(value)
+    return value
 
 
 def read_header(path: str | Path) -> tuple[int, int, int]:
@@ -139,7 +147,17 @@ def _parse_line(
 def write_corpus(
     path: str | Path, documents: list[Document], num_features: int, num_labels: int
 ) -> None:
-    """Write documents in the corpus file format parsed by parse_corpus."""
+    """Write documents in the corpus file format parsed by parse_corpus.
+
+    A document with neither labels nor tokens would be an empty line, which
+    the format reserves for blank lines, so it is rejected with ValueError
+    before anything is written.
+    """
+    for doc in documents:
+        if doc.labels.size == 0 and doc.num_tokens == 0:
+            raise ValueError(
+                f"doc {doc.doc_id} has no labels and no tokens; the corpus format has no line for it"
+            )
     path = Path(path)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(f"{len(documents)} {num_features} {num_labels}\n")

@@ -9,6 +9,11 @@ m = B reproduces brute-force scoring over every label exactly.
 
 All ties break toward the lower index, both when selecting buckets and when
 ranking labels, which keeps every stage reproducible.
+
+After the K*m bucket lookups no stage sorts the candidates: the union marks
+labels in a length-N array, O(N + retrieved); scoring gathers one
+probability per chunk and candidate, O(K*U) for U unique candidates; ranking
+partitions to the top_k and sorts only those, O(U + top_k log top_k).
 """
 from __future__ import annotations
 
@@ -112,17 +117,24 @@ def embed_query(
 def retrieve_candidates(
     idx: InvertedIndex, emb: QuerySparseEmbedding, counters: OpCounters
 ) -> np.ndarray:
-    """Union of labels posted in the selected buckets, ascending."""
+    """Union of labels posted in the selected buckets, ascending.
+
+    The union marks every retrieved label in a length-N boolean array and
+    reads the marks back in label order, which costs O(N + retrieved) and
+    needs no sort.
+    """
     postings = []
     for chunk, buckets in enumerate(emb.top_buckets):
         for bucket in buckets.tolist():
             postings.append(lookup(idx, chunk, int(bucket)))
     if postings:
-        merged = np.concatenate(postings).astype(np.int64)
+        merged = np.concatenate(postings)
     else:
         merged = np.empty(0, dtype=np.int64)
     counters.candidates_retrieved += int(merged.size)
-    candidates = np.unique(merged)
+    seen = np.zeros(idx.config.num_labels, dtype=bool)
+    seen[merged] = True
+    candidates = np.flatnonzero(seen).astype(np.int64, copy=False)
     counters.unique_candidates += int(candidates.size)
     return candidates
 
@@ -140,6 +152,10 @@ def aggregate_scores(
     the score is the exact dot product between the query's probability matrix
     and the candidate's code, independent of which buckets survived top-m.
     truncated mode zeroes contributions from buckets that were pruned.
+
+    The K terms are summed in chunk order, starting from 0.0.  ``predict``
+    and ``predict_full`` both score through here, so m = B reproduces brute
+    force bit for bit.
     """
     if aggregation not in AGGREGATION_MODES:
         raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
@@ -147,23 +163,45 @@ def aggregate_scores(
     k, b = emb.probs.shape
     if candidates.size == 0:
         return np.empty(0, dtype=np.float64)
-    cand_codes = cb.codes[candidates]  # (n, K)
-    chunk_ids = np.arange(k)
-    per_chunk = emb.probs[chunk_ids[None, :], cand_codes]  # (n, K)
+    codes = np.take(cb.codes, candidates, axis=0)  # (n, K)
+    selected = None
     if aggregation == "truncated":
         selected = np.zeros((k, b), dtype=bool)
         for chunk in range(k):
             selected[chunk, emb.top_buckets[chunk]] = True
-        keep = selected[chunk_ids[None, :], cand_codes]
-        per_chunk = np.where(keep, per_chunk, 0.0)
-        counters.scores_summed += int(keep.sum())
     else:
-        counters.scores_summed += int(per_chunk.size)
-    return per_chunk.sum(axis=1)
+        counters.scores_summed += int(codes.size)
+    scores = np.zeros(candidates.size)
+    for chunk in range(k):
+        column = codes[:, chunk]
+        term = emb.probs[chunk].take(column)
+        if selected is not None:
+            keep = selected[chunk].take(column)
+            term = np.where(keep, term, 0.0)
+            counters.scores_summed += int(np.count_nonzero(keep))
+        scores += term
+    return scores
 
 
 def _rank(labels: np.ndarray, scores: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort by descending score, lower label id first on ties, cut to top_k."""
+    """Sort by descending score, lower label id first on ties, cut to top_k.
+
+    With more than top_k scores, a partition finds the top_k-th best score
+    and only the scores above it, plus the lowest label ids among the scores
+    equal to it, are sorted: O(U + top_k log top_k) for U scores.
+    """
+    if top_k < scores.size:
+        neg = -scores
+        cut = np.partition(neg, top_k - 1)[top_k - 1]
+        # NaN sorts last, so a NaN cut means fewer than top_k ordered scores
+        if not np.isnan(cut):
+            above = np.flatnonzero(neg < cut)
+            tied = np.flatnonzero(neg == cut)
+            need = top_k - above.size
+            if tied.size > need:
+                tied = tied[np.argpartition(labels[tied], need - 1)[:need]]
+            keep = np.concatenate([above, tied])
+            labels, scores = labels[keep], scores[keep]
     order = np.lexsort((labels, -scores))[:top_k]
     return labels[order], scores[order]
 
@@ -213,10 +251,11 @@ def predict_full(
 # is N/B, so K chunks times m buckets yields K*m*N/B retrieved entries.  The
 # ranking term prices each entry as a push into a top-k heap of the fixed
 # evaluation depth 5, hence the log2(5) factor.  That heap is a model, not
-# the code: ``_rank`` lexsorts every unique candidate, which costs
-# O(U log U) for U unique candidates.  The formula stays the heap model
-# because acceptance criterion 8 pins it.  The dense baseline scores all N
-# labels at m=B and is priced with the same heap.
+# the code: the union costs O(N + retrieved) and ``_rank`` partitions the U
+# unique candidates and sorts only the top_k, O(U + top_k log top_k), which
+# is linear in the retrieved entries like the model.  The formula stays the
+# heap model because acceptance criterion 8 pins it.  The dense baseline
+# scores all N labels at m=B and is priced with the same heap.
 
 
 def op_count_bound(num_labels: int, buckets: int, chunks: int, m: int) -> float:

@@ -101,6 +101,15 @@ class TestParsing:
         with pytest.raises(CorpusFormatError, match=r":3: .*64-bit"):
             list(parse_corpus(p))
 
+    @pytest.mark.parametrize(
+        "raw,count",
+        [("9007199254740993", 2**53 + 1), ("9223372036854775807", 2**63 - 1), ("2.0", 2)],
+    )
+    def test_counts_parse_exactly(self, tmp_path, raw, count):
+        # integer literals beyond 2**53 must not pass through float
+        p = corpus_file(tmp_path, f"1 10 5\n0 3:{raw}\n")
+        assert next(parse_corpus(p)).token_counts.tolist() == [count]
+
     def test_count_mismatch_over(self, tmp_path):
         p = corpus_file(tmp_path, "1 10 5\n0 1:1\n1 2:1\n")
         with pytest.raises(CorpusFormatError, match="more than"):
@@ -138,6 +147,13 @@ class TestRoundTrip:
             assert np.array_equal(a.labels, b.labels)
             assert np.array_equal(a.token_ids, b.token_ids)
             assert np.array_equal(a.token_counts, b.token_counts)
+
+    def test_document_without_labels_or_tokens_rejected(self, tmp_path):
+        docs = [make_document(0, [(3, 1)], [0]), make_document(7, [], [])]
+        p = tmp_path / "empty.txt"
+        with pytest.raises(ValueError, match="doc 7"):
+            write_corpus(p, docs, num_features=10, num_labels=5)
+        assert not p.exists()
 
     def test_synthetic_corpus_round_trips(self, tmp_path):
         train, _, num_features = make_separable_corpus(

@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsix.codes import CodeConfig, build_codebook
-from sparsix.index import build_index
+from sparsix.index import build_index, lookup
 from sparsix.infer import (
+    AGGREGATION_MODES,
     InferParams,
     OpCounters,
     QuerySparseEmbedding,
@@ -154,6 +155,130 @@ class TestRanking:
         assert labels.size == 0 and scores.size == 0
         assert counters.candidates_retrieved == 0
         assert counters.scores_summed == 0
+
+
+# --- sort-based reference stages -------------------------------------------
+#
+# The retrieval stages as first written: np.unique for the union, 2-D fancy
+# indexing plus a row sum for scoring, and a lexsort of every candidate for
+# ranking.  The linear-time stages must reproduce them bit for bit.
+
+
+def ref_retrieve_candidates(idx, emb):
+    postings = [
+        lookup(idx, chunk, int(bucket))
+        for chunk, buckets in enumerate(emb.top_buckets)
+        for bucket in buckets.tolist()
+    ]
+    merged = np.concatenate(postings).astype(np.int64) if postings else np.empty(0, np.int64)
+    return np.unique(merged), int(merged.size)
+
+
+def ref_aggregate_scores(cb, emb, candidates, aggregation):
+    k, b = emb.probs.shape
+    if candidates.size == 0:
+        return np.empty(0, dtype=np.float64), 0
+    cand_codes = cb.codes[candidates]
+    chunk_ids = np.arange(k)
+    per_chunk = emb.probs[chunk_ids[None, :], cand_codes]
+    if aggregation == "truncated":
+        selected = np.zeros((k, b), dtype=bool)
+        for chunk in range(k):
+            selected[chunk, emb.top_buckets[chunk]] = True
+        keep = selected[chunk_ids[None, :], cand_codes]
+        return np.where(keep, per_chunk, 0.0).sum(axis=1), int(keep.sum())
+    return per_chunk.sum(axis=1), int(per_chunk.size)
+
+
+def ref_rank(labels, scores, top_k):
+    order = np.lexsort((labels, -scores))[:top_k]
+    return labels[order], scores[order]
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def random_embedding(rng, k, b, tied):
+    """Probabilities from a coarse grid when ``tied`` (many equal scores); random
+    bucket selections of any size, including buckets no label uses."""
+    probs = rng.integers(0, 4, size=(k, b)) / 4.0 if tied else rng.random((k, b))
+    tops = [np.sort(rng.choice(b, size=rng.integers(1, b + 1), replace=False)) for _ in range(k)]
+    return QuerySparseEmbedding(probs=probs, top_buckets=tops)
+
+
+class TestMatchesSortReference:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_labels=st.integers(1, 300),
+        k=st.sampled_from([1, 4, 7]),
+        b=st.integers(2, 40),
+        tied=st.booleans(),
+        top_k=st.integers(1, 320),
+        aggregation=st.sampled_from(AGGREGATION_MODES),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_stages_bit_identical(self, seed, num_labels, k, b, tied, top_k, aggregation):
+        """Union, scoring and ranking against the reference; num_labels < b
+        leaves buckets empty, so some selections retrieve nothing."""
+        rng = np.random.default_rng(seed)
+        cb = build_codebook(CodeConfig(num_labels, k, b, base_seed=seed))
+        idx = build_index(cb)
+        emb = random_embedding(rng, k, b, tied)
+
+        counters = OpCounters()
+        cand = retrieve_candidates(idx, emb, counters)
+        want_cand, retrieved = ref_retrieve_candidates(idx, emb)
+        assert_same_bits(cand, want_cand)
+        assert counters.candidates_retrieved == retrieved
+        assert counters.unique_candidates == want_cand.size
+
+        scores = aggregate_scores(cb, emb, cand, counters, aggregation)
+        want_scores, summed = ref_aggregate_scores(cb, emb, cand, aggregation)
+        assert_same_bits(scores, want_scores)
+        assert counters.scores_summed == summed
+
+        for got, want in zip(_rank(cand, scores, top_k), ref_rank(cand, scores, top_k)):
+            assert_same_bits(got, want)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(0, 200),
+        top_k=st.integers(1, 220),
+        nan_share=st.sampled_from([0.0, 0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_rank_ties_across_cut(self, seed, n, top_k, nan_share):
+        """Few distinct scores put ties across the top_k cut; labels are
+        shuffled so position order is not label order.  NaN ranks last."""
+        rng = np.random.default_rng(seed)
+        labels = rng.permutation(10 * n + 1)[:n].astype(np.int64)
+        scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
+        scores[rng.random(n) < nan_share] = np.nan
+        for got, want in zip(_rank(labels, scores, top_k), ref_rank(labels, scores, top_k)):
+            assert_same_bits(got, want)
+
+    @given(seed=st.integers(0, 2**32 - 1), tied=st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_many_chunks_sum_in_chunk_order(self, seed, tied):
+        """At K >= 8 a row sum may reorder the adds; the score is the chunk-order sum."""
+        k, b = 16, 8
+        rng = np.random.default_rng(seed)
+        cb = build_codebook(CodeConfig(50, k, b, base_seed=seed))
+        emb = random_embedding(rng, k, b, tied)
+        cand = np.arange(50, dtype=np.int64)
+        for aggregation in AGGREGATION_MODES:
+            want = np.zeros(cand.size)
+            for chunk in range(k):
+                codes = cb.codes[:, chunk]
+                term = emb.probs[chunk, codes]
+                if aggregation == "truncated":
+                    term = np.where(np.isin(codes, emb.top_buckets[chunk]), term, 0.0)
+                want += term
+            got = aggregate_scores(cb, emb, cand, OpCounters(), aggregation)
+            assert_same_bits(got, want)
 
 
 class TestCounters:

@@ -9,12 +9,13 @@ from __future__ import annotations
 import importlib
 from pathlib import Path
 
+import sparsix.infer
 import sparsix.train
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_benchmark_hooks_resolve(monkeypatch):
+def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # importing child resolves every sparsix name the end-to-end run imports
     child = importlib.import_module("child")
@@ -24,7 +25,19 @@ def test_benchmark_hooks_resolve(monkeypatch):
     child._wrap_query_path(tracer)
     wrapped = [(module, attr, getattr(module, attr)) for module, attr, _ in tracer._patched]
     assert wrapped
-    tracer.restore()
+    try:
+        sparsix.infer.predict(
+            tiny_engine.ensemble,
+            tiny_engine.cb,
+            tiny_engine.idx,
+            tiny_engine.test_docs[0],
+            sparsix.infer.InferParams(m=4, top_k=5),
+        )
+    finally:
+        tracer.restore()
+    # a wrapped name the query path stopped calling would zero its per-layer figure
+    recorded = {span[0].rsplit(".", 1)[1] for span in tracer.spans}
+    assert [attr for _, attr, _ in wrapped if attr not in recorded] == []
     for module, attr, wrapper in wrapped:
         assert getattr(module, attr) is not wrapper
 
