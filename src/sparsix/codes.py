@@ -31,9 +31,10 @@ class CodeConfig:
             raise ValueError(f"num_labels must be >= 1, got {self.num_labels}")
         if self.num_chunks < 1:
             raise ValueError(f"num_chunks must be >= 1, got {self.num_chunks}")
-        if self.buckets_per_chunk < 2:
+        if not 2 <= self.buckets_per_chunk <= 2**31:
+            # codes are int32: the highest bucket, B - 1, must fit
             raise ValueError(
-                f"buckets_per_chunk must be >= 2, got {self.buckets_per_chunk}"
+                f"buckets_per_chunk must be in [2, 2**31], got {self.buckets_per_chunk}"
             )
         if not 0 <= self.base_seed < 2**64:
             raise ValueError("base_seed must be an unsigned 64-bit integer")

@@ -6,23 +6,29 @@ hashing exactly; only the learned parameters need binary blobs.  Reloading
 therefore reproduces the original scoring function bit for bit.
 
 Blobs are referenced by path relative to the manifest's directory together
-with a sha256 checksum, verified on load.  Seeds are stored as JSON integers
+with a sha256 checksum.  Each blob is read once on load and its checksum
+verified before those same bytes are parsed.  Seeds are stored as JSON integers
 (they can exceed 2^53; the reference reader is Python, which keeps them
 exact).
 """
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .codes import CodeConfig
-from .model import ChunkModel, load_model, save_model
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, save_model
 from .train import ChunkEnsemble, EngineConfig, TrainConfig
 
 FORMAT_VERSION = 1
+
+# Manifests written while Adam's constants were settings record them in
+# train_config; such a manifest loads if it holds these same values
+_FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 
 
 class ManifestError(ValueError):
@@ -63,14 +69,6 @@ class Manifest:
             raise ManifestError("blob list must cover chunks 0..K-1 in order")
 
 
-def _sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def save_ensemble(
     ensemble: ChunkEnsemble,
     out_dir: str | Path,
@@ -82,10 +80,11 @@ def save_ensemble(
     blobs = []
     for model in ensemble.models:
         name = f"chunk_{model.chunk:04d}.bin"
-        blob_path = out_dir / name
-        with blob_path.open("wb") as fh:
-            save_model(model, fh)
-        blobs.append(BlobRef(chunk=model.chunk, path=name, sha256=_sha256_file(blob_path)))
+        buf = io.BytesIO()
+        save_model(model, buf)
+        data = buf.getvalue()
+        (out_dir / name).write_bytes(data)
+        blobs.append(BlobRef(model.chunk, name, hashlib.sha256(data).hexdigest()))
 
     doc = {
         "format_version": FORMAT_VERSION,
@@ -98,6 +97,17 @@ def save_ensemble(
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return manifest_path
+
+
+def _train_config(fields: dict) -> TrainConfig:
+    """A TrainConfig from its manifest entry, accepting Adam's fixed keys."""
+    fields = dict(fields)
+    for key, fixed in _FIXED_ADAM_KEYS.items():
+        if key in fields and fields.pop(key) != fixed:
+            raise ManifestError(
+                f"train_config {key} must be {fixed!r}, the constant training uses"
+            )
+    return TrainConfig(**fields)
 
 
 def load_manifest(manifest_path: str | Path) -> Manifest:
@@ -114,7 +124,7 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
             code_config=CodeConfig(**doc["code_config"]),
             engine=EngineConfig(**doc["engine"]),
             train_config=(
-                TrainConfig(**doc["train_config"]) if doc["train_config"] else None
+                _train_config(doc["train_config"]) if doc["train_config"] else None
             ),
             blobs=tuple(BlobRef(**b) for b in doc["blobs"]),
         )
@@ -124,33 +134,24 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
         raise ManifestError(f"malformed manifest {manifest_path}: {exc}") from exc
 
 
-def verify_blobs(manifest_path: str | Path) -> None:
-    """Recompute every blob checksum; raises BlobChecksumError on mismatch."""
+def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
+    """Load a trained engine; each blob is checksum-verified, then parsed."""
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
     base = manifest_path.parent
+    models: list[ChunkModel] = []
     for ref in manifest.blobs:
         blob_path = base / ref.path
         if not blob_path.is_file():
             raise BlobChecksumError(f"missing model blob {blob_path}")
-        actual = _sha256_file(blob_path)
+        data = blob_path.read_bytes()
+        actual = hashlib.sha256(data).hexdigest()
         if actual != ref.sha256:
             raise BlobChecksumError(
                 f"checksum mismatch for {blob_path}: "
                 f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
             )
-
-
-def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
-    """Load and checksum-verify a trained engine from its manifest."""
-    manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    verify_blobs(manifest_path)
-    base = manifest_path.parent
-    models: list[ChunkModel] = []
-    for ref in manifest.blobs:
-        with (base / ref.path).open("rb") as fh:
-            model = load_model(fh)
+        model = load_model(io.BytesIO(data))
         if model.chunk != ref.chunk:
             raise ManifestError(
                 f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"

@@ -6,7 +6,9 @@ targets under mean binary cross entropy.  :func:`batch_step` is the only
 code that computes the loss and its exact, analytic gradients, over a CSR
 batch of hashed documents; ``grad_check`` checks that same function, the
 one training calls, against central finite differences.  :func:`forward`
-embeds one document at query time.
+embeds one document at query time.  :func:`apply_update` takes one Adam step
+with the standard constants below; the learning rate is the one
+optimizer setting a run chooses.
 
 Parameters live in float64 (all verification runs in double precision) but
 are snapped to float32-representable values before persistence so that the
@@ -27,6 +29,10 @@ from scipy.special import expit
 from .features import HashedFeatures
 
 LOSS_CLAMP_EPS = 1e-12
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -38,14 +44,23 @@ class ChunkModel:
     """Parameters of one chunk's network. Mutable during training, then frozen."""
 
     chunk: int
-    input_dim: int
-    hidden_dim: int
-    output_dim: int
     init_seed: int
     W1: np.ndarray = field(repr=False)  # (H, F)
     b1: np.ndarray = field(repr=False)  # (H,)
     W2: np.ndarray = field(repr=False)  # (B, H)
     b2: np.ndarray = field(repr=False)  # (B,)
+
+    @property
+    def input_dim(self) -> int:
+        return self.W1.shape[1]
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.W1.shape[0]
+
+    @property
+    def output_dim(self) -> int:
+        return self.W2.shape[0]
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
@@ -78,14 +93,6 @@ class Gradients:
 
 
 @dataclass
-class AdamParams:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-
-@dataclass
 class AdamState:
     """First/second moment accumulators plus the step counter."""
 
@@ -109,9 +116,6 @@ def init_model(
     a2 = np.sqrt(6.0 / (hidden_dim + output_dim))
     return ChunkModel(
         chunk=chunk,
-        input_dim=input_dim,
-        hidden_dim=hidden_dim,
-        output_dim=output_dim,
         init_seed=init_seed,
         W1=rng.uniform(-a1, a1, size=(hidden_dim, input_dim)),
         b1=np.zeros(hidden_dim),
@@ -188,9 +192,9 @@ def batch_step(
 
 
 def apply_update(
-    model: ChunkModel, grads: Gradients, state: AdamState, hyper: AdamParams
+    model: ChunkModel, grads: Gradients, state: AdamState, lr: float
 ) -> tuple[ChunkModel, AdamState]:
-    """One Adam step, in place; returns the same objects for chaining."""
+    """One Adam step with learning rate ``lr``, in place; returns the same objects."""
     for g in grads.arrays():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(
@@ -198,14 +202,14 @@ def apply_update(
                 "reduce the learning rate"
             )
     state.step += 1
-    bc1 = 1.0 - hyper.beta1**state.step
-    bc2 = 1.0 - hyper.beta2**state.step
+    bc1 = 1.0 - ADAM_BETA1**state.step
+    bc2 = 1.0 - ADAM_BETA2**state.step
     for p, g, m, v in zip(model.params(), grads.arrays(), state.m.arrays(), state.v.arrays()):
-        m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
-        v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * np.square(g)
-        p -= hyper.lr * (m / bc1) / (np.sqrt(v / bc2) + hyper.eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * np.square(g)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return model, state
 
 
@@ -334,14 +338,4 @@ def load_model(fh: BinaryIO) -> ChunkModel:
         if len(buf) != 4 * count:
             raise ValueError("truncated model blob payload")
         arrays.append(np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape))
-    return ChunkModel(
-        chunk=chunk,
-        input_dim=f,
-        hidden_dim=h,
-        output_dim=b,
-        init_seed=init_seed,
-        W1=arrays[0],
-        b1=arrays[1],
-        W2=arrays[2],
-        b2=arrays[3],
-    )
+    return ChunkModel(chunk, init_seed, *arrays)

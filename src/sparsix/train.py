@@ -36,14 +36,7 @@ import scipy.sparse as sp
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import Document, FeatureMode, hash_token_ids
 from .hashing import derive_seed
-from .model import (
-    AdamParams,
-    ChunkModel,
-    apply_update,
-    init_model,
-    quantize_to_f32,
-    zero_adam_state,
-)
+from .model import ChunkModel, apply_update, init_model, quantize_to_f32, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
 from .model import batch_step as _batch_step
 
@@ -63,6 +56,9 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.feature_dim < 1 or self.hidden_dim < 1:
             raise ValueError("feature_dim and hidden_dim must be >= 1")
+        if self.feature_dim >= 2**32:
+            # token hashes are 32-bit, so no index could reach past 2**32 - 1
+            raise ValueError(f"feature_dim must be below 2**32, got {self.feature_dim}")
         if self.feature_mode not in ("counts", "binary"):
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
@@ -80,9 +76,6 @@ class TrainConfig:
     epochs: int
     batch_size: int = 1000
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     shuffle_seed: int = 0
     workers: int = 1
 
@@ -91,9 +84,6 @@ class TrainConfig:
             raise ValueError("epochs, batch_size and workers must be >= 1")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
-
-    def adam(self) -> AdamParams:
-        return AdamParams(lr=self.lr, beta1=self.beta1, beta2=self.beta2, eps=self.adam_eps)
 
 
 @dataclass
@@ -204,7 +194,6 @@ def train_chunk(
         engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
     )
     state = zero_adam_state(model)
-    hyper = cfg.adam()
 
     n = len(labeled)
     curve = []
@@ -217,7 +206,7 @@ def train_chunk(
         for start in range(0, n, cfg.batch_size):
             batch = order[start : start + cfg.batch_size]
             loss, grads = _batch_step(model, x_all[batch], y_all[batch].toarray())
-            apply_update(model, grads, state, hyper)
+            apply_update(model, grads, state, cfg.lr)
             epoch_loss += loss * batch.size
         mean_loss = epoch_loss / n
         curve.append(mean_loss)

@@ -1,6 +1,7 @@
 """Command-line interface tests: config parsing, workflows, exit codes."""
 from __future__ import annotations
 
+import json
 import re
 import shutil
 from pathlib import Path
@@ -260,6 +261,26 @@ class TestExitCodes:
         assert rc == EXIT_VERIFY
         assert "FAIL manifest-checksums" in out
 
+    def test_other_adam_constant_in_manifest_is_validation_error(
+        self, workspace, tmp_path, capsys
+    ):
+        older = tmp_path / "older"
+        shutil.copytree(workspace / "engine", older)
+        doc = json.loads((older / "manifest.json").read_text())
+        doc["train_config"].update(beta1=0.8, beta2=0.999, adam_eps=1e-08)
+        (older / "manifest.json").write_text(json.dumps(doc))
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(older / "manifest.json"),
+                "--corpus", str(workspace / "test.txt"),
+                "--out", str(tmp_path / "p.tsv"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: " in err and "beta1" in err
+
     def test_corpus_error_is_validation_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 10 5\n0 1:nope\n", encoding="utf-8")
@@ -274,9 +295,10 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == EXIT_VALIDATION
 
-    def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None):
+    def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None, extra=""):
         text = DESK_CONFIG.replace("lr = 5e-3", f"lr = {lr}")
         text = text.replace("corpus = train.txt", f"corpus = {corpus or workspace / 'train.txt'}")
+        text += extra
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text, encoding="utf-8")
         return main(["train", "--config", str(cfg)])
@@ -304,6 +326,16 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "huge.txt:2: " in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "setting", ["buckets_per_chunk = 4294967301", "feature_dim = 4294967301"]
+    )
+    def test_oversized_config_is_validation_error(self, workspace, tmp_path, capsys, setting):
+        rc = self.train_with(workspace, tmp_path, extra=setting + "\n")
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: " in err and "Traceback" not in err
+        assert not (tmp_path / "engine" / "manifest.json").exists()
+
 
 class TestDocs:
     def test_commands_named_in_docs_match_parser(self):
@@ -321,3 +353,18 @@ class TestDocs:
         section = readme.partition("### Commands")[2].partition("\n#")[0]
         listed = set(re.findall(r"^- `([a-z-]+)`:", section, flags=re.MULTILINE))
         assert registered == docstring == listed
+
+    def test_config_keys_in_readme_match_parser(self):
+        """The README's config-key table names every key with its default."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        table = readme.partition("### Config keys")[2].strip().partition("\n\n")[0]
+        documented = {}
+        for row in table.splitlines()[2:]:
+            keys, defaults = (cell.strip() for cell in row.strip("|").split("|")[:2])
+            keys = keys.split(" / ")
+            defaults = defaults.split(" / ") if len(keys) > 1 else [defaults]
+            assert len(defaults) == len(keys), row
+            documented.update(zip(keys, defaults))
+        assert documented.keys() == cli.CONFIG_KEYS.keys()
+        for key, default in CONFIG_DEFAULTS.items():
+            assert cli.CONFIG_KEYS[key](documented[key].strip("`")) == default, key

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sparsix.infer import embed_query
+from sparsix.infer import InferParams, embed_query, predict
 from sparsix.manifest import (
     FORMAT_VERSION,
     BlobChecksumError,
@@ -14,7 +14,6 @@ from sparsix.manifest import (
     load_ensemble,
     load_manifest,
     save_ensemble,
-    verify_blobs,
 )
 
 
@@ -68,7 +67,7 @@ class TestRoundTrip:
 class TestChecksums:
     def test_clean_blobs_verify(self, saved_engine):
         _, path = saved_engine
-        verify_blobs(path)  # must not raise
+        load_ensemble(path)  # must not raise
 
     def test_corrupted_blob_detected(self, saved_engine):
         _, path = saved_engine
@@ -77,8 +76,6 @@ class TestChecksums:
         raw[-1] ^= 0xFF
         blob.write_bytes(bytes(raw))
         with pytest.raises(BlobChecksumError, match="mismatch"):
-            verify_blobs(path)
-        with pytest.raises(BlobChecksumError):
             load_ensemble(path)
 
     def test_missing_blob_detected(self, saved_engine):
@@ -148,3 +145,36 @@ class TestValidation:
         self.edit_manifest(path, swap)
         with pytest.raises(ManifestError, match="holds chunk"):
             load_ensemble(path)
+
+
+class TestOlderManifests:
+    """Manifests written while Adam's constants were settings record them."""
+
+    def with_adam_keys(self, path, beta1=0.9):
+        doc = json.loads(path.read_text())
+        doc["train_config"].update(beta1=beta1, beta2=0.999, adam_eps=1e-08)
+        path.write_text(json.dumps(doc))
+
+    def test_fresh_manifest_omits_adam_keys(self, saved_engine):
+        _, path = saved_engine
+        recorded = json.loads(path.read_text())["train_config"]
+        assert not {"beta1", "beta2", "adam_eps"} & recorded.keys()
+
+    def test_standard_values_load_and_predict_identically(self, saved_engine):
+        engine, path = saved_engine
+        fresh, fresh_manifest = load_ensemble(path)
+        self.with_adam_keys(path)
+        older, older_manifest = load_ensemble(path)
+        assert older_manifest.train_config == fresh_manifest.train_config
+        params = InferParams(m=4, top_k=10)
+        for doc in engine.test_docs[:20]:
+            a = predict(fresh, engine.cb, engine.idx, doc, params)
+            b = predict(older, engine.cb, engine.idx, doc, params)
+            assert np.array_equal(a.labels, b.labels)
+            assert np.array_equal(a.scores, b.scores)
+
+    def test_other_value_rejected(self, saved_engine):
+        _, path = saved_engine
+        self.with_adam_keys(path, beta1=0.8)
+        with pytest.raises(ManifestError, match="beta1"):
+            load_manifest(path)

@@ -10,7 +10,6 @@ import scipy.sparse as sp
 
 from sparsix.features import HashedFeatures
 from sparsix.model import (
-    AdamParams,
     ChunkModel,
     Gradients,
     NonFiniteGradientError,
@@ -34,9 +33,6 @@ def hand_model() -> ChunkModel:
     """F=3, H=2, B=2 with fixed weights, small enough to check by hand."""
     return ChunkModel(
         chunk=0,
-        input_dim=3,
-        hidden_dim=2,
-        output_dim=2,
         init_seed=0,
         W1=np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]]),
         b1=np.array([0.5, -0.5]),
@@ -63,6 +59,14 @@ def hot(buckets, output_dim) -> np.ndarray:
     y = np.zeros((1, output_dim))
     y[0, buckets] = 1.0
     return y
+
+
+class TestChunkModel:
+    def test_sizes_come_from_arrays(self):
+        m = hand_model()
+        assert (m.input_dim, m.hidden_dim, m.output_dim) == (3, 2, 2)
+        with pytest.raises(AttributeError):
+            m.input_dim = 4
 
 
 class TestForward:
@@ -213,20 +217,20 @@ class TestAdam:
             W2=np.full((2, 3), -1.0),
             b2=np.array([2.0, -2.0]),
         )
-        hyper = AdamParams(lr=1e-2)
-        apply_update(m, g, zero_adam_state(m), hyper)
+        lr = 1e-2
+        apply_update(m, g, zero_adam_state(m), lr)
         for p, old, grad in zip(m.params(), before, g.arrays()):
-            expected = old - hyper.lr * np.sign(grad) * (np.abs(grad) > 0)
+            expected = old - lr * np.sign(grad) * (np.abs(grad) > 0)
             np.testing.assert_allclose(p, expected, atol=1e-8)
 
     def test_updates_in_place_and_counts_steps(self):
         m = init_model(4, 3, 2, init_seed=0)
         state = zero_adam_state(m)
         g = Gradients(*(np.ones_like(p) for p in m.params()))
-        same_m, same_state = apply_update(m, g, state, AdamParams())
+        same_m, same_state = apply_update(m, g, state, 1e-3)
         assert same_m is m and same_state is state
         assert state.step == 1
-        apply_update(m, g, state, AdamParams())
+        apply_update(m, g, state, 1e-3)
         assert state.step == 2
 
     def test_rejects_non_finite_gradients(self):
@@ -234,7 +238,7 @@ class TestAdam:
         g = Gradients(*(np.ones_like(p) for p in m.params()))
         g.W2[0, 0] = np.inf
         with pytest.raises(NonFiniteGradientError):
-            apply_update(m, g, zero_adam_state(m), AdamParams())
+            apply_update(m, g, zero_adam_state(m), 1e-3)
 
     def test_training_reduces_loss(self):
         m = init_model(16, 6, 8, init_seed=5)
@@ -245,7 +249,7 @@ class TestAdam:
         loss = first
         for _ in range(150):
             loss, grads = batch_step(m, x, y)
-            apply_update(m, grads, state, AdamParams(lr=1e-2))
+            apply_update(m, grads, state, 1e-2)
         assert loss < first / 5
 
 
