@@ -45,6 +45,31 @@ class Document:
         return int(self.token_ids.size)
 
 
+@dataclass(frozen=True)
+class DocBlock:
+    """Documents as five flat arrays, which pickle with no object per document.
+
+    Row r is ``[offsets[r]:offsets[r + 1]]`` of its tokens' and its labels' arrays.
+    """
+
+    token_ids: np.ndarray = field(repr=False)  # uint64
+    token_counts: np.ndarray = field(repr=False)  # int64
+    token_offsets: np.ndarray = field(repr=False)  # int64, one more than the rows
+    labels: np.ndarray = field(repr=False)  # int64
+    label_offsets: np.ndarray = field(repr=False)  # int64, one more than the rows
+
+    @classmethod
+    def from_documents(cls, docs: list[Document]) -> DocBlock:
+        def flat(arrays: list[np.ndarray], dtype: type) -> tuple[np.ndarray, np.ndarray]:
+            offsets = np.cumsum([0] + [a.size for a in arrays], dtype=np.int64)
+            return np.concatenate([np.empty(0, dtype), *arrays]), offsets
+
+        ids, token_offsets = flat([d.token_ids for d in docs], np.uint64)
+        labels, label_offsets = flat([d.labels for d in docs], np.int64)
+        counts, _ = flat([d.token_counts for d in docs], np.int64)
+        return cls(ids, counts, token_offsets, labels, label_offsets)
+
+
 def make_document(
     doc_id: int,
     tokens: list[tuple[int, int]],

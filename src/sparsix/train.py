@@ -3,15 +3,16 @@
 Each chunk trains independently: its targets come from its own codebook
 column, its inputs from its own feature-hash seed, and its shuffle order
 from its own derived seed.  A chunk's trained parameters are a pure function
-of (documents, code config, engine config, train config, chunk), so running
+of (block, code config, engine config, train config, chunk), so running
 the K chunks serially or across a process pool yields bit-identical models.
 Parallelism is across chunks only; within a chunk, batches are processed
 sequentially in a fixed order, and each pool worker runs NumPy's BLAS on one
 thread.
 
-Inputs and targets are built once per chunk, not per document: one hashing
-call over every document's token ids gives the CSR input matrix, and one
-codebook lookup over every document's labels gives the CSR target matrix.
+Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
+arrays, and builds its inputs and targets once, not per document: one hashing
+call over the block's token ids gives the CSR input matrix, one codebook lookup
+over its labels the CSR target matrix, and its offsets are their row pointers.
 Each batch slices both and takes one :func:`model.batch_step`, the only
 loss-and-gradient code in the package.
 
@@ -34,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .codes import CodeConfig, LabelCodebook, build_codebook
-from .features import Document, FeatureMode, hash_token_ids
+from .features import DocBlock, Document, FeatureMode, hash_token_ids
 from .hashing import derive_seed
 from .model import ChunkModel, apply_update, init_model, quantize_to_f32, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -120,47 +121,30 @@ def split_labeled(documents: list[Document]) -> tuple[list[Document], int]:
     return kept, len(documents) - len(kept)
 
 
-def _stacked_rows(
-    lengths: list[int], cols: np.ndarray, vals: np.ndarray, width: int
-) -> sp.csr_matrix:
-    """CSR matrix whose row r holds the next ``lengths[r]`` (col, val) pairs.
-
-    Duplicate (row, col) pairs add up.
-    """
-    rows = np.repeat(np.arange(len(lengths)), lengths)
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(lengths), width))
-
-
 def _chunk_matrix(
-    documents: list[Document], chunk_seed: int, feature_dim: int, mode: FeatureMode
+    block: DocBlock, chunk_seed: int, feature_dim: int, mode: FeatureMode
 ) -> sp.csr_matrix:
-    """Hash every document for one chunk into a CSR matrix of inputs."""
-    mat = _stacked_rows(
-        [doc.num_tokens for doc in documents],
-        hash_token_ids(
-            np.concatenate([doc.token_ids for doc in documents]), chunk_seed, feature_dim
-        ),
-        np.concatenate([doc.token_counts for doc in documents]).astype(np.float64),
-        feature_dim,
-    )
+    """Hash every row of the block for one chunk into a CSR matrix of inputs."""
+    indptr = block.token_offsets.copy()  # sum_duplicates rewrites it in place
+    cols = hash_token_ids(block.token_ids, chunk_seed, feature_dim)
+    vals = block.token_counts.astype(np.float64)
+    mat = sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, feature_dim))
+    mat.sum_duplicates()  # colliding tokens add up
     if mode == "binary":
         mat.data = np.minimum(mat.data, 1.0)
     return mat
 
 
-def _target_matrix(
-    documents: list[Document], cb: LabelCodebook, chunk: int
-) -> sp.csr_matrix:
-    """Few-hot OR targets for one chunk: row r is 1 on every bucket of doc r's labels."""
-    labels = np.concatenate([doc.labels for doc in documents])
-    if labels.min() < 0 or labels.max() >= cb.config.num_labels:
+def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_matrix:
+    """Few-hot OR targets for one chunk: row r is 1 on every bucket of row r's labels."""
+    if block.labels.min() < 0 or block.labels.max() >= cb.config.num_labels:
         raise ValueError("label id out of range")
-    mat = _stacked_rows(
-        [doc.labels.size for doc in documents],
-        cb.codes[labels, chunk],
-        np.ones(labels.size),
-        cb.config.buckets_per_chunk,
+    indptr = block.label_offsets.copy()
+    mat = sp.csr_matrix(
+        (np.ones(block.labels.size), cb.codes[block.labels, chunk], indptr),
+        shape=(indptr.size - 1, cb.config.buckets_per_chunk),
     )
+    mat.sum_duplicates()
     # labels sharing a bucket make one hot entry, not a count
     mat.data = np.minimum(mat.data, 1.0)
     return mat
@@ -168,34 +152,31 @@ def _target_matrix(
 
 def train_chunk(
     chunk: int,
-    documents: list[Document],
+    block: DocBlock,
     cb: LabelCodebook,
     engine: EngineConfig,
     cfg: TrainConfig,
 ) -> tuple[ChunkModel, list[float]]:
-    """Train one chunk's model; touches no other chunk's state.
+    """Train one chunk's model on every row of ``block``; touches no other chunk's state.
 
-    Deterministic given (documents, configs, chunk): initialization, shuffle
+    Deterministic given (block, configs, chunk): initialization, shuffle
     order, and batch accumulation order are all seed-derived and sequential.
     """
-    labeled, skipped = split_labeled(documents)
-    if skipped:
-        logger.warning("chunk %d: skipped %d unlabeled documents", chunk, skipped)
-    if not labeled:
-        raise ValueError("no labeled documents to train on")
+    n = block.label_offsets.size - 1
+    if n == 0 or not np.all(np.diff(block.label_offsets)):
+        raise ValueError("training needs at least one document, and labels on every one")
 
     b = cb.config.buckets_per_chunk
     x_all = _chunk_matrix(
-        labeled, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
+        block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
     )
-    y_all = _target_matrix(labeled, cb, chunk)
+    y_all = _target_matrix(block, cb, chunk)
 
     model = init_model(
         engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
     )
     state = zero_adam_state(model)
 
-    n = len(labeled)
     curve = []
     for epoch in range(cfg.epochs):
         t0 = time.perf_counter()
@@ -263,14 +244,13 @@ def _one_blas_thread() -> bool:
 
 
 def _train_chunk_task(
-    payload: tuple[int, list[Document], CodeConfig, EngineConfig, TrainConfig],
-) -> tuple[int, ChunkModel, list[float], float]:
+    payload: tuple[int, DocBlock, CodeConfig, EngineConfig, TrainConfig],
+) -> tuple[ChunkModel, list[float], float]:
     """Process-pool entry point; rebuilds the codebook from its config."""
-    chunk, documents, code_config, engine, cfg = payload
+    chunk, block, code_config, engine, cfg = payload
     t0 = time.perf_counter()
-    cb = build_codebook(code_config)
-    model, curve = train_chunk(chunk, documents, cb, engine, cfg)
-    return chunk, model, curve, time.perf_counter() - t0
+    model, curve = train_chunk(chunk, block, build_codebook(code_config), engine, cfg)
+    return model, curve, time.perf_counter() - t0
 
 
 def train_all(
@@ -292,24 +272,22 @@ def train_all(
         raise ValueError("no labeled documents to train on")
 
     k = cb.config.num_chunks
-    payloads = [(chunk, labeled, cb.config, engine, cfg) for chunk in range(k)]
-    results: list[tuple[int, ChunkModel, list[float], float]] = []
+    block = DocBlock.from_documents(labeled)
+    payloads = [(chunk, block, cb.config, engine, cfg) for chunk in range(k)]
     if cfg.workers == 1 or k == 1:
-        for payload in payloads:
-            results.append(_train_chunk_task(payload))
+        results = [_train_chunk_task(payload) for payload in payloads]
     else:
         with ProcessPoolExecutor(
             max_workers=min(cfg.workers, k), initializer=_one_blas_thread
         ) as pool:
             results = list(pool.map(_train_chunk_task, payloads))
 
-    results.sort(key=lambda r: r[0])
     ensemble = ChunkEnsemble(
-        code_config=cb.config, engine=engine, models=[r[1] for r in results]
+        code_config=cb.config, engine=engine, models=[r[0] for r in results]
     )
     return TrainResult(
         ensemble=ensemble,
-        loss_curves=[r[2] for r in results],
+        loss_curves=[r[1] for r in results],
         skipped_unlabeled=skipped,
-        chunk_seconds=[r[3] for r in results],
+        chunk_seconds=[r[2] for r in results],
     )

@@ -7,10 +7,13 @@ This test reads those modules and changes nothing under ``perfbench/``.
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
 import sparsix.infer
 import sparsix.train
+from sparsix.codes import CodeConfig, build_codebook
+from sparsix.features import make_document
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -44,3 +47,30 @@ def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
     # the names traced_chunk_task wraps inside a training worker
     for name in ("_chunk_matrix", "_batch_step", "apply_update", "build_codebook"):
         assert callable(getattr(sparsix.train, name)), name
+
+
+def test_traced_chunk_task_records_every_training_span(monkeypatch, tmp_path):
+    """Each worker's trace holds the spans the benchmark's training figures read."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    spans = importlib.import_module("spans")
+    monkeypatch.setattr(sparsix.train, "_train_chunk_task", spans.traced_chunk_task)
+    monkeypatch.setenv(spans.TRACE_DIR_ENV, str(tmp_path))
+
+    docs = [make_document(i, [(i, 1), (i + 7, 2)], [i % 3]) for i in range(12)]
+    cb = build_codebook(CodeConfig(num_labels=3, num_chunks=2, buckets_per_chunk=4, base_seed=1))
+    engine = sparsix.train.EngineConfig(feature_dim=16, hidden_dim=3)
+    cfg = sparsix.train.TrainConfig(epochs=1, batch_size=5, workers=1)
+    result = sparsix.train.train_all(docs, cb, engine, cfg)
+
+    assert [m.chunk for m in result.ensemble.models] == [0, 1]
+    traces = sorted(tmp_path.glob("chunk-*.json"))
+    assert [t.name for t in traces] == ["chunk-0.json", "chunk-1.json"]
+    expected = {
+        "train._chunk_matrix",
+        "train._batch_step",
+        "model.apply_update",
+        "codes.build_codebook",
+    }
+    for trace in traces:
+        names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
+        assert expected <= names, trace.name

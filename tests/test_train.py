@@ -1,12 +1,15 @@
 """Training tests: OR-targets, determinism, parallel equivalence, learning."""
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
-from sparsix.features import hash_features, make_document
+from sparsix.features import DocBlock, hash_features, make_document
 from sparsix.model import _batch_forward, forward
 from sparsix.train import (
     ChunkEnsemble,
@@ -37,7 +40,7 @@ def small_setup(num_labels=40, num_chunks=3, buckets=16, seed=7):
 def hot_rows(cb, label_lists, chunk):
     """The target matrix for one document per label list, as lists of hot buckets."""
     docs = [make_document(i, [(1, 1)], labels) for i, labels in enumerate(label_lists)]
-    mat = _target_matrix(docs, cb, chunk)
+    mat = _target_matrix(DocBlock.from_documents(docs), cb, chunk)
     assert np.all(mat.data == 1.0)
     return [mat[r].indices.tolist() for r in range(mat.shape[0])]
 
@@ -76,16 +79,17 @@ class TestTrainChunk:
         """Fresh sigmoid outputs sit at 0.5, so the first losses are ~log 2."""
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=1, batch_size=512, lr=1e-5, shuffle_seed=1)
-        _, curve = train_chunk(0, docs, cb, eng, cfg)
+        _, curve = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert abs(curve[0] - np.log(2.0)) < 0.02
 
     def test_single_document_overfits(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=200, batch_size=1, lr=1e-2, shuffle_seed=0)
-        model, _ = train_chunk(0, docs[:1], cb, eng, cfg)
+        block = DocBlock.from_documents(docs[:1])
+        model, _ = train_chunk(0, block, cb, eng, cfg)
         x = hash_features(docs[0], eng.chunk_feature_seed(0), eng.feature_dim, "counts")
         p = forward(model, x)
-        hot = _target_matrix(docs[:1], cb, 0).indices
+        hot = _target_matrix(block, cb, 0).indices
         mask = np.zeros(p.size, dtype=bool)
         mask[hot] = True
         assert p[mask].min() > 0.9
@@ -94,13 +98,13 @@ class TestTrainChunk:
     def test_loss_decreases(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=20, batch_size=8, lr=5e-3, shuffle_seed=3)
-        _, curve = train_chunk(1, docs, cb, eng, cfg)
+        _, curve = train_chunk(1, DocBlock.from_documents(docs), cb, eng, cfg)
         assert curve[-1] < curve[0] / 2
 
     def test_parameters_are_f32_representable(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=2, batch_size=16)
-        model, _ = train_chunk(0, docs, cb, eng, cfg)
+        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         for p in model.params():
             assert p.dtype == np.float64
             assert np.array_equal(p, p.astype(np.float32).astype(np.float64))
@@ -111,7 +115,7 @@ class TestTrainChunk:
         docs = docs[:5] + [make_document(99, [], [1])] + docs[5:]
         seed0 = eng.chunk_feature_seed(0)
         for mode in ("counts", "binary"):
-            mat = _chunk_matrix(docs, seed0, 16, mode)
+            mat = _chunk_matrix(DocBlock.from_documents(docs), seed0, 16, mode)
             for row, doc in enumerate(docs):
                 feats = hash_features(doc, seed0, 16, mode)
                 dense = np.zeros(16)
@@ -121,19 +125,72 @@ class TestTrainChunk:
     def test_serving_forward_matches_batch_forward(self):
         """The query-time forward and the training forward agree row for row."""
         cb, eng, docs = small_setup()
-        model, _ = train_chunk(0, docs, cb, eng, TrainConfig(epochs=5, batch_size=8, lr=5e-3))
+        block = DocBlock.from_documents(docs)
+        model, _ = train_chunk(0, block, cb, eng, TrainConfig(epochs=5, batch_size=8, lr=5e-3))
         seed0 = eng.chunk_feature_seed(0)
-        _, _, batch_p = _batch_forward(model, _chunk_matrix(docs, seed0, eng.feature_dim, "counts"))
+        _, _, batch_p = _batch_forward(
+            model, _chunk_matrix(block, seed0, eng.feature_dim, "counts")
+        )
         for row, doc in enumerate(docs):
             p = forward(model, hash_features(doc, seed0, eng.feature_dim, "counts"))
             # same products, but a BLAS may sum them in another order
             np.testing.assert_allclose(p, batch_p[row], rtol=1e-12, atol=0.0)
 
     def test_no_labeled_documents_rejected(self):
+        """train_chunk trains on every row it gets: no rows, or an unlabeled one, fail."""
         cb, eng, _ = small_setup()
-        unlabeled = [make_document(0, [(1, 1)], [])]
-        with pytest.raises(ValueError):
-            train_chunk(0, unlabeled, cb, eng, TrainConfig(epochs=1))
+        for label_lists in ([], [[2], []]):
+            docs = [make_document(i, [(1, 1)], labels) for i, labels in enumerate(label_lists)]
+            with pytest.raises(ValueError, match="labels on every one"):
+                train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
+
+
+class TestDocBlock:
+    def test_row_slices_are_the_documents_arrays(self):
+        _, _, docs = small_setup()
+        docs = docs[:3] + [make_document(99, [], [1]), make_document(98, [(4, 2)], [])] + docs[3:]
+        block = DocBlock.from_documents(docs)
+        assert block.token_offsets.size == block.label_offsets.size == len(docs) + 1
+        for r, doc in enumerate(docs):
+            tokens = slice(block.token_offsets[r], block.token_offsets[r + 1])
+            labels = slice(block.label_offsets[r], block.label_offsets[r + 1])
+            assert np.array_equal(block.token_ids[tokens], doc.token_ids)
+            assert np.array_equal(block.token_counts[tokens], doc.token_counts)
+            assert np.array_equal(block.labels[labels], doc.labels)
+        assert block.token_ids.dtype == np.uint64 and block.labels.dtype == np.int64
+
+    def test_matrices_leave_the_block_unchanged(self):
+        """Summing colliding entries must not rewrite the shared block's offsets."""
+        cb = build_codebook(CodeConfig(12, 2, 8, base_seed=42))
+        docs = [make_document(i, [(t, 1) for t in range(40)], [2, 5]) for i in range(3)]
+        block = DocBlock.from_documents(docs)
+        # int32 offsets, which scipy would otherwise adopt as its own row pointers
+        block = dataclasses.replace(
+            block,
+            token_offsets=block.token_offsets.astype(np.int32),
+            label_offsets=block.label_offsets.astype(np.int32),
+        )
+        token_offsets, label_offsets = block.token_offsets.copy(), block.label_offsets.copy()
+        _chunk_matrix(block, 0, 16, "counts")
+        _target_matrix(block, cb, 0)  # labels 2 and 5 share bucket 6 in chunk 0
+        assert np.array_equal(block.token_offsets, token_offsets)
+        assert np.array_equal(block.label_offsets, label_offsets)
+
+    def test_pickle_holds_no_per_document_objects(self):
+        rng = np.random.default_rng(3)
+        docs = [
+            make_document(i, [(int(t), 1) for t in rng.choice(5000, 4, replace=False)], [i % 50])
+            for i in range(1000)
+        ]
+        block = DocBlock.from_documents(docs)
+        arrays = (
+            block.token_ids,
+            block.token_counts,
+            block.token_offsets,
+            block.labels,
+            block.label_offsets,
+        )
+        assert len(pickle.dumps(block)) <= sum(a.nbytes for a in arrays) + 4096
 
 
 def _blas_threads() -> int:
@@ -153,8 +210,8 @@ _CHUNK_TASK = train._train_chunk_task
 
 def _chunk_task_reporting_blas_threads(payload):
     """A chunk task whose last field is the worker's BLAS thread count."""
-    chunk, model, curve, _ = _CHUNK_TASK(payload)
-    return chunk, model, curve, _blas_threads()
+    model, curve, _ = _CHUNK_TASK(payload)
+    return model, curve, _blas_threads()
 
 
 class TestTrainAll:
