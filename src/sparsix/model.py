@@ -1,7 +1,7 @@
 """Per-chunk classifier: one-hidden-layer network with sigmoid outputs.
 
 Each chunk trains its own network mapping hashed features to a probability
-per bucket: ``p = sigmoid(W2 relu(W1 x + b1) + b2)``, against few-hot bucket
+per bucket: ``p = sigmoid(W2 relu(x W1 + b1) + b2)``, against few-hot bucket
 targets under mean binary cross entropy.  :func:`batch_step` is the only
 code that computes the loss and its exact, analytic gradients, over a CSR
 batch of hashed documents; ``grad_check`` checks that same function, the
@@ -12,7 +12,9 @@ optimizer setting a run chooses.
 
 Parameters live in float64 (all verification runs in double precision) but
 are snapped to float32-representable values before persistence so that the
-on-disk blobs round-trip bit-exactly.
+on-disk blobs round-trip bit-exactly.  W1 is held (F, H), one row per input
+index, so a batch's sparse inputs read and write whole rows; blobs keep it in
+(H, F) order.
 """
 from __future__ import annotations
 
@@ -33,6 +35,11 @@ LOSS_CLAMP_EPS = 1e-12
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+# Adam updates each parameter one block of whole rows at a time, at most this
+# many elements, so that its fourteen passes over six arrays (768 KiB) stay in a
+# core's cache.  At F=8192, H=64 on a 2-vCPU Xeon, whole-array passes made a
+# step about a fifth slower.
+ADAM_BLOCK_ELEMENTS = 16384
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -45,18 +52,18 @@ class ChunkModel:
 
     chunk: int
     init_seed: int
-    W1: np.ndarray = field(repr=False)  # (H, F)
+    W1: np.ndarray = field(repr=False)  # (F, H)
     b1: np.ndarray = field(repr=False)  # (H,)
     W2: np.ndarray = field(repr=False)  # (B, H)
     b2: np.ndarray = field(repr=False)  # (B,)
 
     @property
     def input_dim(self) -> int:
-        return self.W1.shape[1]
+        return self.W1.shape[0]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W1.shape[0]
+        return self.W1.shape[1]
 
     @property
     def output_dim(self) -> int:
@@ -94,11 +101,17 @@ class Gradients:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the step counter."""
+    """First/second moment accumulators, the step counter, and scratch space.
+
+    ``scratch`` holds two buffers per parameter, each one row block of it (see
+    ``ADAM_BLOCK_ELEMENTS``), which :func:`apply_update` overwrites on every
+    step so that it allocates nothing.
+    """
 
     step: int
     m: Gradients
     v: Gradients
+    scratch: tuple[tuple[np.ndarray, np.ndarray], ...] = field(repr=False)
 
 
 def init_model(
@@ -107,7 +120,8 @@ def init_model(
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
     Each layer draws from ``uniform(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``;
-    W1 is drawn before W2 so the layout is reproducible.
+    W1 is drawn (H, F), before W2, and stored transposed, so the values do not
+    depend on the storage layout.
     """
     if min(input_dim, hidden_dim, output_dim) < 1:
         raise ValueError("all model dimensions must be >= 1")
@@ -117,7 +131,7 @@ def init_model(
     return ChunkModel(
         chunk=chunk,
         init_seed=init_seed,
-        W1=rng.uniform(-a1, a1, size=(hidden_dim, input_dim)),
+        W1=np.ascontiguousarray(rng.uniform(-a1, a1, size=(hidden_dim, input_dim)).T),
         b1=np.zeros(hidden_dim),
         W2=rng.uniform(-a2, a2, size=(output_dim, hidden_dim)),
         b2=np.zeros(output_dim),
@@ -125,17 +139,27 @@ def init_model(
 
 
 def zero_adam_state(model: ChunkModel) -> AdamState:
-    zeros = Gradients(*(np.zeros_like(p) for p in model.params()))
-    zeros2 = Gradients(*(np.zeros_like(p) for p in model.params()))
-    return AdamState(step=0, m=zeros, v=zeros2)
+    params = model.params()
+    return AdamState(
+        step=0,
+        m=Gradients(*(np.zeros_like(p) for p in params)),
+        v=Gradients(*(np.zeros_like(p) for p in params)),
+        scratch=tuple((_row_block(p), _row_block(p)) for p in params),
+    )
+
+
+def _row_block(p: np.ndarray) -> np.ndarray:
+    """Uninitialised leading rows of ``p``: as many as fit ADAM_BLOCK_ELEMENTS, at least one."""
+    rows = max(1, ADAM_BLOCK_ELEMENTS * p.shape[0] // p.size)
+    return np.empty((min(rows, p.shape[0]), *p.shape[1:]))
 
 
 def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
     """Bucket probability vector for one document, unclamped."""
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
-    # only the touched columns of W1 are read
-    h = np.maximum(model.W1[:, x.indexes] @ x.values + model.b1, 0.0)
+    # only the touched rows of W1 are read
+    h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
     return expit(model.W2 @ h + model.b2)
 
 
@@ -164,7 +188,7 @@ def _batch_forward(
     model: ChunkModel, x_batch: sp.csr_matrix
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pre-activations, hidden activations and probabilities, one row per document."""
-    h_pre = x_batch @ model.W1.T + model.b1
+    h_pre = x_batch @ model.W1 + model.b1
     h = np.maximum(h_pre, 0.0)
     return h_pre, h, expit(h @ model.W2.T + model.b2)
 
@@ -175,8 +199,8 @@ def batch_step(
     """Mean-over-batch loss and its exact gradients, accumulated in a fixed order.
 
     ``y_batch`` is the dense (rows, B) 0/1 target matrix.  ReLU's subgradient
-    at zero is taken as zero.  Columns of W1 for input indexes absent from
-    every row get exactly zero gradient.
+    at zero is taken as zero.  Rows of W1 for input indexes absent from
+    every row of the batch get exactly zero gradient.
     """
     n = x_batch.shape[0]
     h_pre, h, p = _batch_forward(model, x_batch)
@@ -186,15 +210,21 @@ def batch_step(
     g_b2 = dz.sum(axis=0)
     dh = dz @ model.W2
     dh[h_pre <= 0.0] = 0.0
-    g_W1 = (x_batch.T @ dh).T
+    g_W1 = x_batch.T @ dh
     g_b1 = dh.sum(axis=0)
-    return loss, Gradients(W1=np.ascontiguousarray(g_W1), b1=g_b1, W2=g_W2, b2=g_b2)
+    return loss, Gradients(W1=g_W1, b1=g_b1, W2=g_W2, b2=g_b2)
 
 
 def apply_update(
     model: ChunkModel, grads: Gradients, state: AdamState, lr: float
 ) -> tuple[ChunkModel, AdamState]:
-    """One Adam step with learning rate ``lr``, in place; returns the same objects."""
+    """One Adam step with learning rate ``lr``, in place; returns the same objects.
+
+    Every array operation writes into ``state``'s buffers, one row block at a
+    time.  The operations and their order are those of the textbook expression
+    ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is the same
+    to the bit.
+    """
     for g in grads.arrays():
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(
@@ -204,12 +234,27 @@ def apply_update(
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
-    for p, g, m, v in zip(model.params(), grads.arrays(), state.m.arrays(), state.v.arrays()):
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * np.square(g)
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+    arrays = zip(model.params(), grads.arrays(), state.m.arrays(), state.v.arrays())
+    for whole, (num_block, den_block) in zip(arrays, state.scratch):
+        rows = num_block.shape[0]
+        for start in range(0, whole[0].shape[0], rows):
+            # slicing leading rows gives views, so the updates land in place
+            p, g, m, v = (a[start : start + rows] for a in whole)
+            num, den = num_block[: p.shape[0]], den_block[: p.shape[0]]
+            m *= ADAM_BETA1
+            np.multiply(g, 1.0 - ADAM_BETA1, out=num)
+            m += num
+            v *= ADAM_BETA2
+            np.square(g, out=num)
+            num *= 1.0 - ADAM_BETA2
+            v += num
+            np.divide(m, bc1, out=num)
+            num *= lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += ADAM_EPS
+            num /= den
+            p -= num
     return model, state
 
 
@@ -301,7 +346,10 @@ def quantize_to_f32(model: ChunkModel) -> ChunkModel:
 
 
 def save_model(model: ChunkModel, fh: BinaryIO) -> None:
-    """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as LE float32."""
+    """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as LE float32.
+
+    W1 is written (H, F), hidden unit by hidden unit.
+    """
     fh.write(
         _HEADER.pack(
             model.chunk,
@@ -311,7 +359,7 @@ def save_model(model: ChunkModel, fh: BinaryIO) -> None:
             model.init_seed,
         )
     )
-    for p in model.params():
+    for p in (model.W1.T, model.b1, model.W2, model.b2):
         fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
 
 
@@ -332,10 +380,12 @@ def load_model(fh: BinaryIO) -> ChunkModel:
         )
     shapes = [(h, f), (h,), (b, h), (b,)]
     arrays = []
-    for shape in shapes:
+    for i, shape in enumerate(shapes):
         count = math.prod(shape)
         buf = fh.read(4 * count)
         if len(buf) != 4 * count:
             raise ValueError("truncated model blob payload")
-        arrays.append(np.frombuffer(buf, dtype="<f4").astype(np.float64).reshape(shape))
+        stored = np.frombuffer(buf, dtype="<f4").reshape(shape)
+        # the blob holds W1 (H, F), the model (F, H)
+        arrays.append((stored.T if i == 0 else stored).astype(np.float64, order="C"))
     return ChunkModel(chunk, init_seed, *arrays)

@@ -7,9 +7,13 @@ import struct
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.special import expit
 
 from sparsix.features import HashedFeatures
 from sparsix.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ChunkModel,
     Gradients,
     NonFiniteGradientError,
@@ -30,11 +34,14 @@ from sparsix.model import (
 
 
 def hand_model() -> ChunkModel:
-    """F=3, H=2, B=2 with fixed weights, small enough to check by hand."""
+    """F=3, H=2, B=2 with fixed weights, small enough to check by hand.
+
+    W1 is (F, H): row f holds input f's weight into each hidden unit.
+    """
     return ChunkModel(
         chunk=0,
         init_seed=0,
-        W1=np.array([[1.0, 0.0, 2.0], [0.0, -1.0, 1.0]]),
+        W1=np.array([[1.0, 0.0], [0.0, -1.0], [2.0, 1.0]]),
         b1=np.array([0.5, -0.5]),
         W2=np.array([[1.0, -1.0], [0.5, 0.5]]),
         b2=np.array([-4.0, -2.0]),
@@ -92,6 +99,25 @@ class TestForward:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             forward(hand_model(), feats([0], [1.0], dim=5))
+
+    def test_matches_hidden_major_gather_gemv(self):
+        """The row gather gives the same bits as gathering columns of an (H, F) W1.
+
+        Blobs and every earlier engine computed the hidden layer that way, so a
+        reload's predictions stay byte-identical.
+        """
+        rng = np.random.default_rng(12)
+        m = init_model(4096, 64, 32, init_seed=6)
+        m.b1 = rng.uniform(-0.05, 0.05, size=64)
+        w1_hf = np.ascontiguousarray(m.W1.T)
+        for nnz in (0, 1, 8, 129, 500, 2000):
+            for _ in range(3):
+                idx = np.sort(rng.choice(4096, size=nnz, replace=False)).astype(np.int64)
+                values = rng.uniform(0.5, 3.0, size=nnz)
+                h = np.maximum(w1_hf[:, idx] @ values + m.b1, 0.0)
+                want = expit(m.W2 @ h + m.b2)
+                got = forward(m, feats(idx, values, dim=4096))
+                assert got.tobytes() == want.tobytes(), nnz
 
 
 class TestInit:
@@ -179,7 +205,7 @@ class TestBackward:
             assert rel <= 1e-4
 
     def test_gradient_sparse_locality(self):
-        """W1 columns for input indexes absent from every row get exactly zero gradient."""
+        """W1 rows for input indexes absent from every batch row get exactly zero gradient."""
         m = init_model(30, 6, 8, init_seed=1)
         dense = np.zeros((2, 30))
         dense[0, [2, 17]] = [1.0, 3.0]
@@ -189,14 +215,14 @@ class TestBackward:
         _, grads = batch_step(m, rows(*dense), y)
         active = np.zeros(30, dtype=bool)
         active[[2, 5, 17]] = True
-        assert not np.any(grads.W1[:, ~active])
-        assert np.any(grads.W1[:, active])
+        assert not np.any(grads.W1[~active])
+        assert np.any(grads.W1[active])
 
     def test_relu_subgradient_at_zero_is_zero(self):
         m = hand_model()
         m.b1 = np.array([-2.0, -0.5])  # h_pre = [0.0, 0.5] for x = e2
         _, grads = batch_step(m, rows([0.0, 0.0, 1.0]), hot([1], 2))
-        assert not np.any(grads.W1[0])  # unit 0 sits exactly at the kink
+        assert not np.any(grads.W1[:, 0])  # unit 0 sits exactly at the kink
         assert grads.b1[0] == 0.0
 
     def test_loss_value_matches_bce(self):
@@ -206,13 +232,57 @@ class TestBackward:
         assert loss == bce_loss(forward(m, feats([0, 2], [1.0, 2.0])), y[0])
 
 
+def ref_adam_step(p, g, m, v, step, lr):
+    """Adam as the allocating textbook expression, the reference for apply_update."""
+    bc1 = 1.0 - ADAM_BETA1**step
+    bc2 = 1.0 - ADAM_BETA2**step
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * np.square(g)
+    p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+
+
 class TestAdam:
+    def test_matches_allocating_reference(self):
+        """40 steps on sparse batches, whose W1 gradients have zero and non-zero
+        rows, leave p, m and v with the reference's bits.  W1 spans three row
+        blocks, the last one partial."""
+        rng = np.random.default_rng(21)
+        m = init_model(600, 64, 9, init_seed=3)
+        ref = [p.copy() for p in m.params()]
+        ref_m = [np.zeros_like(p) for p in ref]
+        ref_v = [np.zeros_like(p) for p in ref]
+        state = zero_adam_state(m)
+        assert 2 * state.scratch[0][0].shape[0] < 600
+        lr = 2e-2
+        saw_zero_row = saw_live_row = False
+        for step in range(1, 41):
+            x = sp.random(5, 600, density=0.05, format="csr", random_state=step)
+            x.data = rng.integers(1, 4, size=x.nnz).astype(np.float64)
+            y = (rng.uniform(0, 1, size=(5, 9)) < 0.3).astype(np.float64)
+            _, grads = batch_step(m, x, y)
+            live = np.any(grads.W1, axis=1)
+            saw_zero_row |= not live.all()
+            saw_live_row |= live.any()
+            apply_update(m, grads, state, lr)
+            for p, g, mom, var in zip(ref, grads.arrays(), ref_m, ref_v):
+                ref_adam_step(p, g, mom, var, step, lr)
+            for got, want in (
+                (m.params(), ref),
+                (state.m.arrays(), ref_m),
+                (state.v.arrays(), ref_v),
+            ):
+                for a, b in zip(got, want):
+                    assert a.tobytes() == b.tobytes(), step
+        assert saw_zero_row and saw_live_row
+
     def test_first_step_is_signed_lr(self):
         """With zero state, bias correction makes step one ~ lr * sign(g)."""
         m = init_model(4, 3, 2, init_seed=0)
         before = [p.copy() for p in m.params()]
         g = Gradients(
-            W1=np.full((3, 4), 0.25),
+            W1=np.full((4, 3), 0.25),
             b1=np.array([-0.5, 0.25, 0.0]),
             W2=np.full((2, 3), -1.0),
             b2=np.array([2.0, -2.0]),
@@ -304,6 +374,32 @@ class TestPersistence:
             with pytest.raises(ValueError):
                 load_model(stream)
             assert stream.largest <= len(lying)
+
+    def test_blob_holds_w1_hidden_major(self):
+        """W1 is written (H, F), hidden unit by hidden unit, whatever the model holds."""
+        buf = io.BytesIO()
+        save_model(hand_model(), buf)
+        start = struct.calcsize("<IIIIQ")
+        want = np.array([[1, 0, 2], [0, -1, 1]], "<f4").tobytes()
+        assert buf.getvalue()[start : start + len(want)] == want
+
+    def test_hand_packed_blob_loads_w1_transposed(self):
+        """A blob packed (H, F) by hand loads with W1[f, h] equal to its (h, f) value."""
+        f_dim, h_dim, b_dim = 3, 2, 2
+        w1_hf = np.array([[1.5, -2.0, 0.25], [3.0, 0.5, -1.0]], "<f4")
+        b1 = np.array([0.125, -0.75], "<f4")
+        w2 = np.array([[4.0, -0.5], [2.0, 6.0]], "<f4")
+        b2 = np.array([-3.0, 7.0], "<f4")
+        blob = struct.pack("<IIIIQ", 5, f_dim, h_dim, b_dim, 11) + b"".join(
+            a.tobytes() for a in (w1_hf, b1, w2, b2)
+        )
+        m = load_model(io.BytesIO(blob))
+        assert (m.chunk, m.init_seed) == (5, 11)
+        assert m.W1.shape == (f_dim, h_dim)
+        for f in range(f_dim):
+            for h in range(h_dim):
+                assert m.W1[f, h] == w1_hf[h, f]
+        assert np.array_equal(m.b1, b1) and np.array_equal(m.W2, w2) and np.array_equal(m.b2, b2)
 
     def test_forward_identical_after_reload(self):
         m = quantize_to_f32(init_model(10, 4, 6, init_seed=8))
