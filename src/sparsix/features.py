@@ -8,6 +8,11 @@ recovers most of the information any single chunk loses.
 Values are token counts by default; binary mode saturates every occupied
 slot at 1.  Hashing is unsigned (no sign flip): inputs stay non-negative,
 which pairs well with ReLU hidden layers.
+
+``hash_features`` orders a document's hashed ids by a stable sort, so tokens
+that land in the same slot end up adjacent; one ``np.add.reduceat`` over the
+run starts merges them, a step skipped when no two tokens collide.  Counts
+are integers, so the sums are exact in any order.
 """
 from __future__ import annotations
 
@@ -31,13 +36,16 @@ class Document:
     labels: np.ndarray = field(repr=False)  # int64, strictly increasing
 
     def __post_init__(self) -> None:
-        if self.token_ids.shape != self.token_counts.shape:
+        ids, counts, labels = self.token_ids, self.token_counts, self.labels
+        if ids.shape != counts.shape:
             raise ValueError("token ids and counts must align")
-        if self.token_ids.size and len(np.unique(self.token_ids)) != self.token_ids.size:
-            raise ValueError(f"doc {self.doc_id}: duplicate token ids")
-        if np.any(self.token_counts < 1):
+        if ids.size > 1:
+            ordered = np.sort(ids)
+            if (ordered[1:] == ordered[:-1]).any():
+                raise ValueError(f"doc {self.doc_id}: duplicate token ids")
+        if counts.size and counts.min() < 1:
             raise ValueError(f"doc {self.doc_id}: token counts must be >= 1")
-        if self.labels.size and np.any(np.diff(self.labels) <= 0):
+        if (labels[1:] <= labels[:-1]).any():
             raise ValueError(f"doc {self.doc_id}: labels must be strictly increasing")
 
     @property
@@ -95,12 +103,13 @@ class HashedFeatures:
     values: np.ndarray = field(repr=False)  # float64, finite
 
     def __post_init__(self) -> None:
-        if self.indexes.size:
-            if np.any(np.diff(self.indexes) <= 0):
+        idx = self.indexes
+        if idx.size:
+            if not (idx[1:] > idx[:-1]).all():
                 raise ValueError("feature indexes must be strictly increasing")
-            if self.indexes[0] < 0 or self.indexes[-1] >= self.dim:
+            if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError("feature index out of range")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("feature values must be finite")
 
 
@@ -118,11 +127,16 @@ def hash_features(
     if mode not in ("counts", "binary"):
         raise ValueError(f"unknown feature mode {mode!r}")
     hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
-    indexes, inverse = np.unique(hashed, return_inverse=True)
-    values = np.zeros(indexes.size, dtype=np.float64)
-    np.add.at(values, inverse, doc.token_counts.astype(np.float64))
+    order = np.argsort(hashed, kind="stable")
+    indexes = hashed[order]
+    values = doc.token_counts[order].astype(np.float64)
+    fresh = indexes[1:] != indexes[:-1]
+    if not fresh.all():
+        starts = np.concatenate(([True], fresh)).nonzero()[0]
+        indexes = indexes[starts]
+        values = np.add.reduceat(values, starts)
     if mode == "binary":
-        values = np.minimum(values, 1.0)
+        np.minimum(values, 1.0, out=values)
     return HashedFeatures(dim=feature_dim, indexes=indexes, values=values)
 
 

@@ -27,6 +27,16 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 _C1 = 0xCC9E2D51
 _C2 = 0x1B873593
 
+# the same constants as uint32 scalars for the vectorized rounds, built once
+_U32 = {n: np.uint32(n) for n in (5, 8, 13, 15, 16, 17, 19)}
+_U32_C1 = np.uint32(_C1)
+_U32_C2 = np.uint32(_C2)
+_U32_N = np.uint32(0xE6546B64)
+_U32_F1 = np.uint32(0x85EBCA6B)
+_U32_F2 = np.uint32(0xC2B2AE35)
+_U64_32 = np.uint64(32)
+_U64_LO = np.uint64(_MASK32)
+
 # splitmix64 constants
 _GOLDEN64 = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
@@ -75,28 +85,42 @@ def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
 
     Each key is hashed as its little-endian 8-byte encoding, exactly matching
     ``murmur3_32(key.to_bytes(8, "little"), seed)``.  Returns uint32.
+
+    The rounds run in place on fresh arrays (the key halves, the state and
+    one scratch array), so *keys* is never written and no pass allocates.
+    The key mix does not depend on the state, so both halves take it at once.
     """
     keys = np.asarray(keys, dtype=np.uint64)
-    lo = (keys & np.uint64(_MASK32)).astype(np.uint32)
-    hi = (keys >> np.uint64(32)).astype(np.uint32)
+    flat = keys.reshape(-1)  # ufuncs return scalars for 0-d operands
+    halves = np.empty((2, flat.size), dtype=np.uint32)
+    np.bitwise_and(flat, _U64_LO, out=halves[0], casting="unsafe")
+    np.right_shift(flat, _U64_32, out=halves[1], casting="unsafe")
+    t = np.empty_like(halves)
+    np.multiply(halves, _U32_C1, out=halves)
+    np.left_shift(halves, _U32[15], out=t)  # ROTL32(k, 15)
+    np.right_shift(halves, _U32[17], out=halves)
+    np.bitwise_or(halves, t, out=halves)
+    np.multiply(halves, _U32_C2, out=halves)
 
-    h = np.full(keys.shape, seed & _MASK32, dtype=np.uint32)
-    for block in (lo, hi):
-        k = block * np.uint32(_C1)
-        k = (k << np.uint32(15)) | (k >> np.uint32(17))
-        k = k * np.uint32(_C2)
-        h = h ^ k
-        h = (h << np.uint32(13)) | (h >> np.uint32(19))
-        h = h * np.uint32(5) + np.uint32(0xE6546B64)
+    h = np.full(flat.shape, seed & _MASK32, dtype=np.uint32)
+    t = t[0]
+    for k in halves:  # low word first: the key's little-endian bytes
+        np.bitwise_xor(h, k, out=h)
+        np.left_shift(h, _U32[13], out=t)  # ROTL32(h, 13)
+        np.right_shift(h, _U32[19], out=h)
+        np.bitwise_or(h, t, out=h)
+        np.multiply(h, _U32[5], out=h)
+        np.add(h, _U32_N, out=h)
 
     # empty tail; finalize with length 8
-    h = h ^ np.uint32(8)
-    h = h ^ (h >> np.uint32(16))
-    h = h * np.uint32(0x85EBCA6B)
-    h = h ^ (h >> np.uint32(13))
-    h = h * np.uint32(0xC2B2AE35)
-    h = h ^ (h >> np.uint32(16))
-    return h
+    np.bitwise_xor(h, _U32[8], out=h)
+    for shift, mult in ((16, _U32_F1), (13, _U32_F2)):
+        np.right_shift(h, _U32[shift], out=t)
+        np.bitwise_xor(h, t, out=h)
+        np.multiply(h, mult, out=h)
+    np.right_shift(h, _U32[16], out=t)
+    np.bitwise_xor(h, t, out=h)
+    return h.reshape(keys.shape) if keys.ndim else h[0]
 
 
 def _splitmix64(z: int) -> int:

@@ -84,6 +84,12 @@ def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
 
     The surviving indexes are returned in ascending order, since the
     selection is a set: downstream lookups do not care about rank.
+
+    A partition finds the m-th largest value, the cut.  Every entry above
+    the cut survives, then the lowest indexes among the entries equal to it
+    fill the m places, which is the set a full sort by (value descending,
+    index) would give.  NaN ranks below every number: when the cut is NaN,
+    every number survives and the lowest-index NaNs fill the rest.
     """
     probs_row = np.asarray(probs_row, dtype=np.float64)
     if probs_row.ndim != 1:
@@ -91,8 +97,21 @@ def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
     b = probs_row.size
     if not 1 <= m <= b:
         raise ValueError(f"m must be in [1, {b}], got {m}")
-    order = np.lexsort((np.arange(b), -probs_row))
-    return np.sort(order[:m]).astype(np.int64)
+    neg = -probs_row
+    cut = np.partition(neg, m - 1)[m - 1]
+    if cut != cut:  # NaN
+        tied = np.isnan(neg)
+        keep = ~tied
+    else:
+        keep = neg <= cut
+        picked = keep.nonzero()[0]
+        if picked.size == m:  # no run of ties straddles the cut
+            return picked.astype(np.int64, copy=False)
+        tied = neg == cut
+        keep = neg < cut
+    need = m - np.count_nonzero(keep)
+    keep[tied.nonzero()[0][:need]] = True
+    return keep.nonzero()[0].astype(np.int64, copy=False)
 
 
 def embed_query(

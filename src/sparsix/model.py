@@ -179,9 +179,18 @@ def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     Probabilities are clamped to ``[eps, 1-eps]`` here and only here; raw
     probabilities flow to inference untouched.  Averaging over the bucket
     count keeps learning rates comparable across bucket-count sweeps.
+
+    ``y`` must hold only 0 and 1, as training's targets do.  Each term is
+    then ``log1p(-pc)`` where y = 0 and ``log(pc)`` where y = 1, so only the
+    hot entries pay for a ``log``; the terms, and so the mean, have the same
+    bits as ``y * log(pc) + (1 - y) * log1p(-pc)``.
     """
     pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
-    return float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
+    hot = y == 1.0
+    hot_log = np.log(pc[hot])
+    terms = np.log1p(np.negative(pc, out=pc), out=pc)
+    terms[hot] = hot_log
+    return float(-np.mean(terms))
 
 
 def _batch_forward(

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsix.features import hash_features, hash_token_ids, make_document
+from sparsix.features import (
+    Document,
+    HashedFeatures,
+    hash_features,
+    hash_token_ids,
+    make_document,
+)
 from sparsix.hashing import derive_seed, murmur3_32
 from sparsix.train import EngineConfig
 
@@ -35,6 +41,29 @@ class TestDocument:
     def test_empty_document_allowed(self):
         doc = make_document(0, [], [])
         assert doc.num_tokens == 0 and doc.labels.size == 0
+
+
+    @pytest.mark.parametrize(
+        "ids,counts,labels,message",
+        [
+            ([1, 2], [1], [], "token ids and counts must align"),
+            ([9, 4, 9], [1, 1, 1], [], "doc 5: duplicate token ids"),
+            ([3, 3], [2, 2], [], "doc 5: duplicate token ids"),
+            ([4, 9], [1, 0], [], "doc 5: token counts must be >= 1"),
+            ([4], [-3], [], "doc 5: token counts must be >= 1"),
+            ([4], [1], [2, 2], "doc 5: labels must be strictly increasing"),
+            ([], [], [3, 1], "doc 5: labels must be strictly increasing"),
+        ],
+    )
+    def test_bad_input_messages(self, ids, counts, labels, message):
+        with pytest.raises(ValueError) as err:
+            Document(
+                5,
+                np.array(ids, dtype=np.uint64),
+                np.array(counts, dtype=np.int64),
+                np.array(labels, dtype=np.int64),
+            )
+        assert str(err.value) == message
 
 
 class TestHashFeatures:
@@ -112,6 +141,63 @@ class TestHashFeatures:
         doc = make_document(0, [(1, 1)], [])
         with pytest.raises(ValueError):
             hash_features(doc, 1, 0, "counts")
+
+
+def hash_features_reference(doc, chunk_seed, feature_dim, mode):
+    """The np.unique + np.add.at form that hash_features must match bit for bit."""
+    hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
+    indexes, inverse = np.unique(hashed, return_inverse=True)
+    values = np.zeros(indexes.size, dtype=np.float64)
+    np.add.at(values, inverse, doc.token_counts.astype(np.float64))
+    if mode == "binary":
+        values = np.minimum(values, 1.0)
+    return indexes, values
+
+
+class TestMatchesUniqueReference:
+    @pytest.mark.parametrize("mode", ["counts", "binary"])
+    @pytest.mark.parametrize("feature_dim", [3, 4, 5, 7, 1 << 13])
+    def test_bit_identical(self, mode, feature_dim):
+        """Small dims force collisions, including runs of three or more tokens."""
+        rng = np.random.default_rng(feature_dim)
+        collided = 0
+        for trial in range(60):
+            n = int(rng.integers(0, 12)) if trial else 0
+            ids = rng.choice(2**40, size=n, replace=False)
+            counts = rng.integers(1, 2**20, size=n)
+            doc = make_document(trial, list(zip(ids.tolist(), counts.tolist())), [])
+            seed = int(rng.integers(0, 2**63))
+            feats = hash_features(doc, seed, feature_dim, mode)
+            indexes, values = hash_features_reference(doc, seed, feature_dim, mode)
+            assert feats.indexes.dtype == indexes.dtype == np.int64
+            assert feats.indexes.tobytes() == indexes.tobytes()
+            assert feats.values.dtype == values.dtype == np.float64
+            assert feats.values.tobytes() == values.tobytes()
+            collided += indexes.size < n
+        if feature_dim < 8:
+            assert collided > 10
+
+
+class TestHashedFeaturesChecks:
+    @pytest.mark.parametrize(
+        "indexes,values,message",
+        [
+            ([1, 1], [1.0, 1.0], "feature indexes must be strictly increasing"),
+            ([3, 2], [1.0, 1.0], "feature indexes must be strictly increasing"),
+            ([-1, 2], [1.0, 1.0], "feature index out of range"),
+            ([0, 8], [1.0, 1.0], "feature index out of range"),
+            ([0, 2], [1.0, np.nan], "feature values must be finite"),
+            ([], [np.inf], "feature values must be finite"),
+        ],
+    )
+    def test_bad_input_messages(self, indexes, values, message):
+        with pytest.raises(ValueError) as err:
+            HashedFeatures(8, np.array(indexes, dtype=np.int64), np.array(values))
+        assert str(err.value) == message
+
+    def test_valid_input_accepted(self):
+        HashedFeatures(8, np.array([0, 7], dtype=np.int64), np.array([1.0, 2.0]))
+        HashedFeatures(8, np.empty(0, dtype=np.int64), np.empty(0))
 
 
 def engine(feature_seed: int) -> EngineConfig:

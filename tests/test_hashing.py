@@ -85,6 +85,27 @@ class TestVectorizedHash:
         out = murmur3_32_u64(np.empty(0, dtype=np.uint64), 3)
         assert out.shape == (0,) and out.dtype == np.uint32
 
+    def test_input_left_unchanged(self):
+        """The rounds run in place on copies; the caller's keys are never written."""
+        keys = np.array([0, 1, 2**63, 2**64 - 1, 123456789], dtype=np.uint64)
+        before = keys.copy()
+        out = murmur3_32_u64(keys, 7)
+        assert np.array_equal(keys, before)
+        assert not np.shares_memory(out, keys)
+
+    @pytest.mark.parametrize("key,seed,expected", U64_VECTORS[:4])
+    def test_zero_d_input(self, key, seed, expected):
+        for arg in (np.uint64(key), np.array(key, dtype=np.uint64), key):
+            out = murmur3_32_u64(arg, seed)
+            assert isinstance(out, np.uint32)
+            assert int(out) == expected
+
+    def test_keeps_input_shape(self):
+        keys = np.arange(6, dtype=np.uint64).reshape(2, 3)
+        out = murmur3_32_u64(keys, 5)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out.ravel(), murmur3_32_u64(keys.ravel(), 5))
+
     @settings(max_examples=200, deadline=None)
     @given(
         keys=st.lists(st.integers(min_value=0, max_value=2**64 - 1), max_size=20),

@@ -68,6 +68,40 @@ class TestSparsifyTopm:
                 assert max(sel[p[sel] == boundary]) < min(out[p[out] == boundary])
 
 
+def sparsify_topm_reference(probs_row, m):
+    """The two-key lexsort form that sparsify_topm must match."""
+    order = np.lexsort((np.arange(probs_row.size), -probs_row))
+    return np.sort(order[:m]).astype(np.int64)
+
+
+class TestTopmMatchesLexsort:
+    @staticmethod
+    def rows():
+        rng = np.random.default_rng(11)
+        for b in (1, 2, 5, 16, 37):
+            yield rng.random(b)
+            yield np.round(rng.random(b) * 3) / 3  # coarse: many ties
+            yield np.full(b, 0.25)  # all equal
+            yield np.full(b, np.nan)
+            with_nan = np.round(rng.random(b) * 2) / 2
+            with_nan[rng.random(b) < 0.3] = np.nan
+            yield with_nan
+            yield rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.0], size=b)
+
+    def test_every_m(self):
+        for row in self.rows():
+            for m in range(1, row.size + 1):
+                got = sparsify_topm(row, m)
+                want = sparsify_topm_reference(row, m)
+                assert got.dtype == np.int64
+                assert got.tolist() == want.tolist(), (row, m)
+
+    def test_nan_ranks_lowest(self):
+        p = np.array([np.nan, 0.1, np.nan, 0.3])
+        assert sparsify_topm(p, 2).tolist() == [1, 3]
+        assert sparsify_topm(p, 3).tolist() == [0, 1, 3]
+
+
 class TestParams:
     @pytest.mark.parametrize(
         "kwargs",

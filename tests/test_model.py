@@ -14,6 +14,7 @@ from sparsix.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    LOSS_CLAMP_EPS,
     ChunkModel,
     Gradients,
     NonFiniteGradientError,
@@ -171,6 +172,22 @@ class TestLoss:
             p = rng.uniform(0, 1, size=(3, 6))
             y = (rng.uniform(0, 1, size=(3, 6)) < 0.3).astype(np.float64)
             assert bce_loss(p, y) >= 0.0
+
+    def test_matches_textbook_expression_bitwise(self):
+        """Hot-only log gives the same bits as y*log(pc) + (1-y)*log1p(-pc) for 0/1 y."""
+        rng = np.random.default_rng(8)
+        for shape in [(1,), (9,), (4, 33), (200, 256)]:
+            for _ in range(10):
+                # powers push p toward 0, where log(1 - p) and log1p(-p) part
+                p = rng.uniform(0, 1, size=shape) ** rng.integers(1, 40)
+                p.flat[rng.integers(0, p.size, size=p.size // 8 + 1)] = 0.0
+                p.flat[rng.integers(0, p.size, size=p.size // 8 + 1)] = 1.0
+                y = (rng.uniform(0, 1, size=shape) < 0.3).astype(np.float64)
+                before = p.copy()
+                pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+                want = float(-np.mean(y * np.log(pc) + (1.0 - y) * np.log1p(-pc)))
+                assert bce_loss(p, y).hex() == want.hex()
+                assert np.array_equal(p, before)
 
     def test_target_dense(self):
         t = TargetVector(chunk=0, hot_buckets=np.array([0, 3], dtype=np.int64))
