@@ -38,7 +38,7 @@ from .equivalence import (
 )
 from .features import HashedFeatures
 from .index import build_index, bucket_loads
-from .infer import InferParams, predict, predict_full
+from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
 from .manifest import BlobChecksumError, ManifestError, load_ensemble, save_ensemble
 from .metrics import evaluate
 from .model import NonFiniteGradientError, TargetVector, grad_check, init_model
@@ -189,6 +189,12 @@ def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> s
 
 def cmd_predict(args: argparse.Namespace) -> int:
     ensemble, _ = load_ensemble(args.manifest)
+    # checked before --out is opened, so bad flags leave an existing file intact
+    b = ensemble.code_config.buckets_per_chunk
+    if args.mode == "sparse" and not 1 <= args.m <= b:
+        raise ValueError(f"m must be in [1, {b}], got {args.m}")
+    if args.top_k < 1:
+        raise ValueError("top_k must be >= 1")
     cb = build_codebook(ensemble.code_config)
     if args.mode == "sparse":
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
@@ -300,6 +306,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 CHI_SQUARE_ALPHA = 0.001
 GRAD_TOL = 1e-4
 EQUIV_TOL = 1e-10
+# Seed of every sampled instance: one fixed draw, so a verdict reproduces
+VERIFY_SEED = 2026
 
 
 def _check_code_orthogonality(seed: int) -> str:
@@ -413,11 +421,11 @@ def _check_manifest(manifest_path: str) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = [
-        ("code-orthogonality", lambda: _check_code_orthogonality(args.seed)),
-        ("index-balance", lambda: _check_index_balance(args.seed)),
-        ("gradient-check", lambda: _check_gradients(args.seed)),
-        ("basis-equivalence", lambda: _check_basis_equivalence(args.seed)),
-        ("retrieval-equivalence", lambda: _check_retrieval_equivalence(args.seed)),
+        ("code-orthogonality", lambda: _check_code_orthogonality(VERIFY_SEED)),
+        ("index-balance", lambda: _check_index_balance(VERIFY_SEED)),
+        ("gradient-check", lambda: _check_gradients(VERIFY_SEED)),
+        ("basis-equivalence", lambda: _check_basis_equivalence(VERIFY_SEED)),
+        ("retrieval-equivalence", lambda: _check_retrieval_equivalence(VERIFY_SEED)),
     ]
     if args.manifest:
         checks.append(("manifest-checksums", lambda: _check_manifest(args.manifest)))
@@ -463,9 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=50, help="buckets kept per chunk")
     p.add_argument("--top-k", type=int, default=10)
     p.add_argument("--mode", choices=("sparse", "full"), default="sparse")
-    p.add_argument(
-        "--aggregation", choices=("full-vector", "truncated"), default="full-vector"
-    )
+    p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=AGGREGATION_MODES[0])
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("eval", help="ranking metrics over a labeled corpus")
@@ -474,9 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=50)
     p.add_argument("--ks-precision", default="1,5,10")
     p.add_argument("--ks-recall", default="100")
-    p.add_argument(
-        "--aggregation", choices=("full-vector", "truncated"), default="full-vector"
-    )
+    p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=AGGREGATION_MODES[0])
     p.add_argument("--json", help="also write the report as JSON to this path")
     p.set_defaults(func=cmd_eval)
 
@@ -490,7 +494,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="self-checking verification suite")
     p.add_argument("--manifest", help="also checksum-verify this trained engine")
-    p.add_argument("--seed", type=int, default=2026)
     p.set_defaults(func=cmd_verify)
 
     return parser

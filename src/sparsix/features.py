@@ -70,11 +70,13 @@ class DocBlock:
     def from_documents(cls, docs: list[Document]) -> DocBlock:
         def flat(arrays: list[np.ndarray], dtype: type) -> tuple[np.ndarray, np.ndarray]:
             offsets = np.cumsum([0] + [a.size for a in arrays], dtype=np.int64)
-            return np.concatenate([np.empty(0, dtype), *arrays]), offsets
+            # cast, as hash_token_ids casts ids: promoting int64 with uint64 gives float64
+            joined = np.concatenate([np.empty(0, dtype), *arrays], dtype=dtype, casting="unsafe")
+            return joined, offsets
 
         ids, token_offsets = flat([d.token_ids for d in docs], np.uint64)
         labels, label_offsets = flat([d.labels for d in docs], np.int64)
-        counts, _ = flat([d.token_counts for d in docs], np.int64)
+        counts = np.concatenate([np.empty(0, np.int64), *(d.token_counts for d in docs)])
         return cls(ids, counts, token_offsets, labels, label_offsets)
 
 

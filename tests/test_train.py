@@ -9,7 +9,7 @@ import pytest
 
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
-from sparsix.features import DocBlock, hash_features, make_document
+from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.model import _batch_forward, forward
 from sparsix.train import (
     ChunkEnsemble,
@@ -158,6 +158,24 @@ class TestDocBlock:
             assert np.array_equal(block.token_counts[tokens], doc.token_counts)
             assert np.array_equal(block.labels[labels], doc.labels)
         assert block.token_ids.dtype == np.uint64 and block.labels.dtype == np.int64
+
+    def test_wide_ids_and_labels_keep_their_values(self):
+        """int64 token ids and uint64 labels, which Document accepts, are cast, not
+        promoted to float64: the block row hashes as serving hashes the document."""
+        cb = build_codebook(CodeConfig(12, 2, 8, base_seed=42))
+        doc = Document(
+            doc_id=0,
+            token_ids=np.array([2**60 + 1, 5], dtype=np.int64),
+            token_counts=np.array([1, 2], dtype=np.int64),
+            labels=np.array([3, 7], dtype=np.uint64),
+        )
+        block = DocBlock.from_documents([doc])
+        assert block.token_ids.dtype == np.uint64 and block.labels.dtype == np.int64
+        feats = hash_features(doc, 3, 2**20)
+        row = _chunk_matrix(block, 3, 2**20, "counts")
+        assert row.indices.tolist() == feats.indexes.tolist()
+        assert row.data.tolist() == feats.values.tolist()
+        assert sorted(_target_matrix(block, cb, 0).indices) == sorted(set(cb.codes[[3, 7], 0]))
 
     def test_matrices_leave_the_block_unchanged(self):
         """Summing colliding entries must not rewrite the shared block's offsets."""
