@@ -21,6 +21,7 @@ import traceback
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from .codes import CodeConfig, binomial_chisquare, build_codebook, orthogonality_stats
 from .corpus import (
@@ -36,12 +37,11 @@ from .equivalence import (
     random_orthonormal_basis,
     verify_deferred_equivalence,
 )
-from .features import HashedFeatures
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
 from .manifest import BlobChecksumError, ManifestError, load_ensemble, save_ensemble
 from .metrics import evaluate
-from .model import NonFiniteGradientError, TargetVector, grad_check, init_model
+from .model import NonFiniteGradientError, grad_check, init_model
 from .train import EngineConfig, TrainConfig, train_all
 
 EXIT_OK = 0
@@ -189,12 +189,6 @@ def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> s
 
 def cmd_predict(args: argparse.Namespace) -> int:
     ensemble, _ = load_ensemble(args.manifest)
-    # checked before --out is opened, so bad flags leave an existing file intact
-    b = ensemble.code_config.buckets_per_chunk
-    if args.mode == "sparse" and not 1 <= args.m <= b:
-        raise ValueError(f"m must be in [1, {b}], got {args.m}")
-    if args.top_k < 1:
-        raise ValueError("top_k must be >= 1")
     cb = build_codebook(ensemble.code_config)
     if args.mode == "sparse":
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
@@ -203,19 +197,29 @@ def cmd_predict(args: argparse.Namespace) -> int:
         params = None
         idx = None
     totals = {"queries": 0, "candidates_retrieved": 0, "unique_candidates": 0, "scores_summed": 0}
-    with Path(args.out).open("w", encoding="utf-8") as out:
-        for doc in parse_corpus(args.corpus):
-            if args.mode == "sparse":
-                pred = predict(ensemble, cb, idx, doc, params)
-            else:
-                pred = predict_full(ensemble, cb, doc, args.top_k)
-            out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
-            totals["queries"] += 1
-            totals["candidates_retrieved"] += pred.counters.candidates_retrieved
-            totals["unique_candidates"] += pred.counters.unique_candidates
-            totals["scores_summed"] += pred.counters.scores_summed
-    if totals["queries"] == 0:
-        raise ValueError("no queries in corpus")
+    # Lines go to a sibling file that replaces --out only once every query is
+    # served, so any failure leaves an existing --out as it was.  Mode "x" is
+    # O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
+    out_path = Path(args.out)
+    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
+    out = partial.open("x", encoding="utf-8")
+    try:
+        with out:
+            for doc in parse_corpus(args.corpus):
+                if args.mode == "sparse":
+                    pred = predict(ensemble, cb, idx, doc, params)
+                else:
+                    pred = predict_full(ensemble, cb, doc, args.top_k)
+                out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
+                totals["queries"] += 1
+                totals["candidates_retrieved"] += pred.counters.candidates_retrieved
+                totals["unique_candidates"] += pred.counters.unique_candidates
+                totals["scores_summed"] += pred.counters.scores_summed
+        if totals["queries"] == 0:
+            raise ValueError("no queries in corpus")
+        os.replace(partial, out_path)
+    finally:
+        partial.unlink(missing_ok=True)
     q = totals["queries"]
     print(f"queries = {q}")
     print(f"mean_candidates_retrieved = {totals['candidates_retrieved'] / q:.2f}")
@@ -345,12 +349,12 @@ def _check_gradients(seed: int) -> str:
     for trial in range(20):
         model = init_model(20, 8, 10, init_seed=int(rng.integers(2**32)))
         nnz = int(rng.integers(1, 6))
-        idxs = np.sort(rng.choice(20, size=nnz, replace=False)).astype(np.int64)
+        idxs = np.sort(rng.choice(20, size=nnz, replace=False))
         vals = rng.integers(1, 4, size=nnz).astype(np.float64)
-        x = HashedFeatures(dim=20, indexes=idxs, values=vals)
-        hot = np.sort(rng.choice(10, size=int(rng.integers(1, 4)), replace=False)).astype(np.int64)
-        t = TargetVector(chunk=0, hot_buckets=hot)
-        rel = grad_check(model, x, t, step=1e-4, num_coords=200, seed=trial)
+        x = sp.csr_matrix((vals, idxs, [0, nnz]), shape=(1, 20))
+        y = np.zeros((1, 10))
+        y[0, rng.choice(10, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+        rel = grad_check(model, x, y, step=1e-4, num_coords=200, seed=trial)
         worst = max(worst, rel)
     if worst > GRAD_TOL:
         raise VerificationFailure(f"worst relative gradient error {worst:.3e} > {GRAD_TOL:.1e}")

@@ -89,16 +89,15 @@ def change_of_basis(a: OrthonormalBasis, bm: OrthonormalBasis) -> ChangeOfBasis:
     return ChangeOfBasis(matrix=p)
 
 
-def verify_deferred_equivalence(
+def _scorings(
     inputs: np.ndarray, f_l: OrthonormalBasis, r: OrthonormalBasis
-) -> float:
-    """Max deviation between direct scoring and rotate-then-score.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Direct and deferred scores, each (num_inputs, n).
 
-    Scoring a raw vector x against the columns of ``f_l`` should equal
-    scoring the rotated vector P x against the columns of ``r``, where
-    P = r.columns @ f_l.columns.T carries ``f_l`` coordinates onto ``r``
-    coordinates.  Returns the largest absolute score difference over all
-    (input, column) pairs; exact arithmetic would give zero.
+    The direct score of a raw vector x is its inner product with each column
+    of ``f_l``; the deferred score rotates it to P x, with
+    P = r.columns @ f_l.columns.T carrying ``f_l`` coordinates onto ``r``
+    coordinates, and scores that against the columns of ``r``.
     """
     if f_l.dim != r.dim:
         raise ValueError(f"dimension mismatch: {f_l.dim} vs {r.dim}")
@@ -106,8 +105,18 @@ def verify_deferred_equivalence(
     if inputs.shape[1] != f_l.dim:
         raise ValueError("input vectors must match the basis dimension")
     p = change_of_basis(r, f_l).matrix
-    direct = inputs @ f_l.columns  # (num_inputs, n) of <x, fL_j>
-    deferred = (inputs @ p.T) @ r.columns  # <P x, r_j>
+    return inputs @ f_l.columns, (inputs @ p.T) @ r.columns
+
+
+def verify_deferred_equivalence(
+    inputs: np.ndarray, f_l: OrthonormalBasis, r: OrthonormalBasis
+) -> float:
+    """Max deviation between direct scoring and rotate-then-score.
+
+    Returns the largest absolute score difference over all (input, column)
+    pairs; exact arithmetic would give zero.
+    """
+    direct, deferred = _scorings(inputs, f_l, r)
     return float(np.abs(direct - deferred).max())
 
 
@@ -126,12 +135,7 @@ def argmax_invariant(
     inputs: np.ndarray, f_l: OrthonormalBasis, r: OrthonormalBasis
 ) -> bool:
     """True when both scorings pick the same best column for every input."""
-    if f_l.dim != r.dim:
-        raise ValueError(f"dimension mismatch: {f_l.dim} vs {r.dim}")
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    p = change_of_basis(r, f_l).matrix
-    direct = inputs @ f_l.columns
-    deferred = (inputs @ p.T) @ r.columns
+    direct, deferred = _scorings(inputs, f_l, r)
     return bool(
         np.array_equal(np.argmax(direct, axis=1), np.argmax(deferred, axis=1))
     )

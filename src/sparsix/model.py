@@ -4,8 +4,9 @@ Each chunk trains its own network mapping hashed features to a probability
 per bucket: ``p = sigmoid(W2 relu(x W1 + b1) + b2)``, against few-hot bucket
 targets under mean binary cross entropy.  :func:`batch_step` is the only
 code that computes the loss and its exact, analytic gradients, over a CSR
-batch of hashed documents; ``grad_check`` checks that same function, the
-one training calls, against central finite differences.  :func:`forward`
+batch of hashed documents.  :func:`grad_check` takes such a batch and its
+dense 0/1 targets, as training builds them, and checks that same function
+against central finite differences.  :func:`forward`
 embeds one document at query time.  :func:`apply_update` takes one Adam step
 with the standard constants below; the learning rate is the one
 optimizer setting a run chooses.
@@ -71,19 +72,6 @@ class ChunkModel:
 
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
-
-
-@dataclass(frozen=True)
-class TargetVector:
-    """Few-hot training target for one chunk: the OR of the labels' buckets."""
-
-    chunk: int
-    hot_buckets: np.ndarray = field(repr=False)  # int64, strictly increasing
-
-    def __post_init__(self) -> None:
-        hot = self.hot_buckets
-        if hot.size and np.any(np.diff(hot) <= 0):
-            raise ValueError("hot buckets must be strictly increasing")
 
 
 @dataclass
@@ -161,16 +149,6 @@ def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
     # only the touched rows of W1 are read
     h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
     return expit(model.W2 @ h + model.b2)
-
-
-def target_dense(t: TargetVector, output_dim: int) -> np.ndarray:
-    if t.hot_buckets.size and (
-        t.hot_buckets[0] < 0 or t.hot_buckets[-1] >= output_dim
-    ):
-        raise ValueError("hot bucket out of range")
-    y = np.zeros(output_dim)
-    y[t.hot_buckets] = 1.0
-    return y
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -269,24 +247,6 @@ def apply_update(
 
 def grad_check(
     model: ChunkModel,
-    x: HashedFeatures,
-    t: TargetVector,
-    step: float = 1e-4,
-    num_coords: int = 200,
-    seed: int = 0,
-) -> float:
-    """Max relative error of :func:`batch_step` vs central differences for one document.
-
-    The document becomes a one-row batch, so this checks the gradient that
-    trains.
-    """
-    x_row = sp.csr_matrix((x.values, x.indexes, [0, x.indexes.size]), shape=(1, x.dim))
-    y_row = target_dense(t, model.output_dim)[np.newaxis, :]
-    return grad_check_batch(model, x_row, y_row, step, num_coords, seed)
-
-
-def grad_check_batch(
-    model: ChunkModel,
     x_batch: sp.csr_matrix,
     y_batch: np.ndarray,
     step: float = 1e-4,
@@ -295,7 +255,9 @@ def grad_check_batch(
 ) -> float:
     """Max relative error of :func:`batch_step`'s gradients vs central differences.
 
-    Samples ``num_coords`` parameter coordinates (all of them if the model is
+    ``x_batch`` is a CSR batch of hashed documents and ``y_batch`` its dense
+    (rows, B) 0/1 targets; a single document is a one-row batch.  Samples
+    ``num_coords`` parameter coordinates (all of them if the model is
     smaller).  Coordinates where both sides are exactly zero are skipped.
     """
     if step <= 0:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sparsix.codes import (
     CodeConfig,
@@ -28,7 +29,6 @@ from sparsix.equivalence import (
     random_orthonormal_basis,
     verify_deferred_equivalence,
 )
-from sparsix.features import HashedFeatures
 from sparsix.index import InvertedIndex, bucket_loads, build_index
 from sparsix.infer import (
     InferParams,
@@ -40,7 +40,7 @@ from sparsix.infer import (
 )
 from sparsix.manifest import load_ensemble, save_ensemble
 from sparsix.metrics import evaluate
-from sparsix.model import TargetVector, grad_check, init_model, save_model
+from sparsix.model import grad_check, init_model, save_model
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
 
 
@@ -194,11 +194,11 @@ def test_criterion_4_gradient_check(capsys):
     for trial in range(20):
         model = init_model(f, h, b, init_seed=int(rng.integers(2**32)))
         nnz = int(rng.integers(1, 6))
-        idxs = np.sort(rng.choice(f, size=nnz, replace=False)).astype(np.int64)
-        x = HashedFeatures(dim=f, indexes=idxs, values=rng.uniform(0.5, 3.0, nnz))
-        hot = np.sort(rng.choice(b, size=int(rng.integers(1, 4)), replace=False))
-        t = TargetVector(chunk=0, hot_buckets=hot.astype(np.int64))
-        worst = max(worst, grad_check(model, x, t, step=1e-4, num_coords=512))
+        idxs = np.sort(rng.choice(f, size=nnz, replace=False))
+        x = sp.csr_matrix((rng.uniform(0.5, 3.0, nnz), idxs, [0, nnz]), shape=(1, f))
+        y = np.zeros((1, b))
+        y[0, rng.choice(b, size=int(rng.integers(1, 4)), replace=False)] = 1.0
+        worst = max(worst, grad_check(model, x, y, step=1e-4, num_coords=512))
     elapsed = time.perf_counter() - t0
     emit(
         capsys,

@@ -300,7 +300,7 @@ class TestExitCodes:
         [["--m", "17"], ["--m", "0"], ["--top-k", "0"], ["--mode", "full", "--top-k", "0"]],
     )
     def test_bad_predict_flags_leave_out_intact(self, workspace, tmp_path, capsys, flags):
-        """The engine has B = 16; flags it cannot serve fail before --out is opened."""
+        """The engine has B = 16; flags it cannot serve fail and leave --out as it was."""
         out = tmp_path / "p.tsv"
         out.write_bytes(b"0\t1:0.500000\n")
         rc = main(
@@ -316,6 +316,38 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "Traceback" not in err
         assert out.read_bytes() == b"0\t1:0.500000\n"
+
+    @pytest.mark.parametrize("case", ["malformed", "empty", "malformed-after-valid"])
+    def test_bad_corpus_leaves_out_intact(self, workspace, tmp_path, capsys, case):
+        """A corpus that fails mid-stream, or holds no queries, leaves --out as it was."""
+        valid = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()
+        _, num_features, num_labels = valid[0].split()
+        text = {
+            "malformed": f"1 {num_features} {num_labels}\n0 1:nope\n",
+            "empty": f"0 {num_features} {num_labels}\n",
+            "malformed-after-valid": "\n".join(
+                [f"{len(valid)} {num_features} {num_labels}", *valid[1:], "0 1:nope", ""]
+            ),
+        }[case]
+        corpus = tmp_path / "queries.txt"
+        corpus.write_text(text, encoding="utf-8")
+        out = tmp_path / "p.tsv"
+        out.write_bytes(b"0\t1:0.500000\n")
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(workspace / "engine" / "manifest.json"),
+                "--corpus", str(corpus),
+                "--out", str(out),
+                "--m", "4",
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: " in err and "Traceback" not in err
+        assert ("no queries" if case == "empty" else "queries.txt:") in err
+        assert out.read_bytes() == b"0\t1:0.500000\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["p.tsv", "queries.txt"]
 
     def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None, extra=""):
         text = DESK_CONFIG.replace("lr = 5e-3", f"lr = {lr}")

@@ -144,8 +144,9 @@ class TestDeferredScoring:
     def test_input_dim_checked(self):
         f_l = random_orthonormal_basis(8, seed=1)
         r = random_orthonormal_basis(8, seed=2)
-        with pytest.raises(ValueError):
-            verify_deferred_equivalence(np.zeros((3, 7)), f_l, r)
+        for check in (verify_deferred_equivalence, argmax_invariant):
+            with pytest.raises(ValueError, match="input vectors must match the basis dimension"):
+                check(np.zeros((3, 7)), f_l, r)
 
     def test_basis_dim_mismatch_checked(self):
         with pytest.raises(ValueError):

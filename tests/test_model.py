@@ -9,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import expit
 
+import sparsix.model as model_mod
 from sparsix.features import HashedFeatures
 from sparsix.model import (
     ADAM_BETA1,
@@ -18,18 +19,15 @@ from sparsix.model import (
     ChunkModel,
     Gradients,
     NonFiniteGradientError,
-    TargetVector,
     apply_update,
     batch_step,
     bce_loss,
     forward,
     grad_check,
-    grad_check_batch,
     init_model,
     load_model,
     quantize_to_f32,
     save_model,
-    target_dense,
     zero_adam_state,
 )
 
@@ -142,9 +140,8 @@ class TestInit:
 
 class TestLoss:
     def test_uninformative_point_gives_log_two(self):
-        p = np.full(8, 0.5)
-        t = TargetVector(chunk=0, hot_buckets=np.array([1, 5], dtype=np.int64))
-        np.testing.assert_allclose(bce_loss(p, target_dense(t, 8)), np.log(2.0), rtol=1e-14)
+        p = np.full((1, 8), 0.5)
+        np.testing.assert_allclose(bce_loss(p, hot([1, 5], 8)), np.log(2.0), rtol=1e-14)
 
     def test_hand_value(self):
         # B=2, p=(0.9, 0.2), hot={0}: -(log 0.9 + log 0.8)/2
@@ -189,12 +186,6 @@ class TestLoss:
                 assert bce_loss(p, y).hex() == want.hex()
                 assert np.array_equal(p, before)
 
-    def test_target_dense(self):
-        t = TargetVector(chunk=0, hot_buckets=np.array([0, 3], dtype=np.int64))
-        assert target_dense(t, 5).tolist() == [1.0, 0.0, 0.0, 1.0, 0.0]
-        with pytest.raises(ValueError):
-            target_dense(t, 3)
-
 
 class TestBackward:
     def test_matches_finite_differences(self):
@@ -202,10 +193,11 @@ class TestBackward:
         rng = np.random.default_rng(3)
         for trial in range(5):
             m = init_model(20, 8, 10, init_seed=trial)
-            idxs = np.sort(rng.choice(20, size=4, replace=False)).astype(np.int64)
-            x = feats(idxs, rng.integers(1, 4, size=4).astype(float), dim=20)
-            hot = np.sort(rng.choice(10, size=2, replace=False)).astype(np.int64)
-            rel = grad_check(m, x, TargetVector(0, hot), step=1e-4, num_coords=200, seed=trial)
+            idxs = np.sort(rng.choice(20, size=4, replace=False))
+            vals = rng.integers(1, 4, size=4).astype(float)
+            x = sp.csr_matrix((vals, idxs, [0, 4]), shape=(1, 20))
+            y = hot(rng.choice(10, size=2, replace=False), 10)
+            rel = grad_check(m, x, y, step=1e-4, num_coords=200, seed=trial)
             assert rel <= 1e-4
 
     def test_batch_matches_finite_differences(self):
@@ -218,8 +210,22 @@ class TestBackward:
             x = sp.random(n, 20, density=0.25, format="csr", random_state=trial)
             x.data = rng.integers(1, 4, size=x.nnz).astype(np.float64)
             y = (rng.uniform(0, 1, size=(n, 10)) < 0.2).astype(np.float64)
-            rel = grad_check_batch(m, x, y, step=1e-4, num_coords=400, seed=trial)
+            rel = grad_check(m, x, y, step=1e-4, num_coords=400, seed=trial)
             assert rel <= 1e-4
+
+    def test_detects_wrong_gradients(self, monkeypatch):
+        """A backward pass that doubles every gradient reads as a relative error of 0.5."""
+        true_step = model_mod.batch_step
+
+        def doubled(model, x_batch, y_batch):
+            loss, grads = true_step(model, x_batch, y_batch)
+            return loss, Gradients(*(2.0 * g for g in grads.arrays()))
+
+        monkeypatch.setattr(model_mod, "batch_step", doubled)
+        m = init_model(20, 8, 10, init_seed=5)
+        x = rows([0.0] * 3 + [2.0] + [0.0] * 10 + [1.0] + [0.0] * 5)
+        rel = grad_check(m, x, hot([2, 7], 10), step=1e-4, num_coords=200, seed=0)
+        assert rel >= 0.3
 
     def test_gradient_sparse_locality(self):
         """W1 rows for input indexes absent from every batch row get exactly zero gradient."""

@@ -144,6 +144,14 @@ class TestTrainChunk:
             with pytest.raises(ValueError, match="labels on every one"):
                 train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
 
+    @pytest.mark.parametrize("bad_label", [-1, 40])
+    def test_label_outside_codebook_rejected(self, bad_label):
+        """A label below 0, or at or above num_labels, has no code to target."""
+        cb, eng, _ = small_setup(num_labels=40)
+        docs = [make_document(0, [(1, 1)], [3]), make_document(1, [(2, 1)], [bad_label, 39])]
+        with pytest.raises(ValueError, match="label id out of range"):
+            train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
+
 
 class TestDocBlock:
     def test_row_slices_are_the_documents_arrays(self):
