@@ -8,7 +8,7 @@ and candidate scores are exact code dot products, so retrieval quality
 degrades only through the candidate set, never through the scores.
 """
 from .codes import CodeConfig, LabelCodebook, build_codebook
-from .corpus import CorpusFormatError, parse_corpus, read_header, write_corpus
+from .corpus import CorpusFormatError, parse_corpus, read_block, read_header, write_corpus
 from .features import Document, hash_features, make_document
 from .index import InvertedIndex, build_index, lookup
 from .infer import InferParams, Prediction, predict, predict_full
@@ -24,6 +24,7 @@ __all__ = [
     "build_codebook",
     "CorpusFormatError",
     "parse_corpus",
+    "read_block",
     "read_header",
     "write_corpus",
     "Document",

@@ -28,6 +28,7 @@ from .corpus import (
     CorpusFormatError,
     make_separable_corpus,
     parse_corpus,
+    read_block,
     read_header,
 )
 from .equivalence import (
@@ -164,21 +165,38 @@ def _configs_from(values: dict, num_labels: int) -> tuple[CodeConfig, EngineConf
 # --- commands ---------------------------------------------------------------
 
 
+def _stdout_guarded(write, *args) -> None:
+    """Write to stdout; once its reader is gone (``| head -1``), write to /dev/null.
+
+    The command runs on and returns its own exit code, as the Python docs' SIGPIPE note advises.
+    """
+    try:
+        write(*args)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
+def _print(line: str) -> None:
+    _stdout_guarded(print, line)
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     values = parse_config(args.config)
     _, _, num_labels = read_header(values["corpus"])
     if num_labels < 1:
         raise ValueError("corpus declares zero labels; nothing to train")
     code, engine, train_cfg = _configs_from(values, num_labels)
-    documents = list(parse_corpus(values["corpus"]))
+    block = read_block(values["corpus"])
     cb = build_codebook(code)
-    result = train_all(documents, cb, engine, train_cfg)
+    result = train_all(block, cb, engine, train_cfg)
     if result.skipped_unlabeled:
-        print(f"skipped {result.skipped_unlabeled} unlabeled documents")
+        _print(f"skipped {result.skipped_unlabeled} unlabeled documents")
     for chunk, curve in enumerate(result.loss_curves):
-        print(f"chunk {chunk} loss: " + " ".join(f"{x:.6f}" for x in curve))
+        _print(f"chunk {chunk} loss: " + " ".join(f"{x:.6f}" for x in curve))
     manifest_path = save_ensemble(result.ensemble, values["out_dir"], train_cfg)
-    print(manifest_path)
+    _print(str(manifest_path))
     return EXIT_OK
 
 
@@ -221,10 +239,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     finally:
         partial.unlink(missing_ok=True)
     q = totals["queries"]
-    print(f"queries = {q}")
-    print(f"mean_candidates_retrieved = {totals['candidates_retrieved'] / q:.2f}")
-    print(f"mean_unique_candidates = {totals['unique_candidates'] / q:.2f}")
-    print(f"mean_scores_summed = {totals['scores_summed'] / q:.2f}")
+    _print(f"queries = {q}")
+    _print(f"mean_candidates_retrieved = {totals['candidates_retrieved'] / q:.2f}")
+    _print(f"mean_unique_candidates = {totals['unique_candidates'] / q:.2f}")
+    _print(f"mean_scores_summed = {totals['scores_summed'] / q:.2f}")
     return EXIT_OK
 
 
@@ -248,7 +266,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
     testset = list(parse_corpus(args.corpus))
     report = evaluate(ensemble, idx, testset, params, ks_precision, ks_recall)
-    print(report.as_text())
+    _print(report.as_text())
     if args.json:
         Path(args.json).write_text(
             json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
@@ -264,7 +282,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     chunks_list = _parse_ks(args.chunks)
     m_list = _parse_ks(args.m)
     _, _, num_labels = read_header(values["corpus"])
-    documents = list(parse_corpus(values["corpus"]))
+    block = read_block(values["corpus"])
     testset = list(parse_corpus(values["eval_corpus"]))
 
     rows = ["buckets\tchunks\tm\tp_at_1\tp_at_3\tp_at_5\tms_per_point\tstatus"]
@@ -274,7 +292,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             try:
                 code, engine, train_cfg = _configs_from(cell, num_labels)
                 cb = build_codebook(code)
-                result = train_all(documents, cb, engine, train_cfg)
+                result = train_all(block, cb, engine, train_cfg)
                 idx = build_index(cb)
             except Exception as exc:  # per-cell isolation: record, move on
                 for m in m_list:
@@ -296,11 +314,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     )
                 except Exception as exc:
                     rows.append(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}")
-    table = "\n".join(rows) + "\n"
+    table = "\n".join(rows)
     if args.out:
-        Path(args.out).write_text(table, encoding="utf-8")
+        Path(args.out).write_text(table + "\n", encoding="utf-8")
     else:
-        sys.stdout.write(table)
+        _print(table)
     return EXIT_OK
 
 
@@ -438,14 +456,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         try:
             detail = check()
-            print(f"PASS {name}: {detail} ({time.perf_counter() - t0:.2f}s)")
+            _print(f"PASS {name}: {detail} ({time.perf_counter() - t0:.2f}s)")
         except (VerificationFailure, BlobChecksumError) as exc:
             failures += 1
-            print(f"FAIL {name}: {exc}")
+            _print(f"FAIL {name}: {exc}")
     if failures:
-        print(f"{failures} of {len(checks)} checks failed")
+        _print(f"{failures} of {len(checks)} checks failed")
         return EXIT_VERIFY
-    print(f"all {len(checks)} checks passed")
+    _print(f"all {len(checks)} checks passed")
     return EXIT_OK
 
 
@@ -521,6 +539,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:
         traceback.print_exc()
         return EXIT_RUNTIME
+    finally:
+        # a block-buffered stdout meets a closed reader only here, or at exit
+        _stdout_guarded(sys.stdout.flush)
 
 
 if __name__ == "__main__":

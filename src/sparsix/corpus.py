@@ -12,17 +12,19 @@ token:count pairs.  Counts are positive integers; the engine is bag-of-
 words count based, so fractional values are rejected rather than silently
 rounded.
 
-Parsing is streaming: documents are yielded one line at a time and errors
-carry the 1-based line number.
+One parser, ``read_block``, reads and checks the whole file into a columnar
+:class:`features.DocBlock`; errors carry the 1-based line number.
+``parse_corpus`` yields the block's rows once the whole file is checked.
 """
 from __future__ import annotations
 
+from array import array
 from pathlib import Path
 from typing import Iterator
 
 import numpy as np
 
-from .features import Document, make_document
+from .features import DocBlock, Document, make_document
 
 
 class CorpusFormatError(ValueError):
@@ -71,10 +73,13 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
     return num_points, num_features, num_labels
 
 
-def parse_corpus(path: str | Path) -> Iterator[Document]:
-    """Stream documents from a corpus file; doc ids are line ordinals."""
+def read_block(path: str | Path) -> DocBlock:
+    """Read and check a whole corpus file into one block; row r is the r-th data line."""
     path = Path(path)
     num_points, num_features, num_labels = read_header(path)
+    # typed buffers hold 8 bytes a value, where a list holds a Python int each
+    ids, counts, labels = array("Q"), array("q"), array("q")
+    token_offsets, label_offsets = array("q", [0]), array("q", [0])
     with path.open("r", encoding="utf-8") as fh:
         fh.readline()  # header, already validated
 
@@ -91,16 +96,33 @@ def parse_corpus(path: str | Path) -> Iterator[Document]:
                 raise CorpusFormatError(
                     path, line_no, f"more than the declared {num_points} data lines"
                 )
-            yield _parse_line(path, line_no, line, count - 1, num_features, num_labels)
+            columns = _parse_line(path, line_no, line, count - 1, num_features, num_labels)
+            for buffer, values in zip((ids, counts, labels), columns):
+                buffer.fromlist(values)
+            token_offsets.append(len(ids))
+            label_offsets.append(len(labels))
         if count < num_points:
             raise CorpusFormatError(
                 path, line_no, f"expected {num_points} data lines, found {count}"
             )
+    return DocBlock(
+        np.frombuffer(ids, dtype=np.uint64),
+        np.frombuffer(counts, dtype=np.int64),
+        np.frombuffer(token_offsets, dtype=np.int64),
+        np.frombuffer(labels, dtype=np.int64),
+        np.frombuffer(label_offsets, dtype=np.int64),
+    )
+
+
+def parse_corpus(path: str | Path) -> Iterator[Document]:
+    """Yield ``read_block(path)``'s rows, checking the whole file before the first."""
+    yield from read_block(path).documents()
 
 
 def _parse_line(
-    path: Path, line_no: int, line: str, doc_id: int, num_features: int, num_labels: int
-) -> Document:
+    path: Path, line_no: int, line: str, row: int, num_features: int, num_labels: int
+) -> tuple[list[int], list[int], list[int]]:
+    """One data line's token ids (uint64), counts and sorted labels (int64), all checked."""
     label_field, _, rest = line.partition(" ")
     fields = [label_field, *rest.split()]
     if ":" in label_field:
@@ -121,7 +143,7 @@ def _parse_line(
     if len(set(labels)) != len(labels):
         raise CorpusFormatError(path, line_no, "duplicate label id")
 
-    tokens: list[tuple[int, int]] = []
+    ids, counts = [], []
     for pair in fields[1:]:
         head, sep, tail = pair.partition(":")
         if not sep or not head or not tail:
@@ -135,19 +157,19 @@ def _parse_line(
             raise CorpusFormatError(
                 path, line_no, f"token id {token} outside [0, {num_features})"
             )
-        tokens.append((token, cnt))
-    try:
-        return make_document(doc_id, tokens, labels)
-    except OverflowError:
-        raise CorpusFormatError(path, line_no, "id or count exceeds the 64-bit range") from None
-    except ValueError as exc:
-        raise CorpusFormatError(path, line_no, str(exc)) from None
+        ids.append(token)
+        counts.append(cnt)
+    if max(ids, default=0) >= 2**64 or max(counts + labels, default=0) >= 2**63:
+        raise CorpusFormatError(path, line_no, "id or count exceeds the 64-bit range")
+    if len(set(ids)) != len(ids):
+        raise CorpusFormatError(path, line_no, f"doc {row}: duplicate token ids")
+    return ids, counts, labels
 
 
 def write_corpus(
     path: str | Path, documents: list[Document], num_features: int, num_labels: int
 ) -> None:
-    """Write documents in the corpus file format parsed by parse_corpus.
+    """Write documents in the corpus file format that read_block reads.
 
     A document with neither labels nor tokens would be an empty line, which
     the format reserves for blank lines, so it is rejected with ValueError

@@ -17,7 +17,7 @@ are integers, so the sums are exact in any order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Iterator, Literal
 
 import numpy as np
 
@@ -78,6 +78,28 @@ class DocBlock:
         labels, label_offsets = flat([d.labels for d in docs], np.int64)
         counts = np.concatenate([np.empty(0, np.int64), *(d.token_counts for d in docs)])
         return cls(ids, counts, token_offsets, labels, label_offsets)
+
+    def documents(self) -> Iterator[Document]:
+        """Each row as a :class:`Document` whose doc id is the row, over views of these arrays."""
+        t, l = self.token_offsets.tolist(), self.label_offsets.tolist()
+        for row, (t0, t1, l0, l1) in enumerate(zip(t, t[1:], l, l[1:])):
+            yield Document(row, self.token_ids[t0:t1], self.token_counts[t0:t1], self.labels[l0:l1])
+
+    def labeled(self) -> DocBlock:
+        """The rows that have labels, in order; ``self`` when every row has them."""
+        keep = np.diff(self.label_offsets) > 0
+        if keep.all():
+            return self
+        sizes = np.diff(self.token_offsets)
+        tokens = np.repeat(keep, sizes)
+        # a dropped row holds no labels, so the labels stay and only their offsets thin out
+        return DocBlock(
+            self.token_ids[tokens],
+            self.token_counts[tokens],
+            np.concatenate(([0], np.cumsum(sizes[keep]))),
+            self.labels,
+            np.concatenate(([0], self.label_offsets[1:][keep])),
+        )
 
 
 def make_document(

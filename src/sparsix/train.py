@@ -115,12 +115,6 @@ class TrainResult:
     chunk_seconds: list[float]
 
 
-def split_labeled(documents: list[Document]) -> tuple[list[Document], int]:
-    """Drop documents without labels; they cannot produce a target."""
-    kept = [d for d in documents if d.labels.size > 0]
-    return kept, len(documents) - len(kept)
-
-
 def _block_csr(
     values: np.ndarray, cols: np.ndarray, offsets: np.ndarray, width: int, saturate: bool
 ) -> sp.csr_matrix:
@@ -257,25 +251,28 @@ def _train_chunk_task(
 
 
 def train_all(
-    documents: list[Document],
+    documents: DocBlock | list[Document],
     cb: LabelCodebook,
     engine: EngineConfig,
     cfg: TrainConfig,
 ) -> TrainResult:
     """Train all chunks with zero shared mutable state.
 
-    ``cfg.workers`` chunks run concurrently in separate processes; results
-    are bit-identical to the serial run because every chunk executes the same
-    sequential code path either way.
+    Rows without labels cannot produce a target, so they are dropped and
+    counted.  ``cfg.workers`` chunks run concurrently in separate processes;
+    results are bit-identical to the serial run because every chunk executes
+    the same sequential code path either way.
     """
-    labeled, skipped = split_labeled(documents)
+    if not isinstance(documents, DocBlock):
+        documents = DocBlock.from_documents(documents)
+    block = documents.labeled()
+    skipped = documents.label_offsets.size - block.label_offsets.size
     if skipped:
         logger.warning("skipped %d unlabeled documents", skipped)
-    if not labeled:
+    if block.labels.size == 0:
         raise ValueError("no labeled documents to train on")
 
     k = cb.config.num_chunks
-    block = DocBlock.from_documents(labeled)
     payloads = [(chunk, block, cb.config, engine, cfg) for chunk in range(k)]
     if cfg.workers == 1 or k == 1:
         results = [_train_chunk_task(payload) for payload in payloads]

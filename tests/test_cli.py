@@ -2,8 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -389,6 +392,73 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "Traceback" not in err
         assert not (tmp_path / "engine" / "manifest.json").exists()
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_into_closed_reader(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:
+    """Run the CLI with a stdout pipe whose read end is already closed."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "sparsix.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=600,
+        )
+    finally:
+        os.close(write_end)
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "command", ["train", "predict", "eval", "sweep", "verify", "verify-corrupt-blob"]
+    )
+    def test_command_runs_on_with_its_own_exit_code(
+        self, workspace, tmp_path, command, unbuffered
+    ):
+        """A reader that went away (``| head -1``) fails no command and loses no file."""
+        manifest = str(workspace / "engine" / "manifest.json")
+        corpus = str(workspace / "test.txt")
+        if command == "train":
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(
+                DESK_CONFIG.replace("train.txt", str(workspace / "train.txt")), encoding="utf-8"
+            )
+            argv, written = ["--config", str(cfg)], tmp_path / "engine" / "manifest.json"
+        elif command == "predict":
+            written = tmp_path / "p.tsv"
+            argv = ["--manifest", manifest, "--corpus", corpus, "--out", str(written), "--m", "4"]
+        elif command == "eval":
+            written = tmp_path / "report.json"
+            argv = ["--manifest", manifest, "--corpus", corpus, "--m", "4", "--json", str(written)]
+        elif command == "sweep":
+            cfg = str(workspace / "desk.cfg")
+            argv, written = ["--config", cfg, "--buckets", "8", "--chunks", "2", "--m", "2"], None
+        elif command == "verify":
+            argv, written = ["--manifest", manifest], None
+        else:
+            shutil.copytree(workspace / "engine", tmp_path / "broken")
+            blob = tmp_path / "broken" / "chunk_0000.bin"
+            blob.write_bytes(blob.read_bytes()[:-1] + b"\0")
+            argv, written = ["--manifest", str(tmp_path / "broken" / "manifest.json")], None
+        expected = EXIT_VERIFY if command == "verify-corrupt-blob" else EXIT_OK
+
+        proc = run_into_closed_reader([command.partition("-")[0], *argv], unbuffered)
+        assert proc.returncode == expected, proc.stderr
+        for fragment in ("Broken pipe", "BrokenPipeError", "Traceback", "error: "):
+            assert fragment not in proc.stderr
+        if written is not None:
+            assert written.is_file()
 
 
 class TestDocs:

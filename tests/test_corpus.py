@@ -1,6 +1,8 @@
 """Corpus file format: header, labels, token pairs, errors, synthesis."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from sparsix.corpus import (
     CorpusFormatError,
     make_separable_corpus,
     parse_corpus,
+    read_block,
     read_header,
     write_corpus,
 )
@@ -18,6 +21,14 @@ def corpus_file(tmp_path, text, name="c.txt"):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
     return p
+
+
+def read_documents(path):
+    return list(parse_corpus(path))
+
+
+# both ways to read a corpus; the error tests hold each of them
+READERS = (read_block, read_documents)
 
 
 class TestHeader:
@@ -86,20 +97,24 @@ class TestParsing:
     )
     def test_bad_lines_rejected(self, tmp_path, line, fragment):
         p = corpus_file(tmp_path, f"1 10 5\n{line}\n")
-        with pytest.raises(CorpusFormatError, match=fragment):
-            list(parse_corpus(p))
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match=fragment):
+                read(p)
 
     def test_error_carries_line_number(self, tmp_path):
         p = corpus_file(tmp_path, "2 10 5\n0 1:1\n0 1:bad\n")
-        with pytest.raises(CorpusFormatError, match=r":3:"):
-            list(parse_corpus(p))
+        # parse_corpus checks the whole file before it yields line 2's document
+        for read in (*READERS, lambda path: next(parse_corpus(path))):
+            with pytest.raises(CorpusFormatError, match=r":3:"):
+                read(p)
 
     @pytest.mark.parametrize("pair", ["3:100000000000000000000", f"{2**64}:1"])
     def test_values_beyond_64_bits_rejected(self, tmp_path, pair):
         # the header allows the token id, so only the 64-bit range can reject it
         p = corpus_file(tmp_path, f"2 {2**70} 5\n0 1:1\n0 {pair}\n")
-        with pytest.raises(CorpusFormatError, match=r":3: .*64-bit"):
-            list(parse_corpus(p))
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match=r":3: .*64-bit"):
+                read(p)
 
     @pytest.mark.parametrize(
         "raw,count",
@@ -112,13 +127,15 @@ class TestParsing:
 
     def test_count_mismatch_over(self, tmp_path):
         p = corpus_file(tmp_path, "1 10 5\n0 1:1\n1 2:1\n")
-        with pytest.raises(CorpusFormatError, match="more than"):
-            list(parse_corpus(p))
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match="more than"):
+                read(p)
 
     def test_count_mismatch_under(self, tmp_path):
         p = corpus_file(tmp_path, "3 10 5\n0 1:1\n")
-        with pytest.raises(CorpusFormatError, match="expected 3"):
-            list(parse_corpus(p))
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match="expected 3"):
+                read(p)
 
     def test_zero_data_lines_ok_when_declared(self, tmp_path):
         p = corpus_file(tmp_path, "0 10 5\n")
@@ -127,8 +144,57 @@ class TestParsing:
     def test_repeated_token_id_rejected(self, tmp_path):
         # document token ids must be unique; duplicates are a format error here
         p = corpus_file(tmp_path, "1 10 5\n0 1:1 1:2\n")
-        with pytest.raises(CorpusFormatError):
-            list(parse_corpus(p))
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match="duplicate token ids"):
+                read(p)
+
+
+class TestBlock:
+    def test_edge_corpus(self, tmp_path):
+        """Blank and whitespace-only lines, unlabeled and labels-only rows, float-form
+        counts, token ids at and above 2**63, and an unsorted label field."""
+        text = (
+            f"7 {2**70} 50\n"
+            "\n"
+            "3,1 5:2 9:1.0e0\n"
+            " 7:2.0 8:1e3\n"
+            "   \n"
+            "4,2\n"
+            f" {2**63 + 7}:1 4:3\n"
+            f"12,0,5 {2**64 - 1}:2\n"
+            "\t\n"
+            "30 1:1\n"
+            ",  2:1\n"
+        )
+        block = read_block(corpus_file(tmp_path, text))
+        expected = {
+            "token_ids": np.array([5, 9, 7, 8, 2**63 + 7, 4, 2**64 - 1, 1, 2], dtype=np.uint64),
+            "token_counts": np.array([2, 1, 2, 1000, 1, 3, 2, 1, 1], dtype=np.int64),
+            "token_offsets": np.array([0, 2, 4, 4, 6, 7, 8, 9], dtype=np.int64),
+            "labels": np.array([1, 3, 2, 4, 0, 5, 12, 30], dtype=np.int64),
+            "label_offsets": np.array([0, 2, 2, 4, 4, 7, 8, 8], dtype=np.int64),
+        }
+        for name, want in expected.items():
+            got = getattr(block, name)
+            assert got.dtype == want.dtype, name
+            assert np.array_equal(got, want), name
+
+    def test_peak_memory_near_the_block_size(self, tmp_path):
+        """Values collect in typed buffers: a Python int per value would cost several times more."""
+        rng = np.random.default_rng(0)
+        lines = ["2000 100000 500"]
+        for i in range(2000):
+            tokens = rng.choice(100000, 100, replace=False)
+            lines.append(f"{i % 500} " + " ".join(f"{t}:{1 + t % 4}" for t in tokens))
+        p = corpus_file(tmp_path, "\n".join(lines) + "\n")
+        tracemalloc.start()
+        try:
+            block = read_block(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        nbytes = sum(a.nbytes for a in vars(block).values())
+        assert peak <= 1.5 * nbytes
 
 
 class TestRoundTrip:

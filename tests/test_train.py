@@ -9,7 +9,9 @@ import pytest
 
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
+from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
+from sparsix.manifest import save_ensemble
 from sparsix.model import _batch_forward, forward
 from sparsix.train import (
     ChunkEnsemble,
@@ -18,7 +20,6 @@ from sparsix.train import (
     _chunk_matrix,
     _numpy_openblas,
     _target_matrix,
-    split_labeled,
     train_all,
     train_chunk,
 )
@@ -167,6 +168,15 @@ class TestDocBlock:
             assert np.array_equal(block.labels[labels], doc.labels)
         assert block.token_ids.dtype == np.uint64 and block.labels.dtype == np.int64
 
+        # labeled() keeps the labeled rows in order, and returns itself when they all are
+        labeled = block.labeled()
+        want = DocBlock.from_documents([d for d in docs if d.labels.size])
+        for name in ("token_ids", "token_counts", "token_offsets", "labels", "label_offsets"):
+            assert np.array_equal(getattr(labeled, name), getattr(want, name)), name
+            assert getattr(labeled, name).dtype == getattr(want, name).dtype, name
+        assert labeled.label_offsets.size == len(docs)  # one row fewer
+        assert labeled.labeled() is labeled
+
     def test_wide_ids_and_labels_keep_their_values(self):
         """int64 token ids and uint64 labels, which Document accepts, are cast, not
         promoted to float64: the block row hashes as serving hashes the document."""
@@ -277,11 +287,23 @@ class TestTrainAll:
         result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
         assert result.chunk_seconds == [1, 1]
 
-    def test_unlabeled_documents_skipped_and_counted(self):
+    def test_unlabeled_documents_skipped_and_counted(self, tmp_path):
+        """A read block and a parsed document list lose the same rows and train the same bytes."""
         cb, eng, docs = small_setup()
-        docs = docs[:10] + [make_document(100, [(5, 1)], []), make_document(101, [(6, 1)], [])]
-        result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=8))
-        assert result.skipped_unlabeled == 2
+        docs = docs[:7] + [make_document(50, [(5, 1)], [])] + docs[7:10] + [
+            make_document(51, [(6, 2)], [])
+        ]
+        corpus = tmp_path / "c.txt"
+        write_corpus(corpus, docs, num_features=800, num_labels=40)
+        cfg = TrainConfig(epochs=1, batch_size=8)
+        blobs = []
+        for name, documents in [("block", read_block(corpus)), ("list", list(parse_corpus(corpus)))]:
+            result = train_all(documents, cb, eng, cfg)
+            assert result.skipped_unlabeled == 2
+            save_ensemble(result.ensemble, tmp_path / name, cfg)
+            blobs.append([p.read_bytes() for p in sorted((tmp_path / name).glob("*.bin"))])
+        assert len(blobs[0]) == 3
+        assert blobs[0] == blobs[1]
 
     def test_all_unlabeled_rejected(self):
         cb, eng, _ = small_setup()
@@ -294,11 +316,6 @@ class TestTrainAll:
         result = train_all(docs, cb, eng, TrainConfig(epochs=2, batch_size=16))
         assert len(result.ensemble.models) == 1
         assert len(result.loss_curves) == 1
-
-    def test_split_labeled(self):
-        docs = [make_document(0, [(1, 1)], [2]), make_document(1, [(2, 1)], [])]
-        kept, skipped = split_labeled(docs)
-        assert len(kept) == 1 and skipped == 1
 
 
 class TestConfigs:
