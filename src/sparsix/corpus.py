@@ -8,13 +8,20 @@ File format (one corpus per file):
 The header declares how many data lines follow and the exclusive upper
 bounds for token and label ids.  Each data line starts with a comma-
 separated list of label ids (possibly empty) followed by space-separated
-token:count pairs.  Counts are positive integers; the engine is bag-of-
-words count based, so fractional values are rejected rather than silently
-rounded.
+token:count pairs.  Ids, labels and counts are ASCII decimal digits; a count
+may also be written in float form (``2.0``, ``1e3``) when its value is a whole
+number.  Counts are positive; the engine is bag-of-words count based, so
+fractional values are rejected rather than silently rounded.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
-:class:`features.DocBlock`; errors carry the 1-based line number.
-``parse_corpus`` yields the block's rows once the whole file is checked.
+:class:`features.DocBlock`; errors carry the 1-based line number.  It reads
+the file in windows of whole lines.  A window of plain lines (digits of at
+most 18 per number, a single space before each pair, ``,`` between labels,
+sorted labels) is read and checked with a few array operations; any other
+window goes through the line loop, which also reads the rare valid forms
+(float-form counts, tabs, unsorted labels, longer ids) and gives a bad line's
+message and line number.  ``parse_corpus`` yields the block's rows once the
+whole file is checked, without checking each row again.
 """
 from __future__ import annotations
 
@@ -26,6 +33,25 @@ import numpy as np
 
 from .features import DocBlock, Document, make_document
 
+# Characters of whole lines per window (a long line may run past it): the
+# array pass's working memory stays small beside a large block's bytes.
+_WINDOW_CHARS = 1 << 14
+
+# The plain form, by byte class: a byte of class b may follow one of class a
+# when _PLAIN_NEXT[a * 6 + b].  Class 0, any other byte, neither follows nor
+# precedes anything, so one such byte sends the window to the line loop.
+_DIGIT, _COMMA, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4, 5
+_BYTE_CLASS = np.zeros(256, np.uint8)
+_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
+_BYTE_CLASS[[ord(","), ord(":"), ord(" "), ord("\n")]] = _COMMA, _COLON, _SPACE, _NEWLINE
+_PLAIN_NEXT = np.zeros((6, 6), bool)
+_PLAIN_NEXT[_DIGIT, [_DIGIT, _COMMA, _COLON, _SPACE, _NEWLINE]] = True
+_PLAIN_NEXT[[_COMMA, _COLON, _SPACE], _DIGIT] = True
+_PLAIN_NEXT[_NEWLINE, [_DIGIT, _SPACE, _NEWLINE]] = True  # labels, no labels, blank line
+_PLAIN_NEXT = _PLAIN_NEXT.ravel()
+# 10**18 - 1 < 2**63, so every plain number fits an int64
+_PLAIN_DIGITS = 18
+
 
 class CorpusFormatError(ValueError):
     """Malformed corpus content, pointing at the offending line."""
@@ -35,18 +61,35 @@ class CorpusFormatError(ValueError):
         self.line_no = line_no
 
 
+def _decimal(raw: str) -> int:
+    """``int(raw)`` for ASCII decimal digits only.
+
+    ``int`` also reads ``+3``, ``1_0`` and non-ASCII digits, which the format
+    does not have.  What ``int`` rejects keeps its message, and a negative
+    value passes through so that the range checks report it.
+    """
+    value = int(raw)
+    if value >= 0 and not (raw.isascii() and raw.isdigit()):
+        raise ValueError(f"{raw!r} is not ASCII decimal digits")
+    return value
+
+
 def _parse_count(raw: str) -> int:
     # An integer literal is read exactly; only forms like "2.0" or "1e3" go
     # through float, which is exact for every integer up to 2**53.
     try:
-        value = int(raw)
+        int(raw)
     except ValueError:
         number = float(raw)
         if not np.isfinite(number):
             raise ValueError("value is not finite") from None
         if number != int(number):
             raise ValueError(f"count must be a positive integer, got {raw!r}") from None
+        if not raw.isascii() or "_" in raw:
+            raise ValueError(f"{raw!r} is not an ASCII number") from None
         value = int(number)
+    else:
+        value = _decimal(raw)
     if value < 1:
         raise ValueError(f"count must be a positive integer, got {raw!r}")
     return value
@@ -77,46 +120,147 @@ def read_block(path: str | Path) -> DocBlock:
     """Read and check a whole corpus file into one block; row r is the r-th data line."""
     path = Path(path)
     num_points, num_features, num_labels = read_header(path)
-    # typed buffers hold 8 bytes a value, where a list holds a Python int each
-    ids, counts, labels = array("Q"), array("q"), array("q")
-    token_offsets, label_offsets = array("q", [0]), array("q", [0])
+    # typed buffers hold 8 bytes a value, where a list holds a Python int each;
+    # the last two hold each row's token and label counts
+    columns = (array("Q"), array("q"), array("q"), array("q"), array("q"))
+    ids, counts, labels, token_sizes, label_sizes = columns
+    line_no = 1
     with path.open("r", encoding="utf-8") as fh:
         fh.readline()  # header, already validated
-
-        count = 0
-        line_no = 1
-        for line_no, line in enumerate(fh, start=2):
-            # Leading whitespace is significant: it encodes an empty label
-            # field.  Only trailing whitespace is stripped.
-            line = line.rstrip()
-            if not line.strip():
-                continue
-            count += 1
-            if count > num_points:
-                raise CorpusFormatError(
-                    path, line_no, f"more than the declared {num_points} data lines"
-                )
-            columns = _parse_line(path, line_no, line, count - 1, num_features, num_labels)
-            for buffer, values in zip((ids, counts, labels), columns):
-                buffer.fromlist(values)
-            token_offsets.append(len(ids))
-            label_offsets.append(len(labels))
-        if count < num_points:
-            raise CorpusFormatError(
-                path, line_no, f"expected {num_points} data lines, found {count}"
-            )
+        while lines := fh.readlines(_WINDOW_CHARS):
+            row = len(token_sizes)
+            window = _read_plain(lines, num_points - row, num_features, num_labels)
+            if window is None:
+                window = _read_lines(path, line_no, lines, row, num_points, num_features, num_labels)
+            for buffer, values in zip(columns, window):
+                buffer.frombytes(memoryview(values).cast("B"))
+            line_no += len(lines)
+    if len(token_sizes) < num_points:
+        raise CorpusFormatError(
+            path, line_no, f"expected {num_points} data lines, found {len(token_sizes)}"
+        )
     return DocBlock(
         np.frombuffer(ids, dtype=np.uint64),
         np.frombuffer(counts, dtype=np.int64),
-        np.frombuffer(token_offsets, dtype=np.int64),
+        _offsets(token_sizes),
         np.frombuffer(labels, dtype=np.int64),
-        np.frombuffer(label_offsets, dtype=np.int64),
+        _offsets(label_sizes),
     )
 
 
+def _offsets(sizes: array) -> np.ndarray:
+    offsets = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=offsets[1:])
+    return offsets
+
+
 def parse_corpus(path: str | Path) -> Iterator[Document]:
-    """Yield ``read_block(path)``'s rows, checking the whole file before the first."""
+    """Yield ``read_block(path)``'s rows, checking the whole file before the first.
+
+    The rows are not checked again as each ``Document`` is built: ``read_block``
+    has enforced every rule ``Document`` states.
+    """
     yield from read_block(path).documents()
+
+
+def _read_plain(
+    lines: list[str], room: int, num_features: int, num_labels: int
+) -> tuple[np.ndarray, ...] | None:
+    """A window's five columns, read and checked with array operations.
+
+    None when the window is not plain, holds more than ``room`` rows, or breaks
+    one of ``_parse_line``'s rules; the line loop then reads it, and raises
+    the first bad line's message.  Plain lines hold exactly the values the
+    line loop reads from them.
+    """
+    text = "\n" + "".join(lines)  # the leading newline starts the first line
+    if not text.isascii():
+        return None
+    if not text.endswith("\n"):  # the file's last line has no newline
+        text += "\n"
+    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    kind = _BYTE_CLASS[raw]
+    if not _PLAIN_NEXT[kind[:-1] * 6 + kind[1:]].all():
+        return None
+    digit = kind == _DIGIT
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = edges[::2], edges[1::2]  # number i is raw[starts[i]:ends[i]]
+    lengths = ends - starts
+    if lengths.max(initial=0) > _PLAIN_DIGITS:
+        return None
+    # A number after a space is a token id and must end at its pair's colon;
+    # one after a colon is a count and must end the pair; the rest are labels,
+    # each at the line's start or after a comma.
+    before, after = raw[starts - 1], raw[ends]
+    is_id, is_count = before == ord(" "), before == ord(":")
+    if not np.array_equal(is_id, after == ord(":")) or (is_count & (after == ord(","))).any():
+        return None
+    is_label = ~(is_id | is_count)
+
+    values = np.zeros(starts.size, np.int64)
+    for k in range(lengths.max(initial=0)):
+        digit_k = raw[np.minimum(starts + k, ends - 1)]
+        values = np.where(k < lengths, values * 10 + digit_k - ord("0"), values)
+    newlines = np.flatnonzero(kind == _NEWLINE)
+    line = np.searchsorted(newlines, starts)  # ordinal of each number's line
+    rows = np.bincount(line, minlength=newlines.size) > 0  # a plain blank line has no number
+    if np.count_nonzero(rows) > room:
+        return None
+
+    ids, counts, labels = values[is_id], values[is_count], values[is_label]
+    id_line, label_line = line[is_id], line[is_label]
+    if ids.size and (int(ids.max()) >= num_features or counts.min() < 1):
+        return None
+    if labels.size and int(labels.max()) >= num_labels:
+        return None
+    # labels must be strictly increasing within a line, token ids unique
+    if ((labels[1:] <= labels[:-1]) & (label_line[1:] == label_line[:-1])).any():
+        return None
+    order = np.lexsort((ids, id_line))
+    sorted_ids, sorted_lines = ids[order], id_line[order]
+    if ((sorted_ids[1:] == sorted_ids[:-1]) & (sorted_lines[1:] == sorted_lines[:-1])).any():
+        return None
+    return (
+        ids.view(np.uint64),
+        counts,
+        labels,
+        np.bincount(id_line, minlength=newlines.size)[rows],
+        np.bincount(label_line, minlength=newlines.size)[rows],
+    )
+
+
+def _read_lines(
+    path: Path,
+    line_no: int,
+    lines: list[str],
+    row: int,
+    num_points: int,
+    num_features: int,
+    num_labels: int,
+) -> tuple[array, ...]:
+    """A window's five columns, read one line at a time; lines[0] follows line ``line_no``."""
+    columns = (array("Q"), array("q"), array("q"), array("q"), array("q"))
+    ids, counts, labels, token_sizes, label_sizes = columns
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        # Leading whitespace is significant: it encodes an empty label
+        # field.  Only trailing whitespace is stripped.
+        line = line.rstrip()
+        if not line:
+            continue
+        if row == num_points:
+            raise CorpusFormatError(
+                path, line_no, f"more than the declared {num_points} data lines"
+            )
+        line_ids, line_counts, line_labels = _parse_line(
+            path, line_no, line, row, num_features, num_labels
+        )
+        ids.fromlist(line_ids)
+        counts.fromlist(line_counts)
+        labels.fromlist(line_labels)
+        token_sizes.append(len(line_ids))
+        label_sizes.append(len(line_labels))
+        row += 1
+    return columns
 
 
 def _parse_line(
@@ -132,7 +276,7 @@ def _parse_line(
             path, line_no, "line must start with a label field (possibly empty)"
         )
     try:
-        labels = sorted(int(tok) for tok in label_field.split(",") if tok != "")
+        labels = sorted(_decimal(tok) for tok in label_field.split(",") if tok != "")
     except ValueError:
         raise CorpusFormatError(path, line_no, f"bad label field {label_field!r}") from None
     for lab in labels:
@@ -149,7 +293,7 @@ def _parse_line(
         if not sep or not head or not tail:
             raise CorpusFormatError(path, line_no, f"bad token:count pair {pair!r}")
         try:
-            token = int(head)
+            token = _decimal(head)
             cnt = _parse_count(tail)
         except ValueError as exc:
             raise CorpusFormatError(path, line_no, f"bad token:count pair {pair!r} ({exc})") from None

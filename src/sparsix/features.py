@@ -28,7 +28,12 @@ FeatureMode = Literal["counts", "binary"]
 
 @dataclass(frozen=True)
 class Document:
-    """One data point: unique token ids with counts, plus sorted label ids."""
+    """One data point: unique token ids with counts, plus sorted label ids.
+
+    Building one checks these rules.  ``DocBlock.documents`` builds its rows
+    without checking them again: ``corpus.read_block`` checked every line of
+    a block it reads, and ``DocBlock.from_documents`` takes checked documents.
+    """
 
     doc_id: int
     token_ids: np.ndarray = field(repr=False)  # uint64, unique
@@ -47,6 +52,20 @@ class Document:
             raise ValueError(f"doc {self.doc_id}: token counts must be >= 1")
         if (labels[1:] <= labels[:-1]).any():
             raise ValueError(f"doc {self.doc_id}: labels must be strictly increasing")
+
+    @classmethod
+    def _from_checked(
+        cls, doc_id: int, token_ids: np.ndarray, token_counts: np.ndarray, labels: np.ndarray
+    ) -> Document:
+        """A document over arrays that already hold the rules ``__post_init__`` checks."""
+        # set one attribute at a time, as the dataclass __init__ does: instances
+        # then share their attribute names, half the bytes of a dict of their own
+        doc = object.__new__(cls)
+        object.__setattr__(doc, "doc_id", doc_id)
+        object.__setattr__(doc, "token_ids", token_ids)
+        object.__setattr__(doc, "token_counts", token_counts)
+        object.__setattr__(doc, "labels", labels)
+        return doc
 
     @property
     def num_tokens(self) -> int:
@@ -80,10 +99,14 @@ class DocBlock:
         return cls(ids, counts, token_offsets, labels, label_offsets)
 
     def documents(self) -> Iterator[Document]:
-        """Each row as a :class:`Document` whose doc id is the row, over views of these arrays."""
+        """Each row as a :class:`Document` whose doc id is the row, over views of these arrays.
+
+        The rows are not checked again; a block holds the rows its builder checked.
+        """
         t, l = self.token_offsets.tolist(), self.label_offsets.tolist()
+        ids, counts, labels = self.token_ids, self.token_counts, self.labels
         for row, (t0, t1, l0, l1) in enumerate(zip(t, t[1:], l, l[1:])):
-            yield Document(row, self.token_ids[t0:t1], self.token_counts[t0:t1], self.labels[l0:l1])
+            yield Document._from_checked(row, ids[t0:t1], counts[t0:t1], labels[l0:l1])
 
     def labeled(self) -> DocBlock:
         """The rows that have labels, in order; ``self`` when every row has them."""

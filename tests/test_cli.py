@@ -383,6 +383,37 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "huge.txt:2: " in err and "Traceback" not in err
 
+    def test_bad_line_past_the_first_window(self, workspace, tmp_path, capsys):
+        """A bad line deep in a corpus fails predict and train before they write anything."""
+        valid = (workspace / "test.txt").read_text(encoding="utf-8").splitlines()
+        _, num_features, num_labels = valid[0].split()
+        lines = [valid[1 + i % (len(valid) - 1)] for i in range(5200)]
+        lines[4998] = "0 1:nope"  # line 5,000 of the file, after the header
+        corpus = tmp_path / "big.txt"
+        corpus.write_text(
+            "\n".join([f"{len(lines)} {num_features} {num_labels}", *lines, ""]), encoding="utf-8"
+        )
+        out = tmp_path / "p.tsv"
+        out.write_bytes(b"0\t1:0.500000\n")
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(workspace / "engine" / "manifest.json"),
+                "--corpus", str(corpus),
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "big.txt:5000: " in err and "Traceback" not in err
+        assert out.read_bytes() == b"0\t1:0.500000\n"
+
+        rc = self.train_with(workspace, tmp_path, corpus=corpus)
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "big.txt:5000: " in err and "Traceback" not in err
+        assert not (tmp_path / "engine").exists()
+
     @pytest.mark.parametrize(
         "setting", ["buckets_per_chunk = 4294967301", "feature_dim = 4294967301"]
     )

@@ -2,19 +2,24 @@
 from __future__ import annotations
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from sparsix import corpus
 from sparsix.corpus import (
     CorpusFormatError,
+    _parse_line,
     make_separable_corpus,
     parse_corpus,
     read_block,
     read_header,
     write_corpus,
 )
-from sparsix.features import make_document
+from sparsix.features import Document, make_document
 
 
 def corpus_file(tmp_path, text, name="c.txt"):
@@ -91,6 +96,8 @@ class TestParsing:
             ("0 1:", "pair"),
             ("0 :1", "pair"),
             ("0 11", "pair"),
+            ("0 1:1,2", "pair"),
+            ("0 1:2:3", "pair"),
             ("a 1:1", "label"),
             ("1,1 2:1", "duplicate"),
         ],
@@ -99,6 +106,33 @@ class TestParsing:
         p = corpus_file(tmp_path, f"1 10 5\n{line}\n")
         for read in READERS:
             with pytest.raises(CorpusFormatError, match=fragment):
+                read(p)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "0 1_0:2 +3:1_0 \u0664:1",
+            "0 1_0:2",
+            "0 +3:1",
+            "0 \u0664:1",
+            "0 3:1_0",
+            "0 3:+3",
+            "0 3:\u0664",
+            "0 3:1_0.0",
+            "0 3:\u0664.0",
+            "+1 2:1",
+            "1_0 2:1",
+            "\u0664 2:1",
+            "1\t,2 3:1",
+            "-0 2:1",
+        ],
+    )
+    def test_number_forms_int_alone_reads_rejected(self, tmp_path, line):
+        """Ids, labels and integer counts are ASCII digits: not signed, grouped or non-ASCII."""
+        # the header admits every value int() reads from these lines
+        p = corpus_file(tmp_path, f"2 100 20\n0 1:1\n{line}\n")
+        for read in READERS:
+            with pytest.raises(CorpusFormatError, match=r":3: "):
                 read(p)
 
     def test_error_carries_line_number(self, tmp_path):
@@ -179,6 +213,32 @@ class TestBlock:
             assert got.dtype == want.dtype, name
             assert np.array_equal(got, want), name
 
+        rows = list(parse_corpus(corpus_file(tmp_path, text)))
+        assert len(rows) == 7
+        for row, doc in enumerate(rows):
+            t0, t1 = block.token_offsets[row : row + 2]
+            l0, l1 = block.label_offsets[row : row + 2]
+            checked = Document(
+                row, block.token_ids[t0:t1], block.token_counts[t0:t1], block.labels[l0:l1]
+            )
+            assert type(doc) is Document and doc.doc_id == checked.doc_id
+            for name in ("token_ids", "token_counts", "labels"):
+                got, want = getattr(doc, name), getattr(checked, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), (row, name)
+
+    def test_parse_corpus_does_not_check_rows_again(self, tmp_path, monkeypatch):
+        """read_block has checked every line, so parse_corpus builds no checked Document."""
+        calls = []
+        post_init = Document.__post_init__
+        monkeypatch.setattr(
+            Document, "__post_init__", lambda doc: calls.append(doc.doc_id) or post_init(doc)
+        )
+        p = corpus_file(tmp_path, "3 10 5\n0 1:1\n\n1,2 2:1 3:4\n 4:1\n")
+        docs = list(parse_corpus(p))
+        assert [d.doc_id for d in docs] == [0, 1, 2] and calls == []
+        make_document(0, [(1, 1)], [])
+        assert calls == [0]
+
     def test_peak_memory_near_the_block_size(self, tmp_path):
         """Values collect in typed buffers: a Python int per value would cost several times more."""
         rng = np.random.default_rng(0)
@@ -195,6 +255,121 @@ class TestBlock:
             tracemalloc.stop()
         nbytes = sum(a.nbytes for a in vars(block).values())
         assert peak <= 1.5 * nbytes
+
+
+def reference_block(path):
+    """The line loop read_block must agree with: one _parse_line call per non-blank line."""
+    path = Path(path)
+    num_points, num_features, num_labels = read_header(path)
+    ids, counts, labels, token_offsets, label_offsets = [], [], [], [0], [0]
+    line_no, row = 1, 0
+    with path.open(encoding="utf-8") as fh:
+        fh.readline()
+        for line_no, line in enumerate(fh, start=2):
+            line = line.rstrip()
+            if not line:
+                continue
+            if row == num_points:
+                raise CorpusFormatError(
+                    path, line_no, f"more than the declared {num_points} data lines"
+                )
+            columns = _parse_line(path, line_no, line, row, num_features, num_labels)
+            for values, more in zip((ids, counts, labels), columns):
+                values.extend(more)
+            token_offsets.append(len(ids))
+            label_offsets.append(len(labels))
+            row += 1
+    if row < num_points:
+        raise CorpusFormatError(path, line_no, f"expected {num_points} data lines, found {row}")
+    return {
+        "token_ids": np.array(ids, dtype=np.uint64),
+        "token_counts": np.array(counts, dtype=np.int64),
+        "token_offsets": np.array(token_offsets, dtype=np.int64),
+        "labels": np.array(labels, dtype=np.int64),
+        "label_offsets": np.array(label_offsets, dtype=np.int64),
+    }
+
+
+NUM_LABELS = 40
+BLANK_LINES = ("", "   ", "\t", " \t ")
+BAD_LINES = (
+    "0 1:0",
+    "0 1:x",
+    "3:1",
+    "0 5:1 5:1",
+    f"{NUM_LABELS} 1:1",
+    "0 1:1.5",
+    "1,1 2:1",
+    "0 1_0:2",
+    "+1 2:1",
+    "0 \u0664:1",
+    "0 1:",
+    "0 :1",
+    "a 1:1",
+    "0 1:1,2",
+    "0 1:2:3",
+    f"0 1:{2**63}",
+    f"0 {2**64}:1",
+)
+
+
+@st.composite
+def data_line(draw, num_features):
+    """One valid data line: mostly plain, else with forms only the line loop reads."""
+    rare = draw(st.integers(0, 3)) == 0
+    cap = 10 ** draw(st.sampled_from([3, 18, 20] if rare else [3, 18]))
+    ids = draw(st.lists(st.integers(0, min(num_features, 2**64, cap) - 1), unique=True, max_size=5))
+    count = st.integers(1, min(2**63, cap) - 1)
+    counts = draw(st.lists(count, min_size=len(ids), max_size=len(ids)))
+    labels = sorted(draw(st.lists(st.integers(0, NUM_LABELS - 1), unique=True, max_size=4)))
+    written, gap, tail = [str(c) for c in counts], " ", ""
+    if rare:
+        labels = draw(st.permutations(labels))
+        if counts and draw(st.booleans()):
+            i = draw(st.integers(0, len(counts) - 1))
+            written[i] = draw(st.sampled_from([f"{counts[i]}.0", f"{counts[i]}e0", f"{counts[i]}.0e0"]))
+        gap = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+        tail = draw(st.sampled_from(["", " ", "\t"]))
+    label_field = ",".join(map(str, labels))
+    if rare and draw(st.booleans()):  # empty fields between commas
+        label_field = "," + label_field.replace(",", ",,") + ","
+    pairs = gap.join(f"{t}:{c}" for t, c in zip(ids, written))
+    return (f"{label_field} {pairs}" if pairs else label_field) + tail
+
+
+@st.composite
+def corpus_text(draw):
+    num_features = draw(st.sampled_from([1000, 2**70]))
+    lines = draw(st.lists(st.one_of(data_line(num_features), st.sampled_from(BLANK_LINES)), max_size=30))
+    rows = sum(1 for line in lines if line.strip())
+    fault = draw(st.sampled_from(["none", "line", "line", "count"]))
+    if fault == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    elif fault == "count":
+        rows = max(0, rows + draw(st.sampled_from([-1, 1])))
+    end = draw(st.sampled_from(["\n", ""]))
+    return f"{rows} {num_features} {NUM_LABELS}\n" + "\n".join(lines) + end
+
+
+@settings(
+    max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=corpus_text(), window=st.sampled_from([1, 16, 64, 256, 1 << 14]))
+def test_read_block_matches_the_line_loop(tmp_path, monkeypatch, text, window):
+    """Windows of any size, plain or not, read as the line loop reads line by line."""
+    p = corpus_file(tmp_path, text)
+    monkeypatch.setattr(corpus, "_WINDOW_CHARS", window)
+    try:
+        want = reference_block(p)
+    except CorpusFormatError as err:
+        with pytest.raises(CorpusFormatError) as got:
+            read_block(p)
+        assert (str(got.value), got.value.line_no) == (str(err), err.line_no)
+        return
+    block = read_block(p)
+    for name, values in want.items():
+        got = getattr(block, name)
+        assert got.dtype == values.dtype and np.array_equal(got, values), name
 
 
 class TestRoundTrip:
