@@ -332,11 +332,11 @@ EQUIV_TOL = 1e-10
 VERIFY_SEED = 2026
 
 
-def _check_code_orthogonality(seed: int) -> str:
-    cc = CodeConfig(num_labels=10**4, num_chunks=8, buckets_per_chunk=1000, base_seed=seed)
+def _check_code_orthogonality() -> str:
+    cc = CodeConfig(num_labels=10**4, num_chunks=8, buckets_per_chunk=1000, base_seed=VERIFY_SEED)
     cb = build_codebook(cc)
     pairs = 10**5
-    st = orthogonality_stats(cb, pairs, sample_seed=seed + 1)
+    st = orthogonality_stats(cb, pairs, sample_seed=VERIFY_SEED + 1)
     p = 1.0 / cc.buckets_per_chunk
     target = cc.num_chunks * p
     se = (cc.num_chunks * p * (1 - p) / pairs) ** 0.5
@@ -352,8 +352,10 @@ def _check_code_orthogonality(seed: int) -> str:
     return f"mean={st.mean_dot:.6f} (target {target:.6f}), chi2 p={pvalue:.3f}"
 
 
-def _check_index_balance(seed: int) -> str:
-    cc = CodeConfig(num_labels=3 * 10**4, num_chunks=8, buckets_per_chunk=1000, base_seed=seed)
+def _check_index_balance() -> str:
+    cc = CodeConfig(
+        num_labels=3 * 10**4, num_chunks=8, buckets_per_chunk=1000, base_seed=VERIFY_SEED
+    )
     idx = build_index(build_codebook(cc))
     worst = max(int(bucket_loads(idx, k).max()) for k in range(cc.num_chunks))
     if worst > 60:
@@ -361,8 +363,8 @@ def _check_index_balance(seed: int) -> str:
     return f"max load {worst} (bound 60, mean 30)"
 
 
-def _check_gradients(seed: int) -> str:
-    rng = np.random.Generator(np.random.PCG64(seed))
+def _check_gradients() -> str:
+    rng = np.random.Generator(np.random.PCG64(VERIFY_SEED))
     worst = 0.0
     for trial in range(20):
         model = init_model(20, 8, 10, init_seed=int(rng.integers(2**32)))
@@ -379,15 +381,15 @@ def _check_gradients(seed: int) -> str:
     return f"worst relative error {worst:.3e} over 20 instances"
 
 
-def _check_basis_equivalence(seed: int) -> str:
+def _check_basis_equivalence() -> str:
     worst = 0.0
     for n in (32, 128):
-        a = random_orthonormal_basis(n, seed + n)
-        bm = random_orthonormal_basis(n, seed + n + 1)
+        a = random_orthonormal_basis(n, VERIFY_SEED + n)
+        bm = random_orthonormal_basis(n, VERIFY_SEED + n + 1)
         p = change_of_basis(a, bm).matrix
         ortho = float(np.abs(p @ p.T - np.eye(n)).max())
         recon = float(np.abs(p @ bm.columns - a.columns).max())
-        x = np.random.Generator(np.random.PCG64(seed + 2 * n)).standard_normal((100, n))
+        x = np.random.Generator(np.random.PCG64(VERIFY_SEED + 2 * n)).standard_normal((100, n))
         dev = verify_deferred_equivalence(x, a, bm)
         cos = cosine_deviation(x, a, bm)
         worst = max(worst, ortho, recon, dev, cos)
@@ -398,24 +400,26 @@ def _check_basis_equivalence(seed: int) -> str:
     return f"max deviation {worst:.3e} at n in (32, 128)"
 
 
-def _tiny_trained_engine(seed: int) -> tuple:
+def _tiny_trained_engine() -> tuple:
     train_docs, test_docs, num_features = make_separable_corpus(
         num_labels=200,
         docs_per_label=3,
         test_docs_per_label=1,
         noise_vocab=200,
-        seed=seed,
+        seed=VERIFY_SEED,
     )
-    code = CodeConfig(num_labels=200, num_chunks=4, buckets_per_chunk=32, base_seed=seed)
-    engine = EngineConfig(feature_dim=512, hidden_dim=16, feature_seed=seed + 1, init_seed=seed + 2)
-    cfg = TrainConfig(epochs=3, batch_size=100, lr=5e-3, shuffle_seed=seed + 3)
+    code = CodeConfig(num_labels=200, num_chunks=4, buckets_per_chunk=32, base_seed=VERIFY_SEED)
+    engine = EngineConfig(
+        feature_dim=512, hidden_dim=16, feature_seed=VERIFY_SEED + 1, init_seed=VERIFY_SEED + 2
+    )
+    cfg = TrainConfig(epochs=3, batch_size=100, lr=5e-3, shuffle_seed=VERIFY_SEED + 3)
     cb = build_codebook(code)
     result = train_all(train_docs, cb, engine, cfg)
     return result.ensemble, cb, build_index(cb), test_docs
 
 
-def _check_retrieval_equivalence(seed: int) -> str:
-    ensemble, cb, idx, queries = _tiny_trained_engine(seed)
+def _check_retrieval_equivalence() -> str:
+    ensemble, cb, idx, queries = _tiny_trained_engine()
     b = cb.config.buckets_per_chunk
     params = InferParams(m=b, top_k=10)
     for doc in queries[:100]:
@@ -443,11 +447,11 @@ def _check_manifest(manifest_path: str) -> str:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     checks = [
-        ("code-orthogonality", lambda: _check_code_orthogonality(VERIFY_SEED)),
-        ("index-balance", lambda: _check_index_balance(VERIFY_SEED)),
-        ("gradient-check", lambda: _check_gradients(VERIFY_SEED)),
-        ("basis-equivalence", lambda: _check_basis_equivalence(VERIFY_SEED)),
-        ("retrieval-equivalence", lambda: _check_retrieval_equivalence(VERIFY_SEED)),
+        ("code-orthogonality", _check_code_orthogonality),
+        ("index-balance", _check_index_balance),
+        ("gradient-check", _check_gradients),
+        ("basis-equivalence", _check_basis_equivalence),
+        ("retrieval-equivalence", _check_retrieval_equivalence),
     ]
     if args.manifest:
         checks.append(("manifest-checksums", lambda: _check_manifest(args.manifest)))

@@ -15,16 +15,18 @@ fractional values are rejected rather than silently rounded.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
 :class:`features.DocBlock`; errors carry the 1-based line number.  It reads
-the file in windows of whole lines.  A window of plain lines (digits of at
-most 18 per number, a single space before each pair, ``,`` between labels,
-sorted labels) is read and checked with a few array operations; any other
-window goes through the line loop, which also reads the rare valid forms
-(float-form counts, tabs, unsorted labels, longer ids) and gives a bad line's
-message and line number.  ``parse_corpus`` yields the block's rows once the
-whole file is checked, without checking each row again.
+the file in windows of whole lines.  A plain line is labels joined by commas
+(possibly none), then `` id:count`` pairs, each number 1 to 18 ASCII digits:
+``(?:D(?:,D)*)?(?: D:D)*`` with ``D = [0-9]{1,18}``.  A window of plain lines
+is read and checked with a few array operations; any other window, and one
+that breaks a rule, goes through the line loop, which also reads the rare
+valid forms (float-form counts, tabs, unsorted labels, longer ids) and gives
+a bad line's message and line number.  ``parse_corpus`` yields the block's
+rows once the whole file is checked, without checking each row again.
 """
 from __future__ import annotations
 
+import re
 from array import array
 from pathlib import Path
 from typing import Iterator
@@ -37,20 +39,9 @@ from .features import DocBlock, Document, make_document
 # array pass's working memory stays small beside a large block's bytes.
 _WINDOW_CHARS = 1 << 14
 
-# The plain form, by byte class: a byte of class b may follow one of class a
-# when _PLAIN_NEXT[a * 6 + b].  Class 0, any other byte, neither follows nor
-# precedes anything, so one such byte sends the window to the line loop.
-_DIGIT, _COMMA, _COLON, _SPACE, _NEWLINE = 1, 2, 3, 4, 5
-_BYTE_CLASS = np.zeros(256, np.uint8)
-_BYTE_CLASS[ord("0") : ord("9") + 1] = _DIGIT
-_BYTE_CLASS[[ord(","), ord(":"), ord(" "), ord("\n")]] = _COMMA, _COLON, _SPACE, _NEWLINE
-_PLAIN_NEXT = np.zeros((6, 6), bool)
-_PLAIN_NEXT[_DIGIT, [_DIGIT, _COMMA, _COLON, _SPACE, _NEWLINE]] = True
-_PLAIN_NEXT[[_COMMA, _COLON, _SPACE], _DIGIT] = True
-_PLAIN_NEXT[_NEWLINE, [_DIGIT, _SPACE, _NEWLINE]] = True  # labels, no labels, blank line
-_PLAIN_NEXT = _PLAIN_NEXT.ravel()
-# 10**18 - 1 < 2**63, so every plain number fits an int64
-_PLAIN_DIGITS = 18
+# Plain lines, as the module docstring states them; 10**18 - 1 < 2**63, so
+# every plain number fits an int64.
+_PLAIN_LINES = re.compile(rb"(?:(?:D(?:,D)*)?(?: D:D)*\n)*".replace(b"D", rb"[0-9]{1,18}"))
 
 
 class CorpusFormatError(ValueError):
@@ -128,12 +119,12 @@ def read_block(path: str | Path) -> DocBlock:
     with path.open("r", encoding="utf-8") as fh:
         fh.readline()  # header, already validated
         while lines := fh.readlines(_WINDOW_CHARS):
-            row = len(token_sizes)
-            window = _read_plain(lines, num_points - row, num_features, num_labels)
+            window = _read_plain(lines, num_points - len(token_sizes), num_features, num_labels)
             if window is None:
-                window = _read_lines(path, line_no, lines, row, num_points, num_features, num_labels)
-            for buffer, values in zip(columns, window):
-                buffer.frombytes(memoryview(values).cast("B"))
+                _read_lines(path, line_no, lines, columns, num_points, num_features, num_labels)
+            else:
+                for buffer, values in zip(columns, window):
+                    buffer.frombytes(memoryview(values).cast("B"))
             line_no += len(lines)
     if len(token_sizes) < num_points:
         raise CorpusFormatError(
@@ -174,34 +165,26 @@ def _read_plain(
     line loop reads from them.
     """
     text = "\n" + "".join(lines)  # the leading newline starts the first line
-    if not text.isascii():
-        return None
     if not text.endswith("\n"):  # the file's last line has no newline
         text += "\n"
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    kind = _BYTE_CLASS[raw]
-    if not _PLAIN_NEXT[kind[:-1] * 6 + kind[1:]].all():
+    data = text.encode()
+    if not _PLAIN_LINES.fullmatch(data, 1):
         return None
-    digit = kind == _DIGIT
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digit = (raw >= ord("0")) & (raw <= ord("9"))
     edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
     starts, ends = edges[::2], edges[1::2]  # number i is raw[starts[i]:ends[i]]
     lengths = ends - starts
-    if lengths.max(initial=0) > _PLAIN_DIGITS:
-        return None
-    # A number after a space is a token id and must end at its pair's colon;
-    # one after a colon is a count and must end the pair; the rest are labels,
-    # each at the line's start or after a comma.
-    before, after = raw[starts - 1], raw[ends]
+    # a number after a space is a token id, one after a colon its count, the rest labels
+    before = raw[starts - 1]
     is_id, is_count = before == ord(" "), before == ord(":")
-    if not np.array_equal(is_id, after == ord(":")) or (is_count & (after == ord(","))).any():
-        return None
     is_label = ~(is_id | is_count)
 
     values = np.zeros(starts.size, np.int64)
     for k in range(lengths.max(initial=0)):
         digit_k = raw[np.minimum(starts + k, ends - 1)]
         values = np.where(k < lengths, values * 10 + digit_k - ord("0"), values)
-    newlines = np.flatnonzero(kind == _NEWLINE)
+    newlines = np.flatnonzero(raw == ord("\n"))
     line = np.searchsorted(newlines, starts)  # ordinal of each number's line
     rows = np.bincount(line, minlength=newlines.size) > 0  # a plain blank line has no number
     if np.count_nonzero(rows) > room:
@@ -213,10 +196,11 @@ def _read_plain(
         return None
     if labels.size and int(labels.max()) >= num_labels:
         return None
-    # labels must be strictly increasing within a line, token ids unique
+    # labels must be strictly increasing within a line, token ids unique; equal
+    # ids keep their line order under a stable sort, so a line's repeat is adjacent
     if ((labels[1:] <= labels[:-1]) & (label_line[1:] == label_line[:-1])).any():
         return None
-    order = np.lexsort((ids, id_line))
+    order = np.argsort(ids, kind="stable")
     sorted_ids, sorted_lines = ids[order], id_line[order]
     if ((sorted_ids[1:] == sorted_ids[:-1]) & (sorted_lines[1:] == sorted_lines[:-1])).any():
         return None
@@ -233,14 +217,14 @@ def _read_lines(
     path: Path,
     line_no: int,
     lines: list[str],
-    row: int,
+    columns: tuple[array, ...],
     num_points: int,
     num_features: int,
     num_labels: int,
-) -> tuple[array, ...]:
-    """A window's five columns, read one line at a time; lines[0] follows line ``line_no``."""
-    columns = (array("Q"), array("q"), array("q"), array("q"), array("q"))
+) -> None:
+    """Read a window one line at a time into ``columns``; lines[0] follows line ``line_no``."""
     ids, counts, labels, token_sizes, label_sizes = columns
+    row = len(token_sizes)
     for line_no, line in enumerate(lines, start=line_no + 1):
         # Leading whitespace is significant: it encodes an empty label
         # field.  Only trailing whitespace is stripped.
@@ -260,7 +244,6 @@ def _read_lines(
         token_sizes.append(len(line_ids))
         label_sizes.append(len(line_labels))
         row += 1
-    return columns
 
 
 def _parse_line(

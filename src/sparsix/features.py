@@ -9,10 +9,10 @@ Values are token counts by default; binary mode saturates every occupied
 slot at 1.  Hashing is unsigned (no sign flip): inputs stay non-negative,
 which pairs well with ReLU hidden layers.
 
-``hash_features`` orders a document's hashed ids by a stable sort, so tokens
-that land in the same slot end up adjacent; one ``np.add.reduceat`` over the
-run starts merges them, a step skipped when no two tokens collide.  Counts
-are integers, so the sums are exact in any order.
+``merge_slots`` adds up colliding tokens, for a query (``hash_features``) and a
+training block (``train._chunk_matrix``) alike: a stable sort keeps a slot's
+tokens in token order, and one ``np.add.reduceat`` sums them.  Float sums past
+2**53 depend on their order, so this one merge keeps the two paths' bits equal.
 """
 from __future__ import annotations
 
@@ -174,17 +174,23 @@ def hash_features(
     if mode not in ("counts", "binary"):
         raise ValueError(f"unknown feature mode {mode!r}")
     hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
-    order = np.argsort(hashed, kind="stable")
-    indexes = hashed[order]
-    values = doc.token_counts[order].astype(np.float64)
-    fresh = indexes[1:] != indexes[:-1]
+    indexes, values = merge_slots(hashed, doc.token_counts.astype(np.float64), mode == "binary")
+    return HashedFeatures(dim=feature_dim, indexes=indexes, values=values)
+
+
+def merge_slots(
+    keys: np.ndarray, values: np.ndarray, saturate: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct keys, sorted, with their values summed in input order; capped at 1 if ``saturate``."""
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    fresh = keys[1:] != keys[:-1]
     if not fresh.all():
         starts = np.concatenate(([True], fresh)).nonzero()[0]
-        indexes = indexes[starts]
-        values = np.add.reduceat(values, starts)
-    if mode == "binary":
+        keys, values = keys[starts], np.add.reduceat(values, starts)
+    if saturate:
         np.minimum(values, 1.0, out=values)
-    return HashedFeatures(dim=feature_dim, indexes=indexes, values=values)
+    return keys, values
 
 
 def hash_token_ids(token_ids: np.ndarray, chunk_seed: int, feature_dim: int) -> np.ndarray:

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .codes import CodeConfig, LabelCodebook, build_codebook
-from .features import DocBlock, Document, FeatureMode, hash_token_ids
+from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
 from .hashing import derive_seed
 from .model import ChunkModel, apply_update, init_model, quantize_to_f32, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -118,13 +118,14 @@ class TrainResult:
 def _block_csr(
     values: np.ndarray, cols: np.ndarray, offsets: np.ndarray, width: int, saturate: bool
 ) -> sp.csr_matrix:
-    """One CSR row per block row; entries sharing a column add up, capped at 1 if ``saturate``."""
-    indptr = offsets.copy()  # sum_duplicates rewrites it in place
-    mat = sp.csr_matrix((values, cols, indptr), shape=(indptr.size - 1, width))
-    mat.sum_duplicates()
-    if saturate:
-        mat.data = np.minimum(mat.data, 1.0)
-    return mat
+    """One CSR row per block row; entries sharing a column add up, capped at 1 if ``saturate``.
+
+    The merge is a query's, over ``row * width + column`` keys (int64 below 2**31 rows).
+    """
+    row_keys = np.arange(offsets.size, dtype=np.int64) * width  # each row's first key
+    keys, data = merge_slots(np.repeat(row_keys[:-1], np.diff(offsets)) + cols, values, saturate)
+    indptr = np.searchsorted(keys, row_keys)
+    return sp.csr_matrix((data, keys % width, indptr), shape=(offsets.size - 1, width))
 
 
 def _chunk_matrix(

@@ -372,6 +372,46 @@ def test_read_block_matches_the_line_loop(tmp_path, monkeypatch, text, window):
         assert got.dtype == values.dtype and np.array_equal(got, values), name
 
 
+
+def test_plain_forms_take_the_array_pass(tmp_path, monkeypatch):
+    """Labels, no labels, labels only, a blank line, 18 digits and no final newline: all plain."""
+
+    def line_loop(*args):
+        raise AssertionError("a plain window went through the line loop")
+
+    monkeypatch.setattr(corpus, "_read_lines", line_loop)
+    big = 10**18 - 1
+    text = f"5 {2**70} 50\n3,7 5:2 9:1\n 8:4\n\n12\n0,49 {big}:{big} 0:1\n1 2:3"
+    block = read_block(corpus_file(tmp_path, text))
+    expected = {
+        "token_ids": np.array([5, 9, 8, big, 0, 2], dtype=np.uint64),
+        "token_counts": np.array([2, 1, 4, big, 1, 3], dtype=np.int64),
+        "token_offsets": np.array([0, 2, 3, 3, 5, 6], dtype=np.int64),
+        "labels": np.array([3, 7, 12, 0, 49, 1], dtype=np.int64),
+        "label_offsets": np.array([0, 2, 2, 3, 5, 6], dtype=np.int64),
+    }
+    for name, want in expected.items():
+        got = getattr(block, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize(
+    "line", ["1 2:2.0", "1 2:1\t3:1", "7,1 2:1", "1,,4 2:1", f"1 {10**18}:1", "1 2:1 "]
+)
+def test_rare_forms_take_the_line_loop(tmp_path, monkeypatch, line):
+    """A float-form count, a tab, unsorted labels, a ``,,``, 19 digits or a trailing space."""
+    windows, read_lines = [], corpus._read_lines
+    monkeypatch.setattr(
+        corpus, "_read_lines", lambda *args: windows.append(args[2]) or read_lines(*args)
+    )
+    p = corpus_file(tmp_path, f"2 {2**70} 50\n0 1:1\n{line}\n")
+    block = read_block(p)
+    assert windows == [["0 1:1\n", f"{line}\n"]]
+    for name, want in reference_block(p).items():
+        got = getattr(block, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 class TestRoundTrip:
     def test_write_then_parse_is_identity(self, tmp_path):
         docs = [

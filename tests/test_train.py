@@ -114,14 +114,17 @@ class TestTrainChunk:
         cb, eng, docs = small_setup()
         # a collision-heavy width, and a document without tokens mid-batch
         docs = docs[:5] + [make_document(99, [], [1])] + docs[5:]
+        # counts past 2**53, where a float sum depends on its order, sharing slots
+        big = [make_document(0, [(0, 2**60), (1, 128), (2, 128), (3, 1), (4, 2**55 + 3)], [1])]
         seed0 = eng.chunk_feature_seed(0)
-        for mode in ("counts", "binary"):
-            mat = _chunk_matrix(DocBlock.from_documents(docs), seed0, 16, mode)
-            for row, doc in enumerate(docs):
-                feats = hash_features(doc, seed0, 16, mode)
-                dense = np.zeros(16)
-                dense[feats.indexes] = feats.values
-                assert np.array_equal(mat[row].toarray().ravel(), dense)
+        for batch, dim in ((docs, 16), (big, 1), (big, 2), (big, 3)):
+            for mode in ("counts", "binary"):
+                mat = _chunk_matrix(DocBlock.from_documents(batch), seed0, dim, mode)
+                for row, doc in enumerate(batch):
+                    feats = hash_features(doc, seed0, dim, mode)
+                    dense = np.zeros(dim)
+                    dense[feats.indexes] = feats.values
+                    assert np.array_equal(mat[row].toarray().ravel(), dense)
 
     def test_serving_forward_matches_batch_forward(self):
         """The query-time forward and the training forward agree row for row."""
