@@ -11,11 +11,11 @@ embeds one document at query time.  :func:`apply_update` takes one Adam step
 with the standard constants below; the learning rate is the one
 optimizer setting a run chooses.
 
-Parameters live in float64 (all verification runs in double precision) but
-are snapped to float32-representable values before persistence so that the
-on-disk blobs round-trip bit-exactly.  W1 is held (F, H), one row per input
-index, so a batch's sparse inputs read and write whole rows; blobs keep it in
-(H, F) order.
+Training runs in float32, the blobs' precision; only :func:`bce_loss` reduces
+in float64.  Serving and verification run in float64: loaded blobs and trained
+models are float64 copies of float32 values, so a blob round-trips bit-exactly.
+W1 is held (F, H), one row per input index, so a batch's sparse inputs read and
+write whole rows; blobs keep it in (H, F) order.
 """
 from __future__ import annotations
 
@@ -37,10 +37,10 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # Adam updates each parameter one block of whole rows at a time, at most this
-# many elements, so that its fourteen passes over six arrays (768 KiB) stay in a
+# many bytes, so that its fourteen passes over six arrays (768 KiB) stay in a
 # core's cache.  At F=8192, H=64 on a 2-vCPU Xeon, whole-array passes made a
-# step about a fifth slower.
-ADAM_BLOCK_ELEMENTS = 16384
+# float64 step about a fifth slower; a float32 block holds twice the rows.
+ADAM_BLOCK_BYTES = 128 * 1024
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -73,6 +73,10 @@ class ChunkModel:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
 
+    def astype(self, dtype: type) -> ChunkModel:
+        """A copy with every parameter cast to ``dtype``."""
+        return ChunkModel(self.chunk, self.init_seed, *(p.astype(dtype) for p in self.params()))
+
 
 @dataclass
 class Gradients:
@@ -91,9 +95,9 @@ class Gradients:
 class AdamState:
     """First/second moment accumulators, the step counter, and scratch space.
 
-    ``scratch`` holds two buffers per parameter, each one row block of it (see
-    ``ADAM_BLOCK_ELEMENTS``), which :func:`apply_update` overwrites on every
-    step so that it allocates nothing.
+    ``scratch`` holds two buffers per parameter, each one row block of it in its
+    dtype (see ``ADAM_BLOCK_BYTES``), which :func:`apply_update` overwrites on
+    every step so that it allocates nothing.
     """
 
     step: int
@@ -137,9 +141,9 @@ def zero_adam_state(model: ChunkModel) -> AdamState:
 
 
 def _row_block(p: np.ndarray) -> np.ndarray:
-    """Uninitialised leading rows of ``p``: as many as fit ADAM_BLOCK_ELEMENTS, at least one."""
-    rows = max(1, ADAM_BLOCK_ELEMENTS * p.shape[0] // p.size)
-    return np.empty((min(rows, p.shape[0]), *p.shape[1:]))
+    """Uninitialised leading rows of ``p``: as many as fit ADAM_BLOCK_BYTES, at least one."""
+    rows = max(1, ADAM_BLOCK_BYTES * p.shape[0] // p.nbytes)
+    return np.empty((min(rows, p.shape[0]), *p.shape[1:]), dtype=p.dtype)
 
 
 def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
@@ -154,16 +158,17 @@ def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
     """Mean binary cross entropy over every document and bucket.
 
-    Probabilities are clamped to ``[eps, 1-eps]`` here and only here; raw
-    probabilities flow to inference untouched.  Averaging over the bucket
-    count keeps learning rates comparable across bucket-count sweeps.
+    Probabilities are clamped to ``[eps, 1-eps]`` here and only here, in float64
+    whatever ``p``'s dtype (in float32, ``1 - eps`` is 1.0); raw probabilities
+    flow to inference untouched.  Averaging over the bucket count keeps
+    learning rates comparable across bucket-count sweeps.
 
     ``y`` must hold only 0 and 1, as training's targets do.  Each term is
     then ``log1p(-pc)`` where y = 0 and ``log(pc)`` where y = 1, so only the
     hot entries pay for a ``log``; the terms, and so the mean, have the same
     bits as ``y * log(pc) + (1 - y) * log1p(-pc)``.
     """
-    pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS)
+    pc = np.clip(p, LOSS_CLAMP_EPS, 1.0 - LOSS_CLAMP_EPS, dtype=np.float64)
     hot = y == 1.0
     hot_log = np.log(pc[hot])
     terms = np.log1p(np.negative(pc, out=pc), out=pc)
@@ -185,9 +190,10 @@ def batch_step(
 ) -> tuple[float, Gradients]:
     """Mean-over-batch loss and its exact gradients, accumulated in a fixed order.
 
-    ``y_batch`` is the dense (rows, B) 0/1 target matrix.  ReLU's subgradient
-    at zero is taken as zero.  Rows of W1 for input indexes absent from
-    every row of the batch get exactly zero gradient.
+    ``y_batch`` is the dense (rows, B) 0/1 target matrix; all but the loss runs
+    in the model's dtype.  ReLU's subgradient at zero is taken as zero.  Rows
+    of W1 for input indexes absent from every row of the batch get exactly zero
+    gradient.
     """
     n = x_batch.shape[0]
     h_pre, h, p = _batch_forward(model, x_batch)
@@ -303,17 +309,6 @@ def _locate(sizes: list[int], flat: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<IIIIQ")  # chunk, F, H, B, init_seed
-
-
-def quantize_to_f32(model: ChunkModel) -> ChunkModel:
-    """Snap parameters to float32-representable values (still stored float64).
-
-    Applied once when training finishes so that saving to the float32 blob
-    format and loading back reproduces bit-identical forward outputs.
-    """
-    for p in model.params():
-        p[...] = p.astype(np.float32).astype(np.float64)
-    return model
 
 
 def save_model(model: ChunkModel, fh: BinaryIO) -> None:

@@ -28,7 +28,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,11 +37,14 @@ import scipy.sparse as sp
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
 from .hashing import derive_seed
-from .model import ChunkModel, apply_update, init_model, quantize_to_f32, zero_adam_state
+from .model import ADAM_BLOCK_BYTES, ChunkModel, apply_update, init_model, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
 from .model import batch_step as _batch_step
 
 logger = logging.getLogger(__name__)
+
+# Training's working precision, the blobs' own; chunks come back float64 for serving
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,8 @@ def train_chunk(
 
     Deterministic given (block, configs, chunk): initialization, shuffle
     order, and batch accumulation order are all seed-derived and sequential.
+    Inputs, targets and the initial model are cast to ``TRAIN_DTYPE`` once; the
+    model comes back as float64 copies, the form a loaded blob takes.
     """
     n = block.label_offsets.size - 1
     if n == 0 or not np.all(np.diff(block.label_offsets)):
@@ -167,12 +172,12 @@ def train_chunk(
     b = cb.config.buckets_per_chunk
     x_all = _chunk_matrix(
         block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
-    )
-    y_all = _target_matrix(block, cb, chunk)
+    ).astype(TRAIN_DTYPE)
+    y_all = _target_matrix(block, cb, chunk).astype(TRAIN_DTYPE)
 
     model = init_model(
         engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
-    )
+    ).astype(TRAIN_DTYPE)
     state = zero_adam_state(model)
 
     curve = []
@@ -196,7 +201,7 @@ def train_chunk(
             mean_loss,
             time.perf_counter() - t0,
         )
-    return quantize_to_f32(model), curve
+    return model.astype(np.float64), curve
 
 
 # OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
@@ -251,6 +256,46 @@ def _train_chunk_task(
     return model, curve, time.perf_counter() - t0
 
 
+def _training_bytes(
+    block: DocBlock, engine: EngineConfig, cfg: TrainConfig, k: int, b: int
+) -> int:
+    """Estimated peak bytes of :func:`train_all`, counted before it allocates any.
+
+    A chunk holds the largest of three phases: ``init_model``'s float64 draw
+    of W1 next to its transposed copy; the float64 model next to its
+    ``TRAIN_DTYPE`` copy; then the parameters, W1's dense gradient, Adam's m,
+    v and scratch, and one batch's activations, all in ``TRAIN_DTYPE``.  Its
+    copy of the block and its CSR inputs and targets (built in float64, then
+    cast) last through all three.  ``min(workers, k)`` chunks run at once, and
+    the ensemble keeps all ``k`` models in float64.
+    """
+    f, h = engine.feature_dim, engine.hidden_dim
+    params = f * h + h + b * h + b
+    item = np.dtype(TRAIN_DTYPE).itemsize
+    rows = min(cfg.batch_size, block.label_offsets.size - 1)
+    init = max(16 * f * h, (8 + item) * params)
+    # four (rows, H + B) activations in the training dtype, three in float64 for the loss
+    steps = item * 4 * params + 8 * ADAM_BLOCK_BYTES + rows * (h + b) * (4 * item + 24)
+    # per non-zero: float64 value, int64 key and column, cast value and index
+    csr = (32 + item) * (block.token_ids.size + block.labels.size)
+    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
+    return min(cfg.workers, k) * (max(init, steps) + held) + k * 8 * params
+
+
+def _memory_limit() -> int:
+    """Physical memory, or this process's cgroup ``memory.max`` where lower; only reads."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        for line in Path("/proc/self/cgroup").read_text().splitlines():
+            if line.startswith("0::"):  # the cgroup v2 hierarchy
+                text = Path("/sys/fs/cgroup", line[3:].lstrip("/"), "memory.max").read_text()
+                if text.strip().isdigit():
+                    limit = min(limit, int(text))
+    except OSError:
+        pass
+    return limit
+
+
 def train_all(
     documents: DocBlock | list[Document],
     cb: LabelCodebook,
@@ -262,7 +307,8 @@ def train_all(
     Rows without labels cannot produce a target, so they are dropped and
     counted.  ``cfg.workers`` chunks run concurrently in separate processes;
     results are bit-identical to the serial run because every chunk executes
-    the same sequential code path either way.
+    the same sequential code path either way.  A run whose estimated bytes
+    exceed the machine's memory fails before it allocates any.
     """
     if not isinstance(documents, DocBlock):
         documents = DocBlock.from_documents(documents)
@@ -273,7 +319,14 @@ def train_all(
     if block.labels.size == 0:
         raise ValueError("no labeled documents to train on")
 
-    k = cb.config.num_chunks
+    k, b = cb.config.num_chunks, cb.config.buckets_per_chunk
+    need, have = _training_bytes(block, engine, cfg, k, b), _memory_limit()
+    if need > have:
+        raise ValueError(
+            f"training needs about {need / 2**30:.1f} GiB but this machine has "
+            f"{have / 2**30:.1f} GiB; lower hidden_dim ({engine.hidden_dim}), feature_dim "
+            f"({engine.feature_dim}), workers ({cfg.workers}) or buckets_per_chunk ({b})"
+        )
     payloads = [(chunk, block, cb.config, engine, cfg) for chunk in range(k)]
     if cfg.workers == 1 or k == 1:
         results = [_train_chunk_task(payload) for payload in payloads]

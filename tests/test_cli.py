@@ -38,6 +38,9 @@ batch_size = 16
 lr = 5e-3
 """
 
+# feature_dim x hidden_dim parameters alone take more than 2**64 bytes
+HUGE_MODEL = "feature_dim = 4294967295\nhidden_dim = 2147483648\n"
+
 
 @pytest.fixture(scope="session")
 def workspace(tmp_path_factory):
@@ -423,6 +426,24 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "Traceback" not in err
         assert not (tmp_path / "engine" / "manifest.json").exists()
+
+    def test_training_over_memory_is_validation_error(self, workspace, tmp_path, capsys):
+        """A run no machine could hold fails before it trains, naming the knobs."""
+        rc = self.train_with(workspace, tmp_path, extra=HUGE_MODEL)
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: training needs about" in err and "Traceback" not in err
+        assert "hidden_dim (2147483648), feature_dim (4294967295), workers (1)" in err
+        assert not (tmp_path / "engine").exists()
+
+    def test_sweep_records_a_cell_over_memory(self, workspace, tmp_path, capsys):
+        cfg = tmp_path / "huge.cfg"
+        text = DESK_CONFIG.replace("train.txt", str(workspace / "train.txt"))
+        cfg.write_text(text.replace("test.txt", str(workspace / "test.txt")) + HUGE_MODEL)
+        rc = main(["sweep", "--config", str(cfg), "--buckets", "8", "--chunks", "2", "--m", "2"])
+        rows = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK
+        assert rows[1].startswith("8\t2\t2\t-\t") and "\terror: training needs about" in rows[1]
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -26,7 +26,6 @@ from sparsix.model import (
     grad_check,
     init_model,
     load_model,
-    quantize_to_f32,
     save_model,
     zero_adam_state,
 )
@@ -58,6 +57,11 @@ def feats(indexes, values, dim=3) -> HashedFeatures:
 def rows(*dense_rows) -> sp.csr_matrix:
     """A CSR batch from dense input rows."""
     return sp.csr_matrix(np.array(dense_rows, dtype=np.float64))
+
+
+def as_trained(m: ChunkModel) -> ChunkModel:
+    """``m`` rounded to float32 and held in float64, the form training returns."""
+    return m.astype(np.float32).astype(np.float64)
 
 
 def hot(buckets, output_dim) -> np.ndarray:
@@ -163,6 +167,15 @@ class TestLoss:
         assert np.isfinite(bce_loss(p, np.array([0.0, 1.0])))
         assert np.isfinite(bce_loss(p, np.array([1.0, 0.0])))
 
+    def test_float32_reduces_in_float64(self):
+        """Float32 p and y lose nothing: 1 - eps rounds to 1.0 in float32, so a
+        float32 clamp would leave a saturated cold entry at log1p(-1)."""
+        p = np.array([[1.0, 0.3, 0.0]], dtype=np.float32)
+        y = np.array([[0.0, 1.0, 1.0]], dtype=np.float32)
+        loss = bce_loss(p, y)
+        assert np.isfinite(loss)
+        assert loss.hex() == bce_loss(p.astype(np.float64), y.astype(np.float64)).hex()
+
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
@@ -266,39 +279,49 @@ def ref_adam_step(p, g, m, v, step, lr):
     p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
 
+def check_adam_against_reference(f: int, h: int, dtype: type) -> None:
+    """40 steps on sparse batches, whose W1 gradients have zero and non-zero
+    rows, leave p, m and v with the reference's bits, all in ``dtype``.  W1
+    spans three row blocks, the last one partial."""
+    rng = np.random.default_rng(21)
+    m = init_model(f, h, 9, init_seed=3).astype(dtype)
+    ref = [p.copy() for p in m.params()]
+    ref_m = [np.zeros_like(p) for p in ref]
+    ref_v = [np.zeros_like(p) for p in ref]
+    state = zero_adam_state(m)
+    rows = state.scratch[0][0].shape[0]
+    assert 2 * rows < f < 3 * rows
+    lr = 2e-2
+    saw_zero_row = saw_live_row = False
+    for step in range(1, 41):
+        x = sp.random(5, f, density=0.05, format="csr", random_state=step, dtype=dtype)
+        x.data = rng.integers(1, 4, size=x.nnz).astype(dtype)
+        y = (rng.uniform(0, 1, size=(5, 9)) < 0.3).astype(dtype)
+        _, grads = batch_step(m, x, y)
+        assert all(g.dtype == dtype for g in grads.arrays())
+        live = np.any(grads.W1, axis=1)
+        saw_zero_row |= not live.all()
+        saw_live_row |= live.any()
+        apply_update(m, grads, state, lr)
+        for p, g, mom, var in zip(ref, grads.arrays(), ref_m, ref_v):
+            ref_adam_step(p, g, mom, var, step, lr)
+        for got, want in (
+            (m.params(), ref),
+            (state.m.arrays(), ref_m),
+            (state.v.arrays(), ref_v),
+        ):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), step
+    assert saw_zero_row and saw_live_row
+
+
 class TestAdam:
     def test_matches_allocating_reference(self):
-        """40 steps on sparse batches, whose W1 gradients have zero and non-zero
-        rows, leave p, m and v with the reference's bits.  W1 spans three row
-        blocks, the last one partial."""
-        rng = np.random.default_rng(21)
-        m = init_model(600, 64, 9, init_seed=3)
-        ref = [p.copy() for p in m.params()]
-        ref_m = [np.zeros_like(p) for p in ref]
-        ref_v = [np.zeros_like(p) for p in ref]
-        state = zero_adam_state(m)
-        assert 2 * state.scratch[0][0].shape[0] < 600
-        lr = 2e-2
-        saw_zero_row = saw_live_row = False
-        for step in range(1, 41):
-            x = sp.random(5, 600, density=0.05, format="csr", random_state=step)
-            x.data = rng.integers(1, 4, size=x.nnz).astype(np.float64)
-            y = (rng.uniform(0, 1, size=(5, 9)) < 0.3).astype(np.float64)
-            _, grads = batch_step(m, x, y)
-            live = np.any(grads.W1, axis=1)
-            saw_zero_row |= not live.all()
-            saw_live_row |= live.any()
-            apply_update(m, grads, state, lr)
-            for p, g, mom, var in zip(ref, grads.arrays(), ref_m, ref_v):
-                ref_adam_step(p, g, mom, var, step, lr)
-            for got, want in (
-                (m.params(), ref),
-                (state.m.arrays(), ref_m),
-                (state.v.arrays(), ref_v),
-            ):
-                for a, b in zip(got, want):
-                    assert a.tobytes() == b.tobytes(), step
-        assert saw_zero_row and saw_live_row
+        check_adam_against_reference(600, 64, np.float64)
+
+    def test_matches_allocating_reference_in_float32(self):
+        """A float32 row block holds twice a float64 block's rows."""
+        check_adam_against_reference(1200, 64, np.float32)
 
     def test_first_step_is_signed_lr(self):
         """With zero state, bias correction makes step one ~ lr * sign(g)."""
@@ -348,7 +371,7 @@ class TestAdam:
 
 class TestPersistence:
     def test_round_trip_bit_exact_after_quantize(self):
-        m = quantize_to_f32(init_model(12, 5, 7, init_seed=3, chunk=2))
+        m = as_trained(init_model(12, 5, 7, init_seed=3, chunk=2))
         buf = io.BytesIO()
         save_model(m, buf)
         buf.seek(0)
@@ -360,15 +383,22 @@ class TestPersistence:
             assert np.array_equal(a, b)
 
     def test_quantize_idempotent(self):
-        m = init_model(12, 5, 7, init_seed=3)
-        quantize_to_f32(m)
+        """Saving rounds to float32 once: a second round trip changes no bit."""
+
+        def round_trip(m: ChunkModel) -> ChunkModel:
+            buf = io.BytesIO()
+            save_model(m, buf)
+            buf.seek(0)
+            return load_model(buf)
+
+        m = round_trip(init_model(12, 5, 7, init_seed=3))
         snapshot = [p.copy() for p in m.params()]
-        quantize_to_f32(m)
+        m = round_trip(m)
         for p, s in zip(m.params(), snapshot):
             assert np.array_equal(p, s)
 
     def test_truncated_blob_rejected(self):
-        m = quantize_to_f32(init_model(6, 3, 4, init_seed=1))
+        m = as_trained(init_model(6, 3, 4, init_seed=1))
         buf = io.BytesIO()
         save_model(m, buf)
         raw = buf.getvalue()
@@ -385,7 +415,7 @@ class TestPersistence:
                 self.largest = max(self.largest, size)
                 return super().read(size)
 
-        m = quantize_to_f32(init_model(6, 3, 4, init_seed=1))
+        m = as_trained(init_model(6, 3, 4, init_seed=1))
         buf = io.BytesIO()
         save_model(m, buf)
         raw = buf.getvalue()
@@ -425,7 +455,7 @@ class TestPersistence:
         assert np.array_equal(m.b1, b1) and np.array_equal(m.W2, w2) and np.array_equal(m.b2, b2)
 
     def test_forward_identical_after_reload(self):
-        m = quantize_to_f32(init_model(10, 4, 6, init_seed=8))
+        m = as_trained(init_model(10, 4, 6, init_seed=8))
         buf = io.BytesIO()
         save_model(m, buf)
         buf.seek(0)

@@ -110,6 +110,35 @@ class TestTrainChunk:
             assert p.dtype == np.float64
             assert np.array_equal(p, p.astype(np.float32).astype(np.float64))
 
+    def test_steps_run_in_float32(self, monkeypatch):
+        """Parameters, batches, gradients and Adam's arrays stay float32 while training."""
+        cb, eng, docs = small_setup()
+        seen = {"steps": 0}
+        true_step, true_state = train._batch_step, train.zero_adam_state
+
+        def step(model, x_batch, y_batch):
+            assert {p.dtype for p in model.params()} == {np.dtype(np.float32)}
+            assert x_batch.data.dtype == np.float32 and y_batch.dtype == np.float32
+            loss, grads = true_step(model, x_batch, y_batch)
+            assert {g.dtype for g in grads.arrays()} == {np.dtype(np.float32)}
+            seen["steps"] += 1
+            return loss, grads
+
+        def state(model):
+            adam = true_state(model)
+            scratch = [a for pair in adam.scratch for a in pair]
+            buffers = [*adam.m.arrays(), *adam.v.arrays(), *scratch]
+            assert {a.dtype for a in buffers} == {np.dtype(np.float32)}
+            seen["state"] = adam
+            return adam
+
+        monkeypatch.setattr(train, "_batch_step", step)
+        monkeypatch.setattr(train, "zero_adam_state", state)
+        cfg = TrainConfig(epochs=2, batch_size=16)
+        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        assert seen["steps"] == 8 and seen["state"].step == 8
+        assert {p.dtype for p in model.params()} == {np.dtype(np.float64)}
+
     def test_batch_features_match_single_document_hashing(self):
         cb, eng, docs = small_setup()
         # a collision-heavy width, and a document without tokens mid-batch
@@ -319,6 +348,42 @@ class TestTrainAll:
         result = train_all(docs, cb, eng, TrainConfig(epochs=2, batch_size=16))
         assert len(result.ensemble.models) == 1
         assert len(result.loss_curves) == 1
+
+
+class TestMemoryCheck:
+    def test_over_any_machine_fails_before_training(self, monkeypatch):
+        """An estimate past 2**64 bytes fails fast and names the knobs to lower."""
+        cb, _, docs = small_setup()
+        eng = EngineConfig(feature_dim=2**32 - 1, hidden_dim=2**31)
+        monkeypatch.setattr(train, "_train_chunk_task", pytest.fail)
+        knobs = r"hidden_dim \(2147483648\), feature_dim \(4294967295\), workers \(2\)"
+        with pytest.raises(ValueError, match=knobs):
+            train_all(docs, cb, eng, TrainConfig(epochs=1, workers=2))
+
+    def test_shipped_defaults_fail_on_a_small_host(self, monkeypatch):
+        """F=100000, H=4096, B=30000 needs more than 7.8 GB even for one chunk."""
+        cb = build_codebook(CodeConfig(40, 1, 30000, base_seed=7))
+        eng = EngineConfig(feature_dim=100000, hidden_dim=4096)
+        cfg = TrainConfig(epochs=1, batch_size=1000)
+        _, _, docs = small_setup()
+        block = DocBlock.from_documents(docs)
+        # float32 parameters, gradient, m and v alone
+        assert train._training_bytes(block, eng, cfg, 1, 30000) > 16 * (100000 + 30000 + 1) * 4096
+        monkeypatch.setattr(train, "_memory_limit", lambda: 7_800_000_000)
+        monkeypatch.setattr(train, "_train_chunk_task", pytest.fail)
+        with pytest.raises(ValueError, match="GiB but this machine has 7.3 GiB"):
+            train_all(block, cb, eng, cfg)
+
+    def test_estimate_counts_running_chunks_and_the_ensemble(self):
+        """Workers beyond K add nothing; every chunk's float64 model is kept."""
+        _, eng, docs = small_setup()
+        block = DocBlock.from_documents(docs)
+        one, two, three = (
+            train._training_bytes(block, eng, TrainConfig(epochs=1, workers=w), 2, 16)
+            for w in (1, 2, 3)
+        )
+        ensemble = 2 * 8 * (128 * 12 + 12 + 16 * 12 + 16)
+        assert two - one == one - ensemble and three == two
 
 
 class TestConfigs:
