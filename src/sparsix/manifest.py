@@ -20,8 +20,10 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
+from . import train
 from .codes import CodeConfig
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, save_model
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, load_model
+from .model import num_params, save_model
 from .train import ChunkEnsemble, EngineConfig, TrainConfig
 
 FORMAT_VERSION = 1
@@ -134,10 +136,27 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
         raise ManifestError(f"malformed manifest {manifest_path}: {exc}") from exc
 
 
+def _loading_bytes(manifest: Manifest) -> int:
+    """Peak bytes of :func:`load_ensemble`: K models, plus one blob and its W1 as read."""
+    f, h = manifest.engine.feature_dim, manifest.engine.hidden_dim
+    k, b = manifest.code_config.num_chunks, manifest.code_config.buckets_per_chunk
+    return PARAM_DTYPE.itemsize * ((k + 1) * num_params(f, h, b) + f * h)
+
+
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
-    """Load a trained engine; each blob is checksum-verified, then parsed."""
+    """Load a trained engine; each blob is checksum-verified, then parsed.
+
+    An engine whose models would not fit in the machine's memory fails, from
+    its manifest alone, before any blob is read.
+    """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
+    need, have = _loading_bytes(manifest), train._memory_limit()
+    if need > have:
+        raise ValueError(
+            f"loading {manifest_path} needs about {need / 2**30:.1f} GiB but this machine "
+            f"has {have / 2**30:.1f} GiB"
+        )
     base = manifest_path.parent
     models: list[ChunkModel] = []
     for ref in manifest.blobs:

@@ -11,11 +11,11 @@ embeds one document at query time.  :func:`apply_update` takes one Adam step
 with the standard constants below; the learning rate is the one
 optimizer setting a run chooses.
 
-Training runs in float32, the blobs' precision; only :func:`bce_loss` reduces
-in float64.  Serving and verification run in float64: loaded blobs and trained
-models are float64 copies of float32 values, so a blob round-trips bit-exactly.
-W1 is held (F, H), one row per input index, so a batch's sparse inputs read and
-write whole rows; blobs keep it in (H, F) order.
+A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
+and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
+in float64.  :func:`init_model` draws in float64, the precision
+:func:`grad_check` checks in.  W1 is held (F, H), one row per input index, so a
+batch's sparse inputs read and write whole rows; blobs keep it in (H, F) order.
 """
 from __future__ import annotations
 
@@ -147,10 +147,10 @@ def _row_block(p: np.ndarray) -> np.ndarray:
 
 
 def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
-    """Bucket probability vector for one document, unclamped."""
+    """Bucket probability vector for one document, unclamped, computed in float64."""
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
-    # only the touched rows of W1 are read
+    # only the touched rows of W1 are read; x's float64 values widen them, and h widens W2
     h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
     return expit(model.W2 @ h + model.b2)
 
@@ -309,10 +309,18 @@ def _locate(sizes: list[int], flat: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 _HEADER = struct.Struct("<IIIIQ")  # chunk, F, H, B, init_seed
+# Every trained or loaded model holds its parameters in the blobs' precision
+PARAM_DTYPE = np.dtype(np.float32)
+_BLOB_DTYPE = PARAM_DTYPE.newbyteorder("<")
+
+
+def num_params(f: int, h: int, b: int) -> int:
+    """Parameters of one chunk's model, F·H + H + B·H + B; Python ints never overflow."""
+    return f * h + h + b * h + b
 
 
 def save_model(model: ChunkModel, fh: BinaryIO) -> None:
-    """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as LE float32.
+    """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as little-endian ``PARAM_DTYPE``.
 
     W1 is written (H, F), hidden unit by hidden unit.
     """
@@ -326,17 +334,16 @@ def save_model(model: ChunkModel, fh: BinaryIO) -> None:
         )
     )
     for p in (model.W1.T, model.b1, model.W2, model.b2):
-        fh.write(np.ascontiguousarray(p, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(p, dtype=_BLOB_DTYPE).tobytes())
 
 
 def load_model(fh: BinaryIO) -> ChunkModel:
-    """Read a blob written by :func:`save_model`; parameters come back float64."""
+    """Read a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``."""
     raw = fh.read(_HEADER.size)
     if len(raw) != _HEADER.size:
         raise ValueError("truncated model blob header")
     chunk, f, h, b, init_seed = _HEADER.unpack(raw)
-    # Python ints: the product of two uint32 fields can overflow int64
-    claimed = 4 * (h * f + h + b * h + b)
+    claimed = _BLOB_DTYPE.itemsize * num_params(f, h, b)
     here = fh.tell()
     left = fh.seek(0, io.SEEK_END) - here
     fh.seek(here)
@@ -347,11 +354,11 @@ def load_model(fh: BinaryIO) -> ChunkModel:
     shapes = [(h, f), (h,), (b, h), (b,)]
     arrays = []
     for i, shape in enumerate(shapes):
-        count = math.prod(shape)
-        buf = fh.read(4 * count)
-        if len(buf) != 4 * count:
+        size = _BLOB_DTYPE.itemsize * math.prod(shape)
+        buf = fh.read(size)
+        if len(buf) != size:
             raise ValueError("truncated model blob payload")
-        stored = np.frombuffer(buf, dtype="<f4").reshape(shape)
-        # the blob holds W1 (H, F), the model (F, H)
-        arrays.append((stored.T if i == 0 else stored).astype(np.float64, order="C"))
+        stored = np.frombuffer(buf, dtype=_BLOB_DTYPE).reshape(shape)
+        # the blob holds W1 (H, F), the model (F, H); the copy is native and writable
+        arrays.append((stored.T if i == 0 else stored).astype(PARAM_DTYPE, order="C"))
     return ChunkModel(chunk, init_seed, *arrays)

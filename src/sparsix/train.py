@@ -14,7 +14,7 @@ arrays, and builds its inputs and targets once, not per document: one hashing
 call over the block's token ids gives the CSR input matrix, one codebook lookup
 over its labels the CSR target matrix, and its offsets are their row pointers.
 Each batch slices both and takes one :func:`model.batch_step`, the only
-loss-and-gradient code in the package.
+loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
 
 Targets use positive-only association: a bucket is trained toward 1 whenever
 any label pooled into it is relevant to the document, i.e. the few-hot target
@@ -37,14 +37,12 @@ import scipy.sparse as sp
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
 from .hashing import derive_seed
-from .model import ADAM_BLOCK_BYTES, ChunkModel, apply_update, init_model, zero_adam_state
+from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, init_model
+from .model import num_params, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
 from .model import batch_step as _batch_step
 
 logger = logging.getLogger(__name__)
-
-# Training's working precision, the blobs' own; chunks come back float64 for serving
-TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -162,8 +160,8 @@ def train_chunk(
 
     Deterministic given (block, configs, chunk): initialization, shuffle
     order, and batch accumulation order are all seed-derived and sequential.
-    Inputs, targets and the initial model are cast to ``TRAIN_DTYPE`` once; the
-    model comes back as float64 copies, the form a loaded blob takes.
+    Inputs, targets and the float64 initial draw are cast to ``PARAM_DTYPE``
+    once, and the model comes back in it, the form a loaded blob takes.
     """
     n = block.label_offsets.size - 1
     if n == 0 or not np.all(np.diff(block.label_offsets)):
@@ -172,12 +170,12 @@ def train_chunk(
     b = cb.config.buckets_per_chunk
     x_all = _chunk_matrix(
         block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
-    ).astype(TRAIN_DTYPE)
-    y_all = _target_matrix(block, cb, chunk).astype(TRAIN_DTYPE)
+    ).astype(PARAM_DTYPE)
+    y_all = _target_matrix(block, cb, chunk).astype(PARAM_DTYPE)
 
     model = init_model(
         engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
-    ).astype(TRAIN_DTYPE)
+    ).astype(PARAM_DTYPE)
     state = zero_adam_state(model)
 
     curve = []
@@ -191,6 +189,7 @@ def train_chunk(
             batch = order[start : start + cfg.batch_size]
             loss, grads = _batch_step(model, x_all[batch], y_all[batch].toarray())
             apply_update(model, grads, state, cfg.lr)
+            del grads  # else this W1-sized gradient outlives the next step's
             epoch_loss += loss * batch.size
         mean_loss = epoch_loss / n
         curve.append(mean_loss)
@@ -201,7 +200,7 @@ def train_chunk(
             mean_loss,
             time.perf_counter() - t0,
         )
-    return model.astype(np.float64), curve
+    return model, curve
 
 
 # OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
@@ -263,23 +262,24 @@ def _training_bytes(
 
     A chunk holds the largest of three phases: ``init_model``'s float64 draw
     of W1 next to its transposed copy; the float64 model next to its
-    ``TRAIN_DTYPE`` copy; then the parameters, W1's dense gradient, Adam's m,
-    v and scratch, and one batch's activations, all in ``TRAIN_DTYPE``.  Its
-    copy of the block and its CSR inputs and targets (built in float64, then
-    cast) last through all three.  ``min(workers, k)`` chunks run at once, and
-    the ensemble keeps all ``k`` models in float64.
+    ``PARAM_DTYPE`` copy; then the parameters, W1's dense gradient, Adam's m,
+    v and scratch, ``apply_update``'s finiteness mask over W1 (a byte per
+    entry) and one batch's activations.  Its copy of the block and its CSR
+    inputs and targets (built in float64, then cast) last through all three.
+    ``min(workers, k)`` chunks run at once, and the ensemble keeps all ``k``
+    models.
     """
     f, h = engine.feature_dim, engine.hidden_dim
-    params = f * h + h + b * h + b
-    item = np.dtype(TRAIN_DTYPE).itemsize
+    params = num_params(f, h, b)
+    item = PARAM_DTYPE.itemsize
     rows = min(cfg.batch_size, block.label_offsets.size - 1)
     init = max(16 * f * h, (8 + item) * params)
-    # four (rows, H + B) activations in the training dtype, three in float64 for the loss
-    steps = item * 4 * params + 8 * ADAM_BLOCK_BYTES + rows * (h + b) * (4 * item + 24)
+    # four (rows, H + B) activations in the parameters' dtype, three in float64 for the loss
+    steps = item * 4 * params + f * h + 8 * ADAM_BLOCK_BYTES + rows * (h + b) * (4 * item + 24)
     # per non-zero: float64 value, int64 key and column, cast value and index
     csr = (32 + item) * (block.token_ids.size + block.labels.size)
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
-    return min(cfg.workers, k) * (max(init, steps) + held) + k * 8 * params
+    return min(cfg.workers, k) * (max(init, steps) + held) + k * item * params
 
 
 def _memory_limit() -> int:

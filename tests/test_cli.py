@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from sparsix import cli
+from sparsix import cli, train
 from sparsix.cli import (
     CONFIG_DEFAULTS,
     EXIT_OK,
@@ -23,6 +23,7 @@ from sparsix.cli import (
     parse_config,
 )
 from sparsix.corpus import make_separable_corpus, write_corpus
+from sparsix.manifest import _loading_bytes, load_manifest
 
 DESK_CONFIG = """\
 # desk-scale settings, everything tiny
@@ -266,6 +267,50 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert rc == EXIT_VERIFY
         assert "FAIL manifest-checksums" in out
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_engine_over_memory_is_validation_error(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        """An engine larger than the machine fails before any blob is read, --out untouched."""
+        manifest = workspace / "engine" / "manifest.json"
+        need = _loading_bytes(load_manifest(manifest))
+        monkeypatch.setattr(train, "_memory_limit", lambda: need - 1)
+        out = tmp_path / "p.tsv"
+        out.write_bytes(b"0\t1:0.500000\n")
+        argv = [command, "--manifest", str(manifest), "--corpus", str(workspace / "test.txt")]
+        rc = main(argv + (["--out", str(out)] if command == "predict" else []))
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: loading" in err and "GiB but this machine has" in err
+        assert "Traceback" not in err
+        assert out.read_bytes() == b"0\t1:0.500000\n"
+
+    @pytest.mark.parametrize("damage", ["missing", "corrupted"])
+    def test_blob_fault_on_an_engine_that_fits_is_verify_error(
+        self, workspace, tmp_path, capsys, monkeypatch, damage
+    ):
+        broken = tmp_path / "broken"
+        shutil.copytree(workspace / "engine", broken)
+        need = _loading_bytes(load_manifest(broken / "manifest.json"))
+        monkeypatch.setattr(train, "_memory_limit", lambda: need)
+        blob = broken / "chunk_0001.bin"
+        if damage == "missing":
+            blob.unlink()
+        else:
+            raw = bytearray(blob.read_bytes())
+            raw[-1] ^= 0xFF
+            blob.write_bytes(bytes(raw))
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(broken / "manifest.json"),
+                "--corpus", str(workspace / "test.txt"),
+                "--out", str(tmp_path / "p.tsv"),
+            ]
+        )
+        capsys.readouterr()
+        assert rc == EXIT_VERIFY
 
     def test_other_adam_constant_in_manifest_is_validation_error(
         self, workspace, tmp_path, capsys

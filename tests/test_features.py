@@ -104,6 +104,12 @@ class TestHashFeatures:
         assert np.all(np.diff(feats.indexes) > 0)
         assert feats.indexes.min() >= 0 and feats.indexes.max() < 16
 
+    def test_largest_counts_sum_finite(self):
+        """HashedFeatures checks nothing: the largest counts, all in one slot, stay finite."""
+        doc = make_document(0, [(t, 2**63 - 1) for t in range(1000)], [])
+        feats = hash_features(doc, 3, 1, "counts")
+        assert feats.indexes.tolist() == [0] and np.isfinite(feats.values).all()
+
     def test_deterministic(self):
         doc = make_document(0, [(t, t + 1) for t in range(20)], [])
         a = hash_features(doc, 9, 32, "counts")
@@ -179,22 +185,6 @@ class TestMatchesUniqueReference:
 
 
 class TestHashedFeaturesChecks:
-    @pytest.mark.parametrize(
-        "indexes,values,message",
-        [
-            ([1, 1], [1.0, 1.0], "feature indexes must be strictly increasing"),
-            ([3, 2], [1.0, 1.0], "feature indexes must be strictly increasing"),
-            ([-1, 2], [1.0, 1.0], "feature index out of range"),
-            ([0, 8], [1.0, 1.0], "feature index out of range"),
-            ([0, 2], [1.0, np.nan], "feature values must be finite"),
-            ([], [np.inf], "feature values must be finite"),
-        ],
-    )
-    def test_bad_input_messages(self, indexes, values, message):
-        with pytest.raises(ValueError) as err:
-            HashedFeatures(8, np.array(indexes, dtype=np.int64), np.array(values))
-        assert str(err.value) == message
-
     def test_valid_input_accepted(self):
         HashedFeatures(8, np.array([0, 7], dtype=np.int64), np.array([1.0, 2.0]))
         HashedFeatures(8, np.empty(0, dtype=np.int64), np.empty(0))

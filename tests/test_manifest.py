@@ -6,15 +6,19 @@ import json
 import numpy as np
 import pytest
 
+import sparsix.manifest
+from sparsix import train
 from sparsix.infer import InferParams, embed_query, predict
 from sparsix.manifest import (
     FORMAT_VERSION,
     BlobChecksumError,
     ManifestError,
+    _loading_bytes,
     load_ensemble,
     load_manifest,
     save_ensemble,
 )
+from sparsix.model import num_params
 
 
 @pytest.fixture
@@ -145,6 +149,24 @@ class TestValidation:
         self.edit_manifest(path, swap)
         with pytest.raises(ManifestError, match="holds chunk"):
             load_ensemble(path)
+
+
+class TestMemoryCheck:
+    def test_engine_over_memory_fails_before_reading_a_blob(self, saved_engine, monkeypatch):
+        _, path = saved_engine
+        need = _loading_bytes(load_manifest(path))
+        monkeypatch.setattr(train, "_memory_limit", lambda: need - 1)
+        monkeypatch.setattr(sparsix.manifest, "load_model", pytest.fail)
+        with pytest.raises(ValueError, match="needs about .* GiB but this machine has"):
+            load_ensemble(path)
+
+    def test_estimate_is_k_models_plus_one_blob_and_its_w1(self, saved_engine, monkeypatch):
+        """K = 4, F = 512, H = 24, B = 32 float32 models, and one blob read on top."""
+        _, path = saved_engine
+        assert _loading_bytes(load_manifest(path)) == 4 * (5 * num_params(512, 24, 32) + 512 * 24)
+        monkeypatch.setattr(train, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
+        loaded, _ = load_ensemble(path)
+        assert {p.dtype for m in loaded.models for p in m.params()} == {np.dtype(np.float32)}
 
 
 class TestOlderManifests:

@@ -14,6 +14,7 @@ import sparsix.infer
 import sparsix.train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.features import make_document
+from sparsix.manifest import save_ensemble
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -74,3 +75,16 @@ def test_traced_chunk_task_records_every_training_span(monkeypatch, tmp_path):
     for trace in traces:
         names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
         assert expected <= names, trace.name
+
+
+def test_reload_gate_holds(monkeypatch, tmp_path, tiny_engine):
+    """The benchmark's reload gate: trained and loaded models agree in dtype and bits."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    child = importlib.import_module("child")
+    manifest = save_ensemble(tiny_engine.ensemble, tmp_path / "engine", tiny_engine.train_config)
+    result = sparsix.train.TrainResult(
+        ensemble=tiny_engine.ensemble, loss_curves=[], skipped_unlabeled=0, chunk_seconds=[]
+    )
+    gates = child.Gates()
+    child._check_reload(gates, result, manifest, tiny_engine.test_docs)
+    assert gates.attempted == 4 and gates.failures == {}

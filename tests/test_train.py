@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sparsix.codes import CodeConfig, build_codebook
 from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.manifest import save_ensemble
-from sparsix.model import _batch_forward, forward
+from sparsix.model import PARAM_DTYPE, _batch_forward, forward, num_params
 from sparsix.train import (
     ChunkEnsemble,
     EngineConfig,
@@ -107,8 +108,7 @@ class TestTrainChunk:
         cfg = TrainConfig(epochs=2, batch_size=16)
         model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         for p in model.params():
-            assert p.dtype == np.float64
-            assert np.array_equal(p, p.astype(np.float32).astype(np.float64))
+            assert p.dtype == np.float32
 
     def test_steps_run_in_float32(self, monkeypatch):
         """Parameters, batches, gradients and Adam's arrays stay float32 while training."""
@@ -137,7 +137,7 @@ class TestTrainChunk:
         cfg = TrainConfig(epochs=2, batch_size=16)
         model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert seen["steps"] == 8 and seen["state"].step == 8
-        assert {p.dtype for p in model.params()} == {np.dtype(np.float64)}
+        assert {p.dtype for p in model.params()} == {np.dtype(np.float32)}
 
     def test_batch_features_match_single_document_hashing(self):
         cb, eng, docs = small_setup()
@@ -375,15 +375,36 @@ class TestMemoryCheck:
             train_all(block, cb, eng, cfg)
 
     def test_estimate_counts_running_chunks_and_the_ensemble(self):
-        """Workers beyond K add nothing; every chunk's float64 model is kept."""
+        """Workers beyond K add nothing; every chunk's float32 model is kept."""
         _, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
         one, two, three = (
             train._training_bytes(block, eng, TrainConfig(epochs=1, workers=w), 2, 16)
             for w in (1, 2, 3)
         )
-        ensemble = 2 * 8 * (128 * 12 + 12 + 16 * 12 + 16)
+        ensemble = 2 * 4 * (128 * 12 + 12 + 16 * 12 + 16)
         assert two - one == one - ensemble and three == two
+
+    def test_one_chunk_peaks_within_its_share(self):
+        """A traced chunk allocates no more than the estimate less its ensemble term.
+
+        At F=100000, H=64 the steps phase peaks: parameters, m, v, one batch's
+        W1 gradient and apply_update's finiteness mask over W1.
+        """
+        cb, _, docs = small_setup(num_chunks=1)
+        block = DocBlock.from_documents(docs[:40])
+        eng = EngineConfig(feature_dim=100_000, hidden_dim=64, feature_seed=5, init_seed=9)
+        cfg = TrainConfig(epochs=1, batch_size=10)
+        b = cb.config.buckets_per_chunk
+        ensemble = PARAM_DTYPE.itemsize * num_params(100_000, 64, b)
+        share = train._training_bytes(block, eng, cfg, 1, b) - ensemble
+        tracemalloc.start()
+        try:
+            train_chunk(0, block, cb, eng, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= share
 
 
 class TestConfigs:
