@@ -5,9 +5,9 @@ files), 2 runtime failure, 3 verification failure (a check ran and failed,
 including blob checksum mismatches).
 
 Configuration is a flat key = value file; # starts a comment line, blank
-lines are ignored, and relative paths are resolved against the config
-file's directory.  The only environment override is SPARSIX_WORKERS, which
-replaces the configured training worker count.
+lines are ignored, a key may be set only once, and relative paths are
+resolved against the config file's directory.  The only environment override
+is SPARSIX_WORKERS, which replaces the configured training worker count.
 """
 from __future__ import annotations
 
@@ -105,6 +105,7 @@ def parse_config(path: str | Path) -> dict:
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
     values: dict = dict(CONFIG_DEFAULTS)
+    set_on: dict[str, int] = {}  # the line that set each key
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -116,6 +117,9 @@ def parse_config(path: str | Path) -> dict:
         raw = raw.strip()
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown config key {key!r}")
+        if key in set_on:
+            raise ValueError(f"{path}:{line_no}: {key} is already set on line {set_on[key]}")
+        set_on[key] = line_no
         try:
             values[key] = CONFIG_KEYS[key](raw)
         except ValueError:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hashing import derive_seed, murmur3_32_u64
+from .hashing import SEED_RANGE, check_ints, derive_seed, murmur3_32_u64
 
 
 @dataclass(frozen=True)
@@ -27,17 +27,13 @@ class CodeConfig:
     base_seed: int
 
     def __post_init__(self) -> None:
-        if self.num_labels < 1:
-            raise ValueError(f"num_labels must be >= 1, got {self.num_labels}")
-        if self.num_chunks < 1:
-            raise ValueError(f"num_chunks must be >= 1, got {self.num_chunks}")
-        if not 2 <= self.buckets_per_chunk <= 2**31:
-            # codes are int32: the highest bucket, B - 1, must fit
-            raise ValueError(
-                f"buckets_per_chunk must be in [2, 2**31], got {self.buckets_per_chunk}"
-            )
-        if not 0 <= self.base_seed < 2**64:
-            raise ValueError("base_seed must be an unsigned 64-bit integer")
+        check_ints(
+            self,
+            num_labels=(1, None),
+            num_chunks=(1, None),
+            buckets_per_chunk=(2, 2**31),  # codes are int32: the highest bucket, B - 1, must fit
+            base_seed=SEED_RANGE,
+        )
 
     @property
     def total_dim(self) -> int:

@@ -18,6 +18,8 @@ shuffle orders.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 _MASK32 = 0xFFFFFFFF
@@ -143,3 +145,24 @@ def derive_seed(base_seed: int, *parts: int) -> int:
         h = _splitmix64(h ^ (p & _MASK64))
     return h
 
+
+# derive_seed reads only a seed's low 64 bits, so any seed outside would alias one inside
+SEED_RANGE = (0, _MASK64)
+
+
+def check_ints(config: object, **ranges: tuple[int, int | None]) -> None:
+    """Raise ``ValueError`` unless each named field of ``config`` is an int in ``[low, high]``.
+
+    Bools and non-integral numbers such as ``2000.0`` are not ints here; a
+    ``high`` of None leaves the field unbounded above.
+    """
+    for name, (low, high) in ranges.items():
+        value = getattr(config, name)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, numbers.Integral)
+            or value < low
+            or (high is not None and value > high)
+        ):
+            bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+            raise ValueError(f"{name} must be an integer {bounds}, got {value!r}")

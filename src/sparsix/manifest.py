@@ -5,23 +5,27 @@ is all it takes to rebuild the codebook, the inverted index, and the feature
 hashing exactly; only the learned parameters need binary blobs.  Reloading
 therefore reproduces the original scoring function bit for bit.
 
-Blobs are referenced by path relative to the manifest's directory together
-with a sha256 checksum.  Each blob is read once on load and its checksum
-verified before those same bytes are parsed.  Seeds are stored as JSON integers
-(they can exceed 2^53; the reference reader is Python, which keeps them
-exact).
+Blobs are referenced by a path relative to the manifest's directory, which
+must stay inside it, together with a sha256 checksum of 64 lowercase hex
+digits.  Each blob is read once on load and its checksum verified before
+:func:`model.load_model` parses those same bytes in place; a blob holding more
+or fewer bytes than its header claims is rejected.  Seeds are stored as JSON
+integers (they can exceed 2^53; the reference reader is Python, which keeps
+them exact).
 """
 from __future__ import annotations
 
 import hashlib
-import io
 import json
+import posixpath
+import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import train
 from .codes import CodeConfig
+from .hashing import check_ints
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, load_model
 from .model import num_params, save_model
 from .train import ChunkEnsemble, EngineConfig, TrainConfig
@@ -31,6 +35,7 @@ FORMAT_VERSION = 1
 # Manifests written while Adam's constants were settings record them in
 # train_config; such a manifest loads if it holds these same values
 _FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
+_SHA256 = re.compile("[0-9a-f]{64}")
 
 
 class ManifestError(ValueError):
@@ -44,8 +49,19 @@ class BlobChecksumError(RuntimeError):
 @dataclass(frozen=True)
 class BlobRef:
     chunk: int
-    path: str  # relative to the manifest directory
+    path: str  # relative to the manifest directory, and inside it
     sha256: str
+
+    def __post_init__(self) -> None:
+        check_ints(self, chunk=(0, None))
+        path = self.path if isinstance(self.path, str) else ""
+        if posixpath.isabs(path) or posixpath.normpath(path).split("/")[0] in (".", ".."):
+            raise ManifestError(
+                f"blob path must be relative and inside the manifest's directory, "
+                f"got {self.path!r}"
+            )
+        if not (isinstance(self.sha256, str) and _SHA256.fullmatch(self.sha256)):
+            raise ManifestError(f"blob sha256 must be 64 lowercase hex digits, got {self.sha256!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +78,7 @@ class Manifest:
     def __post_init__(self) -> None:
         if self.format_version != FORMAT_VERSION:
             raise ManifestError(
-                f"unsupported manifest version {self.format_version}, "
+                f"unsupported manifest version {self.format_version!r}, "
                 f"this build reads version {FORMAT_VERSION}"
             )
         if len(self.blobs) != self.code_config.num_chunks:
@@ -82,9 +98,7 @@ def save_ensemble(
     blobs = []
     for model in ensemble.models:
         name = f"chunk_{model.chunk:04d}.bin"
-        buf = io.BytesIO()
-        save_model(model, buf)
-        data = buf.getvalue()
+        data = save_model(model)
         (out_dir / name).write_bytes(data)
         blobs.append(BlobRef(model.chunk, name, hashlib.sha256(data).hexdigest()))
 
@@ -137,10 +151,18 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 
 
 def _loading_bytes(manifest: Manifest) -> int:
-    """Peak bytes of :func:`load_ensemble`: K models, plus one blob and its W1 as read."""
+    """Peak bytes of loading an engine and building what serving needs before a query.
+
+    :func:`load_ensemble` holds K models and the one blob it parses; every
+    serving command then builds the codebook (N·K int32 codes), the index (per
+    chunk N uint32 labels and B + 1 int64 offsets) and one query's N-byte
+    candidate mask.
+    """
     f, h = manifest.engine.feature_dim, manifest.engine.hidden_dim
-    k, b = manifest.code_config.num_chunks, manifest.code_config.buckets_per_chunk
-    return PARAM_DTYPE.itemsize * ((k + 1) * num_params(f, h, b) + f * h)
+    cc = manifest.code_config
+    n, k, b = cc.num_labels, cc.num_chunks, cc.buckets_per_chunk
+    models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
+    return models + 4 * n * k + k * (4 * n + 8 * (b + 1)) + n
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
@@ -170,7 +192,7 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
                 f"checksum mismatch for {blob_path}: "
                 f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
             )
-        model = load_model(io.BytesIO(data))
+        model = load_model(data)
         if model.chunk != ref.chunk:
             raise ManifestError(
                 f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"

@@ -16,14 +16,15 @@ and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
 in float64.  :func:`init_model` draws in float64, the precision
 :func:`grad_check` checks in.  W1 is held (F, H), one row per input index, so a
 batch's sparse inputs read and write whole rows; blobs keep it in (H, F) order.
+:func:`save_model` returns a blob's bytes and :func:`load_model` parses those
+bytes in place, copying each array once into the model.  A blob is its header
+plus exactly the payload the header claims: fewer or more bytes are an error.
 """
 from __future__ import annotations
 
-import io
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO
 
 import numpy as np
 import scipy.sparse as sp
@@ -97,7 +98,7 @@ class AdamState:
 
     ``scratch`` holds two buffers per parameter, each one row block of it in its
     dtype (see ``ADAM_BLOCK_BYTES``), which :func:`apply_update` overwrites on
-    every step so that it allocates nothing.
+    every step so that its update allocates nothing.
     """
 
     step: int
@@ -216,10 +217,13 @@ def apply_update(
     Every array operation writes into ``state``'s buffers, one row block at a
     time.  The operations and their order are those of the textbook expression
     ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is the same
-    to the bit.
+    to the bit.  Before any parameter changes, every gradient is checked finite
+    over those same row blocks, so the check's mask is one block, not a gradient.
     """
-    for g in grads.arrays():
-        if not np.all(np.isfinite(g)):
+    for g, (num_block, _) in zip(grads.arrays(), state.scratch):
+        rows = num_block.shape[0]
+        blocks = (g[start : start + rows] for start in range(0, g.shape[0], rows))
+        if not all(np.isfinite(block).all() for block in blocks):
             raise NonFiniteGradientError(
                 f"chunk {model.chunk}: non-finite gradient at step {state.step + 1}; "
                 "reduce the learning rate"
@@ -319,46 +323,35 @@ def num_params(f: int, h: int, b: int) -> int:
     return f * h + h + b * h + b
 
 
-def save_model(model: ChunkModel, fh: BinaryIO) -> None:
+def save_model(model: ChunkModel) -> bytes:
     """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as little-endian ``PARAM_DTYPE``.
 
     W1 is written (H, F), hidden unit by hidden unit.
     """
-    fh.write(
-        _HEADER.pack(
-            model.chunk,
-            model.input_dim,
-            model.hidden_dim,
-            model.output_dim,
-            model.init_seed,
-        )
+    header = _HEADER.pack(
+        model.chunk, model.input_dim, model.hidden_dim, model.output_dim, model.init_seed
     )
-    for p in (model.W1.T, model.b1, model.W2, model.b2):
-        fh.write(np.ascontiguousarray(p, dtype=_BLOB_DTYPE).tobytes())
+    params = (model.W1.T, model.b1, model.W2, model.b2)
+    return b"".join([header, *(p.astype(_BLOB_DTYPE, copy=False).tobytes() for p in params)])
 
 
-def load_model(fh: BinaryIO) -> ChunkModel:
-    """Read a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``."""
-    raw = fh.read(_HEADER.size)
-    if len(raw) != _HEADER.size:
+def load_model(data: bytes) -> ChunkModel:
+    """Parse a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``.
+
+    A blob is its header plus exactly the payload the header claims; fewer or
+    more bytes raise ``ValueError``.  Each array is read in place from ``data``
+    and copied once, into the model's own writable buffer.
+    """
+    if len(data) < _HEADER.size:
         raise ValueError("truncated model blob header")
-    chunk, f, h, b, init_seed = _HEADER.unpack(raw)
-    claimed = _BLOB_DTYPE.itemsize * num_params(f, h, b)
-    here = fh.tell()
-    left = fh.seek(0, io.SEEK_END) - here
-    fh.seek(here)
-    if claimed > left:
-        raise ValueError(
-            f"model blob header claims {claimed} payload bytes, only {left} follow"
-        )
-    shapes = [(h, f), (h,), (b, h), (b,)]
-    arrays = []
-    for i, shape in enumerate(shapes):
-        size = _BLOB_DTYPE.itemsize * math.prod(shape)
-        buf = fh.read(size)
-        if len(buf) != size:
-            raise ValueError("truncated model blob payload")
-        stored = np.frombuffer(buf, dtype=_BLOB_DTYPE).reshape(shape)
+    chunk, f, h, b, init_seed = _HEADER.unpack_from(data)
+    claimed, follow = _BLOB_DTYPE.itemsize * num_params(f, h, b), len(data) - _HEADER.size
+    if claimed != follow:
+        raise ValueError(f"model blob header claims {claimed} payload bytes, {follow} follow")
+    arrays, offset = [], _HEADER.size
+    for i, shape in enumerate([(h, f), (h,), (b, h), (b,)]):
+        stored = np.frombuffer(data, _BLOB_DTYPE, math.prod(shape), offset).reshape(shape)
+        offset += stored.nbytes
         # the blob holds W1 (H, F), the model (F, H); the copy is native and writable
         arrays.append((stored.T if i == 0 else stored).astype(PARAM_DTYPE, order="C"))
     return ChunkModel(chunk, init_seed, *arrays)

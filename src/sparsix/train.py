@@ -36,7 +36,7 @@ import scipy.sparse as sp
 
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
-from .hashing import derive_seed
+from .hashing import SEED_RANGE, check_ints, derive_seed
 from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, init_model
 from .model import num_params, zero_adam_state
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -56,11 +56,13 @@ class EngineConfig:
     init_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.feature_dim < 1 or self.hidden_dim < 1:
-            raise ValueError("feature_dim and hidden_dim must be >= 1")
-        if self.feature_dim >= 2**32:
-            # token hashes are 32-bit, so no index could reach past 2**32 - 1
-            raise ValueError(f"feature_dim must be below 2**32, got {self.feature_dim}")
+        check_ints(
+            self,
+            feature_dim=(1, 2**32 - 1),  # token hashes are 32-bit: no index reaches past 2**32 - 1
+            hidden_dim=(1, None),
+            feature_seed=SEED_RANGE,
+            init_seed=SEED_RANGE,
+        )
         if self.feature_mode not in ("counts", "binary"):
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
@@ -82,8 +84,9 @@ class TrainConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        if self.epochs < 1 or self.batch_size < 1 or self.workers < 1:
-            raise ValueError("epochs, batch_size and workers must be >= 1")
+        check_ints(
+            self, epochs=(1, None), batch_size=(1, None), shuffle_seed=SEED_RANGE, workers=(1, None)
+        )
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be positive and finite, got {self.lr}")
 
@@ -260,12 +263,11 @@ def _training_bytes(
 ) -> int:
     """Estimated peak bytes of :func:`train_all`, counted before it allocates any.
 
-    A chunk holds the largest of three phases: ``init_model``'s float64 draw
-    of W1 next to its transposed copy; the float64 model next to its
-    ``PARAM_DTYPE`` copy; then the parameters, W1's dense gradient, Adam's m,
-    v and scratch, ``apply_update``'s finiteness mask over W1 (a byte per
-    entry) and one batch's activations.  Its copy of the block and its CSR
-    inputs and targets (built in float64, then cast) last through all three.
+    A running chunk holds its parameters, W1's dense gradient, Adam's m, v and
+    eight scratch blocks, ``apply_update``'s finiteness mask over one block
+    (a byte per entry) and one batch's activations.  Its copy of the block and
+    its CSR inputs and targets (built in float64, then cast) last throughout;
+    initialisation takes fewer than the 16 bytes per parameter counted here.
     ``min(workers, k)`` chunks run at once, and the ensemble keeps all ``k``
     models.
     """
@@ -273,13 +275,13 @@ def _training_bytes(
     params = num_params(f, h, b)
     item = PARAM_DTYPE.itemsize
     rows = min(cfg.batch_size, block.label_offsets.size - 1)
-    init = max(16 * f * h, (8 + item) * params)
+    adam = 8 * ADAM_BLOCK_BYTES + ADAM_BLOCK_BYTES // item
     # four (rows, H + B) activations in the parameters' dtype, three in float64 for the loss
-    steps = item * 4 * params + f * h + 8 * ADAM_BLOCK_BYTES + rows * (h + b) * (4 * item + 24)
+    steps = item * 4 * params + adam + rows * (h + b) * (4 * item + 24)
     # per non-zero: float64 value, int64 key and column, cast value and index
     csr = (32 + item) * (block.token_ids.size + block.labels.size)
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
-    return min(cfg.workers, k) * (max(init, steps) + held) + k * item * params
+    return min(cfg.workers, k) * (steps + held) + k * item * params
 
 
 def _memory_limit() -> int:

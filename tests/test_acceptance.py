@@ -7,7 +7,6 @@ implementation under test.
 """
 from __future__ import annotations
 
-import io
 import math
 import time
 from dataclasses import dataclass
@@ -255,12 +254,7 @@ def test_criterion_6_parallel_identity(capsys):
     parallel = train_all(train_docs, cb, engine, TrainConfig(epochs=3, batch_size=32, workers=k))
 
     def blob_bytes(ensemble):
-        out = []
-        for model in ensemble.models:
-            buf = io.BytesIO()
-            save_model(model, buf)
-            out.append(buf.getvalue())
-        return out
+        return [save_model(model) for model in ensemble.models]
 
     pairs = list(zip(blob_bytes(serial.ensemble), blob_bytes(parallel.ensemble)))
     identical = all(x == y for x, y in pairs)

@@ -43,6 +43,18 @@ lr = 5e-3
 HUGE_MODEL = "feature_dim = 4294967295\nhidden_dim = 2147483648\n"
 
 
+def with_settings(config: str, settings: str) -> str:
+    """``config`` with each ``key = value`` line of ``settings`` in place of that key's line.
+
+    A key may be set only once, so a setting replaces the line rather than following it.
+    """
+    lines = config.splitlines()
+    for setting in settings.splitlines():
+        key = setting.partition("=")[0].strip()
+        lines = [line for line in lines if line.partition("=")[0].strip() != key] + [setting]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.fixture(scope="session")
 def workspace(tmp_path_factory):
     """A config, corpora, and a trained engine shared by the CLI tests."""
@@ -332,6 +344,63 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "beta1" in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"code_config": {"num_labels": 2000.0}}, "num_labels must be an integer"),
+            ({"code_config": {"num_labels": True}}, "num_labels must be an integer"),
+            ({"code_config": {"num_labels": 10**12}}, "GiB but this machine has"),
+            ({"blob": {"sha256": 5}}, "sha256 must be 64 lowercase hex digits"),
+            ({"format_version": "1"}, "unsupported manifest version '1'"),
+            ({"blob": {"path": "/etc/passwd"}}, "path must be relative"),
+            ({"engine": {"feature_seed": 2**70}}, "feature_seed must be an integer"),
+            ("feature_seed = -1\n", "feature_seed must be an integer"),
+            ("epochs = 2\n", "run.cfg:12: epochs is already set on line 9"),
+        ],
+        ids=[
+            "num_labels-float", "num_labels-bool", "num_labels-1e12", "sha256-int",
+            "version-str", "path-absolute", "feature_seed-2**70",
+            "config-seed-negative", "config-repeated-key",
+        ],
+    )
+    def test_bad_manifest_or_config_fails_cleanly(
+        self, workspace, tmp_path, capsys, edit, message
+    ):
+        """A bad manifest field fails predict, and a bad config line fails train, with
+        an error line and exit 1 or 3, and leaves the output as it was."""
+        if isinstance(edit, str):  # appended as is, after the desk config's own lines
+            text = DESK_CONFIG.replace("corpus = train.txt", f"corpus = {workspace / 'train.txt'}")
+            (tmp_path / "run.cfg").write_text(text + edit, encoding="utf-8")
+            rc = main(["train", "--config", str(tmp_path / "run.cfg")])
+            assert not (tmp_path / "engine").exists()
+        else:
+            engine = tmp_path / "edited"
+            shutil.copytree(workspace / "engine", engine)
+            doc = json.loads((engine / "manifest.json").read_text())
+            for section, change in edit.items():
+                if section == "blob":
+                    doc["blobs"][0].update(change)
+                elif isinstance(change, dict):
+                    doc[section].update(change)
+                else:
+                    doc[section] = change
+            (engine / "manifest.json").write_text(json.dumps(doc))
+            out = tmp_path / "p.tsv"
+            out.write_bytes(b"0\t1:0.500000\n")
+            rc = main(
+                [
+                    "predict",
+                    "--manifest", str(engine / "manifest.json"),
+                    "--corpus", str(workspace / "test.txt"),
+                    "--out", str(out),
+                ]
+            )
+            assert out.read_bytes() == b"0\t1:0.500000\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["edited", "p.tsv"]
+        err = capsys.readouterr().err
+        assert rc in (EXIT_VALIDATION, EXIT_VERIFY)
+        assert "error: " in err and message in err and "Traceback" not in err
+
     def test_corpus_error_is_validation_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
         bad.write_text("1 10 5\n0 1:nope\n", encoding="utf-8")
@@ -403,7 +472,7 @@ class TestExitCodes:
     def train_with(self, workspace, tmp_path, lr="5e-3", corpus=None, extra=""):
         text = DESK_CONFIG.replace("lr = 5e-3", f"lr = {lr}")
         text = text.replace("corpus = train.txt", f"corpus = {corpus or workspace / 'train.txt'}")
-        text += extra
+        text = with_settings(text, extra)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(text, encoding="utf-8")
         return main(["train", "--config", str(cfg)])
@@ -484,7 +553,8 @@ class TestExitCodes:
     def test_sweep_records_a_cell_over_memory(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "huge.cfg"
         text = DESK_CONFIG.replace("train.txt", str(workspace / "train.txt"))
-        cfg.write_text(text.replace("test.txt", str(workspace / "test.txt")) + HUGE_MODEL)
+        text = text.replace("test.txt", str(workspace / "test.txt"))
+        cfg.write_text(with_settings(text, HUGE_MODEL))
         rc = main(["sweep", "--config", str(cfg), "--buckets", "8", "--chunks", "2", "--m", "2"])
         rows = capsys.readouterr().out.splitlines()
         assert rc == EXIT_OK

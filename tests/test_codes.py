@@ -82,11 +82,18 @@ class TestCodeConfig:
             dict(buckets_per_chunk=1),
             dict(base_seed=-1),
             dict(base_seed=2**64),
+            dict(num_labels=2000.0),
+            dict(num_labels=True),
+            dict(buckets_per_chunk=2**31 + 1),
         ],
     )
     def test_rejects_bad_values(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be an integer"):
             small_config(**bad)
+
+    def test_accepts_the_edges_and_numpy_ints(self):
+        cc = small_config(num_labels=np.int64(3), buckets_per_chunk=2**31, base_seed=2**64 - 1)
+        assert cc.total_dim == cc.num_chunks * 2**31
 
 
 class TestOrthogonalityStats:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from sparsix.manifest import (
     load_manifest,
     save_ensemble,
 )
-from sparsix.model import num_params
+from sparsix.codes import CodeConfig
+from sparsix.model import PARAM_DTYPE, init_model, num_params
+from sparsix.train import ChunkEnsemble, EngineConfig
 
 
 @pytest.fixture
@@ -106,6 +109,9 @@ class TestValidation:
         self.edit_manifest(path, lambda d: d.update(format_version=FORMAT_VERSION + 1))
         with pytest.raises(ManifestError, match="version"):
             load_manifest(path)
+        self.edit_manifest(path, lambda d: d.update(format_version="1"))
+        with pytest.raises(ManifestError, match="unsupported manifest version '1'"):
+            load_manifest(path)
 
     def test_blob_list_must_cover_chunks(self, saved_engine):
         _, path = saved_engine
@@ -130,6 +136,34 @@ class TestValidation:
         self.edit_manifest(path, lambda d: d.pop("engine"))
         with pytest.raises(ManifestError, match="malformed"):
             load_manifest(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sha256", 5),
+            ("sha256", "AB" * 32),
+            ("sha256", "ab" * 31),
+            ("path", "/etc/passwd"),
+            ("path", "../chunk_0000.bin"),
+            ("path", "sub/../../chunk_0000.bin"),
+            ("path", ""),
+            ("path", 7),
+            ("chunk", "0"),
+            ("chunk", False),
+        ],
+    )
+    def test_bad_blob_field_named(self, saved_engine, field, value):
+        _, path = saved_engine
+        self.edit_manifest(path, lambda d: d["blobs"][0].update({field: value}))
+        with pytest.raises(ManifestError, match=f"{field} must be"):
+            load_manifest(path)
+
+    def test_blob_path_may_name_a_subdirectory(self, saved_engine):
+        _, path = saved_engine
+        (path.parent / "blobs").mkdir()
+        (path.parent / "chunk_0000.bin").rename(path.parent / "blobs" / "chunk_0000.bin")
+        self.edit_manifest(path, lambda d: d["blobs"][0].update(path="./blobs/chunk_0000.bin"))
+        load_ensemble(path)
 
     def test_blob_chunk_id_cross_checked(self, saved_engine):
         """Swapped blob files are caught even though checksums still match."""
@@ -160,13 +194,40 @@ class TestMemoryCheck:
         with pytest.raises(ValueError, match="needs about .* GiB but this machine has"):
             load_ensemble(path)
 
-    def test_estimate_is_k_models_plus_one_blob_and_its_w1(self, saved_engine, monkeypatch):
-        """K = 4, F = 512, H = 24, B = 32 float32 models, and one blob read on top."""
+    def test_estimate_is_k_models_plus_one_blob_and_serving_tables(
+        self, saved_engine, monkeypatch
+    ):
+        """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, then for
+        N = 60 the int32 codebook, the index (uint32 labels, int64 offsets per
+        chunk) and one query's byte-per-label candidate mask."""
         _, path = saved_engine
-        assert _loading_bytes(load_manifest(path)) == 4 * (5 * num_params(512, 24, 32) + 512 * 24)
+        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + 60
+        assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
         monkeypatch.setattr(train, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
         assert {p.dtype for m in loaded.models for p in m.params()} == {np.dtype(np.float32)}
+
+    def test_load_holds_k_models_and_one_blob(self, tmp_path):
+        """At F = 100000, H = 16 a second copy of W1 would add 6.4 MB; the traced
+        peak stays within interpreter overhead of K models plus one blob."""
+        k, f, h, b = 3, 100_000, 16, 32
+        models = [
+            init_model(f, h, b, init_seed=c, chunk=c).astype(PARAM_DTYPE) for c in range(k)
+        ]
+        ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), EngineConfig(f, h), models)
+        path = save_ensemble(ensemble, tmp_path / "wide")
+        del ensemble, models
+        tracemalloc.start()
+        try:
+            loaded, manifest = load_ensemble(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        models_and_blob = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
+        assert models_and_blob <= peak < models_and_blob + 64 * 1024
+        assert models_and_blob < _loading_bytes(manifest)
+        for p in loaded.models[0].params():
+            assert p.flags.c_contiguous and p.flags.writeable and p.dtype.isnative
 
 
 class TestOlderManifests:

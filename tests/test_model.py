@@ -1,8 +1,8 @@
 """Model math tests: hand-computed forward values, gradients, Adam, blobs."""
 from __future__ import annotations
 
-import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -350,11 +350,32 @@ class TestAdam:
         assert state.step == 2
 
     def test_rejects_non_finite_gradients(self):
-        m = init_model(4, 3, 2, init_seed=0)
-        g = Gradients(*(np.ones_like(p) for p in m.params()))
-        g.W2[0, 0] = np.inf
-        with pytest.raises(NonFiniteGradientError):
-            apply_update(m, g, zero_adam_state(m), 1e-3)
+        """Every row block of every gradient is checked before any parameter changes."""
+        m = init_model(1200, 64, 9, init_seed=0).astype(np.float32)
+        state = zero_adam_state(m)
+        assert state.scratch[0][0].shape[0] < 1200  # W1 spans several blocks
+        before = [p.copy() for p in m.params()]
+        for name, at, bad in (("W2", (0, 0), np.inf), ("W1", (-1, -1), np.inf), ("b2", -1, np.nan)):
+            g = Gradients(*(np.ones_like(p) for p in m.params()))
+            getattr(g, name)[at] = bad
+            with pytest.raises(NonFiniteGradientError, match="step 1"):
+                apply_update(m, g, state, 1e-3)
+        assert state.step == 0
+        assert all(np.array_equal(p, q) for p, q in zip(m.params(), before))
+        assert not any(np.any(a) for a in (*state.m.arrays(), *state.v.arrays()))
+
+    def test_checks_finiteness_without_a_gradient_sized_mask(self):
+        """At F=100000, H=64 a W1 mask would take 6.4 MB; one row block's takes 32 KiB."""
+        m = init_model(100_000, 64, 4, init_seed=0).astype(np.float32)
+        g = Gradients(*(np.zeros_like(p) for p in m.params()))
+        state = zero_adam_state(m)
+        tracemalloc.start()
+        try:
+            apply_update(m, g, state, 1e-3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_training_reduces_loss(self):
         m = init_model(16, 6, 8, init_seed=5)
@@ -372,69 +393,55 @@ class TestAdam:
 class TestPersistence:
     def test_round_trip_bit_exact_after_quantize(self):
         m = as_trained(init_model(12, 5, 7, init_seed=3, chunk=2))
-        buf = io.BytesIO()
-        save_model(m, buf)
-        buf.seek(0)
-        back = load_model(buf)
+        back = load_model(save_model(m))
         assert back.chunk == 2 and back.init_seed == 3
         assert back.input_dim == 12 and back.hidden_dim == 5 and back.output_dim == 7
         for a, b in zip(m.params(), back.params()):
             assert a.dtype == np.float32 and b.dtype == np.float32
             assert a.tobytes() == b.tobytes()
+            # each is the model's own array, not a read-only view into the blob's bytes
+            assert b.dtype.isnative and b.flags.c_contiguous and b.flags.writeable
 
     def test_quantize_idempotent(self):
         """Saving rounds to float32 once: a second round trip changes no bit."""
-
-        def round_trip(m: ChunkModel) -> ChunkModel:
-            buf = io.BytesIO()
-            save_model(m, buf)
-            buf.seek(0)
-            return load_model(buf)
-
-        m = round_trip(init_model(12, 5, 7, init_seed=3))
+        m = load_model(save_model(init_model(12, 5, 7, init_seed=3)))
         snapshot = [p.copy() for p in m.params()]
-        m = round_trip(m)
+        m = load_model(save_model(m))
         for p, s in zip(m.params(), snapshot):
             assert np.array_equal(p, s)
 
     def test_truncated_blob_rejected(self):
-        m = as_trained(init_model(6, 3, 4, init_seed=1))
-        buf = io.BytesIO()
-        save_model(m, buf)
-        raw = buf.getvalue()
-        with pytest.raises(ValueError):
-            load_model(io.BytesIO(raw[:-3]))
+        """A blob is exactly its header and the payload the header claims: trailing
+        bytes are rejected as well as missing ones."""
+        raw = save_model(as_trained(init_model(6, 3, 4, init_seed=1)))
+        with pytest.raises(ValueError, match="claims 148 payload bytes, 145 follow"):
+            load_model(raw[:-3])
+        with pytest.raises(ValueError, match="header"):
+            load_model(raw[:10])
+        with pytest.raises(ValueError, match="claims 148 payload bytes, 152 follow"):
+            load_model(raw + b"\0" * 4)
 
-    def test_lying_header_reads_no_more_than_the_stream(self):
-        """A header claiming more payload than follows fails before any large read."""
-
-        class ReadRecorder(io.BytesIO):
-            largest = 0
-
-            def read(self, size=-1):
-                self.largest = max(self.largest, size)
-                return super().read(size)
-
-        m = as_trained(init_model(6, 3, 4, init_seed=1))
-        buf = io.BytesIO()
-        save_model(m, buf)
-        raw = buf.getvalue()
+    def test_lying_header_allocates_less_than_it_claims(self):
+        """A header claiming more payload than follows fails before any large allocation."""
+        raw = save_model(as_trained(init_model(6, 3, 4, init_seed=1)))
         # F and H of 2**20 and 2**12 claim 16 GiB for W1; 2**32 - 1 everywhere
         # claims more than int64 can count
         for f, h, b in ((2**20, 2**12, 4), (2**32 - 1, 2**32 - 1, 2**32 - 1)):
             lying = struct.pack("<IIIIQ", 0, f, h, b, 1) + raw[struct.calcsize("<IIIIQ"):]
-            stream = ReadRecorder(lying)
-            with pytest.raises(ValueError):
-                load_model(stream)
-            assert stream.largest <= len(lying)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError, match="claims"):
+                    load_model(lying)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 4 * (f * h + h + b * h + b)
 
     def test_blob_holds_w1_hidden_major(self):
         """W1 is written (H, F), hidden unit by hidden unit, whatever the model holds."""
-        buf = io.BytesIO()
-        save_model(hand_model(), buf)
         start = struct.calcsize("<IIIIQ")
         want = np.array([[1, 0, 2], [0, -1, 1]], "<f4").tobytes()
-        assert buf.getvalue()[start : start + len(want)] == want
+        assert save_model(hand_model())[start : start + len(want)] == want
 
     def test_hand_packed_blob_loads_w1_transposed(self):
         """A blob packed (H, F) by hand loads with W1[f, h] equal to its (h, f) value."""
@@ -446,7 +453,7 @@ class TestPersistence:
         blob = struct.pack("<IIIIQ", 5, f_dim, h_dim, b_dim, 11) + b"".join(
             a.tobytes() for a in (w1_hf, b1, w2, b2)
         )
-        m = load_model(io.BytesIO(blob))
+        m = load_model(blob)
         assert (m.chunk, m.init_seed) == (5, 11)
         assert m.W1.shape == (f_dim, h_dim)
         for f in range(f_dim):
@@ -456,9 +463,6 @@ class TestPersistence:
 
     def test_forward_identical_after_reload(self):
         m = as_trained(init_model(10, 4, 6, init_seed=8))
-        buf = io.BytesIO()
-        save_model(m, buf)
-        buf.seek(0)
-        back = load_model(buf)
+        back = load_model(save_model(m))
         x = feats([1, 7], [2.0, 1.0], dim=10)
         assert np.array_equal(forward(m, x), forward(back, x))

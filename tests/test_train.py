@@ -388,8 +388,8 @@ class TestMemoryCheck:
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
 
-        At F=100000, H=64 the steps phase peaks: parameters, m, v, one batch's
-        W1 gradient and apply_update's finiteness mask over W1.
+        At F=100000, H=64 the parameters, m, v and one batch's W1 gradient
+        dominate; apply_update's finiteness mask covers one row block, not W1.
         """
         cb, _, docs = small_setup(num_chunks=1)
         block = DocBlock.from_documents(docs[:40])
@@ -418,6 +418,10 @@ class TestConfigs:
             dict(lr=-1.0),
             dict(lr=float("nan")),
             dict(lr=float("inf")),
+            dict(epochs=True),
+            dict(batch_size=2.0),
+            dict(shuffle_seed=-1),
+            dict(shuffle_seed=2**64),
         ],
     )
     def test_train_config_validation(self, bad):
@@ -431,6 +435,18 @@ class TestConfigs:
             EngineConfig(feature_dim=0, hidden_dim=4)
         with pytest.raises(ValueError):
             EngineConfig(feature_dim=4, hidden_dim=4, feature_mode="tfidf")
+        # sizes are ints, not bools or floats; seeds are unsigned 64-bit
+        for key, value in (
+            ("feature_dim", 2**32),
+            ("hidden_dim", 4.0),
+            ("hidden_dim", True),
+            ("feature_seed", -1),
+            ("feature_seed", 2**70),
+            ("init_seed", 2**64),
+        ):
+            with pytest.raises(ValueError, match=f"{key} must be an integer"):
+                EngineConfig(**{"feature_dim": 4, "hidden_dim": 4, key: value})
+        EngineConfig(feature_dim=2**32 - 1, hidden_dim=4, feature_seed=2**64 - 1)
 
     def test_ensemble_requires_one_model_per_chunk(self):
         cb, eng, docs = small_setup(num_chunks=2)
