@@ -6,6 +6,9 @@ every other chunk.  At query time the per-chunk probability rows are pruned
 to their top-m buckets, candidates come out of per-chunk inverted indexes,
 and candidate scores are exact code dot products, so retrieval quality
 degrades only through the candidate set, never through the scores.
+
+Serving imports no SciPy.  Only training needs ``scipy.sparse``, so
+``train_all`` is imported from :mod:`sparsix.train` on first use.
 """
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .corpus import CorpusFormatError, parse_corpus, read_block, read_header, write_corpus
@@ -14,7 +17,7 @@ from .index import InvertedIndex, build_index, lookup
 from .infer import InferParams, Prediction, predict, predict_full
 from .manifest import load_ensemble, save_ensemble
 from .metrics import MetricReport, evaluate, precision_at_k, recall_at_k
-from .train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
+from .model import ChunkEnsemble, EngineConfig, TrainConfig
 
 __version__ = "0.1.0"
 
@@ -49,3 +52,11 @@ __all__ = [
     "train_all",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name == "train_all":
+        from .train import train_all
+
+        return train_all
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

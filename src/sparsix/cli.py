@@ -8,6 +8,9 @@ Configuration is a flat key = value file; # starts a comment line, blank
 lines are ignored, a key may be set only once, and relative paths are
 resolved against the config file's directory.  The only environment override
 is SPARSIX_WORKERS, which replaces the configured training worker count.
+
+Only the commands that train (train, sweep, verify) import the training code
+and SciPy; predict and eval start without them.
 """
 from __future__ import annotations
 
@@ -21,7 +24,6 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse as sp
 
 from .codes import CodeConfig, binomial_chisquare, build_codebook, orthogonality_stats
 from .corpus import (
@@ -42,8 +44,7 @@ from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
 from .manifest import BlobChecksumError, ManifestError, load_ensemble, save_ensemble
 from .metrics import evaluate
-from .model import NonFiniteGradientError, grad_check, init_model
-from .train import EngineConfig, TrainConfig, train_all
+from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -187,12 +188,15 @@ def _print(line: str) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .train import check_memory, train_all
+
     values = parse_config(args.config)
     _, _, num_labels = read_header(values["corpus"])
     if num_labels < 1:
         raise ValueError("corpus declares zero labels; nothing to train")
     code, engine, train_cfg = _configs_from(values, num_labels)
     block = read_block(values["corpus"])
+    check_memory(block, code, engine, train_cfg)
     cb = build_codebook(code)
     result = train_all(block, cb, engine, train_cfg)
     if result.skipped_unlabeled:
@@ -279,6 +283,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    from .train import check_memory, train_all
+
     values = parse_config(args.config)
     if "eval_corpus" not in values:
         raise ValueError("sweep needs 'eval_corpus' in the config file")
@@ -295,6 +301,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             cell = dict(values, buckets_per_chunk=b, num_chunks=k)
             try:
                 code, engine, train_cfg = _configs_from(cell, num_labels)
+                check_memory(block, code, engine, train_cfg)
                 cb = build_codebook(code)
                 result = train_all(block, cb, engine, train_cfg)
                 idx = build_index(cb)
@@ -368,6 +375,8 @@ def _check_index_balance() -> str:
 
 
 def _check_gradients() -> str:
+    import scipy.sparse as sp
+
     rng = np.random.Generator(np.random.PCG64(VERIFY_SEED))
     worst = 0.0
     for trial in range(20):
@@ -405,6 +414,8 @@ def _check_basis_equivalence() -> str:
 
 
 def _tiny_trained_engine() -> tuple:
+    from .train import train_all
+
     train_docs, test_docs, num_features = make_separable_corpus(
         num_labels=200,
         docs_per_label=3,

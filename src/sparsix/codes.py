@@ -16,6 +16,10 @@ import numpy as np
 
 from .hashing import SEED_RANGE, check_ints, derive_seed, murmur3_32_u64
 
+# build_codebook hashes this many labels at a time, so beyond the codebook it
+# holds one block's keys and one hash call's scratch: 28 bytes a label, 1.75 MiB
+CODEBOOK_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CodeConfig:
@@ -73,15 +77,19 @@ def build_codebook(config: CodeConfig) -> LabelCodebook:
 
     Entry ``[i, k]`` is ``murmur3_32(i as 8 LE bytes, seed_k) mod B`` with
     ``seed_k`` split off the base seed, so rebuilding with the same config is
-    bit-identical.  Modulo bias is accepted: B is tiny against 2**32.
+    bit-identical.  Modulo bias is accepted: B is tiny against 2**32.  Labels
+    are hashed ``CODEBOOK_BLOCK`` at a time, so the build peaks at the
+    codebook's 4·N·K bytes plus one block, whatever N.
     """
     n, k = config.num_labels, config.num_chunks
-    b = config.buckets_per_chunk
-    keys = np.arange(n, dtype=np.uint64)
+    b = np.uint32(config.buckets_per_chunk)
+    seeds = [config.chunk_seed(chunk) for chunk in range(k)]
     codes = np.empty((n, k), dtype=np.int32)
-    for chunk in range(k):
-        hashes = murmur3_32_u64(keys, config.chunk_seed(chunk))
-        codes[:, chunk] = (hashes % np.uint32(b)).astype(np.int32)
+    for start in range(0, n, CODEBOOK_BLOCK):
+        keys = np.arange(start, min(start + CODEBOOK_BLOCK, n), dtype=np.uint64)
+        for chunk, seed in enumerate(seeds):
+            # below B <= 2**31, so every bucket fits int32
+            codes[start : start + keys.size, chunk] = murmur3_32_u64(keys, seed) % b
     return LabelCodebook(config=config, codes=codes)
 
 

@@ -26,8 +26,7 @@ import numpy as np
 from .codes import LabelCodebook
 from .features import Document, hash_features
 from .index import InvertedIndex, lookup
-from .model import forward
-from .train import ChunkEnsemble
+from .model import ChunkEnsemble, forward
 
 AGGREGATION_MODES = ("full-vector", "truncated")
 

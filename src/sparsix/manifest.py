@@ -23,12 +23,11 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import train
+from . import model as _model
 from .codes import CodeConfig
 from .hashing import check_ints
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, load_model
-from .model import num_params, save_model
-from .train import ChunkEnsemble, EngineConfig, TrainConfig
+from .model import ChunkEnsemble, EngineConfig, TrainConfig, num_params, save_model
 
 FORMAT_VERSION = 1
 
@@ -76,7 +75,7 @@ class Manifest:
     blobs: tuple[BlobRef, ...]
 
     def __post_init__(self) -> None:
-        if self.format_version != FORMAT_VERSION:
+        if type(self.format_version) is not int or self.format_version != FORMAT_VERSION:
             raise ManifestError(
                 f"unsupported manifest version {self.format_version!r}, "
                 f"this build reads version {FORMAT_VERSION}"
@@ -173,7 +172,7 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    need, have = _loading_bytes(manifest), train._memory_limit()
+    need, have = _loading_bytes(manifest), _model._memory_limit()
     if need > have:
         raise ValueError(
             f"loading {manifest_path} needs about {need / 2**30:.1f} GiB but this machine "

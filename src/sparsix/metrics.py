@@ -17,7 +17,7 @@ from .codes import build_codebook
 from .features import Document
 from .index import InvertedIndex
 from .infer import InferParams, predict
-from .train import ChunkEnsemble
+from .model import ChunkEnsemble
 
 COUNTER_FIELDS = (
     "buckets_scored",

@@ -11,6 +11,12 @@ embeds one document at query time.  :func:`apply_update` takes one Adam step
 with the standard constants below; the learning rate is the one
 optimizer setting a run chooses.
 
+Both forward passes share one :func:`sigmoid`, written in NumPy alone, so
+serving imports no SciPy; ``scipy.sparse`` appears here only in annotations.
+The engine's configs (:class:`EngineConfig`, :class:`TrainConfig`), the
+trained :class:`ChunkEnsemble` and the memory limit both the training and the
+loading estimate compare against live here too, for the same reason.
+
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
 in float64.  :func:`init_model` draws in float64, the precision
@@ -23,14 +29,20 @@ plus exactly the payload the header claims: fewer or more bytes are an error.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.special import expit
 
-from .features import HashedFeatures
+from .codes import CodeConfig
+from .features import FeatureMode, HashedFeatures
+from .hashing import SEED_RANGE, check_ints, derive_seed
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 LOSS_CLAMP_EPS = 1e-12
 # Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
@@ -147,13 +159,26 @@ def _row_block(p: np.ndarray) -> np.ndarray:
     return np.empty((min(rows, p.shape[0]), *p.shape[1:]), dtype=p.dtype)
 
 
+@np.errstate(over="ignore")
+def sigmoid(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` elementwise, in ``z``'s dtype, into one new array.
+
+    Where ``exp(-z)`` overflows (z below about -709 in float64, -88 in
+    float32) it is inf and the result exactly 0, without a warning.
+    """
+    t = np.negative(z)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(1.0, t, out=t)
+
+
 def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
     """Bucket probability vector for one document, unclamped, computed in float64."""
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
     # only the touched rows of W1 are read; x's float64 values widen them, and h widens W2
     h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
-    return expit(model.W2 @ h + model.b2)
+    return sigmoid(model.W2 @ h + model.b2)
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:
@@ -183,7 +208,7 @@ def _batch_forward(
     """Pre-activations, hidden activations and probabilities, one row per document."""
     h_pre = x_batch @ model.W1 + model.b1
     h = np.maximum(h_pre, 0.0)
-    return h_pre, h, expit(h @ model.W2.T + model.b2)
+    return h_pre, h, sigmoid(h @ model.W2.T + model.b2)
 
 
 def batch_step(
@@ -355,3 +380,87 @@ def load_model(data: bytes) -> ChunkModel:
         # the blob holds W1 (H, F), the model (F, H); the copy is native and writable
         arrays.append((stored.T if i == 0 else stored).astype(PARAM_DTYPE, order="C"))
     return ChunkModel(chunk, init_seed, *arrays)
+
+
+# ---------------------------------------------------------------------------
+# The engine: its configs, the trained ensemble, and the memory it must fit in
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Architecture knobs shared by every chunk model."""
+
+    feature_dim: int
+    hidden_dim: int
+    feature_mode: FeatureMode = "counts"
+    feature_seed: int = 0
+    init_seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_ints(
+            self,
+            feature_dim=(1, 2**32 - 1),  # token hashes are 32-bit: no index reaches past 2**32 - 1
+            hidden_dim=(1, None),
+            feature_seed=SEED_RANGE,
+            init_seed=SEED_RANGE,
+        )
+        if self.feature_mode not in ("counts", "binary"):
+            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
+
+    def chunk_feature_seed(self, chunk: int) -> int:
+        return derive_seed(self.feature_seed, chunk)
+
+    def chunk_init_seed(self, chunk: int) -> int:
+        return derive_seed(self.init_seed, chunk)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Optimization schedule; identical for every chunk."""
+
+    epochs: int
+    batch_size: int = 1000
+    lr: float = 1e-3
+    shuffle_seed: int = 0
+    workers: int = 1
+
+    def __post_init__(self) -> None:
+        check_ints(
+            self, epochs=(1, None), batch_size=(1, None), shuffle_seed=SEED_RANGE, workers=(1, None)
+        )
+        if isinstance(self.lr, bool) or not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+
+
+@dataclass
+class ChunkEnsemble:
+    """The trained engine: a codebook config plus one model per chunk."""
+
+    code_config: CodeConfig
+    engine: EngineConfig
+    models: list[ChunkModel] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if len(self.models) != self.code_config.num_chunks:
+            raise ValueError("one model per chunk required")
+        for m in self.models:
+            if (
+                m.input_dim != self.engine.feature_dim
+                or m.hidden_dim != self.engine.hidden_dim
+                or m.output_dim != self.code_config.buckets_per_chunk
+            ):
+                raise ValueError(f"chunk {m.chunk}: model dims disagree with config")
+
+
+def _memory_limit() -> int:
+    """Physical memory, or this process's cgroup ``memory.max`` where lower; only reads."""
+    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    try:
+        for line in Path("/proc/self/cgroup").read_text().splitlines():
+            if line.startswith("0::"):  # the cgroup v2 hierarchy
+                text = Path("/sys/fs/cgroup", line[3:].lstrip("/"), "memory.max").read_text()
+                if text.strip().isdigit():
+                    limit = min(limit, int(text))
+    except OSError:
+        pass
+    return limit

@@ -24,91 +24,27 @@ from __future__ import annotations
 
 import ctypes
 import logging
-import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from . import model as _model
 from .codes import CodeConfig, LabelCodebook, build_codebook
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
-from .hashing import SEED_RANGE, check_ints, derive_seed
+from .hashing import derive_seed
 from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, init_model
 from .model import num_params, zero_adam_state
+# the engine's configs and ensemble live in model, which serving imports without SciPy
+from .model import ChunkEnsemble, EngineConfig, TrainConfig
 # train_chunk calls the step through this module's name, where a tracer can wrap it
 from .model import batch_step as _batch_step
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """Architecture knobs shared by every chunk model."""
-
-    feature_dim: int
-    hidden_dim: int
-    feature_mode: FeatureMode = "counts"
-    feature_seed: int = 0
-    init_seed: int = 0
-
-    def __post_init__(self) -> None:
-        check_ints(
-            self,
-            feature_dim=(1, 2**32 - 1),  # token hashes are 32-bit: no index reaches past 2**32 - 1
-            hidden_dim=(1, None),
-            feature_seed=SEED_RANGE,
-            init_seed=SEED_RANGE,
-        )
-        if self.feature_mode not in ("counts", "binary"):
-            raise ValueError(f"unknown feature mode {self.feature_mode!r}")
-
-    def chunk_feature_seed(self, chunk: int) -> int:
-        return derive_seed(self.feature_seed, chunk)
-
-    def chunk_init_seed(self, chunk: int) -> int:
-        return derive_seed(self.init_seed, chunk)
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimization schedule; identical for every chunk."""
-
-    epochs: int
-    batch_size: int = 1000
-    lr: float = 1e-3
-    shuffle_seed: int = 0
-    workers: int = 1
-
-    def __post_init__(self) -> None:
-        check_ints(
-            self, epochs=(1, None), batch_size=(1, None), shuffle_seed=SEED_RANGE, workers=(1, None)
-        )
-        if not (math.isfinite(self.lr) and self.lr > 0):
-            raise ValueError(f"lr must be positive and finite, got {self.lr}")
-
-
-@dataclass
-class ChunkEnsemble:
-    """The trained engine: a codebook config plus one model per chunk."""
-
-    code_config: CodeConfig
-    engine: EngineConfig
-    models: list[ChunkModel] = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.models) != self.code_config.num_chunks:
-            raise ValueError("one model per chunk required")
-        for m in self.models:
-            if (
-                m.input_dim != self.engine.feature_dim
-                or m.hidden_dim != self.engine.hidden_dim
-                or m.output_dim != self.code_config.buckets_per_chunk
-            ):
-                raise ValueError(f"chunk {m.chunk}: model dims disagree with config")
 
 
 @dataclass
@@ -259,7 +195,7 @@ def _train_chunk_task(
 
 
 def _training_bytes(
-    block: DocBlock, engine: EngineConfig, cfg: TrainConfig, k: int, b: int
+    block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig
 ) -> int:
     """Estimated peak bytes of :func:`train_all`, counted before it allocates any.
 
@@ -268,10 +204,12 @@ def _training_bytes(
     (a byte per entry) and one batch's activations.  Its copy of the block and
     its CSR inputs and targets (built in float64, then cast) last throughout;
     initialisation takes fewer than the 16 bytes per parameter counted here.
-    ``min(workers, k)`` chunks run at once, and the ensemble keeps all ``k``
-    models.
+    ``min(workers, k)`` chunks run at once, each with the codebook it rebuilds
+    from its config (4·N·K bytes), beside the caller's own; the ensemble keeps
+    all ``k`` models.
     """
     f, h = engine.feature_dim, engine.hidden_dim
+    k, b = code.num_chunks, code.buckets_per_chunk
     params = num_params(f, h, b)
     item = PARAM_DTYPE.itemsize
     rows = min(cfg.batch_size, block.label_offsets.size - 1)
@@ -280,22 +218,26 @@ def _training_bytes(
     steps = item * 4 * params + adam + rows * (h + b) * (4 * item + 24)
     # per non-zero: float64 value, int64 key and column, cast value and index
     csr = (32 + item) * (block.token_ids.size + block.labels.size)
-    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
-    return min(cfg.workers, k) * (steps + held) + k * item * params
+    codebook = 4 * code.num_labels * k
+    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr + codebook
+    return min(cfg.workers, k) * (steps + held) + k * item * params + codebook
 
 
-def _memory_limit() -> int:
-    """Physical memory, or this process's cgroup ``memory.max`` where lower; only reads."""
-    limit = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    try:
-        for line in Path("/proc/self/cgroup").read_text().splitlines():
-            if line.startswith("0::"):  # the cgroup v2 hierarchy
-                text = Path("/sys/fs/cgroup", line[3:].lstrip("/"), "memory.max").read_text()
-                if text.strip().isdigit():
-                    limit = min(limit, int(text))
-    except OSError:
-        pass
-    return limit
+def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig) -> None:
+    """Raise ``ValueError`` if training on ``block`` would need more memory than there is.
+
+    :func:`train_all` checks before it allocates; a caller that builds the
+    codebook first checks before that.
+    """
+    need, have = _training_bytes(block, code, engine, cfg), _model._memory_limit()
+    if need > have:
+        raise ValueError(
+            f"training needs about {need / 2**30:.1f} GiB but this machine has "
+            f"{have / 2**30:.1f} GiB; lower hidden_dim ({engine.hidden_dim}), feature_dim "
+            f"({engine.feature_dim}), workers ({cfg.workers}), buckets_per_chunk "
+            f"({code.buckets_per_chunk}) or num_chunks ({code.num_chunks}) for "
+            f"num_labels ({code.num_labels})"
+        )
 
 
 def train_all(
@@ -321,14 +263,8 @@ def train_all(
     if block.labels.size == 0:
         raise ValueError("no labeled documents to train on")
 
-    k, b = cb.config.num_chunks, cb.config.buckets_per_chunk
-    need, have = _training_bytes(block, engine, cfg, k, b), _memory_limit()
-    if need > have:
-        raise ValueError(
-            f"training needs about {need / 2**30:.1f} GiB but this machine has "
-            f"{have / 2**30:.1f} GiB; lower hidden_dim ({engine.hidden_dim}), feature_dim "
-            f"({engine.feature_dim}), workers ({cfg.workers}) or buckets_per_chunk ({b})"
-        )
+    check_memory(block, cb.config, engine, cfg)
+    k = cb.config.num_chunks
     payloads = [(chunk, block, cb.config, engine, cfg) for chunk in range(k)]
     if cfg.workers == 1 or k == 1:
         results = [_train_chunk_task(payload) for payload in payloads]

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from sparsix import cli, train
+import sparsix.model as model_mod
+from sparsix import cli
 from sparsix.cli import (
     CONFIG_DEFAULTS,
     EXIT_OK,
@@ -287,7 +288,7 @@ class TestExitCodes:
         """An engine larger than the machine fails before any blob is read, --out untouched."""
         manifest = workspace / "engine" / "manifest.json"
         need = _loading_bytes(load_manifest(manifest))
-        monkeypatch.setattr(train, "_memory_limit", lambda: need - 1)
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: need - 1)
         out = tmp_path / "p.tsv"
         out.write_bytes(b"0\t1:0.500000\n")
         argv = [command, "--manifest", str(manifest), "--corpus", str(workspace / "test.txt")]
@@ -305,7 +306,7 @@ class TestExitCodes:
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "engine", broken)
         need = _loading_bytes(load_manifest(broken / "manifest.json"))
-        monkeypatch.setattr(train, "_memory_limit", lambda: need)
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: need)
         blob = broken / "chunk_0001.bin"
         if damage == "missing":
             blob.unlink()
@@ -352,6 +353,8 @@ class TestExitCodes:
             ({"code_config": {"num_labels": 10**12}}, "GiB but this machine has"),
             ({"blob": {"sha256": 5}}, "sha256 must be 64 lowercase hex digits"),
             ({"format_version": "1"}, "unsupported manifest version '1'"),
+            ({"format_version": True}, "unsupported manifest version True"),
+            ({"train_config": {"lr": True}}, "lr must be positive and finite, got True"),
             ({"blob": {"path": "/etc/passwd"}}, "path must be relative"),
             ({"engine": {"feature_seed": 2**70}}, "feature_seed must be an integer"),
             ("feature_seed = -1\n", "feature_seed must be an integer"),
@@ -359,7 +362,7 @@ class TestExitCodes:
         ],
         ids=[
             "num_labels-float", "num_labels-bool", "num_labels-1e12", "sha256-int",
-            "version-str", "path-absolute", "feature_seed-2**70",
+            "version-str", "version-bool", "lr-bool", "path-absolute", "feature_seed-2**70",
             "config-seed-negative", "config-repeated-key",
         ],
     )
@@ -400,6 +403,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert rc in (EXIT_VALIDATION, EXIT_VERIFY)
         assert "error: " in err and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_catalog_over_memory_fails_before_the_codebook(self, tmp_path, capsys, command):
+        """10**12 labels need a 7.3 TiB codebook per copy: the check says so, not NumPy."""
+        (tmp_path / "c.txt").write_text("2 10 1000000000000\n0 1:1\n999999999999 3:1\n")
+        text = with_settings(DESK_CONFIG, "corpus = c.txt\neval_corpus = c.txt")
+        (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+        argv = ["--config", str(tmp_path / "run.cfg")]
+        if command == "sweep":
+            argv += ["--buckets", "16", "--chunks", "2", "--m", "2"]
+        rc = main([command, *argv])
+        out, err = capsys.readouterr()
+        message = "GiB but this machine has"
+        if command == "train":
+            assert rc == EXIT_VALIDATION and message in err
+        else:  # a sweep records each failing cell in its table and goes on
+            assert rc == EXIT_OK and "error: training needs about" in out and message in out
+        assert "num_labels (1000000000000)" in out + err and "Traceback" not in err
+        assert not (tmp_path / "engine").exists()
 
     def test_corpus_error_is_validation_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -626,6 +648,37 @@ class TestClosedStdout:
             assert fragment not in proc.stderr
         if written is not None:
             assert written.is_file()
+
+
+SERVING_IMPORTS = """
+import sys
+
+import sparsix, sparsix.manifest, sparsix.infer, sparsix.cli
+
+manifest, corpus, out = sys.argv[1:]
+argv = ["predict", "--manifest", manifest, "--corpus", corpus, "--out", out, "--m", "4"]
+rc = sparsix.cli.main(argv)
+print(rc, sorted(name for name in sys.modules if name.partition(".")[0] == "scipy"))
+from sparsix import train_all
+print(train_all.__module__, "scipy.sparse" in sys.modules)
+"""
+
+
+class TestServingImports:
+    def test_serving_imports_no_scipy(self, workspace, tmp_path):
+        """The package, the serving modules and a predict run import no SciPy module;
+        ``sparsix.train_all`` still resolves, bringing in training and scipy.sparse."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        manifest = workspace / "engine" / "manifest.json"
+        argv = [str(manifest), str(workspace / "test.txt"), str(tmp_path / "p.tsv")]
+        proc = subprocess.run(
+            [sys.executable, "-c", SERVING_IMPORTS, *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == [f"{EXIT_OK} []", "sparsix.train True"]
+        assert (tmp_path / "p.tsv").is_file()
 
 
 class TestDocs:

@@ -1,18 +1,21 @@
 """Codebook tests: golden assignments, dot-product statistics, and config checks."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsix.codes import (
+    CODEBOOK_BLOCK,
     CodeConfig,
     binomial_chisquare,
     build_codebook,
     orthogonality_stats,
 )
-from sparsix.hashing import derive_seed
+from sparsix.hashing import derive_seed, murmur3_32_u64
 
 # Bucket assignments for (N=4, K=2, B=8, seed=42), frozen from an
 # independent implementation of the underlying hash.
@@ -46,6 +49,28 @@ class TestBuildCodebook:
         cb = build_codebook(cc)
         assert cb.codes.shape == (500, 6)
         assert cb.codes.min() >= 0 and cb.codes.max() < 50
+
+    def test_blocks_give_the_whole_array_codes(self):
+        """Hashing the labels block by block changes no bit: past two block edges,
+        every column equals one hash over all the label ids at once."""
+        cc = CodeConfig(2 * CODEBOOK_BLOCK + 5, 3, 1000, base_seed=9)
+        keys = np.arange(cc.num_labels, dtype=np.uint64)
+        want = np.stack(
+            [murmur3_32_u64(keys, cc.chunk_seed(k)) % np.uint32(1000) for k in range(3)], axis=1
+        )
+        assert np.array_equal(build_codebook(cc).codes, want)
+
+    def test_build_peaks_at_the_codebook_plus_one_block(self):
+        """N 1,000,000, K 4: a 16 MB codebook, and one block's 28 bytes a label beside it."""
+        cc = CodeConfig(1_000_000, 4, 1000, base_seed=3)
+        tracemalloc.start()
+        try:
+            cb = build_codebook(cc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cb.codes.nbytes == 16_000_000
+        assert cb.codes.nbytes < peak <= cb.codes.nbytes + 28 * CODEBOOK_BLOCK + 64 * 1024
 
     def test_codes_read_only(self):
         cb = build_codebook(small_config())

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import sparsix.manifest
-from sparsix import train
+import sparsix.model as model_mod
 from sparsix.infer import InferParams, embed_query, predict
 from sparsix.manifest import (
     FORMAT_VERSION,
@@ -189,7 +189,7 @@ class TestMemoryCheck:
     def test_engine_over_memory_fails_before_reading_a_blob(self, saved_engine, monkeypatch):
         _, path = saved_engine
         need = _loading_bytes(load_manifest(path))
-        monkeypatch.setattr(train, "_memory_limit", lambda: need - 1)
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: need - 1)
         monkeypatch.setattr(sparsix.manifest, "load_model", pytest.fail)
         with pytest.raises(ValueError, match="needs about .* GiB but this machine has"):
             load_ensemble(path)
@@ -203,7 +203,7 @@ class TestMemoryCheck:
         _, path = saved_engine
         serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + 60
         assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
-        monkeypatch.setattr(train, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
         assert {p.dtype for m in loaded.models for p in m.params()} == {np.dtype(np.float32)}
 

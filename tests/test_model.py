@@ -3,11 +3,11 @@ from __future__ import annotations
 
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.special import expit
 
 import sparsix.model as model_mod
 from sparsix.features import HashedFeatures
@@ -27,6 +27,7 @@ from sparsix.model import (
     init_model,
     load_model,
     save_model,
+    sigmoid,
     zero_adam_state,
 )
 
@@ -118,9 +119,31 @@ class TestForward:
                 idx = np.sort(rng.choice(4096, size=nnz, replace=False)).astype(np.int64)
                 values = rng.uniform(0.5, 3.0, size=nnz)
                 h = np.maximum(w1_hf[:, idx] @ values + m.b1, 0.0)
-                want = expit(m.W2 @ h + m.b2)
+                want = sigmoid(m.W2 @ h + m.b2)
                 got = forward(m, feats(idx, values, dim=4096))
                 assert got.tobytes() == want.tobytes(), nnz
+
+
+class TestSigmoid:
+    @pytest.mark.parametrize("dtype, far", [(np.float64, 1000.0), (np.float32, 100.0)])
+    def test_saturates_exactly_without_warnings(self, dtype, far):
+        """Past exp's range the result is exactly 0 or 1, and nothing warns."""
+        z = np.array([-far, -far / 2, 0.0, far / 2, far], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = sigmoid(z)
+        assert p.dtype == dtype
+        assert p[0] == 0.0 and p[2] == 0.5 and p[-1] == 1.0
+        assert 0.0 <= p[1] < p[2] < p[3] <= 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_is_the_textbook_expression(self, dtype):
+        """Bit for bit ``1 / (1 + exp(-z))`` in z's dtype, and z is left as it was."""
+        z = np.random.default_rng(3).normal(0.0, 8.0, size=(50, 40)).astype(dtype)
+        before = z.copy()
+        want = np.divide(1.0, 1.0 + np.exp(-z))
+        assert sigmoid(z).tobytes() == want.tobytes()
+        assert z.tobytes() == before.tobytes()
 
 
 class TestInit:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sparsix.model as model_mod
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.corpus import parse_corpus, read_block, write_corpus
@@ -368,22 +369,25 @@ class TestMemoryCheck:
         _, _, docs = small_setup()
         block = DocBlock.from_documents(docs)
         # float32 parameters, gradient, m and v alone
-        assert train._training_bytes(block, eng, cfg, 1, 30000) > 16 * (100000 + 30000 + 1) * 4096
-        monkeypatch.setattr(train, "_memory_limit", lambda: 7_800_000_000)
+        assert train._training_bytes(block, cb.config, eng, cfg) > 16 * (100000 + 30000 + 1) * 4096
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: 7_800_000_000)
         monkeypatch.setattr(train, "_train_chunk_task", pytest.fail)
         with pytest.raises(ValueError, match="GiB but this machine has 7.3 GiB"):
             train_all(block, cb, eng, cfg)
 
     def test_estimate_counts_running_chunks_and_the_ensemble(self):
-        """Workers beyond K add nothing; every chunk's float32 model is kept."""
+        """Workers beyond K add nothing; every chunk's float32 model is kept, and
+        the caller's int32 codebook beside the one each running chunk rebuilds."""
         _, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
+        code = CodeConfig(40, 2, 16, base_seed=7)
         one, two, three = (
-            train._training_bytes(block, eng, TrainConfig(epochs=1, workers=w), 2, 16)
+            train._training_bytes(block, code, eng, TrainConfig(epochs=1, workers=w))
             for w in (1, 2, 3)
         )
         ensemble = 2 * 4 * (128 * 12 + 12 + 16 * 12 + 16)
-        assert two - one == one - ensemble and three == two
+        codebook = 4 * 40 * 2
+        assert two - one == one - ensemble - codebook and three == two
 
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
@@ -397,7 +401,7 @@ class TestMemoryCheck:
         cfg = TrainConfig(epochs=1, batch_size=10)
         b = cb.config.buckets_per_chunk
         ensemble = PARAM_DTYPE.itemsize * num_params(100_000, 64, b)
-        share = train._training_bytes(block, eng, cfg, 1, b) - ensemble
+        share = train._training_bytes(block, cb.config, eng, cfg) - ensemble
         tracemalloc.start()
         try:
             train_chunk(0, block, cb, eng, cfg)
