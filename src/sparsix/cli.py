@@ -273,7 +273,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     top_k = max(*ks_precision, *ks_recall)
     params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
     testset = list(parse_corpus(args.corpus))
-    report = evaluate(ensemble, idx, testset, params, ks_precision, ks_recall)
+    report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
     _print(report.as_text())
     if args.json:
         Path(args.json).write_text(
@@ -313,7 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 try:
                     params = InferParams(m=m, top_k=5)
                     report = evaluate(
-                        result.ensemble, idx, testset, params,
+                        result.ensemble, cb, idx, testset, params,
                         ks_precision=(1, 3, 5), ks_recall=(5,),
                     )
                     rows.append(

@@ -15,6 +15,7 @@ them exact).
 """
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import posixpath
@@ -23,11 +24,10 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import model as _model
 from .codes import CodeConfig
 from .hashing import check_ints
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, load_model
-from .model import ChunkEnsemble, EngineConfig, TrainConfig, num_params, save_model
+from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, num_params, save_model
 
 FORMAT_VERSION = 1
 
@@ -35,6 +35,8 @@ FORMAT_VERSION = 1
 # train_config; such a manifest loads if it holds these same values
 _FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 _SHA256 = re.compile("[0-9a-f]{64}")
+# a blob path the file system cannot name, or names as a directory, is a missing blob
+_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ENAMETOOLONG)
 
 
 class ManifestError(ValueError):
@@ -172,19 +174,17 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
     """
     manifest_path = Path(manifest_path)
     manifest = load_manifest(manifest_path)
-    need, have = _loading_bytes(manifest), _model._memory_limit()
-    if need > have:
-        raise ValueError(
-            f"loading {manifest_path} needs about {need / 2**30:.1f} GiB but this machine "
-            f"has {have / 2**30:.1f} GiB"
-        )
+    check_fits(_loading_bytes(manifest), f"loading {manifest_path}")
     base = manifest_path.parent
     models: list[ChunkModel] = []
     for ref in manifest.blobs:
         blob_path = base / ref.path
-        if not blob_path.is_file():
-            raise BlobChecksumError(f"missing model blob {blob_path}")
-        data = blob_path.read_bytes()
+        try:
+            data = blob_path.read_bytes()
+        except OSError as exc:
+            if exc.errno not in _MISSING:
+                raise
+            raise BlobChecksumError(f"missing model blob {blob_path}") from exc
         actual = hashlib.sha256(data).hexdigest()
         if actual != ref.sha256:
             raise BlobChecksumError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .codes import build_codebook
+from .codes import LabelCodebook
 from .features import Document
 from .index import InvertedIndex
 from .infer import InferParams, predict
@@ -101,7 +101,8 @@ def recall_at_k(pred: np.ndarray, truth: np.ndarray, k: int) -> float:
 
 
 def evaluate(
-    model: ChunkEnsemble,
+    ensemble: ChunkEnsemble,
+    cb: LabelCodebook,
     idx: InvertedIndex,
     testset: list[Document],
     params: InferParams,
@@ -120,8 +121,6 @@ def evaluate(
         raise ValueError(
             f"top_k={params.top_k} is shallower than the deepest metric k={deepest}"
         )
-    cb = build_codebook(model.code_config)
-
     prec_sums = {k: 0.0 for k in ks_precision}
     rec_sums = {k: 0.0 for k in ks_recall}
     counter_sums = {name: 0.0 for name in COUNTER_FIELDS}
@@ -133,7 +132,7 @@ def evaluate(
             skipped += 1
             continue
         t0 = time.perf_counter()
-        pred = predict(model, cb, idx, doc, params)
+        pred = predict(ensemble, cb, idx, doc, params)
         latencies.append((time.perf_counter() - t0) * 1e3)
         evaluated += 1
         for k in ks_precision:

@@ -14,8 +14,8 @@ optimizer setting a run chooses.
 Both forward passes share one :func:`sigmoid`, written in NumPy alone, so
 serving imports no SciPy; ``scipy.sparse`` appears here only in annotations.
 The engine's configs (:class:`EngineConfig`, :class:`TrainConfig`), the
-trained :class:`ChunkEnsemble` and the memory limit both the training and the
-loading estimate compare against live here too, for the same reason.
+trained :class:`ChunkEnsemble` and :func:`check_fits`, where both the training
+and the loading estimate meet the memory limit, live here too, for the same reason.
 
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
@@ -464,3 +464,11 @@ def _memory_limit() -> int:
     except OSError:
         pass
     return limit
+
+
+def check_fits(need: int, what: str, advice: str = "") -> None:
+    """Raise ``ValueError`` if ``what`` needs more than the machine's memory; ``advice`` follows."""
+    have = _memory_limit()
+    if need > have:
+        gib = f"about {need / 2**30:.1f} GiB but this machine has {have / 2**30:.1f} GiB"
+        raise ValueError(f"{what} needs {gib}{advice}")

@@ -3,18 +3,18 @@
 Each chunk trains independently: its targets come from its own codebook
 column, its inputs from its own feature-hash seed, and its shuffle order
 from its own derived seed.  A chunk's trained parameters are a pure function
-of (block, code config, engine config, train config, chunk), so running
+of (block, targets, engine config, train config, chunk), so running
 the K chunks serially or across a process pool yields bit-identical models.
 Parallelism is across chunks only; within a chunk, batches are processed
 sequentially in a fixed order, and each pool worker runs NumPy's BLAS on one
 thread.
 
 Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
-arrays, and builds its inputs and targets once, not per document: one hashing
-call over the block's token ids gives the CSR input matrix, one codebook lookup
-over its labels the CSR target matrix, and its offsets are their row pointers.
-Each batch slices both and takes one :func:`model.batch_step`, the only
-loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
+arrays and its CSR target matrix, which :func:`train_all` builds from the
+caller's codebook; no chunk sees a codebook.  A chunk hashes the block's token
+ids in one call into its CSR input matrix; the block's offsets are the row
+pointers of both.  Each batch slices both and takes one :func:`model.batch_step`,
+the only loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
 
 Targets use positive-only association: a bucket is trained toward 1 whenever
 any label pooled into it is relevant to the document, i.e. the few-hot target
@@ -33,12 +33,12 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from . import model as _model
-from .codes import CodeConfig, LabelCodebook, build_codebook
+# no chunk builds a codebook; the benchmark's chunk tracer still wraps build_codebook
+from .codes import CodeConfig, LabelCodebook, build_codebook  # noqa: F401
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
 from .hashing import derive_seed
-from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, init_model
-from .model import num_params, zero_adam_state
+from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, check_fits
+from .model import init_model, num_params, zero_adam_state
 # the engine's configs and ensemble live in model, which serving imports without SciPy
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -84,21 +84,22 @@ def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_mat
         raise ValueError("label id out of range")
     cols = cb.codes[block.labels, chunk]
     # labels sharing a bucket make one hot entry, not a count
-    b = cb.config.buckets_per_chunk
-    return _block_csr(np.ones(cols.size), cols, block.label_offsets, b, saturate=True)
+    ones, b = np.ones(cols.size, dtype=PARAM_DTYPE), cb.config.buckets_per_chunk
+    return _block_csr(ones, cols, block.label_offsets, b, saturate=True)
 
 
 def train_chunk(
     chunk: int,
     block: DocBlock,
-    cb: LabelCodebook,
+    targets: sp.csr_matrix,
     engine: EngineConfig,
     cfg: TrainConfig,
 ) -> tuple[ChunkModel, list[float]]:
     """Train one chunk's model on every row of ``block``; touches no other chunk's state.
 
-    Deterministic given (block, configs, chunk): initialization, shuffle
-    order, and batch accumulation order are all seed-derived and sequential.
+    ``targets`` is the chunk's (rows, B) :func:`_target_matrix`.  Deterministic
+    given (block, targets, configs, chunk): initialization, shuffle order, and
+    batch accumulation order are all seed-derived and sequential.
     Inputs, targets and the float64 initial draw are cast to ``PARAM_DTYPE``
     once, and the model comes back in it, the form a loaded blob takes.
     """
@@ -106,14 +107,13 @@ def train_chunk(
     if n == 0 or not np.all(np.diff(block.label_offsets)):
         raise ValueError("training needs at least one document, and labels on every one")
 
-    b = cb.config.buckets_per_chunk
     x_all = _chunk_matrix(
         block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
     ).astype(PARAM_DTYPE)
-    y_all = _target_matrix(block, cb, chunk).astype(PARAM_DTYPE)
+    y_all = targets.astype(PARAM_DTYPE, copy=False)
 
     model = init_model(
-        engine.feature_dim, engine.hidden_dim, b, engine.chunk_init_seed(chunk), chunk
+        engine.feature_dim, engine.hidden_dim, y_all.shape[1], engine.chunk_init_seed(chunk), chunk
     ).astype(PARAM_DTYPE)
     state = zero_adam_state(model)
 
@@ -185,12 +185,11 @@ def _one_blas_thread() -> bool:
 
 
 def _train_chunk_task(
-    payload: tuple[int, DocBlock, CodeConfig, EngineConfig, TrainConfig],
+    payload: tuple[int, DocBlock, sp.csr_matrix, EngineConfig, TrainConfig],
 ) -> tuple[ChunkModel, list[float], float]:
-    """Process-pool entry point; rebuilds the codebook from its config."""
-    chunk, block, code_config, engine, cfg = payload
+    """Process-pool entry point: :func:`train_chunk` on one payload, and its seconds."""
     t0 = time.perf_counter()
-    model, curve = train_chunk(chunk, block, build_codebook(code_config), engine, cfg)
+    model, curve = train_chunk(*payload)
     return model, curve, time.perf_counter() - t0
 
 
@@ -201,12 +200,12 @@ def _training_bytes(
 
     A running chunk holds its parameters, W1's dense gradient, Adam's m, v and
     eight scratch blocks, ``apply_update``'s finiteness mask over one block
-    (a byte per entry) and one batch's activations.  Its copy of the block and
-    its CSR inputs and targets (built in float64, then cast) last throughout;
+    (a byte per entry) and one batch's activations.  Its copies of the block and
+    its targets, and its CSR inputs (built in float64, then cast), last throughout;
     initialisation takes fewer than the 16 bytes per parameter counted here.
-    ``min(workers, k)`` chunks run at once, each with the codebook it rebuilds
-    from its config (4·N·K bytes), beside the caller's own; the ensemble keeps
-    all ``k`` models.
+    ``min(workers, k)`` chunks run at once, beside the caller's codebook (4·N·K
+    bytes), the ``k`` payloads' targets (a value and column per label, an offset
+    per row) and the ensemble's ``k`` models.
     """
     f, h = engine.feature_dim, engine.hidden_dim
     k, b = code.num_chunks, code.buckets_per_chunk
@@ -218,9 +217,10 @@ def _training_bytes(
     steps = item * 4 * params + adam + rows * (h + b) * (4 * item + 24)
     # per non-zero: float64 value, int64 key and column, cast value and index
     csr = (32 + item) * (block.token_ids.size + block.labels.size)
+    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
+    targets = (item + 8) * block.labels.size + 8 * block.label_offsets.size
     codebook = 4 * code.num_labels * k
-    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr + codebook
-    return min(cfg.workers, k) * (steps + held) + k * item * params + codebook
+    return min(cfg.workers, k) * (steps + held) + k * (item * params + targets) + codebook
 
 
 def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig) -> None:
@@ -229,15 +229,13 @@ def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: T
     :func:`train_all` checks before it allocates; a caller that builds the
     codebook first checks before that.
     """
-    need, have = _training_bytes(block, code, engine, cfg), _model._memory_limit()
-    if need > have:
-        raise ValueError(
-            f"training needs about {need / 2**30:.1f} GiB but this machine has "
-            f"{have / 2**30:.1f} GiB; lower hidden_dim ({engine.hidden_dim}), feature_dim "
-            f"({engine.feature_dim}), workers ({cfg.workers}), buckets_per_chunk "
-            f"({code.buckets_per_chunk}) or num_chunks ({code.num_chunks}) for "
-            f"num_labels ({code.num_labels})"
-        )
+    check_fits(
+        _training_bytes(block, code, engine, cfg),
+        "training",
+        f"; lower hidden_dim ({engine.hidden_dim}), feature_dim ({engine.feature_dim}), "
+        f"workers ({cfg.workers}), buckets_per_chunk ({code.buckets_per_chunk}) or "
+        f"num_chunks ({code.num_chunks}) for num_labels ({code.num_labels})",
+    )
 
 
 def train_all(
@@ -265,7 +263,8 @@ def train_all(
 
     check_memory(block, cb.config, engine, cfg)
     k = cb.config.num_chunks
-    payloads = [(chunk, block, cb.config, engine, cfg) for chunk in range(k)]
+    # serially, one chunk's targets are alive at a time; a pool holds all k
+    payloads = ((c, block, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
     if cfg.workers == 1 or k == 1:
         results = [_train_chunk_task(payload) for payload in payloads]
     else:
@@ -273,13 +272,5 @@ def train_all(
             max_workers=min(cfg.workers, k), initializer=_one_blas_thread
         ) as pool:
             results = list(pool.map(_train_chunk_task, payloads))
-
-    ensemble = ChunkEnsemble(
-        code_config=cb.config, engine=engine, models=[r[0] for r in results]
-    )
-    return TrainResult(
-        ensemble=ensemble,
-        loss_curves=[r[1] for r in results],
-        skipped_unlabeled=skipped,
-        chunk_seconds=[r[2] for r in results],
-    )
+    models, curves, seconds = (list(column) for column in zip(*results))
+    return TrainResult(ChunkEnsemble(cb.config, engine, models), curves, skipped, seconds)

@@ -17,6 +17,7 @@ import scipy.sparse as sp
 
 from sparsix.codes import (
     CodeConfig,
+    LabelCodebook,
     binomial_chisquare,
     build_codebook,
     orthogonality_stats,
@@ -62,6 +63,7 @@ LEARN_M = 10
 @dataclass(frozen=True)
 class LearnedEngine:
     ensemble: ChunkEnsemble
+    cb: LabelCodebook
     idx: InvertedIndex
     test_docs: list
     build_seconds: float
@@ -88,6 +90,7 @@ def learned_engine():
     idx = build_index(cb)
     return LearnedEngine(
         ensemble=result.ensemble,
+        cb=cb,
         idx=idx,
         test_docs=test_docs,
         build_seconds=time.perf_counter() - t0,
@@ -99,6 +102,7 @@ def learned_report(learned_engine):
     t0 = time.perf_counter()
     report = evaluate(
         learned_engine.ensemble,
+        learned_engine.cb,
         learned_engine.idx,
         learned_engine.test_docs,
         InferParams(m=LEARN_M, top_k=100),

@@ -1,17 +1,23 @@
 """Command-line interface tests: config parsing, workflows, exit codes."""
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+import sparsix.codes
 import sparsix.model as model_mod
+import sparsix.train as train_mod
 from sparsix import cli
 from sparsix.cli import (
     CONFIG_DEFAULTS,
@@ -24,7 +30,10 @@ from sparsix.cli import (
     parse_config,
 )
 from sparsix.corpus import make_separable_corpus, write_corpus
+from sparsix.infer import InferParams
 from sparsix.manifest import _loading_bytes, load_manifest
+from sparsix.metrics import evaluate
+from sparsix.model import TrainConfig
 
 DESK_CONFIG = """\
 # desk-scale settings, everything tiny
@@ -234,6 +243,60 @@ class TestWorkflows:
             assert f"PASS {name}" in out
 
 
+def count_builds(patch: pytest.MonkeyPatch) -> list:
+    """Count the codebook builds made through any sparsix module's ``build_codebook``."""
+    calls: list = []
+    real = sparsix.codes.build_codebook
+
+    def counting(config):
+        calls.append(config)
+        return real(config)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sparsix" and getattr(module, "build_codebook", None) is real:
+            patch.setattr(module, "build_codebook", counting)
+    return calls
+
+
+_CHUNK_TASK = train_mod._train_chunk_task
+
+
+def _chunk_task_counting_builds(payload):
+    """A chunk task whose last field is the number of codebooks it built, in its process."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_builds(patch)
+        model, curve, _ = _CHUNK_TASK(payload)
+    return model, curve, len(calls)
+
+
+class TestOneCodebookBuild:
+    def test_each_caller_builds_its_codebook_once(
+        self, workspace, tiny_engine, monkeypatch, capsys
+    ):
+        """No chunk, serial or in a pool, builds a codebook, nor does ``evaluate``; a sweep
+        builds one per (B, K) cell and ``eval`` one, whatever the number of m values."""
+        monkeypatch.setattr(train_mod, "_train_chunk_task", _chunk_task_counting_builds)
+        calls = count_builds(monkeypatch)
+        ensemble = tiny_engine.ensemble
+        cb = sparsix.codes.build_codebook(ensemble.code_config)
+        for workers in (1, 2):
+            cfg = TrainConfig(epochs=1, batch_size=64, workers=workers)
+            result = train_mod.train_all(tiny_engine.train_docs, cb, ensemble.engine, cfg)
+            assert result.chunk_seconds == [0, 0, 0, 0], workers
+        params = InferParams(m=4, top_k=100)
+        evaluate(ensemble, cb, tiny_engine.idx, tiny_engine.test_docs, params)
+        assert len(calls) == 1
+
+        manifest = workspace / "engine" / "manifest.json"
+        corpus = workspace / "test.txt"
+        rc = main(["eval", "--manifest", str(manifest), "--corpus", str(corpus), "--m", "4"])
+        assert rc == EXIT_OK and len(calls) == 2
+        sweep = ["sweep", "--config", str(workspace / "desk.cfg"), "--buckets", "8,16"]
+        rc = main([*sweep, "--chunks", "2", "--m", "2,4"])
+        assert rc == EXIT_OK and len(calls) == 4
+        capsys.readouterr()
+
+
 class TestExitCodes:
     def test_missing_config_is_validation_error(self, tmp_path, capsys):
         rc = main(["train", "--config", str(tmp_path / "absent.cfg")])
@@ -356,13 +419,16 @@ class TestExitCodes:
             ({"format_version": True}, "unsupported manifest version True"),
             ({"train_config": {"lr": True}}, "lr must be positive and finite, got True"),
             ({"blob": {"path": "/etc/passwd"}}, "path must be relative"),
+            ({"blob": {"path": "x" * 5000}}, "missing model blob"),
+            ({"blob": {"path": "a-directory"}}, "missing model blob"),
             ({"engine": {"feature_seed": 2**70}}, "feature_seed must be an integer"),
             ("feature_seed = -1\n", "feature_seed must be an integer"),
             ("epochs = 2\n", "run.cfg:12: epochs is already set on line 9"),
         ],
         ids=[
             "num_labels-float", "num_labels-bool", "num_labels-1e12", "sha256-int",
-            "version-str", "version-bool", "lr-bool", "path-absolute", "feature_seed-2**70",
+            "version-str", "version-bool", "lr-bool", "path-absolute", "path-too-long",
+            "path-directory", "feature_seed-2**70",
             "config-seed-negative", "config-repeated-key",
         ],
     )
@@ -379,6 +445,7 @@ class TestExitCodes:
         else:
             engine = tmp_path / "edited"
             shutil.copytree(workspace / "engine", engine)
+            (engine / "a-directory").mkdir()
             doc = json.loads((engine / "manifest.json").read_text())
             for section, change in edit.items():
                 if section == "blob":
@@ -584,6 +651,124 @@ class TestExitCodes:
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+# One replacement for one field: a bool, a float, a negative number, 2**64, 10**12,
+# a string (long ones and NUL included), null or a list
+BAD_VALUES = st.one_of(
+    st.booleans(),
+    st.floats(width=32),
+    st.integers(max_value=-1),
+    st.sampled_from([2**64, 10**12]),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(["x" * 5000, "\0", "16\0"]),
+    st.none(),
+    st.lists(st.integers(-2, 2), max_size=3),
+)
+# Every typed config key; a path key names a file, and a missing file is an I/O error
+TYPED_KEYS = sorted(set(cli.CONFIG_KEYS) - {"corpus", "eval_corpus", "out_dir"})
+# Byte offsets of the blob header's uint32 fields; the uint64 init_seed after them
+# records where a chunk's draw started and serving never reads it, so any value loads
+HEADER_FIELDS = {"chunk": 0, "feature_dim": 4, "hidden_dim": 8, "buckets_per_chunk": 12}
+
+
+def json_paths(node, prefix=()):
+    """The path of every key and list item under ``node``, parents before children."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*prefix, key)
+            yield from json_paths(child, (*prefix, key))
+
+
+def header_field_bytes(value) -> bytes:
+    """``value`` as a writer would store it in a 4-byte little-endian header field:
+    numbers wrap, a string is cut or NUL-padded, null leaves the field out, and a
+    list writes its items one after another."""
+    if isinstance(value, int):
+        return (value % 2**32).to_bytes(4, "little")
+    if isinstance(value, float):
+        return struct.pack("<f", value)
+    if isinstance(value, str):
+        return value.encode()[:4].ljust(4, b"\0")
+    return b"".join(header_field_bytes(v) for v in value or [])
+
+
+class TestAnyBadField:
+    """One field of one input replaced with a value of the wrong kind or size.
+
+    Memory is patched to what the unedited engine needs (blob headers) or to
+    nothing (manifests, configs), so no case allocates an engine's arrays.
+    """
+
+    @pytest.fixture
+    def run(self, tmp_path, monkeypatch, capsys):
+        """``run(argv, limit)`` runs main under a memory limit of ``limit`` bytes and
+        checks its exit code, its stderr, and that ``--out`` is kept."""
+        out = tmp_path / "p.tsv"
+
+        def run(argv: list[str], limit: int) -> None:
+            out.write_bytes(b"keep\n")
+            monkeypatch.setattr(model_mod, "_memory_limit", lambda: limit)
+            rc = main(argv + (["--out", str(out)] if argv[0] == "predict" else []))
+            err = capsys.readouterr().err
+            assert rc in (EXIT_VALIDATION, EXIT_VERIFY), err
+            assert "error: " in err and "Traceback" not in err
+            assert out.read_bytes() == b"keep\n"
+
+        return run
+
+    @pytest.fixture
+    def engine(self, workspace, tmp_path):
+        """A copy of the trained engine, and of the corpora, to edit."""
+        for name in ("train.txt", "test.txt"):
+            shutil.copy(workspace / name, tmp_path / name)
+        return shutil.copytree(workspace / "engine", tmp_path / "engine")
+
+    def predict(self, engine: Path, doc: dict) -> list[str]:
+        """``predict`` argv for ``doc`` saved as a manifest beside the engine's blobs."""
+        manifest, corpus = engine / "edited.json", engine.parent / "test.txt"
+        manifest.write_text(json.dumps(doc), encoding="utf-8")
+        return ["predict", "--manifest", str(manifest), "--corpus", str(corpus), "--m", "4"]
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=BAD_VALUES)
+    def test_manifest_field(self, engine, run, data, value):
+        doc = json.loads((engine / "manifest.json").read_text(encoding="utf-8"))
+        *parents, last = data.draw(st.sampled_from(list(json_paths(doc))))
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        run(self.predict(engine, doc), limit=0)
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), value=BAD_VALUES)
+    def test_blob_header_field(self, engine, run, data, value):
+        manifest = load_manifest(engine / "manifest.json")
+        doc = json.loads((engine / "manifest.json").read_text(encoding="utf-8"))
+        chunk = data.draw(st.integers(0, len(doc["blobs"]) - 1))
+        at = HEADER_FIELDS[data.draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+        raw = (engine / doc["blobs"][chunk]["path"]).read_bytes()
+        edited = raw[:at] + header_field_bytes(value) + raw[at + 4 :]
+        assume(edited != raw)
+        (engine / "edited.bin").write_bytes(edited)
+        doc["blobs"][chunk].update(path="edited.bin", sha256=hashlib.sha256(edited).hexdigest())
+        run(self.predict(engine, doc), limit=_loading_bytes(manifest))
+
+    @settings(max_examples=60, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(key=st.sampled_from(TYPED_KEYS), value=BAD_VALUES)
+    def test_config_value(self, engine, tmp_path, run, key, value):
+        text = value if isinstance(value, str) else json.dumps(value)
+        config = with_settings(DESK_CONFIG, f"out_dir = {tmp_path / 'trained'}")
+        lines = [l for l in config.splitlines() if l.partition("=")[0].strip() != key]
+        (tmp_path / "run.cfg").write_text(
+            "\n".join([*lines, f"{key} = {text}"]) + "\n", encoding="utf-8"
+        )
+        run(["train", "--config", str(tmp_path / "run.cfg")], limit=0)
+        assert not (tmp_path / "trained").exists()
 
 
 def run_into_closed_reader(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:

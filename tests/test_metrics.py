@@ -66,6 +66,7 @@ class TestEvaluate:
     def test_trained_engine_scores_high_on_train_set(self, tiny_engine):
         report = evaluate(
             tiny_engine.ensemble,
+            tiny_engine.cb,
             tiny_engine.idx,
             tiny_engine.train_docs,
             InferParams(m=8, top_k=30),
@@ -81,6 +82,7 @@ class TestEvaluate:
         b = tiny_engine.cb.config.buckets_per_chunk
         report = evaluate(
             tiny_engine.ensemble,
+            tiny_engine.cb,
             tiny_engine.idx,
             tiny_engine.test_docs,
             InferParams(m=b, top_k=10),
@@ -103,6 +105,7 @@ class TestEvaluate:
         docs = list(tiny_engine.test_docs[:4]) + [make_document(99, [(3, 1)], [])]
         report = evaluate(
             tiny_engine.ensemble,
+            tiny_engine.cb,
             tiny_engine.idx,
             docs,
             InferParams(m=8, top_k=5),
@@ -115,16 +118,17 @@ class TestEvaluate:
     def test_all_skipped_rejected(self, tiny_engine):
         docs = [make_document(0, [(3, 1)], [])]
         with pytest.raises(ValueError):
-            evaluate(tiny_engine.ensemble, tiny_engine.idx, docs, InferParams(m=4, top_k=5))
+            evaluate(tiny_engine.ensemble, tiny_engine.cb, tiny_engine.idx, docs, InferParams(m=4, top_k=5))
 
     def test_empty_testset_rejected(self, tiny_engine):
         with pytest.raises(ValueError):
-            evaluate(tiny_engine.ensemble, tiny_engine.idx, [], InferParams(m=4, top_k=5))
+            evaluate(tiny_engine.ensemble, tiny_engine.cb, tiny_engine.idx, [], InferParams(m=4, top_k=5))
 
     def test_shallow_top_k_rejected(self, tiny_engine):
         with pytest.raises(ValueError):
             evaluate(
                 tiny_engine.ensemble,
+                tiny_engine.cb,
                 tiny_engine.idx,
                 tiny_engine.test_docs,
                 InferParams(m=4, top_k=5),
@@ -135,6 +139,7 @@ class TestEvaluate:
     def test_report_text_and_dict_shape(self, tiny_engine):
         report = evaluate(
             tiny_engine.ensemble,
+            tiny_engine.cb,
             tiny_engine.idx,
             tiny_engine.test_docs,
             InferParams(m=8, top_k=10),

@@ -66,15 +66,12 @@ def test_traced_chunk_task_records_every_training_span(monkeypatch, tmp_path):
     assert [m.chunk for m in result.ensemble.models] == [0, 1]
     traces = sorted(tmp_path.glob("chunk-*.json"))
     assert [t.name for t in traces] == ["chunk-0.json", "chunk-1.json"]
-    expected = {
-        "train._chunk_matrix",
-        "train._batch_step",
-        "model.apply_update",
-        "codes.build_codebook",
-    }
+    expected = {"train._chunk_matrix", "train._batch_step", "model.apply_update"}
     for trace in traces:
         names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
         assert expected <= names, trace.name
+        # the caller builds the codebook and each chunk's targets; no chunk rebuilds it
+        assert "codes.build_codebook" not in names, trace.name
 
 
 def test_reload_gate_holds(monkeypatch, tmp_path, tiny_engine):

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import sparsix.model as model_mod
 from sparsix import train
@@ -38,6 +39,11 @@ def small_setup(num_labels=40, num_chunks=3, buckets=16, seed=7):
         tokens = [(int(t), 1) for t in rng.choice(800, size=5, replace=False)]
         docs.append(make_document(i, tokens, labels))
     return cb, eng, docs
+
+
+def chunk_training(chunk, block, cb, eng, cfg):
+    """``train_chunk`` on the targets ``train_all`` builds for that chunk."""
+    return train_chunk(chunk, block, _target_matrix(block, cb, chunk), eng, cfg)
 
 
 def hot_rows(cb, label_lists, chunk):
@@ -82,14 +88,14 @@ class TestTrainChunk:
         """Fresh sigmoid outputs sit at 0.5, so the first losses are ~log 2."""
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=1, batch_size=512, lr=1e-5, shuffle_seed=1)
-        _, curve = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        _, curve = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert abs(curve[0] - np.log(2.0)) < 0.02
 
     def test_single_document_overfits(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=200, batch_size=1, lr=1e-2, shuffle_seed=0)
         block = DocBlock.from_documents(docs[:1])
-        model, _ = train_chunk(0, block, cb, eng, cfg)
+        model, _ = chunk_training(0, block, cb, eng, cfg)
         x = hash_features(docs[0], eng.chunk_feature_seed(0), eng.feature_dim, "counts")
         p = forward(model, x)
         hot = _target_matrix(block, cb, 0).indices
@@ -101,13 +107,13 @@ class TestTrainChunk:
     def test_loss_decreases(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=20, batch_size=8, lr=5e-3, shuffle_seed=3)
-        _, curve = train_chunk(1, DocBlock.from_documents(docs), cb, eng, cfg)
+        _, curve = chunk_training(1, DocBlock.from_documents(docs), cb, eng, cfg)
         assert curve[-1] < curve[0] / 2
 
     def test_parameters_are_f32_representable(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=2, batch_size=16)
-        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
         for p in model.params():
             assert p.dtype == np.float32
 
@@ -136,7 +142,7 @@ class TestTrainChunk:
         monkeypatch.setattr(train, "_batch_step", step)
         monkeypatch.setattr(train, "zero_adam_state", state)
         cfg = TrainConfig(epochs=2, batch_size=16)
-        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert seen["steps"] == 8 and seen["state"].step == 8
         assert {p.dtype for p in model.params()} == {np.dtype(np.float32)}
 
@@ -160,7 +166,8 @@ class TestTrainChunk:
         """The query-time forward and the training forward agree row for row."""
         cb, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
-        model, _ = train_chunk(0, block, cb, eng, TrainConfig(epochs=5, batch_size=8, lr=5e-3))
+        cfg = TrainConfig(epochs=5, batch_size=8, lr=5e-3)
+        model, _ = chunk_training(0, block, cb, eng, cfg)
         seed0 = eng.chunk_feature_seed(0)
         _, _, batch_p = _batch_forward(
             model, _chunk_matrix(block, seed0, eng.feature_dim, "counts")
@@ -172,11 +179,12 @@ class TestTrainChunk:
 
     def test_no_labeled_documents_rejected(self):
         """train_chunk trains on every row it gets: no rows, or an unlabeled one, fail."""
-        cb, eng, _ = small_setup()
+        _, eng, _ = small_setup()
         for label_lists in ([], [[2], []]):
             docs = [make_document(i, [(1, 1)], labels) for i, labels in enumerate(label_lists)]
+            targets = sp.csr_matrix((len(docs), 16), dtype=np.float32)
             with pytest.raises(ValueError, match="labels on every one"):
-                train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
+                train_chunk(0, DocBlock.from_documents(docs), targets, eng, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("bad_label", [-1, 40])
     def test_label_outside_codebook_rejected(self, bad_label):
@@ -184,7 +192,7 @@ class TestTrainChunk:
         cb, eng, _ = small_setup(num_labels=40)
         docs = [make_document(0, [(1, 1)], [3]), make_document(1, [(2, 1)], [bad_label, 39])]
         with pytest.raises(ValueError, match="label id out of range"):
-            train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
+            train_all(docs, cb, eng, TrainConfig(epochs=1))
 
 
 class TestDocBlock:
@@ -376,8 +384,8 @@ class TestMemoryCheck:
             train_all(block, cb, eng, cfg)
 
     def test_estimate_counts_running_chunks_and_the_ensemble(self):
-        """Workers beyond K add nothing; every chunk's float32 model is kept, and
-        the caller's int32 codebook beside the one each running chunk rebuilds."""
+        """Workers beyond K add nothing; every chunk's float32 model and target
+        matrix is kept, and the caller's int32 codebook once."""
         _, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
         code = CodeConfig(40, 2, 16, base_seed=7)
@@ -386,8 +394,9 @@ class TestMemoryCheck:
             for w in (1, 2, 3)
         )
         ensemble = 2 * 4 * (128 * 12 + 12 + 16 * 12 + 16)
+        targets = 2 * ((4 + 8) * block.labels.size + 8 * (50 + 1))
         codebook = 4 * 40 * 2
-        assert two - one == one - ensemble - codebook and three == two
+        assert two - one == one - ensemble - targets - codebook and three == two
 
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
@@ -404,7 +413,7 @@ class TestMemoryCheck:
         share = train._training_bytes(block, cb.config, eng, cfg) - ensemble
         tracemalloc.start()
         try:
-            train_chunk(0, block, cb, eng, cfg)
+            chunk_training(0, block, cb, eng, cfg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
