@@ -209,8 +209,10 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> str:
-    pairs = " ".join(f"{l}:{s:.6f}" for l, s in zip(labels.tolist(), scores.tolist()))
-    return f"{doc_id}\t{pairs}"
+    """``doc_id<TAB>label:score ...``, scores to six decimals, from one ``%`` template."""
+    pairs = [None] * (2 * labels.size)
+    pairs[::2], pairs[1::2] = labels.tolist(), scores.tolist()
+    return f"{doc_id}\t" + " ".join(["%d:%.6f"] * labels.size) % tuple(pairs)
 
 
 def cmd_predict(args: argparse.Namespace) -> int:

@@ -33,14 +33,16 @@ def build_index(cb: LabelCodebook) -> InvertedIndex:
     """Invert a codebook into per-chunk postings.
 
     A stable argsort of the bucket column groups labels by bucket while
-    keeping label order increasing inside each bucket.
+    keeping label order increasing inside each bucket.  The column is first
+    narrowed to the smallest unsigned type that holds B - 1, so for B up to
+    65,536 NumPy sorts it with a radix sort, O(N) per chunk.
     """
     cfg = cb.config
     n, b = cfg.num_labels, cfg.buckets_per_chunk
     offsets = []
     labels = []
     for k in range(cfg.num_chunks):
-        column = cb.codes[:, k]
+        column = cb.codes[:, k].astype(np.min_scalar_type(b - 1))
         loads = np.bincount(column, minlength=b)
         off = np.zeros(b + 1, dtype=np.int64)
         np.cumsum(loads, out=off[1:])

@@ -155,15 +155,17 @@ def _loading_bytes(manifest: Manifest) -> int:
     """Peak bytes of loading an engine and building what serving needs before a query.
 
     :func:`load_ensemble` holds K models and the one blob it parses; every
-    serving command then builds the codebook (N·K int32 codes), the index (per
-    chunk N uint32 labels and B + 1 int64 offsets) and one query's N-byte
-    candidate mask.
+    serving command then builds the codebook (N·K int32 codes) and the index
+    (per chunk N uint32 labels and B + 1 int64 offsets).  One query's candidate
+    union at m = B then holds K·N uint32 postings, a K·N-byte repeat mask, and
+    the N unique labels as uint32 and as the int64 candidates.
     """
     f, h = manifest.engine.feature_dim, manifest.engine.hidden_dim
     cc = manifest.code_config
     n, k, b = cc.num_labels, cc.num_chunks, cc.buckets_per_chunk
     models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
-    return models + 4 * n * k + k * (4 * n + 8 * (b + 1)) + n
+    union = 5 * k * n + 12 * n
+    return models + 4 * n * k + k * (4 * n + 8 * (b + 1)) + union
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
@@ -195,6 +197,12 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
         if model.chunk != ref.chunk:
             raise ManifestError(
                 f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"
+            )
+        seed = manifest.engine.chunk_init_seed(ref.chunk)
+        if model.init_seed != seed:
+            raise ManifestError(
+                f"blob {ref.path} records init_seed {model.init_seed}, "
+                f"manifest's engine gives chunk {ref.chunk} {seed}"
             )
         models.append(model)
     ensemble = ChunkEnsemble(

@@ -26,7 +26,7 @@ import ctypes
 import logging
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -204,8 +204,8 @@ def _training_bytes(
     its targets, and its CSR inputs (built in float64, then cast), last throughout;
     initialisation takes fewer than the 16 bytes per parameter counted here.
     ``min(workers, k)`` chunks run at once, beside the caller's codebook (4·N·K
-    bytes), the ``k`` payloads' targets (a value and column per label, an offset
-    per row) and the ensemble's ``k`` models.
+    bytes), the targets of the ``min(workers, k)`` payloads in flight (a value and
+    column per label, an offset per row) and the ensemble's ``k`` models.
     """
     f, h = engine.feature_dim, engine.hidden_dim
     k, b = code.num_chunks, code.buckets_per_chunk
@@ -220,7 +220,7 @@ def _training_bytes(
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
     targets = (item + 8) * block.labels.size + 8 * block.label_offsets.size
     codebook = 4 * code.num_labels * k
-    return min(cfg.workers, k) * (steps + held) + k * (item * params + targets) + codebook
+    return min(cfg.workers, k) * (steps + held + targets) + k * item * params + codebook
 
 
 def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig) -> None:
@@ -263,14 +263,20 @@ def train_all(
 
     check_memory(block, cb.config, engine, cfg)
     k = cb.config.num_chunks
-    # serially, one chunk's targets are alive at a time; a pool holds all k
+    workers = min(cfg.workers, k)
     payloads = ((c, block, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
-    if cfg.workers == 1 or k == 1:
+    if workers == 1:
         results = [_train_chunk_task(payload) for payload in payloads]
     else:
-        with ProcessPoolExecutor(
-            max_workers=min(cfg.workers, k), initializer=_one_blas_thread
-        ) as pool:
-            results = list(pool.map(_train_chunk_task, payloads))
+        # at most `workers` payloads, and so targets, are alive at a time: the
+        # next chunk's targets are built only once a running chunk has finished
+        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+            futures, running = [], set()
+            for _ in range(k):
+                if len(running) == workers:
+                    running = wait(running, return_when=FIRST_COMPLETED).not_done
+                futures.append(pool.submit(_train_chunk_task, next(payloads)))
+                running.add(futures[-1])
+            results = [future.result() for future in futures]
     models, curves, seconds = (list(column) for column in zip(*results))
     return TrainResult(ChunkEnsemble(cb.config, engine, models), curves, skipped, seconds)

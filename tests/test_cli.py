@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -267,6 +268,35 @@ def _chunk_task_counting_builds(payload):
         calls = count_builds(patch)
         model, curve, _ = _CHUNK_TASK(payload)
     return model, curve, len(calls)
+
+
+def pairwise_prediction(doc_id, labels, scores) -> str:
+    """A prediction line built one f-string per pair."""
+    pairs = " ".join(f"{l}:{s:.6f}" for l, s in zip(labels.tolist(), scores.tolist()))
+    return f"{doc_id}\t{pairs}"
+
+
+class TestFormatPrediction:
+    @pytest.mark.parametrize(
+        "labels, scores",
+        [
+            ([7], [0.5]),  # top_k 1
+            ([3, 1, 2, 0], [float("nan"), float("inf"), -float("inf"), -0.0]),
+            ([2**53 + 1, 2**63 - 1, 0], [1e-7, 5e-7, 123456.0000005]),
+            ([], []),
+        ],
+    )
+    def test_matches_one_f_string_per_pair(self, labels, scores):
+        labels, scores = np.array(labels, dtype=np.int64), np.array(scores, dtype=np.float64)
+        line = cli._format_prediction(2**64 - 1, labels, scores)
+        assert line == pairwise_prediction(2**64 - 1, labels, scores)
+
+    def test_random_lines_match(self):
+        rng = np.random.default_rng(4)
+        for top_k in (1, 2, 100):
+            labels = rng.integers(0, 2**63 - 1, top_k, dtype=np.int64)
+            scores = rng.standard_normal(top_k) * 10.0 ** rng.integers(-8, 8, top_k)
+            assert cli._format_prediction(9, labels, scores) == pairwise_prediction(9, labels, scores)
 
 
 class TestOneCodebookBuild:
@@ -667,9 +697,15 @@ BAD_VALUES = st.one_of(
 )
 # Every typed config key; a path key names a file, and a missing file is an I/O error
 TYPED_KEYS = sorted(set(cli.CONFIG_KEYS) - {"corpus", "eval_corpus", "out_dir"})
-# Byte offsets of the blob header's uint32 fields; the uint64 init_seed after them
-# records where a chunk's draw started and serving never reads it, so any value loads
-HEADER_FIELDS = {"chunk": 0, "feature_dim": 4, "hidden_dim": 8, "buckets_per_chunk": 12}
+# Byte offset and width of each blob header field: four uint32s, then the uint64
+# init_seed, which must equal the manifest engine's seed for that chunk
+HEADER_FIELDS = {
+    "chunk": (0, 4),
+    "feature_dim": (4, 4),
+    "hidden_dim": (8, 4),
+    "buckets_per_chunk": (12, 4),
+    "init_seed": (16, 8),
+}
 
 
 def json_paths(node, prefix=()):
@@ -680,17 +716,17 @@ def json_paths(node, prefix=()):
             yield from json_paths(child, (*prefix, key))
 
 
-def header_field_bytes(value) -> bytes:
-    """``value`` as a writer would store it in a 4-byte little-endian header field:
-    numbers wrap, a string is cut or NUL-padded, null leaves the field out, and a
-    list writes its items one after another."""
+def header_field_bytes(value, width: int) -> bytes:
+    """``value`` as a writer would store it in a ``width``-byte little-endian header
+    field: numbers wrap, a string is cut or NUL-padded, null leaves the field out,
+    and a list writes its items one after another."""
     if isinstance(value, int):
-        return (value % 2**32).to_bytes(4, "little")
+        return (value % 2 ** (8 * width)).to_bytes(width, "little")
     if isinstance(value, float):
-        return struct.pack("<f", value)
+        return struct.pack("<f" if width == 4 else "<d", value)
     if isinstance(value, str):
-        return value.encode()[:4].ljust(4, b"\0")
-    return b"".join(header_field_bytes(v) for v in value or [])
+        return value.encode()[:width].ljust(width, b"\0")
+    return b"".join(header_field_bytes(v, width) for v in value or [])
 
 
 class TestAnyBadField:
@@ -749,9 +785,9 @@ class TestAnyBadField:
         manifest = load_manifest(engine / "manifest.json")
         doc = json.loads((engine / "manifest.json").read_text(encoding="utf-8"))
         chunk = data.draw(st.integers(0, len(doc["blobs"]) - 1))
-        at = HEADER_FIELDS[data.draw(st.sampled_from(sorted(HEADER_FIELDS)))]
+        at, width = HEADER_FIELDS[data.draw(st.sampled_from(sorted(HEADER_FIELDS)))]
         raw = (engine / doc["blobs"][chunk]["path"]).read_bytes()
-        edited = raw[:at] + header_field_bytes(value) + raw[at + 4 :]
+        edited = raw[:at] + header_field_bytes(value, width) + raw[at + width :]
         assume(edited != raw)
         (engine / "edited.bin").write_bytes(edited)
         doc["blobs"][chunk].update(path="edited.bin", sha256=hashlib.sha256(edited).hexdigest())

@@ -62,6 +62,35 @@ class TestBuildIndex:
             assert bucket_loads(idx, chunk).sum() == n
 
 
+def comparison_sort_index(cb):
+    """The index from a stable comparison sort of each int32 code column."""
+    b = cb.config.buckets_per_chunk
+    offsets, labels = [], []
+    for chunk in range(cb.config.num_chunks):
+        column = cb.codes[:, chunk]
+        assert column.dtype == np.int32
+        offsets.append(np.concatenate([[0], np.cumsum(np.bincount(column, minlength=b))]))
+        labels.append(np.argsort(column, kind="mergesort").astype(np.uint32))
+    return offsets, labels
+
+
+class TestNarrowedSort:
+    @pytest.mark.parametrize("b", [2, 255, 256, 257, 65536, 65537])
+    @pytest.mark.parametrize("n", [1, 3000])
+    def test_matches_comparison_sort_bit_for_bit(self, b, n):
+        """Narrow codes (uint8 at B <= 256, uint16 to 65,536, uint32 past it) give
+        the int32 sort's offsets and labels; n = 1 leaves all but one bucket empty."""
+        cb = build_codebook(CodeConfig(n, 3, b, base_seed=b))
+        idx = build_index(cb)
+        want_offsets, want_labels = comparison_sort_index(cb)
+        for chunk in range(3):
+            assert idx.offsets[chunk].dtype == np.int64
+            assert idx.offsets[chunk].tobytes() == want_offsets[chunk].astype(np.int64).tobytes()
+            assert idx.labels[chunk].dtype == np.uint32
+            assert idx.labels[chunk].tobytes() == want_labels[chunk].tobytes()
+            assert np.count_nonzero(bucket_loads(idx, chunk) == 0) >= max(b - n, 0)
+
+
 class TestLookupErrors:
     def test_bad_chunk(self):
         idx = golden_index()

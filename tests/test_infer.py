@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsix.codes import CodeConfig, build_codebook
+from sparsix.features import make_document
 from sparsix.index import build_index, lookup
 from sparsix.infer import (
     AGGREGATION_MODES,
@@ -25,6 +27,7 @@ from sparsix.infer import (
     retrieve_candidates,
     sparsify_topm,
 )
+from sparsix.model import PARAM_DTYPE, ChunkEnsemble, EngineConfig, init_model
 
 
 class TestSparsifyTopm:
@@ -197,7 +200,9 @@ class TestRanking:
 #
 # The retrieval stages as first written: np.unique for the union, 2-D fancy
 # indexing plus a row sum for scoring, and a lexsort of every candidate for
-# ranking.  The linear-time stages must reproduce them bit for bit.
+# ranking; and the union as a length-N mask, the linear-time form that
+# preceded the sorted-postings union.  The stages must reproduce them bit for
+# bit.
 
 
 def ref_retrieve_candidates(idx, emb):
@@ -208,6 +213,18 @@ def ref_retrieve_candidates(idx, emb):
     ]
     merged = np.concatenate(postings).astype(np.int64) if postings else np.empty(0, np.int64)
     return np.unique(merged), int(merged.size)
+
+
+def mask_union(idx, emb):
+    """The union as a length-N mask read back in label order, O(N + retrieved)."""
+    seen = np.zeros(idx.config.num_labels, dtype=bool)
+    retrieved = 0
+    for chunk, buckets in enumerate(emb.top_buckets):
+        for bucket in buckets.tolist():
+            postings = lookup(idx, chunk, bucket)
+            seen[postings] = True
+            retrieved += postings.size
+    return np.flatnonzero(seen).astype(np.int64), retrieved
 
 
 def ref_aggregate_scores(cb, emb, candidates, aggregation):
@@ -268,6 +285,7 @@ class TestMatchesSortReference:
         cand = retrieve_candidates(idx, emb, counters)
         want_cand, retrieved = ref_retrieve_candidates(idx, emb)
         assert_same_bits(cand, want_cand)
+        assert_same_bits(cand, mask_union(idx, emb)[0])
         assert counters.candidates_retrieved == retrieved
         assert counters.unique_candidates == want_cand.size
 
@@ -315,6 +333,72 @@ class TestMatchesSortReference:
                 want += term
             got = aggregate_scores(cb, emb, cand, OpCounters(), aggregation)
             assert_same_bits(got, want)
+
+
+def union_of(idx, emb):
+    counters = OpCounters()
+    cand = retrieve_candidates(idx, emb, counters)
+    want, retrieved = mask_union(idx, emb)
+    assert_same_bits(cand, want)
+    assert counters.candidates_retrieved == retrieved
+    assert counters.unique_candidates == want.size
+    return cand
+
+
+class TestSortedUnion:
+    def test_m_equals_b_is_every_label(self):
+        k, b, n = 4, 16, 5000
+        idx = build_index(build_codebook(CodeConfig(n, k, b, base_seed=3)))
+        emb = QuerySparseEmbedding(np.zeros((k, b)), [np.arange(b)] * k)
+        assert_same_bits(union_of(idx, emb), np.arange(n, dtype=np.int64))
+
+    def test_every_selected_bucket_empty(self):
+        """Five labels in 64 buckets: select only buckets no label uses."""
+        k, b = 3, 64
+        cb = build_codebook(CodeConfig(5, k, b, base_seed=11))
+        idx = build_index(cb)
+        tops = [np.setdiff1d(np.arange(b), cb.codes[:, chunk])[:8] for chunk in range(k)]
+        emb = QuerySparseEmbedding(np.zeros((k, b)), tops)
+        assert_same_bits(union_of(idx, emb), np.empty(0, dtype=np.int64))
+
+    def test_m_equals_b_stays_within_the_loading_estimate(self):
+        """At m = B the union holds K·N uint32 postings, a K·N-byte repeat mask and
+        N labels as uint32 and int64, the term ``_loading_bytes`` counts, beside
+        the K·B postings views and interpreter overhead."""
+        k, b, n = 4, 16, 200_000
+        idx = build_index(build_codebook(CodeConfig(n, k, b, base_seed=3)))
+        emb = QuerySparseEmbedding(np.zeros((k, b)), [np.arange(b)] * k)
+        tracemalloc.start()
+        try:
+            retrieve_candidates(idx, emb, OpCounters())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 5 * k * n + 12 * n <= peak < 5 * k * n + 12 * n + 64 * 1024
+
+    def test_predict_allocates_less_than_the_catalog(self):
+        """N = 2**20, K = 4, B = 256, m = 1: a query retrieves about 16k postings
+        and allocates under one byte per label."""
+        n, k, b = 2**20, 4, 256
+        cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
+        idx = build_index(cb)
+        engine = EngineConfig(feature_dim=64, hidden_dim=4, init_seed=2)
+        models = [
+            init_model(64, 4, b, engine.chunk_init_seed(c), c).astype(PARAM_DTYPE)
+            for c in range(k)
+        ]
+        ensemble = ChunkEnsemble(cb.config, engine, models)
+        doc = make_document(0, [(1, 2), (7, 1)], [])
+        params = InferParams(m=1, top_k=100)
+        predict(ensemble, cb, idx, doc, params)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            pred = predict(ensemble, cb, idx, doc, params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pred.counters.candidates_retrieved > 10_000
+        assert peak < n
 
 
 class TestCounters:

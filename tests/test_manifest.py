@@ -1,6 +1,7 @@
 """Persistence tests: round-trip fidelity, checksums, version gating."""
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 
@@ -185,6 +186,27 @@ class TestValidation:
             load_ensemble(path)
 
 
+    def test_blob_init_seed_cross_checked(self, saved_engine):
+        """A header seed rewritten with its checksum is caught, naming the blob."""
+        engine, path = saved_engine
+        blob = path.parent / "chunk_0001.bin"
+        raw = blob.read_bytes()
+        seed = engine.ensemble.engine.chunk_init_seed(1)
+        assert int.from_bytes(raw[16:24], "little") == seed
+        edited = raw[:16] + (seed ^ 1).to_bytes(8, "little") + raw[24:]
+        blob.write_bytes(edited)
+        digest = hashlib.sha256(edited).hexdigest()
+        self.edit_manifest(path, lambda d: d["blobs"][1].update(sha256=digest))
+        with pytest.raises(ManifestError, match=f"blob chunk_0001.bin records init_seed {seed ^ 1}"):
+            load_ensemble(path)
+
+    def test_engine_init_seed_cross_checked(self, saved_engine):
+        _, path = saved_engine
+        self.edit_manifest(path, lambda d: d["engine"].update(init_seed=d["engine"]["init_seed"] + 1))
+        with pytest.raises(ManifestError, match="blob chunk_0000.bin records init_seed"):
+            load_ensemble(path)
+
+
 class TestMemoryCheck:
     def test_engine_over_memory_fails_before_reading_a_blob(self, saved_engine, monkeypatch):
         _, path = saved_engine
@@ -199,9 +221,10 @@ class TestMemoryCheck:
     ):
         """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, then for
         N = 60 the int32 codebook, the index (uint32 labels, int64 offsets per
-        chunk) and one query's byte-per-label candidate mask."""
+        chunk) and one query's union at m = B (K·N uint32 postings, a K·N-byte
+        repeat mask, N uint32 and N int64 labels)."""
         _, path = saved_engine
-        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + 60
+        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + (5 * 4 * 60 + 12 * 60)
         assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
@@ -211,10 +234,12 @@ class TestMemoryCheck:
         """At F = 100000, H = 16 a second copy of W1 would add 6.4 MB; the traced
         peak stays within interpreter overhead of K models plus one blob."""
         k, f, h, b = 3, 100_000, 16, 32
+        engine = EngineConfig(f, h)
         models = [
-            init_model(f, h, b, init_seed=c, chunk=c).astype(PARAM_DTYPE) for c in range(k)
+            init_model(f, h, b, init_seed=engine.chunk_init_seed(c), chunk=c).astype(PARAM_DTYPE)
+            for c in range(k)
         ]
-        ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), EngineConfig(f, h), models)
+        ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
         path = save_ensemble(ensemble, tmp_path / "wide")
         del ensemble, models
         tracemalloc.start()

@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
+import time
 import tracemalloc
 
 import numpy as np
@@ -291,6 +293,21 @@ def _chunk_task_reporting_blas_threads(payload):
     return model, curve, _blas_threads()
 
 
+EVENT_LOG_ENV = "SPARSIX_TEST_EVENT_LOG"
+
+
+def _log_event(kind: str, chunk: int) -> None:
+    with open(os.environ[EVENT_LOG_ENV], "a", encoding="utf-8") as log:
+        log.write(f"{time.monotonic_ns()} {kind} {chunk}\n")
+
+
+def _chunk_task_logging_its_end(payload):
+    """A chunk task that logs when it is done, before its result goes back."""
+    result = _CHUNK_TASK(payload)
+    _log_event("end", payload[0])
+    return result
+
+
 class TestTrainAll:
     def test_deterministic_across_runs(self):
         cb, eng, docs = small_setup()
@@ -320,6 +337,35 @@ class TestTrainAll:
         for m1, m2 in zip(serial.ensemble.models, parallel.ensemble.models):
             for p1, p2 in zip(m1.params(), m2.params()):
                 assert np.array_equal(p1, p2)
+
+    def test_blobs_identical_at_one_two_and_four_workers(self, tmp_path):
+        """Five chunks: two and four workers each start a chunk as another finishes."""
+        cb, eng, docs = small_setup(num_chunks=5)
+        blobs = []
+        for workers in (1, 2, 4):
+            result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=workers))
+            save_ensemble(result.ensemble, tmp_path / str(workers))
+            blobs.append([p.read_bytes() for p in sorted((tmp_path / str(workers)).glob("*.bin"))])
+        assert len(blobs[0]) == 5 and blobs[0] == blobs[1] == blobs[2]
+
+    def test_pool_builds_targets_only_for_a_free_worker(self, tmp_path, monkeypatch):
+        """With two workers, chunk c's targets are built after chunk c - 2 or a later one ended."""
+        cb, eng, docs = small_setup(num_chunks=5)
+        monkeypatch.setenv(EVENT_LOG_ENV, str(tmp_path / "events"))
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_logging_its_end)
+
+        def logged_targets(block, cb, chunk):
+            _log_event("targets", chunk)
+            return _target_matrix(block, cb, chunk)
+
+        monkeypatch.setattr(train, "_target_matrix", logged_targets)
+        result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
+        assert [m.chunk for m in result.ensemble.models] == list(range(5))
+        lines = [line.split() for line in (tmp_path / "events").read_text().splitlines()]
+        events = [(kind, int(c)) for _, kind, c in sorted(lines, key=lambda e: int(e[0]))]
+        for chunk in range(5):
+            before = events[: events.index(("targets", chunk))]
+            assert sum(kind == "end" for kind, _ in before) >= chunk - 1, events
 
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
@@ -384,8 +430,8 @@ class TestMemoryCheck:
             train_all(block, cb, eng, cfg)
 
     def test_estimate_counts_running_chunks_and_the_ensemble(self):
-        """Workers beyond K add nothing; every chunk's float32 model and target
-        matrix is kept, and the caller's int32 codebook once."""
+        """Workers beyond K add nothing; every chunk's float32 model is kept, each
+        running chunk's target matrix, and the caller's int32 codebook once."""
         _, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
         code = CodeConfig(40, 2, 16, base_seed=7)
@@ -394,9 +440,10 @@ class TestMemoryCheck:
             for w in (1, 2, 3)
         )
         ensemble = 2 * 4 * (128 * 12 + 12 + 16 * 12 + 16)
-        targets = 2 * ((4 + 8) * block.labels.size + 8 * (50 + 1))
+        targets = (4 + 8) * block.labels.size + 8 * (50 + 1)
         codebook = 4 * 40 * 2
-        assert two - one == one - ensemble - targets - codebook and three == two
+        assert two - one == one - ensemble - codebook and three == two
+        assert one - ensemble - codebook > targets
 
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
