@@ -42,7 +42,7 @@ from .equivalence import (
 )
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
-from .manifest import BlobChecksumError, ManifestError, load_ensemble, save_ensemble
+from .manifest import _MISSING, BlobChecksumError, ManifestError, load_ensemble, save_ensemble
 from .metrics import evaluate
 from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
 
@@ -187,11 +187,22 @@ def _print(line: str) -> None:
     _stdout_guarded(print, line)
 
 
+def _corpus_header(path: str) -> tuple[int, int, int]:
+    """``read_header(path)``; a path the file system cannot name, or names as a
+    directory, is a bad input file, as a missing blob is a bad engine."""
+    try:
+        return read_header(path)
+    except OSError as exc:
+        if exc.errno not in _MISSING:
+            raise
+        raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     from .train import check_memory, train_all
 
     values = parse_config(args.config)
-    _, _, num_labels = read_header(values["corpus"])
+    _, _, num_labels = _corpus_header(values["corpus"])
     if num_labels < 1:
         raise ValueError("corpus declares zero labels; nothing to train")
     code, engine, train_cfg = _configs_from(values, num_labels)
@@ -216,6 +227,7 @@ def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> s
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    _corpus_header(args.corpus)
     ensemble, _ = load_ensemble(args.manifest)
     cb = build_codebook(ensemble.code_config)
     if args.mode == "sparse":
@@ -267,6 +279,7 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    _corpus_header(args.corpus)
     ensemble, _ = load_ensemble(args.manifest)
     cb = build_codebook(ensemble.code_config)
     idx = build_index(cb)
@@ -293,7 +306,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     buckets_list = _parse_ks(args.buckets)
     chunks_list = _parse_ks(args.chunks)
     m_list = _parse_ks(args.m)
-    _, _, num_labels = read_header(values["corpus"])
+    _, _, num_labels = _corpus_header(values["corpus"])
+    _corpus_header(values["eval_corpus"])
     block = read_block(values["corpus"])
     testset = list(parse_corpus(values["eval_corpus"]))
 

@@ -93,6 +93,11 @@ def build_codebook(config: CodeConfig) -> LabelCodebook:
     return LabelCodebook(config=config, codes=codes)
 
 
+def codebook_bytes(config: CodeConfig) -> int:
+    """Bytes of the int32 codebook :func:`build_codebook` returns, 4·N·K."""
+    return 4 * config.num_labels * config.num_chunks
+
+
 def orthogonality_stats(
     cb: LabelCodebook, num_pairs: int, sample_seed: int
 ) -> OrthogonalityStats:

@@ -53,6 +53,16 @@ def build_index(cb: LabelCodebook) -> InvertedIndex:
     return InvertedIndex(config=cfg, offsets=offsets, labels=labels)
 
 
+def index_bytes(config: CodeConfig) -> int:
+    """Bytes of :func:`build_index`'s tables: per chunk N uint32 labels and B + 1 int64 offsets.
+
+    Building one chunk's table briefly holds its narrowed column and int64
+    sort order (at most 12 bytes a label, less than the first query's
+    :func:`infer.query_bytes`) and its bucket loads (8 bytes a bucket).
+    """
+    return config.num_chunks * (4 * config.num_labels + 8 * (config.buckets_per_chunk + 1))
+
+
 def lookup(idx: InvertedIndex, chunk: int, bucket: int) -> np.ndarray:
     """Sorted labels in one bucket, as a read-only view (no copy)."""
     _check_chunk(idx, chunk)

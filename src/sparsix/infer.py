@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codes import LabelCodebook
+from .codes import CodeConfig, LabelCodebook
 from .features import Document, hash_features
 from .index import InvertedIndex, lookup
 from .model import ChunkEnsemble, forward
@@ -255,6 +255,21 @@ def predict_full(
     scores = aggregate_scores(cb, emb, all_labels, counters, "full-vector")
     labels, scores = _rank(all_labels, scores, top_k)
     return Prediction(labels=labels, scores=scores, counters=counters)
+
+
+def query_bytes(config: CodeConfig) -> int:
+    """Peak bytes of one query at m = B, or of one ``predict_full``, beside the tables.
+
+    The larger of its two stages.  The union holds K·N uint32 postings sorted
+    in place, a K·N-byte mask of repeats, and the N unique labels as uint32 and
+    then int64: 5·K·N + 12·N bytes.  Scoring holds the N int64 candidates, the
+    (N, K) int32 code gather, the int64 indexes ``take`` converts a column to,
+    the N float64 scores and one gathered row: 4·K·N + 32·N bytes.  Ranking
+    holds less than scoring: the candidates, the scores and two score-sized
+    copies.
+    """
+    n, k = config.num_labels, config.num_chunks
+    return max(5 * k * n + 12 * n, 4 * k * n + 32 * n)
 
 
 # --- cost model -----------------------------------------------------------

@@ -24,10 +24,12 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .codes import CodeConfig
+from .codes import CodeConfig, codebook_bytes
 from .hashing import check_ints
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, load_model
-from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, num_params, save_model
+from .index import index_bytes
+from .infer import query_bytes
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, model_bytes
+from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, save_model
 
 FORMAT_VERSION = 1
 
@@ -35,7 +37,8 @@ FORMAT_VERSION = 1
 # train_config; such a manifest loads if it holds these same values
 _FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 _SHA256 = re.compile("[0-9a-f]{64}")
-# a blob path the file system cannot name, or names as a directory, is a missing blob
+# a path the file system cannot name, or names as a directory, names no file:
+# a missing blob here, and a missing corpus to the CLI
 _MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ENAMETOOLONG)
 
 
@@ -152,20 +155,15 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 
 
 def _loading_bytes(manifest: Manifest) -> int:
-    """Peak bytes of loading an engine and building what serving needs before a query.
+    """Peak bytes of loading an engine and serving its first query.
 
     :func:`load_ensemble` holds K models and the one blob it parses; every
-    serving command then builds the codebook (N·K int32 codes) and the index
-    (per chunk N uint32 labels and B + 1 int64 offsets).  One query's candidate
-    union at m = B then holds K·N uint32 postings, a K·N-byte repeat mask, and
-    the N unique labels as uint32 and as the int64 candidates.
+    serving command then builds the codebook and the index and serves queries.
+    Each module that allocates one of these counts its bytes.
     """
-    f, h = manifest.engine.feature_dim, manifest.engine.hidden_dim
     cc = manifest.code_config
-    n, k, b = cc.num_labels, cc.num_chunks, cc.buckets_per_chunk
-    models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
-    union = 5 * k * n + 12 * n
-    return models + 4 * n * k + k * (4 * n + 8 * (b + 1)) + union
+    model = model_bytes(manifest.engine, cc.buckets_per_chunk)
+    return (cc.num_chunks + 1) * model + codebook_bytes(cc) + index_bytes(cc) + query_bytes(cc)
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:

@@ -9,22 +9,17 @@ per-point numbers.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .codes import LabelCodebook
 from .features import Document
 from .index import InvertedIndex
-from .infer import InferParams, predict
+from .infer import InferParams, OpCounters, predict
 from .model import ChunkEnsemble
 
-COUNTER_FIELDS = (
-    "buckets_scored",
-    "candidates_retrieved",
-    "unique_candidates",
-    "scores_summed",
-)
+COUNTER_FIELDS = tuple(f.name for f in fields(OpCounters))
 
 
 @dataclass(frozen=True)

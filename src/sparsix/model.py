@@ -14,8 +14,10 @@ optimizer setting a run chooses.
 Both forward passes share one :func:`sigmoid`, written in NumPy alone, so
 serving imports no SciPy; ``scipy.sparse`` appears here only in annotations.
 The engine's configs (:class:`EngineConfig`, :class:`TrainConfig`), the
-trained :class:`ChunkEnsemble` and :func:`check_fits`, where both the training
-and the loading estimate meet the memory limit, live here too, for the same reason.
+trained :class:`ChunkEnsemble`, the bytes a model and a training step take
+(:func:`model_bytes`, :func:`step_bytes`) and :func:`check_fits`, where both
+the training and the loading estimate meet the memory limit, live here too,
+for the same reason.
 
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
@@ -450,6 +452,26 @@ class ChunkEnsemble:
                 or m.output_dim != self.code_config.buckets_per_chunk
             ):
                 raise ValueError(f"chunk {m.chunk}: model dims disagree with config")
+
+
+def model_bytes(engine: EngineConfig, buckets: int) -> int:
+    """Bytes of one ``PARAM_DTYPE`` model of ``engine`` with ``buckets`` outputs."""
+    return PARAM_DTYPE.itemsize * num_params(engine.feature_dim, engine.hidden_dim, buckets)
+
+
+def step_bytes(engine: EngineConfig, buckets: int, rows: int) -> int:
+    """Peak bytes of one chunk's training steps on batches of at most ``rows`` rows.
+
+    The chunk holds its parameters, W1's dense gradient, Adam's m and v (a
+    model's bytes each), Adam's eight scratch blocks, its finiteness mask over
+    one block (a byte per entry) and one batch's activations: four (rows, H + B)
+    arrays in ``PARAM_DTYPE`` and three in float64 for the loss.  Initialisation
+    takes fewer than the 16 bytes a parameter counted here.
+    """
+    item = PARAM_DTYPE.itemsize
+    adam = 8 * ADAM_BLOCK_BYTES + ADAM_BLOCK_BYTES // item
+    activations = rows * (engine.hidden_dim + buckets) * (4 * item + 24)
+    return 4 * model_bytes(engine, buckets) + adam + activations
 
 
 def _memory_limit() -> int:

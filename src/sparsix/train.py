@@ -34,11 +34,11 @@ import numpy as np
 import scipy.sparse as sp
 
 # no chunk builds a codebook; the benchmark's chunk tracer still wraps build_codebook
-from .codes import CodeConfig, LabelCodebook, build_codebook  # noqa: F401
+from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes  # noqa: F401
 from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
 from .hashing import derive_seed
-from .model import ADAM_BLOCK_BYTES, PARAM_DTYPE, ChunkModel, apply_update, check_fits
-from .model import init_model, num_params, zero_adam_state
+from .model import PARAM_DTYPE, ChunkModel, apply_update, check_fits, init_model, model_bytes
+from .model import step_bytes, zero_adam_state
 # the engine's configs and ensemble live in model, which serving imports without SciPy
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -198,29 +198,22 @@ def _training_bytes(
 ) -> int:
     """Estimated peak bytes of :func:`train_all`, counted before it allocates any.
 
-    A running chunk holds its parameters, W1's dense gradient, Adam's m, v and
-    eight scratch blocks, ``apply_update``'s finiteness mask over one block
-    (a byte per entry) and one batch's activations.  Its copies of the block and
-    its targets, and its CSR inputs (built in float64, then cast), last throughout;
-    initialisation takes fewer than the 16 bytes per parameter counted here.
-    ``min(workers, k)`` chunks run at once, beside the caller's codebook (4·N·K
-    bytes), the targets of the ``min(workers, k)`` payloads in flight (a value and
-    column per label, an offset per row) and the ensemble's ``k`` models.
+    ``min(workers, k)`` chunks run at once.  Each holds its training steps'
+    state (:func:`model.step_bytes`) and, throughout, its copies of the block
+    and its targets and its CSR inputs, built in float64 and then cast.  Beside
+    them are the caller's codebook (:func:`codes.codebook_bytes`), the targets
+    of the payloads in flight (a value and column per label, an offset per row)
+    and the ensemble's ``k`` models (:func:`model.model_bytes`).
     """
-    f, h = engine.feature_dim, engine.hidden_dim
     k, b = code.num_chunks, code.buckets_per_chunk
-    params = num_params(f, h, b)
     item = PARAM_DTYPE.itemsize
     rows = min(cfg.batch_size, block.label_offsets.size - 1)
-    adam = 8 * ADAM_BLOCK_BYTES + ADAM_BLOCK_BYTES // item
-    # four (rows, H + B) activations in the parameters' dtype, three in float64 for the loss
-    steps = item * 4 * params + adam + rows * (h + b) * (4 * item + 24)
     # per non-zero: float64 value, int64 key and column, cast value and index
     csr = (32 + item) * (block.token_ids.size + block.labels.size)
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
     targets = (item + 8) * block.labels.size + 8 * block.label_offsets.size
-    codebook = 4 * code.num_labels * k
-    return min(cfg.workers, k) * (steps + held + targets) + k * item * params + codebook
+    running = step_bytes(engine, b, rows) + held + targets
+    return min(cfg.workers, k) * running + k * model_bytes(engine, b) + codebook_bytes(code)
 
 
 def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig) -> None:

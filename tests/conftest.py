@@ -1,7 +1,10 @@
-"""Shared fixtures: one small trained engine reused across test modules."""
+"""Shared fixtures: one small trained engine reused across test modules, and
+``traced_peak``, which tests import to measure what a call allocates."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import pytest
 
@@ -10,6 +13,19 @@ from sparsix.corpus import make_separable_corpus
 from sparsix.features import Document
 from sparsix.index import InvertedIndex, build_index
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
+
+T = TypeVar("T")
+
+
+def traced_peak(fn: Callable[[], T]) -> tuple[T, int]:
+    """``fn()``'s result and the peak bytes ``tracemalloc`` traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @dataclass(frozen=True)

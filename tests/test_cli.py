@@ -501,6 +501,48 @@ class TestExitCodes:
         assert rc in (EXIT_VALIDATION, EXIT_VERIFY)
         assert "error: " in err and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("kind", ["missing", "directory", "too-long"])
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("train", "corpus"),
+            ("sweep", "corpus"),
+            ("sweep", "eval_corpus"),
+            ("predict", "--corpus"),
+            ("eval", "--corpus"),
+        ],
+    )
+    def test_corpus_naming_no_file_is_validation_error(
+        self, workspace, tmp_path, capsys, command, key, kind
+    ):
+        """A corpus path that names nothing, names a directory, or is too long for
+        the file system is a bad input file: exit 1, an error naming the path."""
+        bad = {
+            "missing": tmp_path / "absent.txt",
+            "directory": tmp_path,
+            "too-long": tmp_path / ("x" * 5000),
+        }[kind]
+        if key == "--corpus":
+            manifest = workspace / "engine" / "manifest.json"
+            argv = [command, "--manifest", str(manifest), "--corpus", str(bad), "--m", "4"]
+            if command == "predict":
+                argv += ["--out", str(tmp_path / "p.tsv")]
+        else:
+            paths = {"corpus": workspace / "train.txt", "eval_corpus": workspace / "test.txt"}
+            paths[key] = bad
+            settings = "".join(f"{k} = {v}\n" for k, v in paths.items())
+            text = with_settings(DESK_CONFIG, settings + f"out_dir = {tmp_path / 'engine'}")
+            (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+            argv = [command, "--config", str(tmp_path / "run.cfg")]
+            if command == "sweep":
+                argv += ["--buckets", "8", "--chunks", "2", "--m", "2"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert f"error: cannot read corpus {bad}: " in err and "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "engine").exists() and not (tmp_path / "p.tsv").exists()
+
     @pytest.mark.parametrize("command", ["train", "sweep"])
     def test_catalog_over_memory_fails_before_the_codebook(self, tmp_path, capsys, command):
         """10**12 labels need a 7.3 TiB codebook per copy: the check says so, not NumPy."""
@@ -695,8 +737,8 @@ BAD_VALUES = st.one_of(
     st.none(),
     st.lists(st.integers(-2, 2), max_size=3),
 )
-# Every typed config key; a path key names a file, and a missing file is an I/O error
-TYPED_KEYS = sorted(set(cli.CONFIG_KEYS) - {"corpus", "eval_corpus", "out_dir"})
+# Every config key a command reads; out_dir names where to write
+READ_KEYS = sorted(set(cli.CONFIG_KEYS) - {"out_dir"})
 # Byte offset and width of each blob header field: four uint32s, then the uint64
 # init_seed, which must equal the manifest engine's seed for that chunk
 HEADER_FIELDS = {
@@ -795,15 +837,20 @@ class TestAnyBadField:
 
     @settings(max_examples=60, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(key=st.sampled_from(TYPED_KEYS), value=BAD_VALUES)
+    @given(key=st.sampled_from(READ_KEYS), value=BAD_VALUES)
     def test_config_value(self, engine, tmp_path, run, key, value):
+        """Only ``sweep`` reads ``eval_corpus``; ``train`` reads every other key."""
         text = value if isinstance(value, str) else json.dumps(value)
         config = with_settings(DESK_CONFIG, f"out_dir = {tmp_path / 'trained'}")
         lines = [l for l in config.splitlines() if l.partition("=")[0].strip() != key]
         (tmp_path / "run.cfg").write_text(
             "\n".join([*lines, f"{key} = {text}"]) + "\n", encoding="utf-8"
         )
-        run(["train", "--config", str(tmp_path / "run.cfg")], limit=0)
+        argv = ["--config", str(tmp_path / "run.cfg")]
+        if key == "eval_corpus":
+            run(["sweep", *argv, "--buckets", "8", "--chunks", "2", "--m", "2"], limit=0)
+        else:
+            run(["train", *argv], limit=0)
         assert not (tmp_path / "trained").exists()
 
 

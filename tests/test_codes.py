@@ -1,13 +1,12 @@
 """Codebook tests: golden assignments, dot-product statistics, and config checks."""
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sparsix.codes import (
     CODEBOOK_BLOCK,
     CodeConfig,
@@ -63,12 +62,7 @@ class TestBuildCodebook:
     def test_build_peaks_at_the_codebook_plus_one_block(self):
         """N 1,000,000, K 4: a 16 MB codebook, and one block's 28 bytes a label beside it."""
         cc = CodeConfig(1_000_000, 4, 1000, base_seed=3)
-        tracemalloc.start()
-        try:
-            cb = build_codebook(cc)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        cb, peak = traced_peak(lambda: build_codebook(cc))
         assert cb.codes.nbytes == 16_000_000
         assert cb.codes.nbytes < peak <= cb.codes.nbytes + 28 * CODEBOOK_BLOCK + 64 * 1024
 

@@ -1,7 +1,6 @@
 """Corpus file format: header, labels, token pairs, errors, synthesis."""
 from __future__ import annotations
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sparsix import corpus
 from sparsix.corpus import (
     CorpusFormatError,
@@ -247,12 +247,7 @@ class TestBlock:
             tokens = rng.choice(100000, 100, replace=False)
             lines.append(f"{i % 500} " + " ".join(f"{t}:{1 + t % 4}" for t in tokens))
         p = corpus_file(tmp_path, "\n".join(lines) + "\n")
-        tracemalloc.start()
-        try:
-            block = read_block(p)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        block, peak = traced_peak(lambda: read_block(p))
         nbytes = sum(a.nbytes for a in vars(block).values())
         assert peak <= 1.5 * nbytes
 

@@ -2,13 +2,13 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.features import make_document
 from sparsix.index import build_index, lookup
@@ -24,6 +24,7 @@ from sparsix.infer import (
     op_count_bound,
     predict,
     predict_full,
+    query_bytes,
     retrieve_candidates,
     sparsify_topm,
 )
@@ -363,42 +364,62 @@ class TestSortedUnion:
 
     def test_m_equals_b_stays_within_the_loading_estimate(self):
         """At m = B the union holds K·N uint32 postings, a K·N-byte repeat mask and
-        N labels as uint32 and int64, the term ``_loading_bytes`` counts, beside
+        N labels as uint32 and int64, the union stage ``query_bytes`` counts, beside
         the K·B postings views and interpreter overhead."""
         k, b, n = 4, 16, 200_000
         idx = build_index(build_codebook(CodeConfig(n, k, b, base_seed=3)))
         emb = QuerySparseEmbedding(np.zeros((k, b)), [np.arange(b)] * k)
-        tracemalloc.start()
-        try:
-            retrieve_candidates(idx, emb, OpCounters())
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: retrieve_candidates(idx, emb, OpCounters()))
         assert 5 * k * n + 12 * n <= peak < 5 * k * n + 12 * n + 64 * 1024
 
     def test_predict_allocates_less_than_the_catalog(self):
         """N = 2**20, K = 4, B = 256, m = 1: a query retrieves about 16k postings
         and allocates under one byte per label."""
-        n, k, b = 2**20, 4, 256
-        cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
+        n = 2**20
+        cb = build_codebook(CodeConfig(n, 4, 256, base_seed=5))
         idx = build_index(cb)
-        engine = EngineConfig(feature_dim=64, hidden_dim=4, init_seed=2)
-        models = [
-            init_model(64, 4, b, engine.chunk_init_seed(c), c).astype(PARAM_DTYPE)
-            for c in range(k)
-        ]
-        ensemble = ChunkEnsemble(cb.config, engine, models)
-        doc = make_document(0, [(1, 2), (7, 1)], [])
+        ensemble = untrained_ensemble(cb)
         params = InferParams(m=1, top_k=100)
-        predict(ensemble, cb, idx, doc, params)  # first-call allocations stay out
-        tracemalloc.start()
-        try:
-            pred = predict(ensemble, cb, idx, doc, params)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        predict(ensemble, cb, idx, QUERY, params)  # first-call allocations stay out
+        pred, peak = traced_peak(lambda: predict(ensemble, cb, idx, QUERY, params))
         assert pred.counters.candidates_retrieved > 10_000
         assert peak < n
+
+
+QUERY = make_document(0, [(1, 2), (7, 1)], [])
+
+
+def untrained_ensemble(cb):
+    """Freshly initialised float32 models, F = 64 and H = 4, over ``cb``'s chunks."""
+    engine = EngineConfig(feature_dim=64, hidden_dim=4, init_seed=2)
+    b = cb.config.buckets_per_chunk
+    models = [
+        init_model(64, 4, b, engine.chunk_init_seed(c), c).astype(PARAM_DTYPE)
+        for c in range(cb.config.num_chunks)
+    ]
+    return ChunkEnsemble(cb.config, engine, models)
+
+
+class TestQueryBytes:
+    @pytest.mark.parametrize("k", [1, 4, 16])
+    def test_one_query_peaks_within_its_term(self, k):
+        """N = 200,000, B = 256: a query at m = B in either aggregation, and one
+        ``predict_full``, allocates at most ``query_bytes`` and a slack that does
+        not grow with N.  Below K = 20 scoring, not the union, sets the peak."""
+        n, b = 200_000, 256
+        cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
+        idx = build_index(cb)
+        ensemble = untrained_ensemble(cb)
+        queries = [
+            lambda: predict(ensemble, cb, idx, QUERY, InferParams(m=b, top_k=100)),
+            lambda: predict(ensemble, cb, idx, QUERY, InferParams(b, 100, "truncated")),
+            lambda: predict_full(ensemble, cb, QUERY, top_k=100),
+        ]
+        for query in queries:
+            query()  # first-call allocations stay out
+            pred, peak = traced_peak(query)
+            assert pred.counters.unique_candidates == n
+            assert peak <= query_bytes(cb.config) + 256 * 1024
 
 
 class TestCounters:

@@ -3,13 +3,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
 
 import sparsix.manifest
 import sparsix.model as model_mod
+from conftest import traced_peak
 from sparsix.infer import InferParams, embed_query, predict
 from sparsix.manifest import (
     FORMAT_VERSION,
@@ -221,10 +221,11 @@ class TestMemoryCheck:
     ):
         """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, then for
         N = 60 the int32 codebook, the index (uint32 labels, int64 offsets per
-        chunk) and one query's union at m = B (K·N uint32 postings, a K·N-byte
-        repeat mask, N uint32 and N int64 labels)."""
+        chunk) and one query at m = B, whose scoring (N int64 candidates, an
+        (N, K) int32 code gather, N int64 indexes, N float64 scores and one
+        gathered row: 2,880 bytes) outgrows its union (1,920 bytes)."""
         _, path = saved_engine
-        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + (5 * 4 * 60 + 12 * 60)
+        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + (4 * 4 * 60 + 32 * 60)
         assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
@@ -242,12 +243,7 @@ class TestMemoryCheck:
         ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
         path = save_ensemble(ensemble, tmp_path / "wide")
         del ensemble, models
-        tracemalloc.start()
-        try:
-            loaded, manifest = load_ensemble(path)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        (loaded, manifest), peak = traced_peak(lambda: load_ensemble(path))
         models_and_blob = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
         assert models_and_blob <= peak < models_and_blob + 64 * 1024
         assert models_and_blob < _loading_bytes(manifest)

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import struct
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -10,6 +9,7 @@ import pytest
 import scipy.sparse as sp
 
 import sparsix.model as model_mod
+from conftest import traced_peak
 from sparsix.features import HashedFeatures
 from sparsix.model import (
     ADAM_BETA1,
@@ -392,12 +392,7 @@ class TestAdam:
         m = init_model(100_000, 64, 4, init_seed=0).astype(np.float32)
         g = Gradients(*(np.zeros_like(p) for p in m.params()))
         state = zero_adam_state(m)
-        tracemalloc.start()
-        try:
-            apply_update(m, g, state, 1e-3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: apply_update(m, g, state, 1e-3))
         assert peak < 64 * 1024
 
     def test_training_reduces_loss(self):
@@ -451,13 +446,8 @@ class TestPersistence:
         # claims more than int64 can count
         for f, h, b in ((2**20, 2**12, 4), (2**32 - 1, 2**32 - 1, 2**32 - 1)):
             lying = struct.pack("<IIIIQ", 0, f, h, b, 1) + raw[struct.calcsize("<IIIIQ"):]
-            tracemalloc.start()
-            try:
-                with pytest.raises(ValueError, match="claims"):
-                    load_model(lying)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
+            raised, peak = traced_peak(lambda: pytest.raises(ValueError, load_model, lying))
+            raised.match("claims")
             assert peak < 4 * (f * h + h + b * h + b)
 
     def test_blob_holds_w1_hidden_major(self):

@@ -5,13 +5,13 @@ import dataclasses
 import os
 import pickle
 import time
-import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import sparsix.model as model_mod
+from conftest import traced_peak
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.corpus import parse_corpus, read_block, write_corpus
@@ -458,12 +458,7 @@ class TestMemoryCheck:
         b = cb.config.buckets_per_chunk
         ensemble = PARAM_DTYPE.itemsize * num_params(100_000, 64, b)
         share = train._training_bytes(block, cb.config, eng, cfg) - ensemble
-        tracemalloc.start()
-        try:
-            chunk_training(0, block, cb, eng, cfg)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: chunk_training(0, block, cb, eng, cfg))
         assert peak <= share
 
 
