@@ -43,9 +43,11 @@ def build_index(cb: LabelCodebook) -> InvertedIndex:
     labels = []
     for k in range(cfg.num_chunks):
         column = cb.codes[:, k].astype(np.min_scalar_type(b - 1))
-        loads = np.bincount(column, minlength=b)
-        off = np.zeros(b + 1, dtype=np.int64)
-        np.cumsum(loads, out=off[1:])
+        # bucket loads, summed in place and shifted by one: one B-sized array
+        off = np.bincount(column, minlength=b + 1)
+        np.cumsum(off, out=off)
+        off[1:] = off[:-1]
+        off[0] = 0
         order = np.argsort(column, kind="stable").astype(np.uint32)
         assert off[-1] == n
         offsets.append(off)
@@ -58,7 +60,8 @@ def index_bytes(config: CodeConfig) -> int:
 
     Building one chunk's table briefly holds its narrowed column and int64
     sort order (at most 12 bytes a label, less than the first query's
-    :func:`infer.query_bytes`) and its bucket loads (8 bytes a bucket).
+    :func:`infer.query_bytes`); it counts the bucket loads in the offsets
+    array itself.
     """
     return config.num_chunks * (4 * config.num_labels + 8 * (config.buckets_per_chunk + 1))
 

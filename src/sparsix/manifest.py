@@ -105,6 +105,7 @@ def save_ensemble(
         data = save_model(model)
         (out_dir / name).write_bytes(data)
         blobs.append(BlobRef(model.chunk, name, hashlib.sha256(data).hexdigest()))
+        del data  # else this blob outlives the next one's build
 
     doc = {
         "format_version": FORMAT_VERSION,

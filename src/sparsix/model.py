@@ -22,8 +22,10 @@ for the same reason.
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
 in float64.  :func:`init_model` draws in float64, the precision
-:func:`grad_check` checks in.  W1 is held (F, H), one row per input index, so a
-batch's sparse inputs read and write whole rows; blobs keep it in (H, F) order.
+:func:`grad_check` checks in, and casts to the dtype asked for.  W1 is held
+(F, H), one row per input index, so a batch's sparse inputs read and write
+whole rows; blobs keep it in (H, F) order.  A row no input reaches has a zero
+gradient, so training hands these functions a model of the live rows only.
 :func:`save_model` returns a blob's bytes and :func:`load_model` parses those
 bytes in place, copying each array once into the model.  A blob is its header
 plus exactly the payload the header claims: fewer or more bytes are an error.
@@ -56,6 +58,9 @@ ADAM_EPS = 1e-8
 # core's cache.  At F=8192, H=64 on a 2-vCPU Xeon, whole-array passes made a
 # float64 step about a fifth slower; a float32 block holds twice the rows.
 ADAM_BLOCK_BYTES = 128 * 1024
+# init_model draws W1 this many hidden units at a time, an (8, F) float64 block:
+# at F=100000, H=512, fewer units made the transposed writes up to 2.6x slower
+INIT_BLOCK_UNITS = 8
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -88,10 +93,6 @@ class ChunkModel:
     def params(self) -> tuple[np.ndarray, ...]:
         return (self.W1, self.b1, self.W2, self.b2)
 
-    def astype(self, dtype: type) -> ChunkModel:
-        """A copy with every parameter cast to ``dtype``."""
-        return ChunkModel(self.chunk, self.init_seed, *(p.astype(dtype) for p in self.params()))
-
 
 @dataclass
 class Gradients:
@@ -122,26 +123,40 @@ class AdamState:
 
 
 def init_model(
-    input_dim: int, hidden_dim: int, output_dim: int, init_seed: int, chunk: int = 0
+    input_dim: int,
+    hidden_dim: int,
+    output_dim: int,
+    init_seed: int,
+    chunk: int = 0,
+    dtype: type = np.float64,
 ) -> ChunkModel:
-    """Glorot-uniform weights, zero biases, deterministic per seed.
+    """Glorot-uniform weights, zero biases, deterministic per seed, in ``dtype``.
 
-    Each layer draws from ``uniform(-a, a)`` with ``a = sqrt(6/(fan_in+fan_out))``;
-    W1 is drawn (H, F), before W2, and stored transposed, so the values do not
-    depend on the storage layout.
+    Each layer draws float64 from ``uniform(-a, a)`` with
+    ``a = sqrt(6/(fan_in+fan_out))``, then casts to ``dtype``.  W1 is drawn
+    (H, F), before W2, ``INIT_BLOCK_UNITS`` hidden units at a time, and stored
+    transposed; PCG64 gives consecutive blocks the values of one (H, F) draw,
+    so the values depend neither on the blocks nor on the storage layout, and
+    no whole float64 W1 is held.  Training takes its float32 model here and
+    trains only the rows of W1 its inputs reach; every other row keeps these
+    initial bits.
     """
     if min(input_dim, hidden_dim, output_dim) < 1:
         raise ValueError("all model dimensions must be >= 1")
     rng = np.random.Generator(np.random.PCG64(init_seed))
     a1 = np.sqrt(6.0 / (input_dim + hidden_dim))
     a2 = np.sqrt(6.0 / (hidden_dim + output_dim))
+    W1 = np.empty((input_dim, hidden_dim), dtype=dtype)
+    for start in range(0, hidden_dim, INIT_BLOCK_UNITS):
+        units = min(INIT_BLOCK_UNITS, hidden_dim - start)
+        W1[:, start : start + units] = rng.uniform(-a1, a1, size=(units, input_dim)).T
     return ChunkModel(
         chunk=chunk,
         init_seed=init_seed,
-        W1=np.ascontiguousarray(rng.uniform(-a1, a1, size=(hidden_dim, input_dim)).T),
-        b1=np.zeros(hidden_dim),
-        W2=rng.uniform(-a2, a2, size=(output_dim, hidden_dim)),
-        b2=np.zeros(output_dim),
+        W1=W1,
+        b1=np.zeros(hidden_dim, dtype=dtype),
+        W2=rng.uniform(-a2, a2, size=(output_dim, hidden_dim)).astype(dtype, copy=False),
+        b2=np.zeros(output_dim, dtype=dtype),
     )
 
 
@@ -157,8 +172,8 @@ def zero_adam_state(model: ChunkModel) -> AdamState:
 
 def _row_block(p: np.ndarray) -> np.ndarray:
     """Uninitialised leading rows of ``p``: as many as fit ADAM_BLOCK_BYTES, at least one."""
-    rows = max(1, ADAM_BLOCK_BYTES * p.shape[0] // p.nbytes)
-    return np.empty((min(rows, p.shape[0]), *p.shape[1:]), dtype=p.dtype)
+    rows = max(1, ADAM_BLOCK_BYTES // (p.itemsize * math.prod(p.shape[1:])))
+    return np.empty((max(1, min(rows, p.shape[0])), *p.shape[1:]), dtype=p.dtype)
 
 
 @np.errstate(over="ignore")
@@ -245,16 +260,15 @@ def apply_update(
     time.  The operations and their order are those of the textbook expression
     ``p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)``, so the result is the same
     to the bit.  Before any parameter changes, every gradient is checked finite
-    over those same row blocks, so the check's mask is one block, not a gradient.
+    by its largest and smallest entry, so the check allocates no mask.
     """
-    for g, (num_block, _) in zip(grads.arrays(), state.scratch):
-        rows = num_block.shape[0]
-        blocks = (g[start : start + rows] for start in range(0, g.shape[0], rows))
-        if not all(np.isfinite(block).all() for block in blocks):
-            raise NonFiniteGradientError(
-                f"chunk {model.chunk}: non-finite gradient at step {state.step + 1}; "
-                "reduce the learning rate"
-            )
+    # a NaN is both extremes and an infinity one of them, so two reductions need no mask
+    extremes = ((g.max(), g.min()) for g in grads.arrays() if g.size)
+    if not all(np.isfinite(hi) and np.isfinite(lo) for hi, lo in extremes):
+        raise NonFiniteGradientError(
+            f"chunk {model.chunk}: non-finite gradient at step {state.step + 1}; "
+            "reduce the learning rate"
+        )
     state.step += 1
     bc1 = 1.0 - ADAM_BETA1**state.step
     bc2 = 1.0 - ADAM_BETA2**state.step
@@ -350,16 +364,21 @@ def num_params(f: int, h: int, b: int) -> int:
     return f * h + h + b * h + b
 
 
-def save_model(model: ChunkModel) -> bytes:
+def save_model(model: ChunkModel) -> bytearray:
     """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as little-endian ``PARAM_DTYPE``.
 
-    W1 is written (H, F), hidden unit by hidden unit.
+    W1 is written (H, F), hidden unit by hidden unit.  Each array is copied
+    once, straight into the blob, so building it holds one blob's bytes.
     """
-    header = _HEADER.pack(
-        model.chunk, model.input_dim, model.hidden_dim, model.output_dim, model.init_seed
-    )
-    params = (model.W1.T, model.b1, model.W2, model.b2)
-    return b"".join([header, *(p.astype(_BLOB_DTYPE, copy=False).tobytes() for p in params)])
+    f, h, b = model.input_dim, model.hidden_dim, model.output_dim
+    blob = bytearray(_HEADER.size + _BLOB_DTYPE.itemsize * num_params(f, h, b))
+    _HEADER.pack_into(blob, 0, model.chunk, f, h, b, model.init_seed)
+    offset = _HEADER.size
+    for p in (model.W1.T, model.b1, model.W2, model.b2):
+        stored = np.frombuffer(blob, _BLOB_DTYPE, p.size, offset).reshape(p.shape)
+        stored[...] = p
+        offset += stored.nbytes
+    return blob
 
 
 def load_model(data: bytes) -> ChunkModel:
@@ -459,19 +478,24 @@ def model_bytes(engine: EngineConfig, buckets: int) -> int:
     return PARAM_DTYPE.itemsize * num_params(engine.feature_dim, engine.hidden_dim, buckets)
 
 
-def step_bytes(engine: EngineConfig, buckets: int, rows: int) -> int:
+def step_bytes(engine: EngineConfig, buckets: int, rows: int, live_rows: int) -> int:
     """Peak bytes of one chunk's training steps on batches of at most ``rows`` rows.
 
-    The chunk holds its parameters, W1's dense gradient, Adam's m and v (a
-    model's bytes each), Adam's eight scratch blocks, its finiteness mask over
-    one block (a byte per entry) and one batch's activations: four (rows, H + B)
-    arrays in ``PARAM_DTYPE`` and three in float64 for the loss.  Initialisation
-    takes fewer than the 16 bytes a parameter counted here.
+    The chunk holds the full float32 W1 once.  Only the rows of W1 its inputs
+    reach train, at most ``live_rows`` of them (and at most F): the live model,
+    its gradient and Adam's m and v take a live model's bytes each; every other
+    row keeps its initial bits and has no gradient or moments.  Beside them are
+    Adam's eight scratch blocks, one batch's activations (four (rows, H + B)
+    arrays in ``PARAM_DTYPE`` and three in float64 for the loss) and
+    :func:`init_model`'s float64 block of hidden units.
     """
     item = PARAM_DTYPE.itemsize
-    adam = 8 * ADAM_BLOCK_BYTES + ADAM_BLOCK_BYTES // item
-    activations = rows * (engine.hidden_dim + buckets) * (4 * item + 24)
-    return 4 * model_bytes(engine, buckets) + adam + activations
+    f, h = engine.feature_dim, engine.hidden_dim
+    live = item * num_params(min(live_rows, f), h, buckets)
+    adam = 8 * ADAM_BLOCK_BYTES
+    activations = rows * (h + buckets) * (4 * item + 24)
+    init = 8 * min(h, INIT_BLOCK_UNITS) * f
+    return item * f * h + 4 * live + adam + activations + init
 
 
 def _memory_limit() -> int:

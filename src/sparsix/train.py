@@ -13,8 +13,14 @@ Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
 arrays and its CSR target matrix, which :func:`train_all` builds from the
 caller's codebook; no chunk sees a codebook.  A chunk hashes the block's token
 ids in one call into its CSR input matrix; the block's offsets are the row
-pointers of both.  Each batch slices both and takes one :func:`model.batch_step`,
-the only loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
+pointers of both.  Each epoch permutes both once, and each batch slices them and
+takes one :func:`model.batch_step`, the only loss-and-gradient code in the
+package, in float32 (``model.PARAM_DTYPE``).
+
+A chunk trains only the rows of W1 its inputs reach.  A row that no document
+hashes into gets an exactly zero gradient at every step, so Adam would leave
+it at its initial bits; those rows keep them, and the learned bytes are the
+same as if every row trained.
 
 Targets use positive-only association: a bucket is trained toward 1 whenever
 any label pooled into it is relevant to the document, i.e. the few-hot target
@@ -27,7 +33,8 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from dataclasses import dataclass, fields
+from collections.abc import Iterator
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -88,6 +95,33 @@ def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_mat
     return _block_csr(ones, cols, block.label_offsets, b, saturate=True)
 
 
+def _live_columns(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:
+    """The sorted columns some row of ``x`` uses, and ``x`` over those columns alone.
+
+    Column ``live[j]`` becomes column ``j``; the renumbering keeps each row's
+    columns, and so its entries, in their order.
+    """
+    reached = np.zeros(x.shape[1], dtype=bool)
+    reached[x.indices] = True
+    rank = np.cumsum(reached)
+    rank -= 1
+    live = np.flatnonzero(reached)
+    return live, sp.csr_matrix((x.data, rank[x.indices], x.indptr), shape=(x.shape[0], live.size))
+
+
+def _epoch_batches(
+    x: sp.csr_matrix, y: sp.csr_matrix, order: np.ndarray, size: int
+) -> Iterator[tuple[sp.csr_matrix, np.ndarray]]:
+    """``x``'s rows and ``y``'s dense rows in ``order``, ``size`` rows a batch.
+
+    Both are permuted once, so each batch is a contiguous slice; the copies go
+    when the epoch's last batch is taken.
+    """
+    x, y = x[order], y[order]
+    for start in range(0, order.size, size):
+        yield x[start : start + size], y[start : start + size].toarray()
+
+
 def train_chunk(
     chunk: int,
     block: DocBlock,
@@ -100,21 +134,36 @@ def train_chunk(
     ``targets`` is the chunk's (rows, B) :func:`_target_matrix`.  Deterministic
     given (block, targets, configs, chunk): initialization, shuffle order, and
     batch accumulation order are all seed-derived and sequential.
-    Inputs, targets and the float64 initial draw are cast to ``PARAM_DTYPE``
-    once, and the model comes back in it, the form a loaded blob takes.
+    Inputs and targets are cast to ``PARAM_DTYPE`` once, the model is
+    initialised in it, and it comes back in it, the form a loaded blob takes.
+
+    Only the rows of W1 that some input reaches train.  Every other row gets
+    an exactly zero gradient at every step, so Adam would leave it at its
+    initial bits: the chunk trains a model of the live rows, on inputs whose
+    columns are renumbered to match, and writes the trained rows back into the
+    full initial W1.  The learned bytes are those of training all of W1.
     """
     n = block.label_offsets.size - 1
     if n == 0 or not np.all(np.diff(block.label_offsets)):
         raise ValueError("training needs at least one document, and labels on every one")
 
-    x_all = _chunk_matrix(
-        block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
-    ).astype(PARAM_DTYPE)
+    live, x_all = _live_columns(
+        _chunk_matrix(
+            block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
+        ).astype(PARAM_DTYPE)
+    )
     y_all = targets.astype(PARAM_DTYPE, copy=False)
 
-    model = init_model(
-        engine.feature_dim, engine.hidden_dim, y_all.shape[1], engine.chunk_init_seed(chunk), chunk
-    ).astype(PARAM_DTYPE)
+    full = init_model(
+        engine.feature_dim,
+        engine.hidden_dim,
+        y_all.shape[1],
+        engine.chunk_init_seed(chunk),
+        chunk,
+        dtype=PARAM_DTYPE,
+    )
+    # b1, W2 and b2 are shared, so they train in place in the full model
+    model = replace(full, W1=full.W1[live])
     state = zero_adam_state(model)
 
     curve = []
@@ -124,12 +173,11 @@ def train_chunk(
             np.random.PCG64(derive_seed(cfg.shuffle_seed, chunk, epoch))
         ).permutation(n)
         epoch_loss = 0.0
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            loss, grads = _batch_step(model, x_all[batch], y_all[batch].toarray())
+        for x_batch, y_batch in _epoch_batches(x_all, y_all, order, cfg.batch_size):
+            loss, grads = _batch_step(model, x_batch, y_batch)
             apply_update(model, grads, state, cfg.lr)
-            del grads  # else this W1-sized gradient outlives the next step's
-            epoch_loss += loss * batch.size
+            del grads  # else this gradient outlives the next step's
+            epoch_loss += loss * x_batch.shape[0]
         mean_loss = epoch_loss / n
         curve.append(mean_loss)
         logger.info(
@@ -139,7 +187,8 @@ def train_chunk(
             mean_loss,
             time.perf_counter() - t0,
         )
-    return model, curve
+    full.W1[live] = model.W1
+    return full, curve
 
 
 # OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
@@ -196,23 +245,36 @@ def _train_chunk_task(
 def _training_bytes(
     block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig
 ) -> int:
-    """Estimated peak bytes of :func:`train_all`, counted before it allocates any.
+    """Estimated peak bytes of :func:`train_all` and of saving its ensemble, counted
+    before either allocates any.
 
     ``min(workers, k)`` chunks run at once.  Each holds its training steps'
-    state (:func:`model.step_bytes`) and, throughout, its copies of the block
-    and its targets and its CSR inputs, built in float64 and then cast.  Beside
-    them are the caller's codebook (:func:`codes.codebook_bytes`), the targets
-    of the payloads in flight (a value and column per label, an offset per row)
-    and the ensemble's ``k`` models (:func:`model.model_bytes`).
+    state (:func:`model.step_bytes`, whose live rows are at most the block's
+    distinct token ids) and, throughout, its copies of the block and its
+    targets, its CSR inputs, built in float64 and then cast, their renumbered
+    columns, and each epoch's permuted copies of its inputs and targets.
+    Beside them are the caller's codebook (:func:`codes.codebook_bytes`), the
+    targets of the payloads in flight (a value and column per label, an offset
+    per row) and the ensemble's ``k`` models (:func:`model.model_bytes`).  Once
+    the chunks have ended, :func:`manifest.save_ensemble` builds one blob at a
+    time in their place, a model's bytes (:func:`model.save_model`), which is
+    less than any running chunk's share.
     """
     k, b = code.num_chunks, code.buckets_per_chunk
     item = PARAM_DTYPE.itemsize
-    rows = min(cfg.batch_size, block.label_offsets.size - 1)
+    n = block.label_offsets.size
+    nonzeros = block.token_ids.size + block.labels.size
+    rows = min(cfg.batch_size, n - 1)
     # per non-zero: float64 value, int64 key and column, cast value and index
-    csr = (32 + item) * (block.token_ids.size + block.labels.size)
-    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr
-    targets = (item + 8) * block.labels.size + 8 * block.label_offsets.size
-    running = step_bytes(engine, b, rows) + held + targets
+    csr = (32 + item) * nonzeros
+    # a mask and an int64 rank per input index, and an int64 and a cast new column per token
+    renumbered = 9 * engine.feature_dim + 12 * block.token_ids.size
+    # per non-zero a value and an index, per row an offset and the permutation's scratch
+    epoch = (item + 8) * nonzeros + 32 * n
+    held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr + renumbered + epoch
+    targets = (item + 8) * block.labels.size + 8 * n
+    live_rows = np.unique(block.token_ids).size
+    running = step_bytes(engine, b, rows, live_rows) + held + targets
     return min(cfg.workers, k) * running + k * model_bytes(engine, b) + codebook_bytes(code)
 
 

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from sparsix.codes import CodeConfig, build_codebook
-from sparsix.index import build_index, bucket_loads, lookup
+from sparsix.index import build_index, bucket_loads, index_bytes, lookup
 
 
 def golden_index():
@@ -89,6 +90,16 @@ class TestNarrowedSort:
             assert idx.labels[chunk].dtype == np.uint32
             assert idx.labels[chunk].tobytes() == want_labels[chunk].tobytes()
             assert np.count_nonzero(bucket_loads(idx, chunk) == 0) >= max(b - n, 0)
+
+
+class TestBuildMemory:
+    def test_peak_is_the_tables_it_returns(self):
+        """At B 2**24 the offsets take 128 MiB; the bucket loads are counted in them,
+        not in a second B-sized array, so the slack does not grow with B."""
+        config = CodeConfig(50, 1, 2**24, base_seed=3)
+        cb = build_codebook(config)
+        _, peak = traced_peak(lambda: build_index(cb))
+        assert peak <= index_bytes(config) + 64 * 1024
 
 
 class TestLookupErrors:

@@ -394,7 +394,7 @@ def untrained_ensemble(cb):
     engine = EngineConfig(feature_dim=64, hidden_dim=4, init_seed=2)
     b = cb.config.buckets_per_chunk
     models = [
-        init_model(64, 4, b, engine.chunk_init_seed(c), c).astype(PARAM_DTYPE)
+        init_model(64, 4, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
         for c in range(cb.config.num_chunks)
     ]
     return ChunkEnsemble(cb.config, engine, models)

@@ -237,7 +237,7 @@ class TestMemoryCheck:
         k, f, h, b = 3, 100_000, 16, 32
         engine = EngineConfig(f, h)
         models = [
-            init_model(f, h, b, init_seed=engine.chunk_init_seed(c), chunk=c).astype(PARAM_DTYPE)
+            init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
             for c in range(k)
         ]
         ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
@@ -249,6 +249,19 @@ class TestMemoryCheck:
         assert models_and_blob < _loading_bytes(manifest)
         for p in loaded.models[0].params():
             assert p.flags.c_contiguous and p.flags.writeable and p.dtype.isnative
+
+    def test_save_builds_one_blob_at_a_time(self, tmp_path):
+        """A blob is released before the next is built, and building one copies each
+        array straight into it: the traced peak is one blob, where it was three."""
+        k, f, h, b = 3, 100_000, 16, 32
+        engine = EngineConfig(f, h)
+        models = [
+            init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
+            for c in range(k)
+        ]
+        ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
+        _, peak = traced_peak(lambda: save_ensemble(ensemble, tmp_path / "wide"))
+        assert peak < PARAM_DTYPE.itemsize * num_params(f, h, b) + 64 * 1024
 
 
 class TestOlderManifests:

@@ -15,6 +15,7 @@ from sparsix.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    INIT_BLOCK_UNITS,
     LOSS_CLAMP_EPS,
     ChunkModel,
     Gradients,
@@ -58,11 +59,6 @@ def feats(indexes, values, dim=3) -> HashedFeatures:
 def rows(*dense_rows) -> sp.csr_matrix:
     """A CSR batch from dense input rows."""
     return sp.csr_matrix(np.array(dense_rows, dtype=np.float64))
-
-
-def as_trained(m: ChunkModel) -> ChunkModel:
-    """``m`` rounded to float32, the form training returns."""
-    return m.astype(np.float32)
 
 
 def hot(buckets, output_dim) -> np.ndarray:
@@ -163,6 +159,28 @@ class TestInit:
     def test_rejects_zero_dims(self):
         with pytest.raises(ValueError):
             init_model(0, 4, 6, init_seed=0)
+
+    def test_blocks_of_hidden_units_give_one_draws_values(self):
+        """W1 is drawn a few hidden units at a time, the last block partial; PCG64
+        gives the values of one (H, F) draw, and W2 comes next in the stream."""
+        f, h, b = 300, 2 * INIT_BLOCK_UNITS + 3, 7
+        rng = np.random.Generator(np.random.PCG64(11))
+        a1, a2 = np.sqrt(6.0 / (f + h)), np.sqrt(6.0 / (h + b))
+        w1 = np.ascontiguousarray(rng.uniform(-a1, a1, size=(h, f)).T)
+        w2 = rng.uniform(-a2, a2, size=(b, h))
+        m = init_model(f, h, b, init_seed=11)
+        assert m.W1.tobytes() == w1.tobytes() and m.W2.tobytes() == w2.tobytes()
+        narrow = init_model(f, h, b, init_seed=11, dtype=np.float32)
+        for got, want in zip(narrow.params(), m.params()):
+            assert got.dtype == np.float32
+            assert got.tobytes() == want.astype(np.float32).tobytes()
+
+    def test_float32_init_holds_no_float64_w1(self):
+        """At F=100000, H=64 a float64 W1 takes 51.2 MB; a float32 model peaks at its
+        own 25.6 MB W1 and one float64 block of hidden units."""
+        f, h = 100_000, 64
+        _, peak = traced_peak(lambda: init_model(f, h, 4, init_seed=0, dtype=np.float32))
+        assert peak <= 4 * f * h + 8 * INIT_BLOCK_UNITS * f + 64 * 1024
 
 
 class TestLoss:
@@ -307,7 +325,7 @@ def check_adam_against_reference(f: int, h: int, dtype: type) -> None:
     rows, leave p, m and v with the reference's bits, all in ``dtype``.  W1
     spans three row blocks, the last one partial."""
     rng = np.random.default_rng(21)
-    m = init_model(f, h, 9, init_seed=3).astype(dtype)
+    m = init_model(f, h, 9, init_seed=3, dtype=dtype)
     ref = [p.copy() for p in m.params()]
     ref_m = [np.zeros_like(p) for p in ref]
     ref_v = [np.zeros_like(p) for p in ref]
@@ -374,7 +392,7 @@ class TestAdam:
 
     def test_rejects_non_finite_gradients(self):
         """Every row block of every gradient is checked before any parameter changes."""
-        m = init_model(1200, 64, 9, init_seed=0).astype(np.float32)
+        m = init_model(1200, 64, 9, init_seed=0, dtype=np.float32)
         state = zero_adam_state(m)
         assert state.scratch[0][0].shape[0] < 1200  # W1 spans several blocks
         before = [p.copy() for p in m.params()]
@@ -388,8 +406,9 @@ class TestAdam:
         assert not any(np.any(a) for a in (*state.m.arrays(), *state.v.arrays()))
 
     def test_checks_finiteness_without_a_gradient_sized_mask(self):
-        """At F=100000, H=64 a W1 mask would take 6.4 MB; one row block's takes 32 KiB."""
-        m = init_model(100_000, 64, 4, init_seed=0).astype(np.float32)
+        """At F=100000, H=64 a W1 mask would take 6.4 MB; the check reads each
+        gradient's largest and smallest entry and allocates no mask."""
+        m = init_model(100_000, 64, 4, init_seed=0, dtype=np.float32)
         g = Gradients(*(np.zeros_like(p) for p in m.params()))
         state = zero_adam_state(m)
         _, peak = traced_peak(lambda: apply_update(m, g, state, 1e-3))
@@ -410,7 +429,7 @@ class TestAdam:
 
 class TestPersistence:
     def test_round_trip_bit_exact_after_quantize(self):
-        m = as_trained(init_model(12, 5, 7, init_seed=3, chunk=2))
+        m = init_model(12, 5, 7, init_seed=3, chunk=2, dtype=np.float32)
         back = load_model(save_model(m))
         assert back.chunk == 2 and back.init_seed == 3
         assert back.input_dim == 12 and back.hidden_dim == 5 and back.output_dim == 7
@@ -431,7 +450,7 @@ class TestPersistence:
     def test_truncated_blob_rejected(self):
         """A blob is exactly its header and the payload the header claims: trailing
         bytes are rejected as well as missing ones."""
-        raw = save_model(as_trained(init_model(6, 3, 4, init_seed=1)))
+        raw = save_model(init_model(6, 3, 4, init_seed=1, dtype=np.float32))
         with pytest.raises(ValueError, match="claims 148 payload bytes, 145 follow"):
             load_model(raw[:-3])
         with pytest.raises(ValueError, match="header"):
@@ -441,7 +460,7 @@ class TestPersistence:
 
     def test_lying_header_allocates_less_than_it_claims(self):
         """A header claiming more payload than follows fails before any large allocation."""
-        raw = save_model(as_trained(init_model(6, 3, 4, init_seed=1)))
+        raw = save_model(init_model(6, 3, 4, init_seed=1, dtype=np.float32))
         # F and H of 2**20 and 2**12 claim 16 GiB for W1; 2**32 - 1 everywhere
         # claims more than int64 can count
         for f, h, b in ((2**20, 2**12, 4), (2**32 - 1, 2**32 - 1, 2**32 - 1)):
@@ -475,7 +494,7 @@ class TestPersistence:
         assert np.array_equal(m.b1, b1) and np.array_equal(m.W2, w2) and np.array_equal(m.b2, b2)
 
     def test_forward_identical_after_reload(self):
-        m = as_trained(init_model(10, 4, 6, init_seed=8))
+        m = init_model(10, 4, 6, init_seed=8, dtype=np.float32)
         back = load_model(save_model(m))
         x = feats([1, 7], [2.0, 1.0], dim=10)
         assert np.array_equal(forward(m, x), forward(back, x))

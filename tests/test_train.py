@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
 import time
@@ -17,7 +18,8 @@ from sparsix.codes import CodeConfig, build_codebook
 from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.manifest import save_ensemble
-from sparsix.model import PARAM_DTYPE, _batch_forward, forward, num_params
+from sparsix.model import PARAM_DTYPE, _batch_forward, forward, init_model, num_params
+from sparsix.model import save_model, step_bytes
 from sparsix.train import (
     ChunkEnsemble,
     EngineConfig,
@@ -308,6 +310,61 @@ def _chunk_task_logging_its_end(payload):
     return result
 
 
+# sha256 of the blobs small_setup's corpus trains, recorded before training
+# was restricted to the rows of W1 a chunk's inputs reach: at F = 16 every row
+# is live, at F = 100,000 at most 250 are.  Another BLAS, summing a product in
+# another order, would give other digests.
+LEARNED_DIGESTS = {
+    16: "5d28ea87e242b47c82dbc9197f36805f87d20697bce8213198582d5f5c345f9e",
+    100_000: "920347c23cbe9848d1f1bfaa9df88ef12ecfd23f38571722bee8809091ec6f46",
+}
+
+
+def live_rows(block, eng, chunk):
+    """The rows of W1 some row of ``block`` reaches in ``chunk``, as a mask."""
+    x = _chunk_matrix(block, eng.chunk_feature_seed(chunk), eng.feature_dim, eng.feature_mode)
+    live = np.zeros(eng.feature_dim, dtype=bool)
+    live[x.indices] = True
+    return live
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("feature_dim", sorted(LEARNED_DIGESTS))
+    def test_blobs_keep_their_recorded_bytes(self, feature_dim, workers):
+        cb, eng, docs = small_setup()
+        eng = dataclasses.replace(eng, feature_dim=feature_dim)
+        block = DocBlock.from_documents(docs)
+        live = [live_rows(block, eng, c).sum() for c in range(3)]
+        assert min(live) == feature_dim if feature_dim == 16 else max(live) <= 250
+        cfg = TrainConfig(epochs=2, batch_size=16, lr=1e-2, shuffle_seed=4, workers=workers)
+        blobs = b"".join(save_model(m) for m in train_all(docs, cb, eng, cfg).ensemble.models)
+        assert hashlib.sha256(blobs).hexdigest() == LEARNED_DIGESTS[feature_dim]
+
+    def test_rows_no_input_reaches_keep_their_initial_bits(self):
+        cb, eng, docs = small_setup()
+        eng = dataclasses.replace(eng, feature_dim=100_000)
+        block = DocBlock.from_documents(docs)
+        cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-2)
+        for chunk in range(3):
+            model, _ = chunk_training(chunk, block, cb, eng, cfg)
+            seed = eng.chunk_init_seed(chunk)
+            init = init_model(100_000, eng.hidden_dim, 16, seed, chunk, dtype=PARAM_DTYPE)
+            live = live_rows(block, eng, chunk)
+            assert model.W1[~live].tobytes() == init.W1[~live].tobytes()
+            assert np.all(np.any(model.W1[live] != init.W1[live], axis=1))
+
+    def test_block_without_tokens_trains_no_row(self):
+        """No input reaches any row: W1 keeps its initial bits, and b2 trains."""
+        cb, eng, _ = small_setup()
+        docs = [make_document(i, [], [i]) for i in range(4)]
+        cfg = TrainConfig(epochs=2, batch_size=3, lr=1e-2)
+        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        init = init_model(128, 12, 16, eng.chunk_init_seed(0), 0, dtype=PARAM_DTYPE)
+        assert model.W1.tobytes() == init.W1.tobytes()
+        assert np.any(model.b2)
+
+
 class TestTrainAll:
     def test_deterministic_across_runs(self):
         cb, eng, docs = small_setup()
@@ -416,12 +473,14 @@ class TestMemoryCheck:
             train_all(docs, cb, eng, TrainConfig(epochs=1, workers=2))
 
     def test_shipped_defaults_fail_on_a_small_host(self, monkeypatch):
-        """F=100000, H=4096, B=30000 needs more than 7.8 GB even for one chunk."""
+        """F=100000, H=4096, B=30000 needs more than 7.8 GB even for one chunk,
+        on a corpus of at least F distinct token ids, which may reach every row."""
         cb = build_codebook(CodeConfig(40, 1, 30000, base_seed=7))
         eng = EngineConfig(feature_dim=100000, hidden_dim=4096)
         cfg = TrainConfig(epochs=1, batch_size=1000)
         _, _, docs = small_setup()
-        block = DocBlock.from_documents(docs)
+        wide = make_document(50, [(t, 1) for t in range(1000, 101_000)], [3])
+        block = DocBlock.from_documents([*docs, wide])
         # float32 parameters, gradient, m and v alone
         assert train._training_bytes(block, cb.config, eng, cfg) > 16 * (100000 + 30000 + 1) * 4096
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: 7_800_000_000)
@@ -460,6 +519,27 @@ class TestMemoryCheck:
         share = train._training_bytes(block, cb.config, eng, cfg) - ensemble
         _, peak = traced_peak(lambda: chunk_training(0, block, cb, eng, cfg))
         assert peak <= share
+
+    def test_step_counts_one_w1_and_its_live_rows(self):
+        """At F=100000, H=64 a step counted four whole models (102 MB) when it walked
+        all of W1.  With 200 live rows it counts one float32 W1, init's float64
+        block and under 3 MB more; each live row adds 16 bytes a weight, up to F."""
+        eng = EngineConfig(feature_dim=100_000, hidden_dim=64)
+        assert step_bytes(eng, 16, 10, 200) < 4 * 100_000 * 64 + 8 * 8 * 100_000 + 3_000_000
+        assert step_bytes(eng, 16, 10, 201) - step_bytes(eng, 16, 10, 200) == 16 * 64
+        assert step_bytes(eng, 16, 10, 10**9) == step_bytes(eng, 16, 10, 100_000)
+
+    def test_training_and_saving_peak_within_the_estimate(self, tmp_path):
+        """With few live rows, the blobs save_ensemble builds outweigh a chunk's step:
+        the estimate covers both phases, within interpreter overhead."""
+        cb, _, docs = small_setup(num_chunks=2)
+        block = DocBlock.from_documents(docs[:40])
+        eng = EngineConfig(feature_dim=100_000, hidden_dim=64, feature_seed=5, init_seed=9)
+        cfg = TrainConfig(epochs=1, batch_size=10)
+        _, peak = traced_peak(
+            lambda: save_ensemble(train_all(block, cb, eng, cfg).ensemble, tmp_path)
+        )
+        assert peak <= train._training_bytes(block, cb.config, eng, cfg) + 64 * 1024
 
 
 class TestConfigs:
