@@ -15,13 +15,18 @@ and SciPy; predict and eval start without them.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import logging
 import os
 import sys
 import time
 import traceback
+from collections.abc import Callable, Iterator
+from dataclasses import fields
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -40,6 +45,7 @@ from .equivalence import (
     random_orthonormal_basis,
     verify_deferred_equivalence,
 )
+from .features import DocBlock
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
 from .manifest import _MISSING, BlobChecksumError, ManifestError, load_ensemble, save_ensemble
@@ -62,41 +68,25 @@ class VerificationFailure(Exception):
 
 # --- configuration ----------------------------------------------------------
 
+# Each key's type and default; None means unset.  Large-scale defaults, which
+# desk-scale configs override downward.
 CONFIG_KEYS = {
-    "corpus": str,
-    "eval_corpus": str,
-    "out_dir": str,
-    "num_chunks": int,
-    "buckets_per_chunk": int,
-    "feature_dim": int,
-    "hidden_dim": int,
-    "feature_mode": str,
-    "code_seed": int,
-    "feature_seed": int,
-    "init_seed": int,
-    "shuffle_seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "lr": float,
-    "workers": int,
-}
-
-# Large-scale defaults; desk-scale configs override the sizes downward.
-CONFIG_DEFAULTS = {
-    "out_dir": "model",
-    "num_chunks": 16,
-    "buckets_per_chunk": 30000,
-    "feature_dim": 100000,
-    "hidden_dim": 4096,
-    "feature_mode": "counts",
-    "code_seed": 0,
-    "feature_seed": 1,
-    "init_seed": 2,
-    "shuffle_seed": 3,
-    "epochs": 10,
-    "batch_size": 1000,
-    "lr": 1e-3,
-    "workers": 1,
+    "corpus": (str, None),
+    "eval_corpus": (str, None),
+    "out_dir": (str, "model"),
+    "num_chunks": (int, 16),
+    "buckets_per_chunk": (int, 30000),
+    "feature_dim": (int, 100000),
+    "hidden_dim": (int, 4096),
+    "feature_mode": (str, "counts"),
+    "code_seed": (int, 0),
+    "feature_seed": (int, 1),
+    "init_seed": (int, 2),
+    "shuffle_seed": (int, 3),
+    "epochs": (int, 10),
+    "batch_size": (int, 1000),
+    "lr": (float, 1e-3),
+    "workers": (int, 1),
 }
 
 
@@ -105,7 +95,7 @@ def parse_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
-    values: dict = dict(CONFIG_DEFAULTS)
+    values = {key: default for key, (_, default) in CONFIG_KEYS.items() if default is not None}
     set_on: dict[str, int] = {}  # the line that set each key
     for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
@@ -121,12 +111,12 @@ def parse_config(path: str | Path) -> dict:
         if key in set_on:
             raise ValueError(f"{path}:{line_no}: {key} is already set on line {set_on[key]}")
         set_on[key] = line_no
+        kind = CONFIG_KEYS[key][0]
         try:
-            values[key] = CONFIG_KEYS[key](raw)
+            values[key] = kind(raw)
         except ValueError:
             raise ValueError(
-                f"{path}:{line_no}: bad value {raw!r} for {key} "
-                f"(expected {CONFIG_KEYS[key].__name__})"
+                f"{path}:{line_no}: bad value {raw!r} for {key} (expected {kind.__name__})"
             ) from None
     if "corpus" not in values:
         raise ValueError(f"{path}: missing required key 'corpus'")
@@ -141,30 +131,6 @@ def parse_config(path: str | Path) -> dict:
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env_workers!r}") from None
     return values
-
-
-def _configs_from(values: dict, num_labels: int) -> tuple[CodeConfig, EngineConfig, TrainConfig]:
-    code = CodeConfig(
-        num_labels=num_labels,
-        num_chunks=values["num_chunks"],
-        buckets_per_chunk=values["buckets_per_chunk"],
-        base_seed=values["code_seed"],
-    )
-    engine = EngineConfig(
-        feature_dim=values["feature_dim"],
-        hidden_dim=values["hidden_dim"],
-        feature_mode=values["feature_mode"],
-        feature_seed=values["feature_seed"],
-        init_seed=values["init_seed"],
-    )
-    train = TrainConfig(
-        epochs=values["epochs"],
-        batch_size=values["batch_size"],
-        lr=values["lr"],
-        shuffle_seed=values["shuffle_seed"],
-        workers=values["workers"],
-    )
-    return code, engine, train
 
 
 # --- commands ---------------------------------------------------------------
@@ -198,18 +164,66 @@ def _corpus_header(path: str) -> tuple[int, int, int]:
         raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
 
 
-def cmd_train(args: argparse.Namespace) -> int:
+def _train(
+    values: dict, num_labels: int, read: Callable[[], DocBlock], out_dir: str | None = None
+) -> tuple:
+    """Train from config ``values``: the configs first, so a bad setting fails before
+    ``read()`` reads the corpus, then the memory check, the codebook and the chunks.
+
+    ``out_dir``, if given, is created once every check has passed, before any chunk
+    trains.  Returns the ``TrainResult``, the codebook and the train config.
+    """
     from .train import check_memory, train_all
 
+    code = CodeConfig(
+        num_labels, values["num_chunks"], values["buckets_per_chunk"], values["code_seed"]
+    )
+    # every field of these two configs is a config key of the same name
+    engine, train_cfg = (
+        cls(**{f.name: values[f.name] for f in fields(cls)}) for cls in (EngineConfig, TrainConfig)
+    )
+    block = read()
+    check_memory(block, code, engine, train_cfg)
+    cb = build_codebook(code)
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+    return train_all(block, cb, engine, train_cfg), cb, train_cfg
+
+
+@contextlib.contextmanager
+def _replacing(path: str | None) -> Iterator[TextIO | None]:
+    """A new file, a hidden sibling of ``path``, that replaces it once the block succeeds.
+
+    It is created before the block does any work, so a path that cannot be written
+    fails first, naming ``path``, and any failure leaves ``path`` as it was.  Mode "x"
+    is O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
+    ``None``, no output asked for, yields ``None``.
+    """
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    try:
+        out = partial.open("x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with out:
+            yield out
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
+def cmd_train(args: argparse.Namespace) -> int:
     values = parse_config(args.config)
     _, _, num_labels = _corpus_header(values["corpus"])
     if num_labels < 1:
         raise ValueError("corpus declares zero labels; nothing to train")
-    code, engine, train_cfg = _configs_from(values, num_labels)
-    block = read_block(values["corpus"])
-    check_memory(block, code, engine, train_cfg)
-    cb = build_codebook(code)
-    result = train_all(block, cb, engine, train_cfg)
+    result, _, train_cfg = _train(
+        values, num_labels, lambda: read_block(values["corpus"]), values["out_dir"]
+    )
     if result.skipped_unlabeled:
         _print(f"skipped {result.skipped_unlabeled} unlabeled documents")
     for chunk, curve in enumerate(result.loss_curves):
@@ -226,45 +240,33 @@ def _format_prediction(doc_id: int, labels: np.ndarray, scores: np.ndarray) -> s
     return f"{doc_id}\t" + " ".join(["%d:%.6f"] * labels.size) % tuple(pairs)
 
 
+# The OpCounters fields predict sums over its queries and prints as means
+PREDICT_COUNTERS = ("candidates_retrieved", "unique_candidates", "scores_summed")
+
+
 def cmd_predict(args: argparse.Namespace) -> int:
-    _corpus_header(args.corpus)
-    ensemble, _ = load_ensemble(args.manifest)
-    cb = build_codebook(ensemble.code_config)
-    if args.mode == "sparse":
-        params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
-        idx = build_index(cb)
-    else:
-        params = None
-        idx = None
-    totals = {"queries": 0, "candidates_retrieved": 0, "unique_candidates": 0, "scores_summed": 0}
-    # Lines go to a sibling file that replaces --out only once every query is
-    # served, so any failure leaves an existing --out as it was.  Mode "x" is
-    # O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
-    out_path = Path(args.out)
-    partial = out_path.with_name(f".{out_path.name}.{os.getpid()}.partial")
-    out = partial.open("x", encoding="utf-8")
-    try:
-        with out:
-            for doc in parse_corpus(args.corpus):
-                if args.mode == "sparse":
-                    pred = predict(ensemble, cb, idx, doc, params)
-                else:
-                    pred = predict_full(ensemble, cb, doc, args.top_k)
-                out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
-                totals["queries"] += 1
-                totals["candidates_retrieved"] += pred.counters.candidates_retrieved
-                totals["unique_candidates"] += pred.counters.unique_candidates
-                totals["scores_summed"] += pred.counters.scores_summed
-        if totals["queries"] == 0:
+    with _replacing(args.out) as out:
+        _corpus_header(args.corpus)
+        ensemble, _ = load_ensemble(args.manifest)
+        cb = build_codebook(ensemble.code_config)
+        if args.mode == "sparse":
+            params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
+            idx = build_index(cb)
+        queries, totals = 0, [0] * len(PREDICT_COUNTERS)
+        for doc in parse_corpus(args.corpus):
+            if args.mode == "sparse":
+                pred = predict(ensemble, cb, idx, doc, params)
+            else:
+                pred = predict_full(ensemble, cb, doc, args.top_k)
+            out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
+            queries += 1
+            for i, name in enumerate(PREDICT_COUNTERS):
+                totals[i] += getattr(pred.counters, name)
+        if queries == 0:
             raise ValueError("no queries in corpus")
-        os.replace(partial, out_path)
-    finally:
-        partial.unlink(missing_ok=True)
-    q = totals["queries"]
-    _print(f"queries = {q}")
-    _print(f"mean_candidates_retrieved = {totals['candidates_retrieved'] / q:.2f}")
-    _print(f"mean_unique_candidates = {totals['unique_candidates'] / q:.2f}")
-    _print(f"mean_scores_summed = {totals['scores_summed'] / q:.2f}")
+    _print(f"queries = {queries}")
+    for name, total in zip(PREDICT_COUNTERS, totals):
+        _print(f"mean_{name} = {total / queries:.2f}")
     return EXIT_OK
 
 
@@ -279,51 +281,44 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    _corpus_header(args.corpus)
-    ensemble, _ = load_ensemble(args.manifest)
-    cb = build_codebook(ensemble.code_config)
-    idx = build_index(cb)
-    ks_precision = _parse_ks(args.ks_precision)
-    ks_recall = _parse_ks(args.ks_recall)
-    top_k = max(*ks_precision, *ks_recall)
-    params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
-    testset = list(parse_corpus(args.corpus))
-    report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
-    _print(report.as_text())
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+    with _replacing(args.json) as out:
+        _corpus_header(args.corpus)
+        ensemble, _ = load_ensemble(args.manifest)
+        cb = build_codebook(ensemble.code_config)
+        idx = build_index(cb)
+        ks_precision = _parse_ks(args.ks_precision)
+        ks_recall = _parse_ks(args.ks_recall)
+        top_k = max(*ks_precision, *ks_recall)
+        params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
+        testset = list(parse_corpus(args.corpus))
+        report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
+        _print(report.as_text())
+        if out is not None:
+            out.write(json.dumps(report.as_dict(), indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    from .train import check_memory, train_all
+    with _replacing(args.out) as out:
+        values = parse_config(args.config)
+        if "eval_corpus" not in values:
+            raise ValueError("sweep needs 'eval_corpus' in the config file")
+        buckets_list = _parse_ks(args.buckets)
+        chunks_list = _parse_ks(args.chunks)
+        m_list = _parse_ks(args.m)
+        _, _, num_labels = _corpus_header(values["corpus"])
+        _corpus_header(values["eval_corpus"])
+        block = read_block(values["corpus"])
+        testset = list(parse_corpus(values["eval_corpus"]))
 
-    values = parse_config(args.config)
-    if "eval_corpus" not in values:
-        raise ValueError("sweep needs 'eval_corpus' in the config file")
-    buckets_list = _parse_ks(args.buckets)
-    chunks_list = _parse_ks(args.chunks)
-    m_list = _parse_ks(args.m)
-    _, _, num_labels = _corpus_header(values["corpus"])
-    _corpus_header(values["eval_corpus"])
-    block = read_block(values["corpus"])
-    testset = list(parse_corpus(values["eval_corpus"]))
-
-    rows = ["buckets\tchunks\tm\tp_at_1\tp_at_3\tp_at_5\tms_per_point\tstatus"]
-    for b in buckets_list:
-        for k in chunks_list:
+        rows = ["buckets\tchunks\tm\tp_at_1\tp_at_3\tp_at_5\tms_per_point\tstatus"]
+        for b, k in itertools.product(buckets_list, chunks_list):
             cell = dict(values, buckets_per_chunk=b, num_chunks=k)
             try:
-                code, engine, train_cfg = _configs_from(cell, num_labels)
-                check_memory(block, code, engine, train_cfg)
-                cb = build_codebook(code)
-                result = train_all(block, cb, engine, train_cfg)
+                result, cb, _ = _train(cell, num_labels, lambda: block)
                 idx = build_index(cb)
             except Exception as exc:  # per-cell isolation: record, move on
-                for m in m_list:
-                    rows.append(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}")
+                rows.extend(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}" for m in m_list)
                 continue
             for m in m_list:
                 try:
@@ -341,11 +336,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                     )
                 except Exception as exc:
                     rows.append(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}")
-    table = "\n".join(rows)
-    if args.out:
-        Path(args.out).write_text(table + "\n", encoding="utf-8")
-    else:
-        _print(table)
+        table = "\n".join(rows)
+        if out is None:
+            _print(table)
+        else:
+            out.write(table + "\n")
     return EXIT_OK
 
 
@@ -403,7 +398,7 @@ def _check_gradients() -> str:
         x = sp.csr_matrix((vals, idxs, [0, nnz]), shape=(1, 20))
         y = np.zeros((1, 10))
         y[0, rng.choice(10, size=int(rng.integers(1, 4)), replace=False)] = 1.0
-        rel = grad_check(model, x, y, step=1e-4, num_coords=200, seed=trial)
+        rel = grad_check(model, x, y, num_coords=200, seed=trial)
         worst = max(worst, rel)
     if worst > GRAD_TOL:
         raise VerificationFailure(f"worst relative gradient error {worst:.3e} > {GRAD_TOL:.1e}")

@@ -19,6 +19,8 @@ from .hashing import SEED_RANGE, check_ints, derive_seed, murmur3_32_u64
 # build_codebook hashes this many labels at a time, so beyond the codebook it
 # holds one block's keys and one hash call's scratch: 28 bytes a label, 1.75 MiB
 CODEBOOK_BLOCK = 1 << 16
+# binomial_chisquare merges bins until each expects this many: the chi-square's usual rule
+CHI_SQUARE_MIN_EXPECTED = 5.0
 
 
 @dataclass(frozen=True)
@@ -129,16 +131,13 @@ def orthogonality_stats(
     )
 
 
-def binomial_chisquare(
-    histogram: np.ndarray, p: float, min_expected: float = 5.0
-) -> tuple[float, int, float]:
+def binomial_chisquare(histogram: np.ndarray, p: float) -> tuple[float, int, float]:
     """Chi-square goodness of fit of a dot-value histogram to Binomial(K, p).
 
     ``histogram[d]`` counts pairs with dot value d, d = 0..K.  Adjacent bins
-    are merged until every expected count reaches ``min_expected``, the
-    usual validity condition for the chi-square approximation.  Returns
-    (statistic, degrees of freedom, p-value); a single surviving bin means
-    the test is vacuous and the p-value is 1.0.
+    are merged until every expected count reaches ``CHI_SQUARE_MIN_EXPECTED``.
+    Returns (statistic, degrees of freedom, p-value); a single surviving bin
+    means the test is vacuous and the p-value is 1.0.
     """
     from scipy import stats
 
@@ -151,7 +150,7 @@ def binomial_chisquare(
     total = histogram.sum()
     observed = [float(x) for x in histogram]
     expected = [total * float(stats.binom.pmf(d, trials, p)) for d in range(trials + 1)]
-    while len(expected) > 1 and min(expected) < min_expected:
+    while len(expected) > 1 and min(expected) < CHI_SQUARE_MIN_EXPECTED:
         at = int(np.argmin(expected))
         into = at - 1 if at == len(expected) - 1 else at + 1
         expected[into] += expected.pop(at)

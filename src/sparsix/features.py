@@ -17,6 +17,7 @@ tokens in token order, and one ``np.add.reduceat`` sums them.  Float sums past
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Literal
 
 import numpy as np
@@ -107,6 +108,11 @@ class DocBlock:
         ids, counts, labels = self.token_ids, self.token_counts, self.labels
         for row, (t0, t1, l0, l1) in enumerate(zip(t, t[1:], l, l[1:])):
             yield Document._from_checked(row, ids[t0:t1], counts[t0:t1], labels[l0:l1])
+
+    @cached_property
+    def distinct_tokens(self) -> int:
+        """How many distinct token ids the block holds; they are sorted once per block."""
+        return int(np.unique(self.token_ids).size)
 
     def labeled(self) -> DocBlock:
         """The rows that have labels, in order; ``self`` when every row has them."""

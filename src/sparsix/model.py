@@ -61,6 +61,8 @@ ADAM_BLOCK_BYTES = 128 * 1024
 # init_model draws W1 this many hidden units at a time, an (8, F) float64 block:
 # at F=100000, H=512, fewer units made the transposed writes up to 2.6x slower
 INIT_BLOCK_UNITS = 8
+# grad_check's central differences move a coordinate this far either way
+GRAD_CHECK_STEP = 1e-4
 
 
 class NonFiniteGradientError(RuntimeError):
@@ -300,7 +302,6 @@ def grad_check(
     model: ChunkModel,
     x_batch: sp.csr_matrix,
     y_batch: np.ndarray,
-    step: float = 1e-4,
     num_coords: int = 200,
     seed: int = 0,
 ) -> float:
@@ -309,10 +310,9 @@ def grad_check(
     ``x_batch`` is a CSR batch of hashed documents and ``y_batch`` its dense
     (rows, B) 0/1 targets; a single document is a one-row batch.  Samples
     ``num_coords`` parameter coordinates (all of them if the model is
-    smaller).  Coordinates where both sides are exactly zero are skipped.
+    smaller), each moved by ``GRAD_CHECK_STEP`` either way.  Coordinates where
+    both sides are exactly zero are skipped.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
     _, grads = batch_step(model, x_batch, y_batch)
     params = model.params()
     analytic = grads.arrays()
@@ -327,12 +327,12 @@ def grad_check(
         pi, offset = _locate(sizes, int(flat))
         p = params[pi].reshape(-1)
         saved = p[offset]
-        p[offset] = saved + step
+        p[offset] = saved + GRAD_CHECK_STEP
         loss_plus = batch_step(model, x_batch, y_batch)[0]
-        p[offset] = saved - step
+        p[offset] = saved - GRAD_CHECK_STEP
         loss_minus = batch_step(model, x_batch, y_batch)[0]
         p[offset] = saved
-        fd = (loss_plus - loss_minus) / (2.0 * step)
+        fd = (loss_plus - loss_minus) / (2.0 * GRAD_CHECK_STEP)
         an = analytic[pi].reshape(-1)[offset]
         denom = max(abs(fd), abs(an))
         if denom == 0.0:

@@ -273,8 +273,7 @@ def _training_bytes(
     epoch = (item + 8) * nonzeros + 32 * n
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr + renumbered + epoch
     targets = (item + 8) * block.labels.size + 8 * n
-    live_rows = np.unique(block.token_ids).size
-    running = step_bytes(engine, b, rows, live_rows) + held + targets
+    running = step_bytes(engine, b, rows, block.distinct_tokens) + held + targets
     return min(cfg.workers, k) * running + k * model_bytes(engine, b) + codebook_bytes(code)
 
 

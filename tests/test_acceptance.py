@@ -201,7 +201,7 @@ def test_criterion_4_gradient_check(capsys):
         x = sp.csr_matrix((rng.uniform(0.5, 3.0, nnz), idxs, [0, nnz]), shape=(1, f))
         y = np.zeros((1, b))
         y[0, rng.choice(b, size=int(rng.integers(1, 4)), replace=False)] = 1.0
-        worst = max(worst, grad_check(model, x, y, step=1e-4, num_coords=512))
+        worst = max(worst, grad_check(model, x, y, num_coords=512))
     elapsed = time.perf_counter() - t0
     emit(
         capsys,

@@ -21,7 +21,7 @@ import sparsix.model as model_mod
 import sparsix.train as train_mod
 from sparsix import cli
 from sparsix.cli import (
-    CONFIG_DEFAULTS,
+    CONFIG_KEYS,
     EXIT_OK,
     EXIT_RUNTIME,
     EXIT_VALIDATION,
@@ -31,6 +31,7 @@ from sparsix.cli import (
     parse_config,
 )
 from sparsix.corpus import make_separable_corpus, write_corpus
+from sparsix.features import DocBlock
 from sparsix.infer import InferParams
 from sparsix.manifest import _loading_bytes, load_manifest
 from sparsix.metrics import evaluate
@@ -100,9 +101,9 @@ class TestParseConfig:
         (tmp_path / "c.txt").write_text("0 1 1\n")
         p = self.write(tmp_path, "corpus = c.txt\n")
         values = parse_config(p)
-        for key, default in CONFIG_DEFAULTS.items():
-            if key != "out_dir":
-                assert values[key] == default
+        for key, (_, default) in CONFIG_KEYS.items():
+            if key not in ("corpus", "out_dir"):
+                assert values.get(key) == default
         assert values["corpus"].endswith("c.txt")
 
     def test_paths_resolved_against_config_dir(self, tmp_path):
@@ -324,6 +325,25 @@ class TestOneCodebookBuild:
         sweep = ["sweep", "--config", str(workspace / "desk.cfg"), "--buckets", "8,16"]
         rc = main([*sweep, "--chunks", "2", "--m", "2,4"])
         assert rc == EXIT_OK and len(calls) == 4
+        capsys.readouterr()
+
+
+class TestOneTokenSort:
+    def test_train_and_sweep_sort_the_token_ids_once(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        """The memory checks of train and of every sweep cell share one count of the
+        corpus's distinct token ids, sorted once per block."""
+        prop = DocBlock.__dict__["distinct_tokens"]
+        calls = []
+        counting = lambda block, real=prop.func: calls.append(block) or real(block)  # noqa: E731
+        monkeypatch.setattr(prop, "func", counting)
+        paths = f"corpus = {workspace / 'train.txt'}\neval_corpus = {workspace / 'test.txt'}"
+        config = tmp_path / "run.cfg"
+        config.write_text(with_settings(DESK_CONFIG, paths), encoding="utf-8")
+        assert main(["train", "--config", str(config)]) == EXIT_OK and len(calls) == 1
+        sweep = ["sweep", "--config", str(config), "--buckets", "8,16", "--chunks", "2", "--m", "2"]
+        assert main(sweep) == EXIT_OK and len(calls) == 2
         capsys.readouterr()
 
 
@@ -722,6 +742,67 @@ class TestExitCodes:
         assert rows[1].startswith("8\t2\t2\t-\t") and "\terror: training needs about" in rows[1]
 
 
+def tree_bytes(root: Path) -> dict:
+    """Every file under ``root``, by path relative to it, with its bytes."""
+    return {p.relative_to(root): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestOutputClaimedFirst:
+    """Every file a command writes is claimed before the work: a path the file system
+    cannot write fails the command before it loads, reads or trains anything."""
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [
+            (command, kind)
+            for command in ("predict", "eval", "sweep", "train")
+            for kind in ("parent-is-a-file", "too-long", "missing-directory")
+            # train creates out_dir with its parents
+            if (command, kind) != ("train", "missing-directory")
+        ],
+    )
+    def test_unwritable_output_fails_before_the_work(
+        self, workspace, tmp_path, capsys, monkeypatch, command, kind
+    ):
+        (tmp_path / "file").write_bytes(b"keep\n")
+        bad = {
+            "parent-is-a-file": tmp_path / "file" / "out",
+            "too-long": tmp_path / ("x" * 5000),
+            "missing-directory": tmp_path / "absent" / "out",
+        }[kind]
+        settings = f"corpus = {workspace / 'train.txt'}\neval_corpus = {workspace / 'test.txt'}"
+        (tmp_path / "run.cfg").write_text(
+            with_settings(DESK_CONFIG, f"{settings}\nout_dir = {bad}"), encoding="utf-8"
+        )
+        manifest = workspace / "engine" / "manifest.json"
+        serve = ["--manifest", str(manifest), "--corpus", str(workspace / "test.txt"), "--m", "4"]
+        argv = {
+            "predict": ["predict", *serve, "--out", str(bad)],
+            "eval": ["eval", *serve, "--json", str(bad)],
+            "sweep": ["sweep", "--config", str(tmp_path / "run.cfg"), "--buckets", "8",
+                      "--chunks", "2", "--m", "2", "--out", str(bad)],
+            "train": ["train", "--config", str(tmp_path / "run.cfg")],
+        }[command]
+        calls = []
+        for module, name in [(cli, "load_ensemble"), (cli, "parse_corpus"),
+                             (cli, "read_block"), (train_mod, "train_all")]:
+            real = getattr(module, name)
+            monkeypatch.setattr(
+                module, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)
+            )
+        before = tree_bytes(tmp_path)
+
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == EXIT_RUNTIME
+        assert "error: [Errno " in err and str(bad) in err
+        assert "Traceback" not in err and ".partial" not in err
+        # train reads the corpus to check its memory before it creates out_dir
+        assert calls == (["read_block"] if command == "train" else [])
+        assert out == ""  # no loss line, report line or sweep row
+        assert tree_bytes(tmp_path) == before  # every file kept, no .partial left behind
+
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
@@ -978,8 +1059,9 @@ class TestDocs:
             assert len(defaults) == len(keys), row
             documented.update(zip(keys, defaults))
         assert documented.keys() == cli.CONFIG_KEYS.keys()
-        for key, default in CONFIG_DEFAULTS.items():
-            assert cli.CONFIG_KEYS[key](documented[key].strip("`")) == default, key
+        for key, (kind, default) in CONFIG_KEYS.items():
+            if default is not None:
+                assert kind(documented[key].strip("`")) == default, key
 
     def test_readme_library_block_runs(self, tmp_path, monkeypatch, capsys):
         """The README's "Library use" example runs as written, on a small train.txt."""

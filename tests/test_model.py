@@ -251,7 +251,7 @@ class TestBackward:
             vals = rng.integers(1, 4, size=4).astype(float)
             x = sp.csr_matrix((vals, idxs, [0, 4]), shape=(1, 20))
             y = hot(rng.choice(10, size=2, replace=False), 10)
-            rel = grad_check(m, x, y, step=1e-4, num_coords=200, seed=trial)
+            rel = grad_check(m, x, y, num_coords=200, seed=trial)
             assert rel <= 1e-4
 
     def test_batch_matches_finite_differences(self):
@@ -264,7 +264,7 @@ class TestBackward:
             x = sp.random(n, 20, density=0.25, format="csr", random_state=trial)
             x.data = rng.integers(1, 4, size=x.nnz).astype(np.float64)
             y = (rng.uniform(0, 1, size=(n, 10)) < 0.2).astype(np.float64)
-            rel = grad_check(m, x, y, step=1e-4, num_coords=400, seed=trial)
+            rel = grad_check(m, x, y, num_coords=400, seed=trial)
             assert rel <= 1e-4
 
     def test_detects_wrong_gradients(self, monkeypatch):
@@ -278,7 +278,7 @@ class TestBackward:
         monkeypatch.setattr(model_mod, "batch_step", doubled)
         m = init_model(20, 8, 10, init_seed=5)
         x = rows([0.0] * 3 + [2.0] + [0.0] * 10 + [1.0] + [0.0] * 5)
-        rel = grad_check(m, x, hot([2, 7], 10), step=1e-4, num_coords=200, seed=0)
+        rel = grad_check(m, x, hot([2, 7], 10), num_coords=200, seed=0)
         assert rel >= 0.3
 
     def test_gradient_sparse_locality(self):

@@ -504,6 +504,27 @@ class TestMemoryCheck:
         assert two - one == one - ensemble - codebook and three == two
         assert one - ensemble - codebook > targets
 
+    @pytest.mark.parametrize(
+        "labeled, feature_dim, workers, batch_size, recorded",
+        [
+            (False, 128, 1, 16, 1160496),
+            (False, 100_000, 2, 1000, 40962224),
+            (True, 128, 1, 16, 1160288),
+            (True, 100_000, 2, 1000, 40958800),
+        ],
+    )
+    def test_estimate_keeps_its_recorded_bytes(
+        self, labeled, feature_dim, workers, batch_size, recorded
+    ):
+        """The bytes the estimate gave when every call sorted the block's token ids;
+        at F=128 every row is live, at F=100000 the distinct ids bound them."""
+        cb, _, docs = small_setup()
+        block = DocBlock.from_documents([*docs, make_document(50, [(3, 1), (900, 2)], [])])
+        block = block.labeled() if labeled else block
+        eng = EngineConfig(feature_dim=feature_dim, hidden_dim=12)
+        cfg = TrainConfig(epochs=1, batch_size=batch_size, workers=workers)
+        assert train._training_bytes(block, cb.config, eng, cfg) == recorded
+
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
 
