@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import itertools
 import json
 import logging
@@ -48,7 +49,7 @@ from .equivalence import (
 from .features import DocBlock
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
-from .manifest import _MISSING, BlobChecksumError, ManifestError, load_ensemble, save_ensemble
+from .manifest import BlobChecksumError, ManifestError, load_ensemble, load_manifest, save_ensemble
 from .metrics import evaluate
 from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
 
@@ -153,17 +154,6 @@ def _print(line: str) -> None:
     _stdout_guarded(print, line)
 
 
-def _corpus_header(path: str) -> tuple[int, int, int]:
-    """``read_header(path)``; a path the file system cannot name, or names as a
-    directory, is a bad input file, as a missing blob is a bad engine."""
-    try:
-        return read_header(path)
-    except OSError as exc:
-        if exc.errno not in _MISSING:
-            raise
-        raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
-
-
 def _train(
     values: dict, num_labels: int, read: Callable[[], DocBlock], out_dir: str | None = None
 ) -> tuple:
@@ -194,9 +184,9 @@ def _train(
 def _replacing(path: str | None) -> Iterator[TextIO | None]:
     """A new file, a hidden sibling of ``path``, that replaces it once the block succeeds.
 
-    It is created before the block does any work, so a path that cannot be written
-    fails first, naming ``path``, and any failure leaves ``path`` as it was.  Mode "x"
-    is O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
+    It is created before the block does any work, so a path that cannot be written or
+    names a directory fails first, naming ``path``, and any failure leaves it as it was.
+    Mode "x" is O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
     ``None``, no output asked for, yields ``None``.
     """
     if path is None:
@@ -204,6 +194,8 @@ def _replacing(path: str | None) -> Iterator[TextIO | None]:
         return
     path = Path(path)
     partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     try:
         out = partial.open("x", encoding="utf-8")
     except OSError as exc:
@@ -218,7 +210,7 @@ def _replacing(path: str | None) -> Iterator[TextIO | None]:
 
 def cmd_train(args: argparse.Namespace) -> int:
     values = parse_config(args.config)
-    _, _, num_labels = _corpus_header(values["corpus"])
+    _, _, num_labels = read_header(values["corpus"])
     if num_labels < 1:
         raise ValueError("corpus declares zero labels; nothing to train")
     result, _, train_cfg = _train(
@@ -246,7 +238,7 @@ PREDICT_COUNTERS = ("candidates_retrieved", "unique_candidates", "scores_summed"
 
 def cmd_predict(args: argparse.Namespace) -> int:
     with _replacing(args.out) as out:
-        _corpus_header(args.corpus)
+        read_header(args.corpus)
         ensemble, _ = load_ensemble(args.manifest)
         cb = build_codebook(ensemble.code_config)
         if args.mode == "sparse":
@@ -282,7 +274,7 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     with _replacing(args.json) as out:
-        _corpus_header(args.corpus)
+        testset = list(parse_corpus(args.corpus))
         ensemble, _ = load_ensemble(args.manifest)
         cb = build_codebook(ensemble.code_config)
         idx = build_index(cb)
@@ -290,7 +282,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ks_recall = _parse_ks(args.ks_recall)
         top_k = max(*ks_precision, *ks_recall)
         params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
-        testset = list(parse_corpus(args.corpus))
         report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
         _print(report.as_text())
         if out is not None:
@@ -306,19 +297,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         buckets_list = _parse_ks(args.buckets)
         chunks_list = _parse_ks(args.chunks)
         m_list = _parse_ks(args.m)
-        _, _, num_labels = _corpus_header(values["corpus"])
-        _corpus_header(values["eval_corpus"])
+        _, _, num_labels = read_header(values["corpus"])
         block = read_block(values["corpus"])
         testset = list(parse_corpus(values["eval_corpus"]))
 
         rows = ["buckets\tchunks\tm\tp_at_1\tp_at_3\tp_at_5\tms_per_point\tstatus"]
+        failed = "{}\t{}\t{}\t-\t-\t-\t-\terror: {}".format  # (b, k, m, exc)
         for b, k in itertools.product(buckets_list, chunks_list):
             cell = dict(values, buckets_per_chunk=b, num_chunks=k)
             try:
                 result, cb, _ = _train(cell, num_labels, lambda: block)
                 idx = build_index(cb)
             except Exception as exc:  # per-cell isolation: record, move on
-                rows.extend(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}" for m in m_list)
+                rows.extend(failed(b, k, m, exc) for m in m_list)
                 continue
             for m in m_list:
                 try:
@@ -335,7 +326,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                         f"\t{report.latency_ms['mean']:.3f}\tok"
                     )
                 except Exception as exc:
-                    rows.append(f"{b}\t{k}\t{m}\t-\t-\t-\t-\terror: {exc}")
+                    rows.append(failed(b, k, m, exc))
         table = "\n".join(rows)
         if out is None:
             _print(table)
@@ -472,6 +463,8 @@ def _check_manifest(manifest_path: str) -> str:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.manifest:
+        load_manifest(args.manifest)  # a missing or malformed manifest fails before any check
     checks = [
         ("code-orthogonality", _check_code_orthogonality),
         ("index-balance", _check_index_balance),

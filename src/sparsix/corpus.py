@@ -8,10 +8,11 @@ File format (one corpus per file):
 The header declares how many data lines follow and the exclusive upper
 bounds for token and label ids.  Each data line starts with a comma-
 separated list of label ids (possibly empty) followed by space-separated
-token:count pairs.  Ids, labels and counts are ASCII decimal digits; a count
-may also be written in float form (``2.0``, ``1e3``) when its value is a whole
-number.  Counts are positive; the engine is bag-of-words count based, so
-fractional values are rejected rather than silently rounded.
+token:count pairs.  Header fields, ids, labels and counts are ASCII decimal
+digits; a count may also be written in float form (``2.0``, ``1e3``) when its
+value is a whole number.  Counts are positive; the engine is bag-of-words count
+based, so fractional values are rejected rather than silently rounded.  A path
+that names no file is a ``ValueError`` from every reader, naming the path.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
 :class:`features.DocBlock`; errors carry the 1-based line number.  It reads
@@ -26,6 +27,7 @@ rows once the whole file is checked, without checking each row again.
 """
 from __future__ import annotations
 
+import errno
 import re
 from array import array
 from pathlib import Path
@@ -42,6 +44,10 @@ _WINDOW_CHARS = 1 << 14
 # Plain lines, as the module docstring states them; 10**18 - 1 < 2**63, so
 # every plain number fits an int64.
 _PLAIN_LINES = re.compile(rb"(?:(?:D(?:,D)*)?(?: D:D)*\n)*".replace(b"D", rb"[0-9]{1,18}"))
+
+# Errnos of a path the file system cannot name, or names as a directory: it
+# names no file, so a corpus there is a bad input, as a blob there is missing
+MISSING_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ENAMETOOLONG)
 
 
 class CorpusFormatError(ValueError):
@@ -88,9 +94,13 @@ def _parse_count(raw: str) -> int:
 
 def read_header(path: str | Path) -> tuple[int, int, int]:
     """Return (num_points, num_features, num_labels) from the header line."""
-    path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline()
+    except OSError as exc:
+        if exc.errno not in MISSING_ERRNOS:
+            raise
+        raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
     if not header:
         raise CorpusFormatError(path, 1, "missing header line")
     parts = header.split()
@@ -99,9 +109,9 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
             path, 1, f"header must be 'num_points num_features num_labels', got {header.strip()!r}"
         )
     try:
-        num_points, num_features, num_labels = (int(p) for p in parts)
+        num_points, num_features, num_labels = (_decimal(p) for p in parts)
     except ValueError:
-        raise CorpusFormatError(path, 1, f"non-integer header field in {header.strip()!r}") from None
+        raise CorpusFormatError(path, 1, f"non-decimal header field in {header.strip()!r}") from None
     if min(num_points, num_features, num_labels) < 0:
         raise CorpusFormatError(path, 1, "header fields must be non-negative")
     return num_points, num_features, num_labels
@@ -109,14 +119,13 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
 
 def read_block(path: str | Path) -> DocBlock:
     """Read and check a whole corpus file into one block; row r is the r-th data line."""
-    path = Path(path)
     num_points, num_features, num_labels = read_header(path)
     # typed buffers hold 8 bytes a value, where a list holds a Python int each;
     # the last two hold each row's token and label counts
     columns = (array("Q"), array("q"), array("q"), array("q"), array("q"))
     ids, counts, labels, token_sizes, label_sizes = columns
     line_no = 1
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         fh.readline()  # header, already validated
         while lines := fh.readlines(_WINDOW_CHARS):
             window = _read_plain(lines, num_points - len(token_sizes), num_features, num_labels)
@@ -214,7 +223,7 @@ def _read_plain(
 
 
 def _read_lines(
-    path: Path,
+    path: str | Path,
     line_no: int,
     lines: list[str],
     columns: tuple[array, ...],
@@ -247,7 +256,7 @@ def _read_lines(
 
 
 def _parse_line(
-    path: Path, line_no: int, line: str, row: int, num_features: int, num_labels: int
+    path: str | Path, line_no: int, line: str, row: int, num_features: int, num_labels: int
 ) -> tuple[list[int], list[int], list[int]]:
     """One data line's token ids (uint64), counts and sorted labels (int64), all checked."""
     label_field, _, rest = line.partition(" ")

@@ -15,7 +15,6 @@ them exact).
 """
 from __future__ import annotations
 
-import errno
 import hashlib
 import json
 import posixpath
@@ -25,6 +24,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .codes import CodeConfig, codebook_bytes
+from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
 from .index import index_bytes
 from .infer import query_bytes
@@ -37,9 +37,6 @@ FORMAT_VERSION = 1
 # train_config; such a manifest loads if it holds these same values
 _FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 _SHA256 = re.compile("[0-9a-f]{64}")
-# a path the file system cannot name, or names as a directory, names no file:
-# a missing blob here, and a missing corpus to the CLI
-_MISSING = (errno.ENOENT, errno.ENOTDIR, errno.EISDIR, errno.ENAMETOOLONG)
 
 
 class ManifestError(ValueError):
@@ -183,7 +180,7 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
         try:
             data = blob_path.read_bytes()
         except OSError as exc:
-            if exc.errno not in _MISSING:
+            if exc.errno not in MISSING_ERRNOS:
                 raise
             raise BlobChecksumError(f"missing model blob {blob_path}") from exc
         actual = hashlib.sha256(data).hexdigest()

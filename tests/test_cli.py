@@ -394,6 +394,13 @@ class TestExitCodes:
         assert rc == EXIT_VERIFY
         assert "FAIL manifest-checksums" in out
 
+    def test_verify_reads_the_manifest_before_any_check(self, tmp_path, capsys):
+        rc = main(["verify", "--manifest", str(tmp_path / "absent.json")])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert out == ""  # no check ran, so no PASS line
+        assert "error: unreadable manifest" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_engine_over_memory_is_validation_error(
         self, workspace, tmp_path, capsys, monkeypatch, command
@@ -756,19 +763,21 @@ class TestOutputClaimedFirst:
         [
             (command, kind)
             for command in ("predict", "eval", "sweep", "train")
-            for kind in ("parent-is-a-file", "too-long", "missing-directory")
-            # train creates out_dir with its parents
-            if (command, kind) != ("train", "missing-directory")
+            for kind in ("parent-is-a-file", "too-long", "missing-directory", "existing-directory")
+            # train creates out_dir with its parents, and out_dir is a directory
+            if command != "train" or kind in ("parent-is-a-file", "too-long")
         ],
     )
     def test_unwritable_output_fails_before_the_work(
         self, workspace, tmp_path, capsys, monkeypatch, command, kind
     ):
         (tmp_path / "file").write_bytes(b"keep\n")
+        (tmp_path / "dir").mkdir()
         bad = {
             "parent-is-a-file": tmp_path / "file" / "out",
             "too-long": tmp_path / ("x" * 5000),
             "missing-directory": tmp_path / "absent" / "out",
+            "existing-directory": tmp_path / "dir",
         }[kind]
         settings = f"corpus = {workspace / 'train.txt'}\neval_corpus = {workspace / 'test.txt'}"
         (tmp_path / "run.cfg").write_text(

@@ -43,12 +43,18 @@ class TestHeader:
 
     @pytest.mark.parametrize(
         "header",
-        ["", "2 100", "2 100 7 9", "two 100 7", "-1 100 7"],
+        ["", "2 100", "2 100 7 9", "two 100 7", "-1 100 7", "+2 100 7", "2 1_00 7", "2 100 \u0667"],
     )
     def test_bad_header_rejected(self, tmp_path, header):
         p = corpus_file(tmp_path, header + "\n0 1:1\n")
         with pytest.raises(CorpusFormatError):
             read_header(p)
+
+    def test_path_naming_no_file_rejected(self, tmp_path):
+        missing = tmp_path / "absent.txt"
+        with pytest.raises(ValueError) as info:
+            read_block(missing)
+        assert str(info.value).startswith(f"cannot read corpus {missing}: ")
 
 
 class TestParsing:
