@@ -12,7 +12,8 @@ token:count pairs.  Header fields, ids, labels and counts are ASCII decimal
 digits; a count may also be written in float form (``2.0``, ``1e3``) when its
 value is a whole number.  Counts are positive; the engine is bag-of-words count
 based, so fractional values are rejected rather than silently rounded.  A path
-that names no file is a ``ValueError`` from every reader, naming the path.
+that names no file is a ``ValueError`` from every reader, naming the path, and a
+byte that is not UTF-8 a ``CorpusFormatError`` naming its line.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
 :class:`features.DocBlock`; errors carry the 1-based line number.  It reads
@@ -31,7 +32,7 @@ import errno
 import re
 from array import array
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -95,7 +96,7 @@ def _parse_count(raw: str) -> int:
 def read_header(path: str | Path) -> tuple[int, int, int]:
     """Return (num_points, num_features, num_labels) from the header line."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             header = fh.readline()
     except OSError as exc:
         if exc.errno not in MISSING_ERRNOS:
@@ -103,6 +104,7 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
         raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
     if not header:
         raise CorpusFormatError(path, 1, "missing header line")
+    _check_utf8(path, 1, header)
     parts = header.split()
     if len(parts) != 3:
         raise CorpusFormatError(
@@ -117,6 +119,23 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
     return num_points, num_features, num_labels
 
 
+def _open_text(path: str | Path) -> TextIO:
+    """The corpus as text; a byte that is not UTF-8 reads as a lone surrogate.
+
+    Strict decoding would raise for the whole read, naming no line, so each
+    line is checked with :func:`_check_utf8` once its number is known.
+    """
+    return open(path, encoding="utf-8", errors="surrogateescape")
+
+
+def _check_utf8(path: str | Path, line_no: int, line: str) -> None:
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00
+        raise CorpusFormatError(path, line_no, f"byte {byte:#04x} is not UTF-8") from None
+
+
 def read_block(path: str | Path) -> DocBlock:
     """Read and check a whole corpus file into one block; row r is the r-th data line."""
     num_points, num_features, num_labels = read_header(path)
@@ -125,7 +144,7 @@ def read_block(path: str | Path) -> DocBlock:
     columns = (array("Q"), array("q"), array("q"), array("q"), array("q"))
     ids, counts, labels, token_sizes, label_sizes = columns
     line_no = 1
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         fh.readline()  # header, already validated
         while lines := fh.readlines(_WINDOW_CHARS):
             window = _read_plain(lines, num_points - len(token_sizes), num_features, num_labels)
@@ -176,7 +195,7 @@ def _read_plain(
     text = "\n" + "".join(lines)  # the leading newline starts the first line
     if not text.endswith("\n"):  # the file's last line has no newline
         text += "\n"
-    data = text.encode()
+    data = text.encode("utf-8", "surrogateescape")
     if not _PLAIN_LINES.fullmatch(data, 1):
         return None
     raw = np.frombuffer(data, dtype=np.uint8)
@@ -240,6 +259,7 @@ def _read_lines(
         line = line.rstrip()
         if not line:
             continue
+        _check_utf8(path, line_no, line)
         if row == num_points:
             raise CorpusFormatError(
                 path, line_no, f"more than the declared {num_points} data lines"

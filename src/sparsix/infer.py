@@ -11,16 +11,29 @@ One cut rule, ``_top_k``, serves both bucket selection and label ranking:
 ties break toward the lower index and NaN ranks lowest, which keeps every
 stage reproducible.
 
-After the K*m bucket lookups no stage does work that grows with the catalog
-size N: the union sorts the R retrieved postings and drops repeats,
-O(R log R); scoring gathers one probability per chunk and candidate, O(K*U)
-for U unique candidates; ranking partitions to the top_k and sorts only
-those, O(U + top_k log top_k).
+``predict`` scores no label that cannot rank.  It sorts the K*m selected
+buckets by probability, strongest first, and visits a prefix of them: the
+labels posted there are scored exactly against the whole embedding and
+ranked.  A label posted in no visited bucket scores at most K times the
+strongest probability it could draw, the larger of the next selected bucket
+and (in full-vector mode) the strongest unselected one.  Once the top_k-th
+visited score beats that bound, no unvisited label can enter the top_k, and
+the labels, their order and their score bits are those of scoring the whole
+union.  Otherwise the prefix doubles, up to the whole selection.  This is the
+threshold algorithm of Fagin, Lotem and Naor (PODS 2001) over K sorted
+lists.
+
+No stage does work that grows with the catalog size N: a pass's union sorts
+its R retrieved postings and drops repeats, O(R log R); scoring gathers one
+probability per chunk and candidate, O(K*U) for U unique candidates; ranking
+partitions to the top_k and sorts only those, O(U + top_k log top_k).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Iterator
 
 import numpy as np
 
@@ -96,9 +109,8 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
         keep = ~tied
     else:
         keep = neg <= cut
-        picked = keep.nonzero()[0]
-        if picked.size == k:  # no run of ties straddles the cut
-            return picked.astype(np.int64, copy=False)
+        if np.count_nonzero(keep) == k:  # no run of ties straddles the cut
+            return keep.nonzero()[0].astype(np.int64, copy=False)
         tied = neg == cut
         keep = neg < cut
     need = k - np.count_nonzero(keep)
@@ -226,14 +238,105 @@ def predict(
     doc: Document,
     params: InferParams,
 ) -> Prediction:
-    """Sparse retrieval for one query: embed, prune, look up, fuse, rank."""
+    """Sparse retrieval for one query: embed, prune, look up, fuse, rank.
+
+    The ranking is that of every label in the selected buckets, bit for bit.
+    The pruning passes ``_passes`` plans come first; the counters sum the work
+    of every pass run.
+    """
     counters = OpCounters()
     emb = embed_query(ensemble, doc, params.m)
     counters.buckets_scored = int(emb.probs.size)
-    candidates = retrieve_candidates(idx, emb, counters)
-    scores = aggregate_scores(cb, emb, candidates, counters, params.aggregation)
-    labels, scores = _rank(candidates, scores, params.top_k)
+    for visited, bound in _passes(emb, cb.config.num_labels, params):
+        labels, scores = _score_buckets(cb, idx, emb, visited, params, counters)
+        # no label outside the visited buckets scores above ``bound``
+        if scores.size == params.top_k and scores[-1] > bound:
+            return Prediction(labels=labels, scores=scores, counters=counters)
+        del labels, scores  # so a query's peak is that of its largest pass
+    labels, scores = _score_buckets(cb, idx, emb, emb, params, counters)
     return Prediction(labels=labels, scores=scores, counters=counters)
+
+
+def _score_buckets(
+    cb: LabelCodebook,
+    idx: InvertedIndex,
+    emb: QuerySparseEmbedding,
+    visited: QuerySparseEmbedding,
+    params: InferParams,
+    counters: OpCounters,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The top_k of the labels posted in ``visited``'s buckets, scored against ``emb``."""
+    candidates = retrieve_candidates(idx, visited, counters)
+    scores = aggregate_scores(cb, emb, candidates, counters, params.aggregation)
+    return _rank(candidates, scores, params.top_k)
+
+
+# Pruning passes run only when s0 is at most a quarter of the K*m selection.
+# Where it is more, the first passes hold too few labels to stop: at N 2,000,
+# B 256, m 10 and top_k 100 (s0 = 13 of 40), a rule of at most half the
+# selection ran passes of 13 and then 40 buckets on every trained query and
+# raised p50 by 36% (300 queries, 20 interleaved rounds in-process, 2 vCPUs).
+_PRUNE_SHARE = 4
+# Once a doubled pass would visit more than half the selection, the whole
+# selection is visited instead: a pass that large saves little over it, and
+# one that fails to stop costs it again.  At N 100,000 (K 4, B 256, m 10,
+# top_k 100: passes of 4, 8, 16 and 40 buckets), of 1,000 trained queries 917
+# stopped after 4 buckets, 73 after 8, 5 after 16 and 5 visited all 40; p50
+# fell 35-45% and p95 29-45% (300 queries, interleaved rounds in-process, 2
+# vCPUs, at each of the host's two speeds).
+_FALLBACK_SHARE = 2
+
+
+def _passes(
+    emb: QuerySparseEmbedding, num_labels: int, params: InferParams
+) -> Iterator[tuple[QuerySparseEmbedding, float]]:
+    """Each pruning pass's visited buckets, and the most an unvisited label can score.
+
+    A pass visits the s strongest selected buckets: highest probability
+    first, ties to the lower chunk and then the lower bucket.  The first
+    visits s0 = max(K, ceil(top_k*B/N)), enough buckets to hold top_k labels
+    at N/B labels a bucket, and each next one twice as many.  A label posted
+    in none of them draws each of its K terms from an unvisited selected
+    bucket, at most the next one's probability p, or from an unselected
+    bucket, at most the strongest unselected probability t in full-vector
+    mode and 0 in truncated mode.  Rounding is monotone, so its score is at
+    most M = max(t, p) summed K times in chunk order from 0.0.  A pass whose M
+    is NaN, or not below the strongest selected probability, cannot stop (no
+    score exceeds the strongest summed K times) and is skipped.  Passes stop
+    short of visiting the whole selection, which ``predict`` does last.
+    """
+    k, b = emb.probs.shape
+    sizes = [buckets.size for buckets in emb.top_buckets]
+    selected = sum(sizes)
+    s = max(k, -(-params.top_k * b // num_labels))
+    if _PRUNE_SHARE * s > selected:
+        return
+    chunk_of = np.repeat(np.arange(k), sizes)
+    bucket_of = np.concatenate(emb.top_buckets)
+    probs = emb.probs[chunk_of, bucket_of]
+    order = np.argsort(-probs, kind="stable")  # NaN last
+    if params.aggregation == "truncated":
+        t = 0.0
+    else:
+        unselected = emb.probs.copy()
+        unselected[chunk_of, bucket_of] = -np.inf
+        t = unselected.max()
+    strongest = probs[order[0]]
+    ends = list(accumulate(sizes))
+    while _FALLBACK_SHARE * s <= selected:
+        most = float(np.maximum(t, probs[order[s]]))
+        if most < strongest:
+            visit = np.zeros(selected, dtype=bool)
+            visit[order[:s]] = True
+            tops = [
+                buckets[visit[end - buckets.size : end]]
+                for buckets, end in zip(emb.top_buckets, ends)
+            ]
+            bound = 0.0
+            for _ in range(k):
+                bound += most
+            yield QuerySparseEmbedding(probs=emb.probs, top_buckets=tops), bound
+        s *= 2
 
 
 def predict_full(
@@ -265,8 +368,10 @@ def query_bytes(config: CodeConfig) -> int:
     then int64: 5·K·N + 12·N bytes.  Scoring holds the N int64 candidates, the
     (N, K) int32 code gather, the int64 indexes ``take`` converts a column to,
     the N float64 scores and one gathered row: 4·K·N + 32·N bytes.  Ranking
-    holds less than scoring: the candidates, the scores and two score-sized
-    copies.
+    holds less than scoring, even when every score ties at the cut: the
+    candidates, the scores, two score-sized copies and three N-byte masks.
+    ``predict``'s pruning passes hold less than its last pass, which visits
+    every selected bucket.
     """
     n, k = config.num_labels, config.num_chunks
     return max(5 * k * n + 12 * n, 4 * k * n + 32 * n)
@@ -282,7 +387,11 @@ def query_bytes(config: CodeConfig) -> int:
 # the code: the union sorts the retrieved entries, O(R log R), and ``_rank``
 # partitions the U unique candidates and sorts only the top_k,
 # O(U + top_k log top_k).  The formula stays the heap model because
-# acceptance criterion 8 pins it.  The dense baseline scores all N labels at
+# acceptance criterion 8 pins it.  It prices visiting every selected bucket,
+# which ``predict`` does only when its first passes cannot stop: where
+# s0 = max(K, ceil(top_k*B/N)) is at most a quarter of K*m, a query that
+# stops after s buckets retrieves about s*N/B entries, so the measured counts
+# fall below K*m*N/B as N grows.  The dense baseline scores all N labels at
 # m=B and is priced with the same heap.
 
 

@@ -91,6 +91,38 @@ def workspace(tmp_path_factory):
     return root
 
 
+# Each command and the flag or config key through which it reads a corpus
+CORPUS_INPUTS = [
+    ("train", "corpus"),
+    ("sweep", "corpus"),
+    ("sweep", "eval_corpus"),
+    ("predict", "--corpus"),
+    ("eval", "--corpus"),
+]
+
+
+def corpus_argv(workspace: Path, tmp_path: Path, command: str, key: str, corpus: Path) -> list[str]:
+    """``command``'s argv reading ``corpus`` through ``key``, its other inputs from ``workspace``.
+
+    Outputs go under ``tmp_path``: ``p.tsv`` for predict and ``engine`` for train.
+    """
+    if key == "--corpus":
+        manifest = workspace / "engine" / "manifest.json"
+        argv = [command, "--manifest", str(manifest), "--corpus", str(corpus), "--m", "4"]
+        if command == "predict":
+            argv += ["--out", str(tmp_path / "p.tsv")]
+        return argv
+    paths = {"corpus": workspace / "train.txt", "eval_corpus": workspace / "test.txt"}
+    paths[key] = corpus
+    settings = "".join(f"{k} = {v}\n" for k, v in paths.items())
+    text = with_settings(DESK_CONFIG, settings + f"out_dir = {tmp_path / 'engine'}")
+    (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
+    argv = [command, "--config", str(tmp_path / "run.cfg")]
+    if command == "sweep":
+        argv += ["--buckets", "8", "--chunks", "2", "--m", "2"]
+    return argv
+
+
 class TestParseConfig:
     def write(self, tmp_path, text):
         p = tmp_path / "t.cfg"
@@ -529,16 +561,7 @@ class TestExitCodes:
         assert "error: " in err and message in err and "Traceback" not in err
 
     @pytest.mark.parametrize("kind", ["missing", "directory", "too-long"])
-    @pytest.mark.parametrize(
-        "command, key",
-        [
-            ("train", "corpus"),
-            ("sweep", "corpus"),
-            ("sweep", "eval_corpus"),
-            ("predict", "--corpus"),
-            ("eval", "--corpus"),
-        ],
-    )
+    @pytest.mark.parametrize("command, key", CORPUS_INPUTS)
     def test_corpus_naming_no_file_is_validation_error(
         self, workspace, tmp_path, capsys, command, key, kind
     ):
@@ -549,24 +572,26 @@ class TestExitCodes:
             "directory": tmp_path,
             "too-long": tmp_path / ("x" * 5000),
         }[kind]
-        if key == "--corpus":
-            manifest = workspace / "engine" / "manifest.json"
-            argv = [command, "--manifest", str(manifest), "--corpus", str(bad), "--m", "4"]
-            if command == "predict":
-                argv += ["--out", str(tmp_path / "p.tsv")]
-        else:
-            paths = {"corpus": workspace / "train.txt", "eval_corpus": workspace / "test.txt"}
-            paths[key] = bad
-            settings = "".join(f"{k} = {v}\n" for k, v in paths.items())
-            text = with_settings(DESK_CONFIG, settings + f"out_dir = {tmp_path / 'engine'}")
-            (tmp_path / "run.cfg").write_text(text, encoding="utf-8")
-            argv = [command, "--config", str(tmp_path / "run.cfg")]
-            if command == "sweep":
-                argv += ["--buckets", "8", "--chunks", "2", "--m", "2"]
-        rc = main(argv)
+        rc = main(corpus_argv(workspace, tmp_path, command, key, bad))
         out, err = capsys.readouterr()
         assert rc == EXIT_VALIDATION
         assert f"error: cannot read corpus {bad}: " in err and "Traceback" not in err
+        assert out == ""
+        assert not (tmp_path / "engine").exists() and not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.parametrize("line_no", [1, 2])
+    @pytest.mark.parametrize("command, key", CORPUS_INPUTS)
+    def test_non_utf8_byte_names_its_line(self, workspace, tmp_path, capsys, command, key, line_no):
+        """Byte 0xff, which UTF-8 never uses, ends the header or the first data line."""
+        source = workspace / ("test.txt" if key == "eval_corpus" else "train.txt")
+        lines = source.read_bytes().split(b"\n")
+        lines[line_no - 1] += b"\xff"
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n".join(lines))
+        rc = main(corpus_argv(workspace, tmp_path, command, key, bad))
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert f"error: {bad}:{line_no}: byte 0xff is not UTF-8" in err and "Traceback" not in err
         assert out == ""
         assert not (tmp_path / "engine").exists() and not (tmp_path / "p.tsv").exists()
 

@@ -148,6 +148,20 @@ class TestParsing:
             with pytest.raises(CorpusFormatError, match=r":3:"):
                 read(p)
 
+    @pytest.mark.parametrize("line_no", [1, 2, 2000])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, line_no):
+        """Byte 0xff, which UTF-8 never uses: in the header, the first data line,
+        and a line past the first read window."""
+        lines = [b"2500 10 5"] + [b"0 1:1"] * 2500
+        lines[line_no - 1] += b"\xff"
+        p = tmp_path / "c.txt"
+        p.write_bytes(b"\n".join(lines) + b"\n")
+        readers = (read_header, *READERS) if line_no == 1 else READERS
+        for read in readers:
+            with pytest.raises(CorpusFormatError) as info:
+                read(p)
+            assert str(info.value) == f"{p}:{line_no}: byte 0xff is not UTF-8"
+
     @pytest.mark.parametrize("pair", ["3:100000000000000000000", f"{2**64}:1"])
     def test_values_beyond_64_bits_rejected(self, tmp_path, pair):
         # the header allows the token id, so only the 64-bit range can reject it

@@ -1,6 +1,7 @@
 """Retrieval tests: top-m pruning, exactness at m=B, counters, cost model."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
-from sparsix.codes import CodeConfig, build_codebook
+from sparsix.codes import CodeConfig, LabelCodebook, build_codebook
+from sparsix.corpus import make_separable_corpus
 from sparsix.features import make_document
 from sparsix.index import build_index, lookup
 from sparsix.infer import (
@@ -17,6 +19,7 @@ from sparsix.infer import (
     InferParams,
     OpCounters,
     QuerySparseEmbedding,
+    _passes,
     _rank,
     aggregate_scores,
     dense_op_count,
@@ -29,6 +32,7 @@ from sparsix.infer import (
     sparsify_topm,
 )
 from sparsix.model import PARAM_DTYPE, ChunkEnsemble, EngineConfig, init_model
+from sparsix.train import TrainConfig, train_all
 
 
 class TestSparsifyTopm:
@@ -400,6 +404,27 @@ def untrained_ensemble(cb):
     return ChunkEnsemble(cb.config, engine, models)
 
 
+def served_over(ensemble, cb, outputs, rng):
+    """``ensemble``'s models serving ``cb``'s labels.  ``outputs`` "flat" zeroes
+    W2 and b2, so every probability ties at 0.5; "nan" sets a fifth of b2 to
+    NaN, so those buckets' probabilities are NaN.  "coarse" zeroes W2 and gives
+    every bucket probability 0, 0.5 or 1, in shares drawn for each chunk: sums
+    are exact, so scores tie with the pruning bound, and one chunk's unselected
+    buckets may outrank another's selected ones."""
+    models = []
+    for model in ensemble.models:
+        w2, b2 = model.W2, model.b2
+        if outputs in ("flat", "coarse"):
+            w2, b2 = np.zeros_like(w2), np.zeros_like(b2)
+        if outputs == "nan":
+            b2 = b2.copy()
+            b2[rng.random(b2.size) < 0.2] = np.nan
+        elif outputs == "coarse":
+            b2[:] = rng.choice([-1e3, 0.0, 1e3], size=b2.size, p=rng.dirichlet(np.ones(3)))
+        models.append(dataclasses.replace(model, W2=w2, b2=b2))
+    return ChunkEnsemble(cb.config, ensemble.engine, models)
+
+
 class TestQueryBytes:
     @pytest.mark.parametrize("k", [1, 4, 16])
     def test_one_query_peaks_within_its_term(self, k):
@@ -409,7 +434,9 @@ class TestQueryBytes:
         n, b = 200_000, 256
         cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
         idx = build_index(cb)
-        ensemble = untrained_ensemble(cb)
+        # every probability is 0.5, so every score equals the pruning bound and
+        # predict visits the whole selection at once
+        ensemble = served_over(untrained_ensemble(cb), cb, "flat", None)
         queries = [
             lambda: predict(ensemble, cb, idx, QUERY, InferParams(m=b, top_k=100)),
             lambda: predict(ensemble, cb, idx, QUERY, InferParams(b, 100, "truncated")),
@@ -455,6 +482,145 @@ class TestCounters:
         pred = predict_full(tiny_engine.ensemble, tiny_engine.cb, doc, 5)
         assert pred.counters.unique_candidates == n
         assert pred.counters.scores_summed == n * k
+
+
+def composed_stages(ensemble, cb, idx, doc, params):
+    """Every label in the selected buckets, scored and ranked: the stages
+    ``predict`` composes, without pruning."""
+    emb = embed_query(ensemble, doc, params.m)
+    cand = retrieve_candidates(idx, emb, OpCounters())
+    scores = aggregate_scores(cb, emb, cand, OpCounters(), params.aggregation)
+    return _rank(cand, scores, params.top_k)
+
+
+class TestPrunedPredict:
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        trained=st.booleans(),
+        num_labels=st.one_of(st.integers(1, 300), st.integers(300, 5000)),
+        k=st.sampled_from([1, 2, 4, 7]),
+        b=st.integers(2, 64),
+        top_k=st.one_of(st.integers(1, 10), st.integers(1, 400)),
+        aggregation=st.sampled_from(AGGREGATION_MODES),
+        outputs=st.sampled_from(["as trained", "flat", "nan", "coarse"]),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_composed_stages(
+        self, tiny_engine, seed, trained, num_labels, k, b, top_k, aggregation, outputs, data
+    ):
+        """Labels and score bits equal those of the unpruned stages, for any N, K,
+        B and m up to B, top_k beyond the union, flat, NaN or coarse probabilities.  The
+        trained engine keeps its K and B and serves N labels: a label's code does
+        not depend on N."""
+        rng = np.random.default_rng(seed)
+        if trained:
+            k, b = tiny_engine.cb.config.num_chunks, tiny_engine.cb.config.buckets_per_chunk
+            base_seed = tiny_engine.cb.config.base_seed
+            queries = [tiny_engine.test_docs[i] for i in rng.choice(len(tiny_engine.test_docs), 3)]
+        else:
+            base_seed = seed
+            queries = [
+                make_document(i, [(int(t), 1 + i) for t in rng.choice(64, 3, replace=False)], [])
+                for i in range(3)
+            ]
+        cb = build_codebook(CodeConfig(num_labels, k, b, base_seed=base_seed))
+        idx = build_index(cb)
+        ensemble = tiny_engine.ensemble if trained else untrained_ensemble(cb)
+        ensemble = served_over(ensemble, cb, outputs, rng)
+        params = InferParams(data.draw(st.integers(1, b), label="m"), top_k, aggregation)
+        for doc in queries:
+            pred = predict(ensemble, cb, idx, doc, params)
+            labels, scores = composed_stages(ensemble, cb, idx, doc, params)
+            assert_same_bits(pred.labels, labels)
+            assert_same_bits(pred.scores, scores)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_labels=st.integers(1, 2000),
+        k=st.sampled_from([1, 2, 4, 7]),
+        b=st.integers(2, 64),
+        top_k=st.one_of(st.integers(1, 10), st.integers(1, 400)),
+        aggregation=st.sampled_from(AGGREGATION_MODES),
+        probs=st.sampled_from(["scaled", "levels", "nan"]),
+        data=st.data(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_no_label_outside_a_pass_scores_above_its_bound(
+        self, seed, num_labels, k, b, top_k, aggregation, probs, data
+    ):
+        """Each pruning pass visits the strongest selected buckets, and every label
+        posted in none of them scores at most the pass's bound.  Chunks differ,
+        so one chunk's unselected buckets may outrank another's selected ones;
+        "levels" gives each chunk probabilities 0, 0.5 and 1 in its own shares,
+        so sums are exact and scores tie with bounds."""
+        rng = np.random.default_rng(seed)
+        cb = build_codebook(CodeConfig(num_labels, k, b, base_seed=seed))
+        idx = build_index(cb)
+        if probs == "levels":
+            rows = [rng.choice([0.0, 0.5, 1.0], b, p=rng.dirichlet(np.ones(3))) for _ in range(k)]
+            p = np.stack(rows)
+        else:  # each chunk scaled, often far down, so chunks differ as in "levels"
+            p = rng.random((k, b)) * rng.random((k, 1)) ** 4
+            if probs == "nan":
+                p[rng.random((k, b)) < 0.1] = np.nan
+        m = data.draw(st.integers(1, b), label="m")
+        emb = QuerySparseEmbedding(p, [sparsify_topm(row, m) for row in p])
+        params = InferParams(m, top_k, aggregation)
+        every = np.arange(num_labels, dtype=np.int64)
+        scores = aggregate_scores(cb, emb, every, OpCounters(), aggregation)
+        for visited, bound in _passes(emb, num_labels, params):
+            held = [p[chunk, emb.top_buckets[chunk]] for chunk in range(k)]
+            seen = [p[chunk, visited.top_buckets[chunk]] for chunk in range(k)]
+            unseen = np.concatenate([np.setdiff1d(h, v) for h, v in zip(held, seen)])
+            # NaN sorts last: each visited bucket outranks every unvisited number
+            assert np.concatenate(seen).min() >= np.fmax.reduce(unseen, initial=-np.inf)
+            outside = np.ones(num_labels, dtype=bool)
+            outside[retrieve_candidates(idx, visited, OpCounters())] = False
+            assert not (scores[outside] > bound).any()
+
+    def test_a_score_tied_with_the_bound_does_not_stop(self):
+        """K 2, B 8, m 4, top_k 1.  The first pass visits chunk 0's buckets 0 and 1,
+        with probabilities 1 and 0.5; the next selected bucket has 0.5, so the
+        bound is 1.0.  Label 1, visited, scores 1.0 + 0 = 1.0; label 0, in no
+        visited bucket, scores 0.5 + 0.5 = 1.0 and ranks first on the tie."""
+        config = CodeConfig(4, 2, 8, base_seed=0)
+        cb = LabelCodebook(config, np.array([[2, 0], [0, 4], [5, 5], [6, 6]], dtype=np.int32))
+        ensemble = untrained_ensemble(cb)
+        b2 = [[1e3, 0, 0, 0, -1e3, -1e3, -1e3, -1e3], [0, 0, 0, 0, -1e3, -1e3, -1e3, -1e3]]
+        models = [
+            dataclasses.replace(model, W2=np.zeros_like(model.W2), b2=np.array(row, PARAM_DTYPE))
+            for model, row in zip(ensemble.models, b2)
+        ]
+        ensemble = ChunkEnsemble(config, ensemble.engine, models)
+        for aggregation in AGGREGATION_MODES:
+            pred = predict(ensemble, cb, build_index(cb), QUERY, InferParams(4, 1, aggregation))
+            assert pred.labels.tolist() == [0] and pred.scores.tolist() == [1.0]
+
+    def test_trained_queries_score_fewer_labels_than_the_selection_holds(self):
+        """N = 100,000 in the catalog-100k shape (K 4, B 256, m 10, top_k 100):
+        a trained engine's queries score fewer labels than their selected
+        buckets hold, and fewer than K*m*N/B, and rank exactly as scoring all
+        of them does."""
+        train, test, _ = make_separable_corpus(
+            50, docs_per_label=20, test_docs_per_label=1, noise_vocab=100, seed=3
+        )
+        engine = EngineConfig(feature_dim=1024, hidden_dim=32)
+        cfg = TrainConfig(epochs=10, batch_size=50, lr=5e-2)
+        trained = train_all(train, build_codebook(CodeConfig(50, 4, 256, 9)), engine, cfg)
+        cb = build_codebook(CodeConfig(100_000, 4, 256, 9))
+        idx = build_index(cb)
+        ensemble = ChunkEnsemble(cb.config, engine, trained.ensemble.models)
+        for aggregation in AGGREGATION_MODES:
+            params = InferParams(10, 100, aggregation)
+            for doc in test:
+                pred = predict(ensemble, cb, idx, doc, params)
+                held = retrieve_candidates(idx, embed_query(ensemble, doc, 10), OpCounters())
+                assert pred.counters.unique_candidates < min(held.size, 4 * 10 * 100_000 / 256)
+                assert pred.labels[0] == doc.labels[0]
+                labels, scores = composed_stages(ensemble, cb, idx, doc, params)
+                assert_same_bits(pred.labels, labels)
+                assert_same_bits(pred.scores, scores)
 
 
 class TestCostModel:

@@ -14,36 +14,42 @@ import sparsix.infer
 import sparsix.train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.features import make_document
+from sparsix.infer import InferParams, OpCounters, embed_query, retrieve_candidates
 from sparsix.manifest import save_ensemble
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
+    """``predict`` calls every traced name on both of its paths: one pass over
+    every selected bucket (m 2: s0 = 4 buckets is over a quarter of K*m = 8),
+    and pruning passes that stop before it (m 8: this query stops after its
+    4 strongest buckets)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # importing child resolves every sparsix name the end-to-end run imports
     child = importlib.import_module("child")
     spans = importlib.import_module("spans")
 
-    tracer = spans.Tracer()
-    child._wrap_query_path(tracer)
-    wrapped = [(module, attr, getattr(module, attr)) for module, attr, _ in tracer._patched]
-    assert wrapped
-    try:
-        sparsix.infer.predict(
-            tiny_engine.ensemble,
-            tiny_engine.cb,
-            tiny_engine.idx,
-            tiny_engine.test_docs[0],
-            sparsix.infer.InferParams(m=4, top_k=5),
-        )
-    finally:
-        tracer.restore()
-    # a wrapped name the query path stopped calling would zero its per-layer figure
-    recorded = {span[0].rsplit(".", 1)[1] for span in tracer.spans}
-    assert [attr for _, attr, _ in wrapped if attr not in recorded] == []
-    for module, attr, wrapper in wrapped:
-        assert getattr(module, attr) is not wrapper
+    ensemble, cb, idx = tiny_engine.ensemble, tiny_engine.cb, tiny_engine.idx
+    doc = tiny_engine.test_docs[1]
+    for m, pruned in [(2, False), (8, True)]:
+        tracer = spans.Tracer()
+        child._wrap_query_path(tracer)
+        wrapped = [(module, attr, getattr(module, attr)) for module, attr, _ in tracer._patched]
+        assert wrapped
+        try:
+            pred = sparsix.infer.predict(ensemble, cb, idx, doc, InferParams(m=m, top_k=5))
+        finally:
+            tracer.restore()
+        # a wrapped name the query path stopped calling would zero its per-layer figure
+        recorded = {span[0].rsplit(".", 1)[1] for span in tracer.spans}
+        assert [attr for _, attr, _ in wrapped if attr not in recorded] == [], m
+        for module, attr, wrapper in wrapped:
+            assert getattr(module, attr) is not wrapper
+
+        scored = pred.counters.unique_candidates
+        held = retrieve_candidates(idx, embed_query(ensemble, doc, m), OpCounters()).size
+        assert scored < held if pruned else scored == held, m
 
     # the names traced_chunk_task wraps inside a training worker
     for name in ("_chunk_matrix", "_batch_step", "apply_update", "build_codebook"):
