@@ -182,7 +182,7 @@ def merge_slots(
     keys: np.ndarray, values: np.ndarray, saturate: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Distinct keys, sorted, with their values summed in input order; capped at 1 if ``saturate``."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys, values = keys[order], values[order]
     fresh = keys[1:] != keys[:-1]
     if not fresh.all():
@@ -194,8 +194,11 @@ def merge_slots(
 
 
 def hash_token_ids(token_ids: np.ndarray, chunk_seed: int, feature_dim: int) -> np.ndarray:
-    """Map raw token ids to hashed feature indexes (no accumulation)."""
+    """Map raw token ids to hashed feature indexes, int64 (no accumulation).
+
+    A uint32 hash modulo an int64 divisor gives int64 at once, the same values
+    as reducing in uint32 and widening after.
+    """
     if feature_dim < 1:
         raise ValueError(f"feature_dim must be >= 1, got {feature_dim}")
-    hashed = murmur3_32_u64(np.asarray(token_ids, dtype=np.uint64), chunk_seed)
-    return (hashed % np.uint32(feature_dim)).astype(np.int64)
+    return murmur3_32_u64(token_ids, chunk_seed) % np.int64(feature_dim)

@@ -36,8 +36,9 @@ _U32_C2 = np.uint32(_C2)
 _U32_N = np.uint32(0xE6546B64)
 _U32_F1 = np.uint32(0x85EBCA6B)
 _U32_F2 = np.uint32(0xC2B2AE35)
-_U64_32 = np.uint64(32)
-_U64_LO = np.uint64(_MASK32)
+# a key's 8 little-endian bytes, and the same bytes as two 32-bit words
+_LE_U64 = np.dtype("<u8")
+_LE_U32 = np.dtype("<u4")
 
 # splitmix64 constants
 _GOLDEN64 = 0x9E3779B97F4A7C15
@@ -86,33 +87,28 @@ def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
     """Vectorized ``murmur3_32`` over an array of uint64 keys.
 
     Each key is hashed as its little-endian 8-byte encoding, exactly matching
-    ``murmur3_32(key.to_bytes(8, "little"), seed)``.  Returns uint32.
+    ``murmur3_32(key.to_bytes(8, "little"), seed)``.  Returns uint32, in the
+    shape of *keys*; a 0-d key gives a ``np.uint32``.  Only the low 32 bits of
+    *seed* are used.
 
-    The rounds run in place on fresh arrays (the key halves, the state and
-    one scratch array), so *keys* is never written and no pass allocates.
-    The key mix does not depend on the state, so both halves take it at once.
+    The keys are read as little-endian 32-bit words, low word first, whatever
+    their byte order or strides.  The key mix does not depend on the state, so
+    every word takes it at once, into a fresh array; *keys* is never written.
+    The state starts at the seed, so xoring the seed into the mixed low words
+    makes the first round's state; the rounds then run in place.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    flat = keys.reshape(-1)  # ufuncs return scalars for 0-d operands
-    halves = np.empty((2, flat.size), dtype=np.uint32)
-    np.bitwise_and(flat, _U64_LO, out=halves[0], casting="unsafe")
-    np.right_shift(flat, _U64_32, out=halves[1], casting="unsafe")
-    t = np.empty_like(halves)
-    np.multiply(halves, _U32_C1, out=halves)
-    np.left_shift(halves, _U32[15], out=t)  # ROTL32(k, 15)
-    np.right_shift(halves, _U32[17], out=halves)
-    np.bitwise_or(halves, t, out=halves)
-    np.multiply(halves, _U32_C2, out=halves)
+    keys = np.asarray(keys, dtype=_LE_U64)
+    k = np.multiply(keys.ravel().view(_LE_U32), _U32_C1)
+    t = np.left_shift(k, _U32[15])  # ROTL32(k, 15)
+    np.right_shift(k, _U32[17], out=k)
+    np.bitwise_or(k, t, out=k)
+    np.multiply(k, _U32_C2, out=k)
 
-    h = np.full(flat.shape, seed & _MASK32, dtype=np.uint32)
-    t = t[0]
-    for k in halves:  # low word first: the key's little-endian bytes
-        np.bitwise_xor(h, k, out=h)
-        np.left_shift(h, _U32[13], out=t)  # ROTL32(h, 13)
-        np.right_shift(h, _U32[19], out=h)
-        np.bitwise_or(h, t, out=h)
-        np.multiply(h, _U32[5], out=h)
-        np.add(h, _U32_N, out=h)
+    h = np.bitwise_xor(k[0::2], np.uint32(seed & _MASK32))
+    t = t[: h.size]
+    _state_round(h, t)
+    np.bitwise_xor(h, k[1::2], out=h)
+    _state_round(h, t)
 
     # empty tail; finalize with length 8
     np.bitwise_xor(h, _U32[8], out=h)
@@ -123,6 +119,15 @@ def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
     np.right_shift(h, _U32[16], out=t)
     np.bitwise_xor(h, t, out=h)
     return h.reshape(keys.shape) if keys.ndim else h[0]
+
+
+def _state_round(h: np.ndarray, t: np.ndarray) -> None:
+    """``h = ROTL32(h, 13) * 5 + 0xE6546B64`` in place; ``t`` is scratch of ``h``'s size."""
+    np.left_shift(h, _U32[13], out=t)
+    np.right_shift(h, _U32[19], out=h)
+    np.bitwise_or(h, t, out=h)
+    np.multiply(h, _U32[5], out=h)
+    np.add(h, _U32_N, out=h)
 
 
 def _splitmix64(z: int) -> int:

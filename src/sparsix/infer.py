@@ -14,14 +14,15 @@ stage reproducible.
 ``predict`` scores no label that cannot rank.  It sorts the K*m selected
 buckets by probability, strongest first, and visits a prefix of them: the
 labels posted there are scored exactly against the whole embedding and
-ranked.  A label posted in no visited bucket scores at most K times the
-strongest probability it could draw, the larger of the next selected bucket
-and (in full-vector mode) the strongest unselected one.  Once the top_k-th
-visited score beats that bound, no unvisited label can enter the top_k, and
-the labels, their order and their score bits are those of scoring the whole
-union.  Otherwise the prefix doubles, up to the whole selection.  This is the
-threshold algorithm of Fagin, Lotem and Naor (PODS 2001) over K sorted
-lists.
+ranked.  A label posted in no visited bucket draws each chunk's term from an
+unvisited bucket, so it scores at most the sum over chunks of each chunk's
+strongest unvisited selected probability: an unselected bucket is no
+stronger in full-vector mode and counts 0 in truncated mode.  Once the
+top_k-th visited score beats that bound, no unvisited label can enter the
+top_k, and the labels, their order and their score bits are those of
+scoring the whole union.  Otherwise the prefix doubles, up to the whole
+selection.  This is the threshold algorithm of Fagin, Lotem and Naor (PODS
+2001), with one sorted list per chunk and its per-list threshold.
 
 No stage does work that grows with the catalog size N: a pass's union sorts
 its R retrieved postings and drops repeats, O(R log R); scoring gathers one
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -40,7 +41,7 @@ import numpy as np
 from .codes import CodeConfig, LabelCodebook
 from .features import Document, hash_features
 from .index import InvertedIndex, lookup
-from .model import ChunkEnsemble, forward
+from .model import ChunkEnsemble, EngineConfig, forward
 
 AGGREGATION_MODES = ("full-vector", "truncated")
 
@@ -101,18 +102,20 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     it fill the k places: the set a full sort by (value descending,
     position) would keep first.  NaN ranks below every number: when the cut
     is NaN, every number survives and the lowest-position NaNs fill the rest.
+    The partition runs in place on the negated copy, which puts NaN last.
     """
     neg = -values
-    cut = np.partition(neg, k - 1)[k - 1]
+    neg.partition(k - 1)
+    cut = -neg[k - 1]
     if cut != cut:  # NaN
-        tied = np.isnan(neg)
+        tied = np.isnan(values)
         keep = ~tied
     else:
-        keep = neg <= cut
+        keep = values >= cut
         if np.count_nonzero(keep) == k:  # no run of ties straddles the cut
             return keep.nonzero()[0].astype(np.int64, copy=False)
-        tied = neg == cut
-        keep = neg < cut
+        tied = values == cut
+        keep = values > cut
     need = k - np.count_nonzero(keep)
     keep[tied.nonzero()[0][:need]] = True
     return keep.nonzero()[0].astype(np.int64, copy=False)
@@ -133,20 +136,22 @@ def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
     return _top_k(probs_row, m)
 
 
+@lru_cache(maxsize=64)
+def _feature_seeds(engine: EngineConfig, chunks: int) -> tuple[int, ...]:
+    """Each chunk's feature-hashing seed, derived once per engine and chunk count."""
+    return tuple(engine.chunk_feature_seed(chunk) for chunk in range(chunks))
+
+
 def embed_query(
     ensemble: ChunkEnsemble, doc: Document, m: int
 ) -> QuerySparseEmbedding:
     """Hash and score the query in every chunk, then keep m buckets each."""
     k = ensemble.code_config.num_chunks
     b = ensemble.code_config.buckets_per_chunk
+    engine = ensemble.engine
     probs = np.empty((k, b))
-    for chunk in range(k):
-        feats = hash_features(
-            doc,
-            ensemble.engine.chunk_feature_seed(chunk),
-            ensemble.engine.feature_dim,
-            ensemble.engine.feature_mode,
-        )
+    for chunk, seed in enumerate(_feature_seeds(engine, k)):
+        feats = hash_features(doc, seed, engine.feature_dim, engine.feature_mode)
         probs[chunk] = forward(ensemble.models[chunk], feats)
     tops = [sparsify_topm(probs[chunk], m) for chunk in range(k)]
     return QuerySparseEmbedding(probs=probs, top_buckets=tops)
@@ -192,7 +197,9 @@ def aggregate_scores(
 
     The K terms are summed in chunk order, starting from 0.0.  ``predict``
     and ``predict_full`` both score through here, so m = B reproduces brute
-    force bit for bit.
+    force bit for bit.  Each chunk's column of codes is widened to the index
+    type once; in truncated mode it gathers both the masked probability row
+    and the row's selection mask, whose kept entries ``scores_summed`` counts.
     """
     if aggregation not in AGGREGATION_MODES:
         raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
@@ -201,18 +208,20 @@ def aggregate_scores(
     if candidates.size == 0:
         return np.empty(0, dtype=np.float64)
     codes = np.take(cb.codes, candidates, axis=0)  # (n, K)
-    probs = emb.probs
+    probs, selected = emb.probs, None
     if aggregation == "truncated":
         selected = np.zeros((k, b), dtype=bool)
-        for chunk in range(k):
-            selected[chunk, emb.top_buckets[chunk]] = True
+        for chunk, buckets in enumerate(emb.top_buckets):
+            selected[chunk, buckets] = True
         probs = np.where(selected, probs, 0.0)
-        counters.scores_summed += int(np.count_nonzero(selected[np.arange(k), codes]))
     else:
         counters.scores_summed += int(codes.size)
     scores = np.zeros(candidates.size)
     for chunk in range(k):
-        scores += probs[chunk].take(codes[:, chunk])
+        column = codes[:, chunk].astype(np.intp)  # as ``take`` would convert it
+        scores += probs[chunk].take(column)
+        if selected is not None:
+            counters.scores_summed += int(np.count_nonzero(selected[chunk].take(column)))
     return scores
 
 
@@ -280,10 +289,12 @@ _PRUNE_SHARE = 4
 # Once a doubled pass would visit more than half the selection, the whole
 # selection is visited instead: a pass that large saves little over it, and
 # one that fails to stop costs it again.  At N 100,000 (K 4, B 256, m 10,
-# top_k 100: passes of 4, 8, 16 and 40 buckets), of 1,000 trained queries 917
-# stopped after 4 buckets, 73 after 8, 5 after 16 and 5 visited all 40; p50
-# fell 35-45% and p95 29-45% (300 queries, interleaved rounds in-process, 2
-# vCPUs, at each of the host's two speeds).
+# top_k 100: passes of 4, 8, 16 and 40 buckets), of 1,000 trained queries 987
+# stopped after 4 buckets, 10 after 8, 2 after 16 and 1 visited all 40 (944,
+# 45, 9 and 2 under the uniform bound K*max(t, p), where t is the strongest
+# unselected probability); pruning cut p50 by 35-45% and p95 by 29-45% (300
+# queries, interleaved rounds in-process, 2 vCPUs, at each of the host's two
+# speeds).
 _FALLBACK_SHARE = 2
 
 
@@ -292,49 +303,60 @@ def _passes(
 ) -> Iterator[tuple[QuerySparseEmbedding, float]]:
     """Each pruning pass's visited buckets, and the most an unvisited label can score.
 
-    A pass visits the s strongest selected buckets: highest probability
-    first, ties to the lower chunk and then the lower bucket.  The first
-    visits s0 = max(K, ceil(top_k*B/N)), enough buckets to hold top_k labels
-    at N/B labels a bucket, and each next one twice as many.  A label posted
-    in none of them draws each of its K terms from an unvisited selected
-    bucket, at most the next one's probability p, or from an unselected
-    bucket, at most the strongest unselected probability t in full-vector
-    mode and 0 in truncated mode.  Rounding is monotone, so its score is at
-    most M = max(t, p) summed K times in chunk order from 0.0.  A pass whose M
-    is NaN, or not below the strongest selected probability, cannot stop (no
-    score exceeds the strongest summed K times) and is skipped.  Passes stop
-    short of visiting the whole selection, which ``predict`` does last.
+    ``emb`` is ``embed_query``'s: m buckets selected in every chunk, and
+    probabilities in [0, 1] or NaN.  A pass visits the s strongest of the K*m
+    selected buckets: highest probability first, ties to the lower chunk and
+    then the lower bucket, NaN last.  The first visits s0 = max(K,
+    ceil(top_k*B/N)), enough buckets to hold top_k labels at N/B labels a
+    bucket, and each next one twice as many.
+
+    In each chunk a pass visits a prefix of that chunk's own order.  A label
+    posted in none of the visited buckets draws its chunk-c term from an
+    unvisited bucket: a selected one, at most chunk c's strongest unvisited
+    probability q_c, or an unselected one, at most q_c in full-vector mode
+    (top-m keeps the m strongest) and 0 <= q_c in truncated mode.  Rounding is
+    monotone, so its score is at most the bound, the q_c summed in chunk order
+    from 0.0: the threshold of the threshold algorithm, one sorted list per
+    chunk, and never above K times the strongest unvisited probability.  A
+    pass whose bound is NaN, or not below the chunks' strongest probabilities
+    summed the same way, cannot stop and is skipped.  Planning ends before a
+    pass that would visit a chunk's whole selection, whose bound would need
+    that chunk's strongest unselected probability; ``predict`` then visits
+    the whole selection.
     """
     k, b = emb.probs.shape
-    sizes = [buckets.size for buckets in emb.top_buckets]
-    selected = sum(sizes)
+    m = emb.top_buckets[0].size
     s = max(k, -(-params.top_k * b // num_labels))
-    if _PRUNE_SHARE * s > selected:
+    if _PRUNE_SHARE * s > k * m:
         return
-    chunk_of = np.repeat(np.arange(k), sizes)
-    bucket_of = np.concatenate(emb.top_buckets)
-    probs = emb.probs[chunk_of, bucket_of]
-    order = np.argsort(-probs, kind="stable")  # NaN last
-    if params.aggregation == "truncated":
-        t = 0.0
-    else:
-        unselected = emb.probs.copy()
-        unselected[chunk_of, bucket_of] = -np.inf
-        t = unselected.max()
-    strongest = probs[order[0]]
-    ends = list(accumulate(sizes))
-    while _FALLBACK_SHARE * s <= selected:
-        most = float(np.maximum(t, probs[order[s]]))
-        if most < strongest:
-            visit = np.zeros(selected, dtype=bool)
-            visit[order[:s]] = True
-            tops = [
-                buckets[visit[end - buckets.size : end]]
-                for buckets, end in zip(emb.top_buckets, ends)
-            ]
-            bound = 0.0
-            for _ in range(k):
-                bound += most
+    # a few dozen entries: array methods and lists cost less per call than NumPy's functions
+    grid = np.array(emb.top_buckets)  # (K, m); each row ascending
+    neg = emb.probs[np.arange(k)[:, None], grid]
+    np.negative(neg, out=neg)
+    order = neg.argsort(axis=None, kind="stable").tolist()  # strongest first, NaN last
+    neg.sort(axis=1)  # each chunk's probabilities, strongest first, negated
+    ranked = neg.tolist()
+    # sums run in chunk order from 0.0, as a label's score does; subtracting a
+    # negated term adds the term exactly
+    strongest = 0.0
+    for row in ranked:
+        strongest -= row[0]
+    while _FALLBACK_SHARE * s <= k * m:
+        depth = [0] * k  # buckets visited per chunk
+        for position in order[:s]:
+            depth[position // m] += 1
+        if m in depth:
+            return
+        bound = 0.0
+        for row, d in zip(ranked, depth):
+            bound -= row[d]
+        if bound < strongest:
+            # sorted positions group the visited buckets by chunk, ascending
+            visited = grid.ravel().take(sorted(order[:s]))
+            tops, end = [], 0
+            for d in depth:
+                tops.append(visited[end : end + d])
+                end += d
             yield QuerySparseEmbedding(probs=emb.probs, top_buckets=tops), bound
         s *= 2
 
@@ -369,7 +391,7 @@ def query_bytes(config: CodeConfig) -> int:
     (N, K) int32 code gather, the int64 indexes ``take`` converts a column to,
     the N float64 scores and one gathered row: 4·K·N + 32·N bytes.  Ranking
     holds less than scoring, even when every score ties at the cut: the
-    candidates, the scores, two score-sized copies and three N-byte masks.
+    candidates, the scores, a score-sized copy and three N-byte masks.
     ``predict``'s pruning passes hold less than its last pass, which visits
     every selected bucket.
     """

@@ -179,25 +179,35 @@ def _row_block(p: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(over="ignore")
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """``1 / (1 + exp(-z))`` elementwise, in ``z``'s dtype, into one new array.
+def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` elementwise, in ``z``'s dtype, into ``out`` or one new array.
 
-    Where ``exp(-z)`` overflows (z below about -709 in float64, -88 in
-    float32) it is inf and the result exactly 0, without a warning.
+    ``out`` may be ``z`` itself.  Where ``exp(-z)`` overflows (z below about
+    -709 in float64, -88 in float32) it is inf and the result exactly 0,
+    without a warning.
     """
-    t = np.negative(z)
+    t = np.negative(z, out=out)
     np.exp(t, out=t)
     t += 1.0
     return np.divide(1.0, t, out=t)
 
 
 def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
-    """Bucket probability vector for one document, unclamped, computed in float64."""
+    """Bucket probability vector for one document, unclamped, computed in float64.
+
+    ``sigmoid(W2 @ relu(x W1 + b1) + b2)``, by that expression's operations in
+    its order; the bias, ReLU and sigmoid steps write into the product they
+    follow.
+    """
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
     # only the touched rows of W1 are read; x's float64 values widen them, and h widens W2
-    h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
-    return sigmoid(model.W2 @ h + model.b2)
+    h = x.values @ model.W1[x.indexes]
+    h += model.b1
+    np.maximum(h, 0.0, out=h)
+    z = model.W2 @ h
+    z += model.b2
+    return sigmoid(z, out=z)
 
 
 def bce_loss(p: np.ndarray, y: np.ndarray) -> float:

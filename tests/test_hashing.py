@@ -119,6 +119,60 @@ class TestVectorizedHash:
             assert murmur3_32(int(k).to_bytes(8, "little"), seed & 0xFFFFFFFF) == h
 
 
+def scalar_hashes(keys, seed: int) -> list[int]:
+    """``murmur3_32`` of each key's 8 little-endian bytes, seed masked to 32 bits."""
+    return [
+        murmur3_32(int(k).to_bytes(8, "little"), seed & 0xFFFFFFFF)
+        for k in np.asarray(keys, dtype=np.uint64).ravel().tolist()
+    ]
+
+
+class TestAnyKeyLayout:
+    """The rounds read the keys as little-endian 32-bit words; every layout and
+    byte order an array can have hashes its values, as the scalar path does."""
+
+    KEYS = st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=24)
+    SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=KEYS, seed=SEEDS, step=st.integers(1, 4), reverse=st.booleans())
+    def test_strided(self, keys, seed, step, reverse):
+        arr = np.array(keys, dtype=np.uint64)[:: -step if reverse else step]
+        assert murmur3_32_u64(arr, seed).tolist() == scalar_hashes(arr, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=KEYS, seed=SEEDS, rows=st.integers(1, 4))
+    def test_two_d_non_contiguous(self, keys, seed, rows):
+        arr = np.array(keys * rows, dtype=np.uint64).reshape(rows, len(keys))
+        for view in (arr.T, arr[:, ::2], arr[::-1, 1:]):
+            out = murmur3_32_u64(view, seed)
+            assert out.shape == view.shape and out.dtype == np.uint32
+            assert out.ravel().tolist() == scalar_hashes(view, seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(keys=KEYS, seed=SEEDS)
+    def test_byte_swapped(self, keys, seed):
+        big = np.array(keys, dtype=np.uint64).astype(">u8")
+        assert murmur3_32_u64(big, seed).tolist() == scalar_hashes(keys, seed)
+        assert murmur3_32_u64(big[::2], seed).tolist() == scalar_hashes(keys[::2], seed)
+
+    @settings(max_examples=100, deadline=None)
+    @given(key=st.integers(min_value=0, max_value=2**64 - 1), seed=SEEDS)
+    def test_zero_d(self, key, seed):
+        native = np.array(key, dtype=np.uint64)
+        for arg in (np.uint64(key), native, native.astype(">u8"), key):
+            out = murmur3_32_u64(arg, seed)
+            assert isinstance(out, np.uint32)
+            assert int(out) == scalar_hashes([key], seed)[0]
+
+    @pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 2**63 + 12345, 2**64 - 1])
+    def test_seed_masked_to_32_bits(self, seed):
+        keys = np.array([0, 1, 2**63, 2**64 - 1, 123456789], dtype=np.uint64)
+        out = murmur3_32_u64(keys, seed)
+        assert out.tolist() == scalar_hashes(keys, seed)
+        assert out.tolist() == murmur3_32_u64(keys, seed & 0xFFFFFFFF).tolist()
+
+
 class TestDeriveSeed:
     @pytest.mark.parametrize("base,parts,expected", DERIVE_VECTORS)
     def test_frozen_vectors(self, base, parts, expected):

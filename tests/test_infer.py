@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -339,6 +340,54 @@ class TestMatchesSortReference:
             got = aggregate_scores(cb, emb, cand, OpCounters(), aggregation)
             assert_same_bits(got, want)
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_labels=st.integers(1, 400),
+        k=st.sampled_from([1, 2, 4, 7, 16]),
+        b=st.integers(2, 40),
+        values=st.sampled_from(["random", "tied", "nan"]),
+        top=st.sampled_from(["sparsified", "random"]),
+        aggregation=st.sampled_from(AGGREGATION_MODES),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scores_and_counts_match_the_masked_matrix(
+        self, seed, num_labels, k, b, values, top, aggregation
+    ):
+        """Scores and ``scores_summed`` equal those of masking the whole K x B
+        matrix, gathering every (candidate, chunk) term at once and counting the
+        kept ones, with NaN, ties and ±0 among the probabilities, selections of
+        any size, and candidates in any order, repeats included."""
+        rng = np.random.default_rng(seed)
+        cb = build_codebook(CodeConfig(num_labels, k, b, base_seed=seed))
+        probs = rng.choice([0.0, -0.0, 0.25, 0.5, 1.0], size=(k, b))
+        if values == "random":
+            probs = rng.random((k, b))
+        elif values == "nan":
+            probs[rng.random((k, b)) < 0.3] = np.nan
+        m = int(rng.integers(1, b + 1))
+        if top == "sparsified":
+            tops = [sparsify_topm(row, m) for row in probs]
+        else:
+            tops = random_embedding(rng, k, b, False).top_buckets
+        emb = QuerySparseEmbedding(probs=probs, top_buckets=tops)
+        cand = rng.integers(0, num_labels, size=rng.integers(0, 2 * num_labels))
+
+        selected = np.zeros((k, b), dtype=bool)
+        for chunk in range(k):
+            selected[chunk, tops[chunk]] = True
+        codes = cb.codes[cand]
+        masked = np.where(selected, probs, 0.0) if aggregation == "truncated" else probs
+        want = np.zeros(cand.size)
+        for chunk in range(k):
+            want += masked[chunk].take(codes[:, chunk])
+        kept = selected if aggregation == "truncated" else np.ones((k, b), dtype=bool)
+        summed = int(np.count_nonzero(kept[np.arange(k), codes]))
+
+        counters = OpCounters()
+        got = aggregate_scores(cb, emb, cand, counters, aggregation)
+        assert_same_bits(got, want)
+        assert counters.scores_summed == summed
+
 
 def union_of(idx, emb):
     counters = OpCounters()
@@ -550,7 +599,9 @@ class TestPrunedPredict:
         self, seed, num_labels, k, b, top_k, aggregation, probs, data
     ):
         """Each pruning pass visits the strongest selected buckets, and every label
-        posted in none of them scores at most the pass's bound.  Chunks differ,
+        posted in none of them scores at most the pass's bound, which is never
+        above K times the larger of the strongest unvisited selected probability
+        and (in full-vector mode) the strongest unselected one.  Chunks differ,
         so one chunk's unselected buckets may outrank another's selected ones;
         "levels" gives each chunk probabilities 0, 0.5 and 1 in its own shares,
         so sums are exact and scores tie with bounds."""
@@ -569,6 +620,10 @@ class TestPrunedPredict:
         params = InferParams(m, top_k, aggregation)
         every = np.arange(num_labels, dtype=np.int64)
         scores = aggregate_scores(cb, emb, every, OpCounters(), aggregation)
+        unselected = p.copy()
+        for chunk in range(k):
+            unselected[chunk, emb.top_buckets[chunk]] = -np.inf
+        t = unselected.max() if aggregation == "full-vector" else 0.0
         for visited, bound in _passes(emb, num_labels, params):
             held = [p[chunk, emb.top_buckets[chunk]] for chunk in range(k)]
             seen = [p[chunk, visited.top_buckets[chunk]] for chunk in range(k)]
@@ -578,6 +633,19 @@ class TestPrunedPredict:
             outside = np.ones(num_labels, dtype=bool)
             outside[retrieve_candidates(idx, visited, OpCounters())] = False
             assert not (scores[outside] > bound).any()
+            # K * max(t, p), p the strongest unvisited selected probability (NaN if
+            # only NaN is left), summed as a score is; each chunk's term is at most max(t, p)
+            left = np.concatenate(
+                [
+                    p[chunk, np.setdiff1d(emb.top_buckets[chunk], visited.top_buckets[chunk])]
+                    for chunk in range(k)
+                ]
+            )
+            nxt = np.fmax.reduce(left, initial=-np.inf) if (left == left).any() else np.nan
+            most, uniform = float(np.maximum(t, nxt)), 0.0
+            for _ in range(k):
+                uniform += most
+            assert bound <= uniform or np.isnan(uniform)
 
     def test_a_score_tied_with_the_bound_does_not_stop(self):
         """K 2, B 8, m 4, top_k 1.  The first pass visits chunk 0's buckets 0 and 1,
@@ -621,6 +689,67 @@ class TestPrunedPredict:
                 labels, scores = composed_stages(ensemble, cb, idx, doc, params)
                 assert_same_bits(pred.labels, labels)
                 assert_same_bits(pred.scores, scores)
+
+
+def golden_engine():
+    """A seeded engine that needs no training: initial float32 models, K 4, B 64,
+    F 1,024 and H 16, over N 20,000.  The output weights are scaled by 16 (a
+    power of two, so exactly) and the output biases set to -6, so that each
+    chunk has a few strong buckets, as a trained engine's queries do: some
+    queries stop after the first pruning pass, some after later ones, and some
+    visit the whole selection."""
+    cb = build_codebook(CodeConfig(20_000, 4, 64, base_seed=11))
+    engine = EngineConfig(feature_dim=1024, hidden_dim=16, feature_seed=12, init_seed=13)
+    models = []
+    for chunk in range(4):
+        model = init_model(1024, 16, 64, engine.chunk_init_seed(chunk), chunk, dtype=PARAM_DTYPE)
+        model.W2 *= np.float32(16.0)
+        model.b2[:] = -6.0
+        models.append(model)
+    return ChunkEnsemble(cb.config, engine, models), cb, build_index(cb)
+
+
+def golden_queries():
+    """240 seeded queries of 0 to 12 tokens with 64-bit ids and counts up to 4."""
+    rng = np.random.default_rng(2025)
+    docs = []
+    for i in range(240):
+        ids = rng.choice(2**40, size=rng.integers(0, 13), replace=False)
+        docs.append(make_document(i, [(int(t), int(rng.integers(1, 5))) for t in ids], []))
+    return docs
+
+
+class TestGoldenDigests:
+    """The sha256 of every prediction's labels and score bytes, recorded before
+    the embedding kernels and the pass plan were last rewritten: a change to
+    hashing, the forward pass, selection, pruning, scoring or ranking that
+    moves any bit fails here.  The digests are of IEEE float64 arithmetic as
+    NumPy and its BLAS compute it on x86-64."""
+
+    DIGESTS = {
+        "full-vector": "08c7fc9e80a40e2894549eb17edb03e1779075d730d3d76493f6818a5bbdff6b",
+        "truncated": "36424ff808960efd96acfa9558957b498b87e15fe24bbefc2c474f893bb9d1f9",
+        "full": "cd3b0290b30ed93f6de09d2fddbca10dde03764d2c786a0c61ed676205e77094",
+    }
+
+    @pytest.mark.parametrize("mode", ["full-vector", "truncated", "full"])
+    def test_predictions_keep_their_bits(self, mode):
+        ensemble, cb, idx = golden_engine()
+        digest = hashlib.sha256()
+        pruned = 0
+        queries = golden_queries()
+        for doc in queries:
+            if mode == "full":
+                pred = predict_full(ensemble, cb, doc, 20)
+            else:
+                pred = predict(ensemble, cb, idx, doc, InferParams(8, 20, mode))
+                held = retrieve_candidates(idx, embed_query(ensemble, doc, 8), OpCounters())
+                pruned += pred.counters.unique_candidates < held.size
+            digest.update(pred.labels.tobytes())
+            digest.update(pred.scores.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[mode]
+        # the sparse digests cover queries that stop early and queries that do not
+        assert mode == "full" or 0 < pruned < len(queries)
 
 
 class TestCostModel:

@@ -7,6 +7,9 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sparsix.model as model_mod
 from conftest import traced_peak
@@ -118,6 +121,49 @@ class TestForward:
                 want = sigmoid(m.W2 @ h + m.b2)
                 got = forward(m, feats(idx, values, dim=4096))
                 assert got.tobytes() == want.tobytes(), nnz
+
+
+# float32 entries a model may hold: ±0, subnormals, the extremes, and ordinary weights
+FLOAT32_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-45, -1e-45, 1e-40, -3e-39, 3.4e38, -3.4e38, 1e30, -1e30]),
+    st.floats(-4.0, 4.0, width=32),
+)
+
+
+@st.composite
+def served_models(draw):
+    """A float32 model with drawn entries, NaN in some of b2, and an input for it."""
+    f, h, b = draw(st.integers(1, 40)), draw(st.integers(1, 9)), draw(st.integers(1, 17))
+
+    def params(*shape):
+        return draw(hnp.arrays(np.float32, shape, elements=FLOAT32_ENTRIES))
+
+    b2 = params(b)
+    b2[draw(hnp.arrays(bool, b))] = np.nan
+    model = ChunkModel(0, 0, params(f, h), params(h), params(b, h), b2)
+    indexes = np.array(sorted(draw(st.sets(st.integers(0, f - 1)))), dtype=np.int64)
+    values = draw(
+        hnp.arrays(np.float64, indexes.size, elements=st.sampled_from([1.0, 2.0, 3.0, 1e6, 2.0**60]))
+    )
+    return model, HashedFeatures(dim=f, indexes=indexes, values=values)
+
+
+class TestForwardBits:
+    @given(served=served_models())
+    @settings(max_examples=300, deadline=None)
+    def test_is_the_one_line_expression(self, served):
+        """Bit for bit ``sigmoid(W2 @ relu(x W1 + b1) + b2)``, each step into a new
+        array, on float32 models with ±0, subnormal and extreme entries and NaN
+        in b2; the model is left as it was."""
+        model, x = served
+        before = [p.tobytes() for p in model.params()]
+        with np.errstate(all="ignore"):
+            h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
+            want = np.divide(1.0, 1.0 + np.exp(-(model.W2 @ h + model.b2)))
+            got = forward(model, x)
+        assert got.dtype == np.float64 and got.shape == (model.output_dim,)
+        assert got.tobytes() == want.tobytes()
+        assert [p.tobytes() for p in model.params()] == before
 
 
 class TestSigmoid:

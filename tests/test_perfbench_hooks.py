@@ -14,17 +14,23 @@ import sparsix.infer
 import sparsix.train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.features import make_document
-from sparsix.infer import InferParams, OpCounters, embed_query, retrieve_candidates
+from sparsix.infer import (
+    AGGREGATION_MODES,
+    InferParams,
+    OpCounters,
+    embed_query,
+    retrieve_candidates,
+)
 from sparsix.manifest import save_ensemble
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
-    """``predict`` calls every traced name on both of its paths: one pass over
-    every selected bucket (m 2: s0 = 4 buckets is over a quarter of K*m = 8),
-    and pruning passes that stop before it (m 8: this query stops after its
-    4 strongest buckets)."""
+    """``predict`` calls every traced name on both of its paths, in both
+    aggregation modes: one pass over every selected bucket (m 2: s0 = 4
+    buckets is over a quarter of K*m = 8), and pruning passes that stop
+    before it (m 8: this query stops after its 4 strongest buckets)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
     # importing child resolves every sparsix name the end-to-end run imports
     child = importlib.import_module("child")
@@ -32,13 +38,15 @@ def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
 
     ensemble, cb, idx = tiny_engine.ensemble, tiny_engine.cb, tiny_engine.idx
     doc = tiny_engine.test_docs[1]
-    for m, pruned in [(2, False), (8, True)]:
+    paths = [(m, pruned, mode) for m, pruned in [(2, False), (8, True)] for mode in AGGREGATION_MODES]
+    for m, pruned, mode in paths:
         tracer = spans.Tracer()
         child._wrap_query_path(tracer)
         wrapped = [(module, attr, getattr(module, attr)) for module, attr, _ in tracer._patched]
         assert wrapped
         try:
-            pred = sparsix.infer.predict(ensemble, cb, idx, doc, InferParams(m=m, top_k=5))
+            params = InferParams(m=m, top_k=5, aggregation=mode)
+            pred = sparsix.infer.predict(ensemble, cb, idx, doc, params)
         finally:
             tracer.restore()
         # a wrapped name the query path stopped calling would zero its per-layer figure
