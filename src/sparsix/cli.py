@@ -9,6 +9,11 @@ lines are ignored, a key may be set only once, and relative paths are
 resolved against the config file's directory.  The only environment override
 is SPARSIX_WORKERS, which replaces the configured training worker count.
 
+Every text input meets the corpus format's two text rules: an integer in a
+config file, in SPARSIX_WORKERS, in an integer flag or in a k list is read by
+``corpus.decimal`` (ASCII decimal digits only), and a config line holding a
+byte that is not UTF-8 fails at ``<config>:<line>`` by ``corpus.check_utf8``.
+
 Only the commands that train (train, sweep, verify) import the training code
 and SciPy; predict and eval start without them.
 """
@@ -33,7 +38,8 @@ import numpy as np
 
 from .codes import CodeConfig, binomial_chisquare, build_codebook, orthogonality_stats
 from .corpus import (
-    CorpusFormatError,
+    check_utf8,
+    decimal,
     make_separable_corpus,
     parse_corpus,
     read_block,
@@ -49,7 +55,7 @@ from .equivalence import (
 from .features import DocBlock
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
-from .manifest import BlobChecksumError, ManifestError, load_ensemble, load_manifest, save_ensemble
+from .manifest import BlobChecksumError, load_ensemble, load_manifest, save_ensemble
 from .metrics import evaluate
 from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
 
@@ -98,7 +104,9 @@ def parse_config(path: str | Path) -> dict:
         raise ValueError(f"config file not found: {path}")
     values = {key: default for key, (_, default) in CONFIG_KEYS.items() if default is not None}
     set_on: dict[str, int] = {}  # the line that set each key
-    for line_no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    text = path.read_text(encoding="utf-8", errors="surrogateescape")
+    for line_no, line in enumerate(text.splitlines(), 1):
+        check_utf8(path, line_no, line)
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -114,7 +122,7 @@ def parse_config(path: str | Path) -> dict:
         set_on[key] = line_no
         kind = CONFIG_KEYS[key][0]
         try:
-            values[key] = kind(raw)
+            values[key] = decimal(raw) if kind is int else kind(raw)
         except ValueError:
             raise ValueError(
                 f"{path}:{line_no}: bad value {raw!r} for {key} (expected {kind.__name__})"
@@ -128,7 +136,7 @@ def parse_config(path: str | Path) -> dict:
     env_workers = os.environ.get(WORKERS_ENV)
     if env_workers is not None:
         try:
-            values["workers"] = int(env_workers)
+            values["workers"] = decimal(env_workers.strip())
         except ValueError:
             raise ValueError(f"{WORKERS_ENV} must be an integer, got {env_workers!r}") from None
     return values
@@ -238,18 +246,18 @@ PREDICT_COUNTERS = ("candidates_retrieved", "unique_candidates", "scores_summed"
 
 def cmd_predict(args: argparse.Namespace) -> int:
     with _replacing(args.out) as out:
+        params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
         read_header(args.corpus)
         ensemble, _ = load_ensemble(args.manifest)
         cb = build_codebook(ensemble.code_config)
         if args.mode == "sparse":
-            params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
             idx = build_index(cb)
         queries, totals = 0, [0] * len(PREDICT_COUNTERS)
         for doc in parse_corpus(args.corpus):
             if args.mode == "sparse":
                 pred = predict(ensemble, cb, idx, doc, params)
             else:
-                pred = predict_full(ensemble, cb, doc, args.top_k)
+                pred = predict_full(ensemble, cb, doc, params.top_k)
             out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
             queries += 1
             for i, name in enumerate(PREDICT_COUNTERS):
@@ -264,7 +272,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
-        ks = tuple(int(x) for x in raw.split(",") if x.strip() != "")
+        ks = tuple(decimal(x.strip()) for x in raw.split(",") if x.strip() != "")
     except ValueError:
         raise ValueError(f"bad k list {raw!r}; expected comma-separated integers") from None
     if not ks or min(ks) < 1:
@@ -513,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--corpus", required=True)
     p.add_argument("--out", required=True, help="predictions file to write")
-    p.add_argument("--m", type=int, default=50, help="buckets kept per chunk")
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--m", type=decimal, default=50, help="buckets kept per chunk")
+    p.add_argument("--top-k", type=decimal, default=10)
     p.add_argument("--mode", choices=("sparse", "full"), default="sparse")
     p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=AGGREGATION_MODES[0])
     p.set_defaults(func=cmd_predict)
@@ -522,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="ranking metrics over a labeled corpus")
     p.add_argument("--manifest", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--m", type=int, default=50)
+    p.add_argument("--m", type=decimal, default=50)
     p.add_argument("--ks-precision", default="1,5,10")
     p.add_argument("--ks-recall", default="100")
     p.add_argument("--aggregation", choices=AGGREGATION_MODES, default=AGGREGATION_MODES[0])
@@ -553,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     except BlobChecksumError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (ValueError, ManifestError, CorpusFormatError) as exc:
+    except ValueError as exc:  # ManifestError and CorpusFormatError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (OSError, NonFiniteGradientError) as exc:

@@ -15,6 +15,10 @@ based, so fractional values are rejected rather than silently rounded.  A path
 that names no file is a ``ValueError`` from every reader, naming the path, and a
 byte that is not UTF-8 a ``CorpusFormatError`` naming its line.
 
+Two of these rules serve every text input: :func:`decimal` reads each integer
+a user types (config values, ``SPARSIX_WORKERS``, integer flags, k lists), and
+:func:`check_utf8` names a config line's bad byte as it does a corpus line's.
+
 One parser, ``read_block``, reads and checks the whole file into a columnar
 :class:`features.DocBlock`; errors carry the 1-based line number.  It reads
 the file in windows of whole lines.  A plain line is labels joined by commas
@@ -59,12 +63,12 @@ class CorpusFormatError(ValueError):
         self.line_no = line_no
 
 
-def _decimal(raw: str) -> int:
-    """``int(raw)`` for ASCII decimal digits only.
+def decimal(raw: str) -> int:
+    """``int(raw)`` for ASCII decimal digits only: the one rule for a typed integer.
 
-    ``int`` also reads ``+3``, ``1_0`` and non-ASCII digits, which the format
-    does not have.  What ``int`` rejects keeps its message, and a negative
-    value passes through so that the range checks report it.
+    ``int`` also reads ``+3``, ``1_0``, surrounding spaces and non-ASCII digits,
+    which no input format has.  What ``int`` rejects keeps its message, and a
+    negative value passes through so that the range checks report it.
     """
     value = int(raw)
     if value >= 0 and not (raw.isascii() and raw.isdigit()):
@@ -87,7 +91,7 @@ def _parse_count(raw: str) -> int:
             raise ValueError(f"{raw!r} is not an ASCII number") from None
         value = int(number)
     else:
-        value = _decimal(raw)
+        value = decimal(raw)
     if value < 1:
         raise ValueError(f"count must be a positive integer, got {raw!r}")
     return value
@@ -104,14 +108,14 @@ def read_header(path: str | Path) -> tuple[int, int, int]:
         raise ValueError(f"cannot read corpus {path}: {exc.strerror}") from exc
     if not header:
         raise CorpusFormatError(path, 1, "missing header line")
-    _check_utf8(path, 1, header)
+    check_utf8(path, 1, header)
     parts = header.split()
     if len(parts) != 3:
         raise CorpusFormatError(
             path, 1, f"header must be 'num_points num_features num_labels', got {header.strip()!r}"
         )
     try:
-        num_points, num_features, num_labels = (_decimal(p) for p in parts)
+        num_points, num_features, num_labels = (decimal(p) for p in parts)
     except ValueError:
         raise CorpusFormatError(path, 1, f"non-decimal header field in {header.strip()!r}") from None
     if min(num_points, num_features, num_labels) < 0:
@@ -123,12 +127,16 @@ def _open_text(path: str | Path) -> TextIO:
     """The corpus as text; a byte that is not UTF-8 reads as a lone surrogate.
 
     Strict decoding would raise for the whole read, naming no line, so each
-    line is checked with :func:`_check_utf8` once its number is known.
+    line is checked with :func:`check_utf8` once its number is known.
     """
     return open(path, encoding="utf-8", errors="surrogateescape")
 
 
-def _check_utf8(path: str | Path, line_no: int, line: str) -> None:
+def check_utf8(path: str | Path, line_no: int, line: str) -> None:
+    """Raise ``CorpusFormatError`` at ``path:line_no`` if ``line`` holds a byte that is not UTF-8.
+
+    ``line`` was decoded with ``errors="surrogateescape"``, so such a byte is a lone surrogate.
+    """
     try:
         line.encode("utf-8")
     except UnicodeEncodeError as exc:
@@ -259,7 +267,7 @@ def _read_lines(
         line = line.rstrip()
         if not line:
             continue
-        _check_utf8(path, line_no, line)
+        check_utf8(path, line_no, line)
         if row == num_points:
             raise CorpusFormatError(
                 path, line_no, f"more than the declared {num_points} data lines"
@@ -288,7 +296,7 @@ def _parse_line(
             path, line_no, "line must start with a label field (possibly empty)"
         )
     try:
-        labels = sorted(_decimal(tok) for tok in label_field.split(",") if tok != "")
+        labels = sorted(decimal(tok) for tok in label_field.split(",") if tok != "")
     except ValueError:
         raise CorpusFormatError(path, line_no, f"bad label field {label_field!r}") from None
     for lab in labels:
@@ -305,7 +313,7 @@ def _parse_line(
         if not sep or not head or not tail:
             raise CorpusFormatError(path, line_no, f"bad token:count pair {pair!r}")
         try:
-            token = _decimal(head)
+            token = decimal(head)
             cnt = _parse_count(tail)
         except ValueError as exc:
             raise CorpusFormatError(path, line_no, f"bad token:count pair {pair!r} ({exc})") from None

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Literal
+from typing import Iterator
 
 import numpy as np
 
 from .hashing import murmur3_32_u64
 
-FeatureMode = Literal["counts", "binary"]
+# Every feature mode, the one list EngineConfig and hash_features check against
+FEATURE_MODES = ("counts", "binary")
 
 
 @dataclass(frozen=True)
@@ -164,14 +165,14 @@ def hash_features(
     doc: Document,
     chunk_seed: int,
     feature_dim: int,
-    mode: FeatureMode = "counts",
+    mode: str = "counts",
 ) -> HashedFeatures:
     """Hash a document's token ids into ``[0, feature_dim)``.
 
     Colliding tokens accumulate: counts mode sums their counts, binary mode
     saturates the slot at 1.
     """
-    if mode not in ("counts", "binary"):
+    if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}")
     hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
     indexes, values = merge_slots(hashed, doc.token_counts.astype(np.float64), mode == "binary")

@@ -40,6 +40,7 @@ import numpy as np
 
 from .codes import CodeConfig, LabelCodebook
 from .features import Document, hash_features
+from .hashing import check_ints
 from .index import InvertedIndex, lookup
 from .model import ChunkEnsemble, EngineConfig, forward
 
@@ -55,10 +56,7 @@ class InferParams:
     aggregation: str = "full-vector"
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        check_ints(self, m=(1, None), top_k=(1, None))
         if self.aggregation not in AGGREGATION_MODES:
             raise ValueError(f"aggregation must be one of {AGGREGATION_MODES}")
 
@@ -368,10 +366,10 @@ def predict_full(
     top_k: int,
 ) -> Prediction:
     """Brute-force reference: score every label, no pruning, no index."""
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
+    b = ensemble.code_config.buckets_per_chunk
+    InferParams(m=b, top_k=top_k)  # checks top_k by the rule predict's top_k meets
     counters = OpCounters()
-    emb = embed_query(ensemble, doc, ensemble.code_config.buckets_per_chunk)
+    emb = embed_query(ensemble, doc, b)
     counters.buckets_scored = int(emb.probs.size)
     n = cb.config.num_labels
     all_labels = np.arange(n, dtype=np.int64)

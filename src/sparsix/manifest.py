@@ -29,7 +29,7 @@ from .hashing import check_ints
 from .index import index_bytes
 from .infer import query_bytes
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, model_bytes
-from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, save_model
+from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, forward_bytes, save_model
 
 FORMAT_VERSION = 1
 
@@ -133,7 +133,7 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
     manifest_path = Path(manifest_path)
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ManifestError(f"unreadable manifest {manifest_path}: {exc}") from exc
     try:
         return Manifest(
@@ -156,12 +156,15 @@ def _loading_bytes(manifest: Manifest) -> int:
     """Peak bytes of loading an engine and serving its first query.
 
     :func:`load_ensemble` holds K models and the one blob it parses; every
-    serving command then builds the codebook and the index and serves queries.
-    Each module that allocates one of these counts its bytes.
+    serving command then builds the codebook and the index and serves queries,
+    each embedded one ``forward`` at a time.  Each module that allocates one of
+    these counts its bytes.
     """
     cc = manifest.code_config
-    model = model_bytes(manifest.engine, cc.buckets_per_chunk)
-    return (cc.num_chunks + 1) * model + codebook_bytes(cc) + index_bytes(cc) + query_bytes(cc)
+    b = cc.buckets_per_chunk
+    models = (cc.num_chunks + 1) * model_bytes(manifest.engine, b)
+    serving = codebook_bytes(cc) + index_bytes(cc) + forward_bytes(manifest.engine, b)
+    return models + serving + query_bytes(cc)
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:

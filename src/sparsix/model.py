@@ -42,7 +42,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .codes import CodeConfig
-from .features import FeatureMode, HashedFeatures
+from .features import FEATURE_MODES, HashedFeatures
 from .hashing import SEED_RANGE, check_ints, derive_seed
 
 if TYPE_CHECKING:
@@ -423,7 +423,7 @@ class EngineConfig:
 
     feature_dim: int
     hidden_dim: int
-    feature_mode: FeatureMode = "counts"
+    feature_mode: str = "counts"
     feature_seed: int = 0
     init_seed: int = 0
 
@@ -435,7 +435,7 @@ class EngineConfig:
             feature_seed=SEED_RANGE,
             init_seed=SEED_RANGE,
         )
-        if self.feature_mode not in ("counts", "binary"):
+        if self.feature_mode not in FEATURE_MODES:
             raise ValueError(f"unknown feature mode {self.feature_mode!r}")
 
     def chunk_feature_seed(self, chunk: int) -> int:
@@ -486,6 +486,13 @@ class ChunkEnsemble:
 def model_bytes(engine: EngineConfig, buckets: int) -> int:
     """Bytes of one ``PARAM_DTYPE`` model of ``engine`` with ``buckets`` outputs."""
     return PARAM_DTYPE.itemsize * num_params(engine.feature_dim, engine.hidden_dim, buckets)
+
+
+def forward_bytes(engine: EngineConfig, buckets: int) -> int:
+    """Peak bytes :func:`forward` adds beside its model: ``W2 @ h`` multiplies a
+    float64 copy of the whole float32 W2, next to the float64 ``h`` and ``z``."""
+    h = engine.hidden_dim
+    return 8 * (buckets * h + h + buckets)
 
 
 def step_bytes(engine: EngineConfig, buckets: int, rows: int, live_rows: int) -> int:

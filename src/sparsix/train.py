@@ -42,7 +42,7 @@ import scipy.sparse as sp
 
 # no chunk builds a codebook; the benchmark's chunk tracer still wraps build_codebook
 from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes  # noqa: F401
-from .features import DocBlock, Document, FeatureMode, hash_token_ids, merge_slots
+from .features import DocBlock, Document, hash_token_ids, merge_slots
 from .hashing import derive_seed
 from .model import PARAM_DTYPE, ChunkModel, apply_update, check_fits, init_model, model_bytes
 from .model import step_bytes, zero_adam_state
@@ -76,7 +76,7 @@ def _block_csr(
 
 
 def _chunk_matrix(
-    block: DocBlock, chunk_seed: int, feature_dim: int, mode: FeatureMode
+    block: DocBlock, chunk_seed: int, feature_dim: int, mode: str
 ) -> sp.csr_matrix:
     """Hash every row of the block for one chunk into a CSR matrix of inputs."""
     cols = hash_token_ids(block.token_ids, chunk_seed, feature_dim)

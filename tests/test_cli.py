@@ -161,6 +161,20 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="bad value"):
             parse_config(p)
 
+    @pytest.mark.parametrize("line", ["num_chunks = +2", "epochs = 1_0", "workers = \u0662"])
+    def test_integer_is_ascii_decimal_digits(self, tmp_path, line):
+        """As in a corpus: no sign, no ``_`` and no other script's digits (here Arabic-Indic 2)."""
+        p = self.write(tmp_path, f"corpus = c.txt\n{line}\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: bad value"):
+            parse_config(p)
+
+    def test_non_utf8_byte_names_its_line(self, tmp_path):
+        p = tmp_path / "t.cfg"
+        p.write_bytes(b"corpus = c.txt\nepochs = 3\xff\n")
+        with pytest.raises(ValueError) as info:
+            parse_config(p)
+        assert str(info.value) == f"{p}:2: byte 0xff is not UTF-8"
+
     def test_missing_equals_rejected(self, tmp_path):
         p = self.write(tmp_path, "corpus c.txt\n")
         with pytest.raises(ValueError, match="key = value"):
@@ -182,9 +196,15 @@ class TestParseConfig:
         monkeypatch.setenv("SPARSIX_WORKERS", "lots")
         with pytest.raises(ValueError, match="SPARSIX_WORKERS"):
             parse_config(p)
+        monkeypatch.setenv("SPARSIX_WORKERS", "\u0662")
+        with pytest.raises(ValueError, match="SPARSIX_WORKERS"):
+            parse_config(p)
 
     def test_parse_ks(self):
         assert _parse_ks("1,5,10") == (1, 5, 10)
+        assert _parse_ks("1, 5") == (1, 5)
+        with pytest.raises(ValueError):
+            _parse_ks("1,+5")
         with pytest.raises(ValueError):
             _parse_ks("1,zero")
         with pytest.raises(ValueError):
@@ -426,6 +446,23 @@ class TestExitCodes:
         assert rc == EXIT_VERIFY
         assert "FAIL manifest-checksums" in out
 
+    def test_non_utf8_manifest_is_validation_error(self, workspace, tmp_path, capsys):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_bytes(b"{\xff}")
+        out = tmp_path / "p.tsv"
+        rc = main(
+            [
+                "predict",
+                "--manifest", str(manifest),
+                "--corpus", str(workspace / "test.txt"),
+                "--out", str(out),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert f"error: unreadable manifest {manifest}: " in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_verify_reads_the_manifest_before_any_check(self, tmp_path, capsys):
         rc = main(["verify", "--manifest", str(tmp_path / "absent.json")])
         out, err = capsys.readouterr()
@@ -630,21 +667,32 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--m", "17"], ["--m", "0"], ["--top-k", "0"], ["--mode", "full", "--top-k", "0"]],
+        [
+            ["--m", "17"],
+            ["--m", "0"],
+            ["--top-k", "0"],
+            ["--mode", "full", "--top-k", "0"],
+            ["--m", "+3"],
+            ["--m", "4", "--top-k", "1_0"],
+            ["--mode", "full", "--m", "0"],
+        ],
     )
     def test_bad_predict_flags_leave_out_intact(self, workspace, tmp_path, capsys, flags):
-        """The engine has B = 16; flags it cannot serve fail and leave --out as it was."""
+        """The engine has B = 16; flags it cannot serve, or whose text is not ASCII
+        decimal digits, fail and leave --out as it was."""
         out = tmp_path / "p.tsv"
         out.write_bytes(b"0\t1:0.500000\n")
-        rc = main(
-            [
-                "predict",
-                "--manifest", str(workspace / "engine" / "manifest.json"),
-                "--corpus", str(workspace / "test.txt"),
-                "--out", str(out),
-                *flags,
-            ]
-        )
+        argv = [
+            "predict",
+            "--manifest", str(workspace / "engine" / "manifest.json"),
+            "--corpus", str(workspace / "test.txt"),
+            "--out", str(out),
+            *flags,
+        ]
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # the parser rejects a flag's text before any command runs
+            rc = exc.code
         err = capsys.readouterr().err
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "Traceback" not in err

@@ -32,7 +32,7 @@ from sparsix.infer import (
     retrieve_candidates,
     sparsify_topm,
 )
-from sparsix.model import PARAM_DTYPE, ChunkEnsemble, EngineConfig, init_model
+from sparsix.model import PARAM_DTYPE, ChunkEnsemble, EngineConfig, forward_bytes, init_model
 from sparsix.train import TrainConfig, train_all
 
 
@@ -114,11 +114,24 @@ class TestTopmMatchesLexsort:
 class TestParams:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(m=0, top_k=1), dict(m=1, top_k=0), dict(m=1, top_k=1, aggregation="mean")],
+        [
+            dict(m=0, top_k=1),
+            dict(m=1, top_k=0),
+            dict(m=1, top_k=1, aggregation="mean"),
+            dict(m=True, top_k=1),
+            dict(m=2.0, top_k=1),
+            dict(m=1, top_k=2.5),
+        ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             InferParams(**kwargs)
+
+    @pytest.mark.parametrize("top_k", [2.5, True])
+    def test_predict_full_checks_top_k_as_params_do(self, tiny_engine, top_k):
+        doc = tiny_engine.test_docs[0]
+        with pytest.raises(ValueError, match="top_k must be an integer >= 1"):
+            predict_full(tiny_engine.ensemble, tiny_engine.cb, doc, top_k)
 
     def test_embedding_shape_checked(self):
         with pytest.raises(ValueError):
@@ -442,12 +455,12 @@ class TestSortedUnion:
 QUERY = make_document(0, [(1, 2), (7, 1)], [])
 
 
-def untrained_ensemble(cb):
-    """Freshly initialised float32 models, F = 64 and H = 4, over ``cb``'s chunks."""
-    engine = EngineConfig(feature_dim=64, hidden_dim=4, init_seed=2)
+def untrained_ensemble(cb, hidden_dim=4):
+    """Freshly initialised float32 models, F = 64 and H = ``hidden_dim``, over ``cb``'s chunks."""
+    engine = EngineConfig(feature_dim=64, hidden_dim=hidden_dim, init_seed=2)
     b = cb.config.buckets_per_chunk
     models = [
-        init_model(64, 4, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
+        init_model(64, hidden_dim, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
         for c in range(cb.config.num_chunks)
     ]
     return ChunkEnsemble(cb.config, engine, models)
@@ -496,6 +509,25 @@ class TestQueryBytes:
             pred, peak = traced_peak(query)
             assert pred.counters.unique_candidates == n
             assert peak <= query_bytes(cb.config) + 256 * 1024
+
+    def test_forward_copy_of_w2_is_counted(self):
+        """K = 2, B = 8,192, H = 256, N = 1,000: ``forward`` multiplies a float64
+        copy of the whole float32 W2, 8·B·H = 16 MiB, where ``query_bytes`` is
+        40,000 bytes.  A query at m = B and one ``predict_full`` each peak within
+        ``forward_bytes`` and ``query_bytes`` and the same slack."""
+        k, b, h, n = 2, 8192, 256, 1000
+        cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
+        idx = build_index(cb)
+        ensemble = served_over(untrained_ensemble(cb, hidden_dim=h), cb, "flat", None)
+        estimate = forward_bytes(ensemble.engine, b) + query_bytes(cb.config)
+        queries = [
+            lambda: predict(ensemble, cb, idx, QUERY, InferParams(m=b, top_k=100)),
+            lambda: predict_full(ensemble, cb, QUERY, top_k=100),
+        ]
+        for query in queries:
+            query()  # first-call allocations stay out
+            _, peak = traced_peak(query)
+            assert 8 * b * h < peak <= estimate + 256 * 1024
 
 
 class TestCounters:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -132,6 +133,12 @@ class TestValidation:
         with pytest.raises(ManifestError, match="unreadable"):
             load_manifest(p)
 
+    def test_non_utf8_byte_is_unreadable(self, saved_engine):
+        _, path = saved_engine
+        path.write_bytes(path.read_bytes().replace(b'"created_at": "', b'"created_at": "\xff', 1))
+        with pytest.raises(ManifestError, match=f"^unreadable manifest {re.escape(str(path))}: "):
+            load_manifest(path)
+
     def test_missing_field_rejected(self, saved_engine):
         _, path = saved_engine
         self.edit_manifest(path, lambda d: d.pop("engine"))
@@ -221,11 +228,13 @@ class TestMemoryCheck:
     ):
         """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, then for
         N = 60 the int32 codebook, the index (uint32 labels, int64 offsets per
-        chunk) and one query at m = B, whose scoring (N int64 candidates, an
-        (N, K) int32 code gather, N int64 indexes, N float64 scores and one
-        gathered row: 2,880 bytes) outgrows its union (1,920 bytes)."""
+        chunk), ``forward``'s float64 copy of W2 beside its float64 h and z, and
+        one query at m = B, whose scoring (N int64 candidates, an (N, K) int32
+        code gather, N int64 indexes, N float64 scores and one gathered row:
+        2,880 bytes) outgrows its union (1,920 bytes)."""
         _, path = saved_engine
-        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + (4 * 4 * 60 + 32 * 60)
+        forward = 8 * (32 * 24 + 24 + 32)
+        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + forward + (4 * 4 * 60 + 32 * 60)
         assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
