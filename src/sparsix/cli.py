@@ -105,7 +105,8 @@ def parse_config(path: str | Path) -> dict:
     values = {key: default for key, (_, default) in CONFIG_KEYS.items() if default is not None}
     set_on: dict[str, int] = {}  # the line that set each key
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
-    for line_no, line in enumerate(text.splitlines(), 1):
+    # a line ends where a corpus line does: at "\n", after read_text's newline translation
+    for line_no, line in enumerate(text.split("\n"), 1):
         check_utf8(path, line_no, line)
         line = line.strip()
         if not line or line.startswith("#"):

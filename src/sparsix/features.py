@@ -13,12 +13,14 @@ which pairs well with ReLU hidden layers.
 training block (``train._chunk_matrix``) alike: a stable sort keeps a slot's
 tokens in token order, and one ``np.add.reduceat`` sums them.  Float sums past
 2**53 depend on their order, so this one merge keeps the two paths' bits equal.
+``hash_features`` takes a sequence of chunk seeds too: a query is then hashed
+and merged once for all its chunks, with each chunk's bits unchanged.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -163,20 +165,47 @@ class HashedFeatures:
 
 def hash_features(
     doc: Document,
-    chunk_seed: int,
+    chunk_seed: int | Sequence[int],
     feature_dim: int,
     mode: str = "counts",
-) -> HashedFeatures:
-    """Hash a document's token ids into ``[0, feature_dim)``.
+) -> HashedFeatures | list[HashedFeatures]:
+    """Hash a document's token ids into ``[0, feature_dim)``, for one seed or many.
 
     Colliding tokens accumulate: counts mode sums their counts, binary mode
-    saturates the slot at 1.
+    saturates the slot at 1.  One int *chunk_seed* gives one
+    :class:`HashedFeatures`; a sequence of seeds gives one per seed, in order.
+
+    Every seed's slots are hashed in one ``hash_token_ids`` call and merged
+    in one ``merge_slots`` over the keys ``j * stride + slot`` for seed j,
+    where ``stride`` bounds every slot.  Each seed's keys keep their own run,
+    in token order, so each seed's sums have the bits of merging it alone.
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}")
-    hashed = hash_token_ids(doc.token_ids, chunk_seed, feature_dim)
-    indexes, values = merge_slots(hashed, doc.token_counts.astype(np.float64), mode == "binary")
-    return HashedFeatures(dim=feature_dim, indexes=indexes, values=values)
+    one = isinstance(chunk_seed, (int, np.integer))
+    slots = hash_token_ids(doc.token_ids, [chunk_seed] if one else chunk_seed, feature_dim)
+    # every slot is below feature_dim and 2**32, so runs * stride stays in int64
+    stride = min(feature_dim, 2**32)
+    firsts = _run_firsts(slots.shape[0], stride)
+    slots += firsts[:, None]
+    counts = np.empty(slots.shape)
+    counts[:] = doc.token_counts  # each seed's row of the float64 counts
+    keys, values = merge_slots(slots.ravel(), counts.ravel(), mode == "binary")
+    bounds = keys.searchsorted(firsts).tolist() + [keys.size]
+    keys %= stride
+    feats = [
+        HashedFeatures(dim=feature_dim, indexes=keys[a:b], values=values[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    ]
+    return feats[0] if one else feats
+
+
+@lru_cache(maxsize=64)
+def _run_firsts(runs: int, stride: int) -> np.ndarray:
+    """The first key of each seed's run, ``j * stride``; read only, shared per shape."""
+    firsts = np.arange(runs, dtype=np.int64) * stride
+    firsts.flags.writeable = False
+    return firsts
 
 
 def merge_slots(
@@ -194,9 +223,13 @@ def merge_slots(
     return keys, values
 
 
-def hash_token_ids(token_ids: np.ndarray, chunk_seed: int, feature_dim: int) -> np.ndarray:
+def hash_token_ids(
+    token_ids: np.ndarray, chunk_seed: int | Sequence[int], feature_dim: int
+) -> np.ndarray:
     """Map raw token ids to hashed feature indexes, int64 (no accumulation).
 
+    One int *chunk_seed* gives the ids' shape; a sequence of K seeds gives a
+    ``(K, *token_ids.shape)`` array, one row per seed, as ``murmur3_32_u64``.
     A uint32 hash modulo an int64 divisor gives int64 at once, the same values
     as reducing in uint32 and widening after.
     """

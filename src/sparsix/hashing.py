@@ -1,24 +1,28 @@
 """Deterministic seeded hashing primitives shared by the whole engine.
 
-Two functions carry every bit of randomness in the system:
+Three functions carry every bit of randomness in the system:
 
 ``murmur3_32``      32-bit MurmurHash3 (the x86_32 variant) over arbitrary
                     bytes.  Bit-compatible with the classic C implementation
                     (and with scikit-learn's ``murmurhash3_32``), verified by
                     frozen test vectors.  Label ids and token ids are hashed
                     as little-endian 8-byte integers.
+``murmur3_32_u64``  the same hash over an array of uint64 keys, for one seed
+                    or for a sequence of K seeds at once: the seed-free key
+                    mix runs once, and the state rounds run on all K rows.
 ``derive_seed``     splittable 64-bit seed derivation built on the splitmix64
                     finalizer.  Derives per-chunk (and per-epoch) seeds from a
                     single base seed without the correlation pitfalls of
                     ``base + k`` arithmetic.
 
-Both are pure and endian-pinned, so any two processes (or machines) given the
+All are pure and endian-pinned, so any two processes (or machines) given the
 same base seed reproduce identical bucket assignments, feature maps, and
 shuffle orders.
 """
 from __future__ import annotations
 
 import numbers
+from typing import Sequence
 
 import numpy as np
 
@@ -83,20 +87,24 @@ def murmur3_32(data: bytes, seed: int = 0) -> int:
     return h
 
 
-def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
-    """Vectorized ``murmur3_32`` over an array of uint64 keys.
+def murmur3_32_u64(keys: np.ndarray, seed: int | Sequence[int]) -> np.ndarray:
+    """Vectorized ``murmur3_32`` over an array of uint64 keys, for one seed or many.
 
     Each key is hashed as its little-endian 8-byte encoding, exactly matching
-    ``murmur3_32(key.to_bytes(8, "little"), seed)``.  Returns uint32, in the
-    shape of *keys*; a 0-d key gives a ``np.uint32``.  Only the low 32 bits of
-    *seed* are used.
+    ``murmur3_32(key.to_bytes(8, "little"), seed)``.  Only the low 32 bits of
+    a seed are used.  One int *seed* gives uint32 in the shape of *keys*, and a
+    0-d key then gives a ``np.uint32``; a sequence of K seeds gives a
+    ``(K, *keys.shape)`` array whose row j is the hash under seed j.
 
     The keys are read as little-endian 32-bit words, low word first, whatever
-    their byte order or strides.  The key mix does not depend on the state, so
-    every word takes it at once, into a fresh array; *keys* is never written.
-    The state starts at the seed, so xoring the seed into the mixed low words
-    makes the first round's state; the rounds then run in place.
+    their byte order or strides.  The key mix depends on neither the state
+    nor the seed, so every word takes it once, into a fresh array; *keys* is
+    never written.  The state starts at the seed, so xoring each seed into the
+    mixed low words makes its row of the first round's state; the rounds then
+    run in place on all K rows.  One seed is the one-row case.
     """
+    one = isinstance(seed, (int, np.integer))
+    seeds = np.array([seed & _MASK32] if one else [s & _MASK32 for s in seed], dtype=np.uint32)
     keys = np.asarray(keys, dtype=_LE_U64)
     k = np.multiply(keys.ravel().view(_LE_U32), _U32_C1)
     t = np.left_shift(k, _U32[15])  # ROTL32(k, 15)
@@ -104,8 +112,9 @@ def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
     np.bitwise_or(k, t, out=k)
     np.multiply(k, _U32_C2, out=k)
 
-    h = np.bitwise_xor(k[0::2], np.uint32(seed & _MASK32))
-    t = t[: h.size]
+    h = np.bitwise_xor(k[0::2], seeds[:, None])  # (K, n)
+    # the key mix's scratch serves the rounds too, unless K > 2 seeds outgrow it
+    t = t[: h.size].reshape(h.shape) if h.size <= t.size else np.empty_like(h)
     _state_round(h, t)
     np.bitwise_xor(h, k[1::2], out=h)
     _state_round(h, t)
@@ -118,7 +127,9 @@ def murmur3_32_u64(keys: np.ndarray, seed: int) -> np.ndarray:
         np.multiply(h, mult, out=h)
     np.right_shift(h, _U32[16], out=t)
     np.bitwise_xor(h, t, out=h)
-    return h.reshape(keys.shape) if keys.ndim else h[0]
+    if not one:
+        return h.reshape(seeds.shape + keys.shape)
+    return h.reshape(keys.shape) if keys.ndim else h[0, 0]
 
 
 def _state_round(h: np.ndarray, t: np.ndarray) -> None:

@@ -1,7 +1,8 @@
 """Sparse retrieval: top-m bucket selection, candidate lookup, score fusion.
 
-A query is embedded once per chunk (hash, forward pass) to give a K x B
-matrix of bucket probabilities.  Keeping only the m highest-probability
+A query is hashed for all K chunks in one call, each chunk under its own
+seed, then each chunk's forward pass gives its row of a K x B matrix of
+bucket probabilities.  Keeping only the m highest-probability
 buckets per chunk turns the embedding into a candidate generator: the labels
 posted in the selected buckets form the candidate set.  Candidates are then
 scored with the full probability rows, one bucket per chunk, so setting
@@ -148,9 +149,10 @@ def embed_query(
     b = ensemble.code_config.buckets_per_chunk
     engine = ensemble.engine
     probs = np.empty((k, b))
-    for chunk, seed in enumerate(_feature_seeds(engine, k)):
-        feats = hash_features(doc, seed, engine.feature_dim, engine.feature_mode)
-        probs[chunk] = forward(ensemble.models[chunk], feats)
+    # one hashing call for all K chunks, each under its own seed
+    feats = hash_features(doc, _feature_seeds(engine, k), engine.feature_dim, engine.feature_mode)
+    for chunk, x in enumerate(feats):
+        probs[chunk] = forward(ensemble.models[chunk], x)
     tops = [sparsify_topm(probs[chunk], m) for chunk in range(k)]
     return QuerySparseEmbedding(probs=probs, top_buckets=tops)
 

@@ -131,9 +131,10 @@ def _train_config(fields: dict) -> TrainConfig:
 def load_manifest(manifest_path: str | Path) -> Manifest:
     """Parse and validate manifest.json without touching the blobs."""
     manifest_path = Path(manifest_path)
+    # json.loads raises RecursionError on input nested past the interpreter's depth
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"unreadable manifest {manifest_path}: {exc}") from exc
     try:
         return Manifest(

@@ -175,6 +175,15 @@ class TestParseConfig:
             parse_config(p)
         assert str(info.value) == f"{p}:2: byte 0xff is not UTF-8"
 
+    def test_lines_end_only_at_newlines(self, tmp_path):
+        """A form feed, ``\\x1c``-``\\x1e``, ``\\x85`` or ``\\u2028`` does not end a line, as in
+        a corpus; a bad key on a later line is named by the line number an editor shows."""
+        p = self.write(tmp_path, "corpus = c.txt\nepochs\x0c= 3\ncode_seed = 1\x85\u2028\x1c\n")
+        assert parse_config(p)["epochs"] == 3
+        p = self.write(tmp_path, "corpus = c.txt\r\nepochs\x0c= 3\x1e\rnope = 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:3: unknown config key 'nope'$"):
+            parse_config(p)
+
     def test_missing_equals_rejected(self, tmp_path):
         p = self.write(tmp_path, "corpus c.txt\n")
         with pytest.raises(ValueError, match="key = value"):
@@ -469,6 +478,16 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert out == ""  # no check ran, so no PASS line
         assert "error: unreadable manifest" in err and "Traceback" not in err
+
+    def test_deeply_nested_manifest_is_validation_error(self, tmp_path, capsys):
+        """json.loads gives up on nesting this deep with a RecursionError, not a JSONDecodeError."""
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        rc = main(["verify", "--manifest", str(manifest)])
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert out == ""
+        assert f"error: unreadable manifest {manifest}: " in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["predict", "eval"])
     def test_engine_over_memory_is_validation_error(

@@ -162,9 +162,13 @@ def hash_features_reference(doc, chunk_seed, feature_dim, mode):
 
 class TestMatchesUniqueReference:
     @pytest.mark.parametrize("mode", ["counts", "binary"])
-    @pytest.mark.parametrize("feature_dim", [3, 4, 5, 7, 1 << 13])
+    @pytest.mark.parametrize("feature_dim", [1, 3, 4, 5, 7, 1 << 13])
     def test_bit_identical(self, mode, feature_dim):
-        """Small dims force collisions, including runs of three or more tokens."""
+        """Small dims force collisions, including runs of three or more tokens;
+        at dim 1 every token collides.  Trial 0 is a query with no tokens.
+
+        A sequence of seeds gives each seed's features with the bits of a
+        call for that seed alone."""
         rng = np.random.default_rng(feature_dim)
         collided = 0
         for trial in range(60):
@@ -172,7 +176,8 @@ class TestMatchesUniqueReference:
             ids = rng.choice(2**40, size=n, replace=False)
             counts = rng.integers(1, 2**20, size=n)
             doc = make_document(trial, list(zip(ids.tolist(), counts.tolist())), [])
-            seed = int(rng.integers(0, 2**63))
+            seeds = rng.integers(0, 2**63, size=int(rng.integers(1, 6))).tolist()
+            seed = seeds[0]
             feats = hash_features(doc, seed, feature_dim, mode)
             indexes, values = hash_features_reference(doc, seed, feature_dim, mode)
             assert feats.indexes.dtype == indexes.dtype == np.int64
@@ -180,8 +185,30 @@ class TestMatchesUniqueReference:
             assert feats.values.dtype == values.dtype == np.float64
             assert feats.values.tobytes() == values.tobytes()
             collided += indexes.size < n
+            assert_k_wide(doc, seeds, feature_dim, mode)
         if feature_dim < 8:
             assert collided > 10
+
+    @pytest.mark.parametrize("mode", ["counts", "binary"])
+    def test_k_wide_seeds(self, mode):
+        """Repeated seeds, seeds at and past 2**32, and no seeds at all."""
+        doc = make_document(0, [(t * 7919, t % 3 + 1) for t in range(40)], [])
+        for seeds in ([], [5, 5], [2**32 - 1, 2**32, 2**32 + 5, 2**64 - 1], (np.uint64(9), 2**70)):
+            for feature_dim in (1, 2, 3, 1 << 13, 2**32 - 1, 2**40):
+                assert_k_wide(doc, seeds, feature_dim, mode)
+
+
+def assert_k_wide(doc, seeds, feature_dim, mode):
+    """``hash_features(doc, seeds, ...)`` is the one-seed calls, in order, bit for bit."""
+    many = hash_features(doc, seeds, feature_dim, mode)
+    assert isinstance(many, list) and len(many) == len(seeds)
+    for feats, seed in zip(many, seeds):
+        one = hash_features(doc, seed, feature_dim, mode)
+        assert feats.dim == one.dim == feature_dim
+        assert feats.indexes.dtype == one.indexes.dtype == np.int64
+        assert feats.indexes.tobytes() == one.indexes.tobytes()
+        assert feats.values.dtype == one.values.dtype == np.float64
+        assert feats.values.tobytes() == one.values.tobytes()
 
 
 class TestHashedFeaturesChecks:

@@ -127,43 +127,69 @@ def scalar_hashes(keys, seed: int) -> list[int]:
     ]
 
 
+def assert_k_wide(keys, seeds) -> None:
+    """``murmur3_32_u64(keys, seeds)`` stacks the one-seed calls, bit for bit."""
+    out = murmur3_32_u64(keys, seeds)
+    shape = np.shape(keys)
+    assert isinstance(out, np.ndarray) and out.dtype == np.uint32
+    assert out.shape == (len(seeds), *shape)
+    for row, seed in zip(out, seeds):
+        one = murmur3_32_u64(keys, seed)
+        assert row.shape == shape and row.tobytes() == np.asarray(one).tobytes()
+
+
 class TestAnyKeyLayout:
     """The rounds read the keys as little-endian 32-bit words; every layout and
-    byte order an array can have hashes its values, as the scalar path does."""
+    byte order an array can have hashes its values, as the scalar path does.
+    A sequence of seeds hashes them under every seed at once, with the bits of
+    one call per seed."""
 
     KEYS = st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=24)
     SEEDS = st.integers(min_value=0, max_value=2**64 - 1)
+    MORE_SEEDS = st.lists(SEEDS, max_size=4)
 
     @settings(max_examples=100, deadline=None)
-    @given(keys=KEYS, seed=SEEDS, step=st.integers(1, 4), reverse=st.booleans())
-    def test_strided(self, keys, seed, step, reverse):
+    @given(keys=KEYS, seed=SEEDS, more=MORE_SEEDS, step=st.integers(1, 4), reverse=st.booleans())
+    def test_strided(self, keys, seed, more, step, reverse):
         arr = np.array(keys, dtype=np.uint64)[:: -step if reverse else step]
         assert murmur3_32_u64(arr, seed).tolist() == scalar_hashes(arr, seed)
+        assert_k_wide(arr, [seed, *more])
 
     @settings(max_examples=100, deadline=None)
-    @given(keys=KEYS, seed=SEEDS, rows=st.integers(1, 4))
-    def test_two_d_non_contiguous(self, keys, seed, rows):
+    @given(keys=KEYS, seed=SEEDS, more=MORE_SEEDS, rows=st.integers(1, 4))
+    def test_two_d_non_contiguous(self, keys, seed, more, rows):
         arr = np.array(keys * rows, dtype=np.uint64).reshape(rows, len(keys))
         for view in (arr.T, arr[:, ::2], arr[::-1, 1:]):
             out = murmur3_32_u64(view, seed)
             assert out.shape == view.shape and out.dtype == np.uint32
             assert out.ravel().tolist() == scalar_hashes(view, seed)
+            assert_k_wide(view, (seed, *more))
 
     @settings(max_examples=100, deadline=None)
-    @given(keys=KEYS, seed=SEEDS)
-    def test_byte_swapped(self, keys, seed):
+    @given(keys=KEYS, seed=SEEDS, more=MORE_SEEDS)
+    def test_byte_swapped(self, keys, seed, more):
         big = np.array(keys, dtype=np.uint64).astype(">u8")
         assert murmur3_32_u64(big, seed).tolist() == scalar_hashes(keys, seed)
         assert murmur3_32_u64(big[::2], seed).tolist() == scalar_hashes(keys[::2], seed)
+        assert_k_wide(big, [seed, *more])
+        assert_k_wide(big[::2], [seed, *more])
 
     @settings(max_examples=100, deadline=None)
-    @given(key=st.integers(min_value=0, max_value=2**64 - 1), seed=SEEDS)
-    def test_zero_d(self, key, seed):
+    @given(key=st.integers(min_value=0, max_value=2**64 - 1), seed=SEEDS, more=MORE_SEEDS)
+    def test_zero_d(self, key, seed, more):
         native = np.array(key, dtype=np.uint64)
         for arg in (np.uint64(key), native, native.astype(">u8"), key):
             out = murmur3_32_u64(arg, seed)
             assert isinstance(out, np.uint32)
             assert int(out) == scalar_hashes([key], seed)[0]
+            assert_k_wide(arg, [seed, *more])
+
+    @pytest.mark.parametrize("seeds", [[], [3], [3, 3], [0, 2**32 - 1, 2**32, 2**64 - 1]])
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0)])
+    def test_empty(self, seeds, shape):
+        keys = np.empty(shape, dtype=np.uint64)
+        assert_k_wide(keys, seeds)
+        assert murmur3_32_u64(keys, np.array(seeds, dtype=np.uint64)).shape == (len(seeds), *shape)
 
     @pytest.mark.parametrize("seed", [2**32, 2**32 + 7, 2**63 + 12345, 2**64 - 1])
     def test_seed_masked_to_32_bits(self, seed):
@@ -171,6 +197,9 @@ class TestAnyKeyLayout:
         out = murmur3_32_u64(keys, seed)
         assert out.tolist() == scalar_hashes(keys, seed)
         assert out.tolist() == murmur3_32_u64(keys, seed & 0xFFFFFFFF).tolist()
+        assert_k_wide(keys, [seed, seed & 0xFFFFFFFF, 2**32 - 1, 0])
+        assert_k_wide(keys, np.array([seed, seed & 0xFFFFFFFF], dtype=np.uint64))
+        assert_k_wide(keys, [np.uint64(seed), 2**64 + 5])
 
 
 class TestDeriveSeed:

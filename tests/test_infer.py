@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from conftest import traced_peak
 from sparsix.codes import CodeConfig, LabelCodebook, build_codebook
 from sparsix.corpus import make_separable_corpus
-from sparsix.features import make_document
+import sparsix.features
+import sparsix.infer
+from sparsix.features import hash_features, make_document
 from sparsix.index import build_index, lookup
 from sparsix.infer import (
     AGGREGATION_MODES,
@@ -32,7 +34,14 @@ from sparsix.infer import (
     retrieve_candidates,
     sparsify_topm,
 )
-from sparsix.model import PARAM_DTYPE, ChunkEnsemble, EngineConfig, forward_bytes, init_model
+from sparsix.model import (
+    PARAM_DTYPE,
+    ChunkEnsemble,
+    EngineConfig,
+    forward,
+    forward_bytes,
+    init_model,
+)
 from sparsix.train import TrainConfig, train_all
 
 
@@ -180,6 +189,38 @@ class TestExactness:
         trunc = aggregate_scores(tiny_engine.cb, emb, cand, OpCounters(), "truncated")
         assert np.all(trunc <= full)
         assert np.all(trunc >= 0.0)
+
+
+class TestEmbedQuery:
+    def test_one_hash_for_all_chunks(self, tiny_engine, monkeypatch):
+        """A query is hashed once for its K chunks, with each chunk's bits of
+        hashing it under that chunk's seed alone."""
+        calls = {"hash_features": 0, "murmur3_32_u64": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(sparsix.infer, "hash_features")
+        counted(sparsix.features, "murmur3_32_u64")
+        ensemble, engine = tiny_engine.ensemble, tiny_engine.ensemble.engine
+        for mode in ("counts", "binary"):
+            ens = dataclasses.replace(
+                ensemble, engine=dataclasses.replace(engine, feature_mode=mode)
+            )
+            for doc in tiny_engine.test_docs[:5] + [make_document(0, [], [])]:
+                calls.update(hash_features=0, murmur3_32_u64=0)
+                emb = embed_query(ens, doc, 3)
+                assert calls == {"hash_features": 1, "murmur3_32_u64": 1}
+                for chunk, model in enumerate(ens.models):
+                    seed = engine.chunk_feature_seed(chunk)
+                    x = hash_features(doc, seed, engine.feature_dim, mode)
+                    assert emb.probs[chunk].tobytes() == forward(model, x).tobytes()
 
 
 class TestRanking:
