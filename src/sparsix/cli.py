@@ -9,10 +9,11 @@ lines are ignored, a key may be set only once, and relative paths are
 resolved against the config file's directory.  The only environment override
 is SPARSIX_WORKERS, which replaces the configured training worker count.
 
-Every text input meets the corpus format's two text rules: an integer in a
+Every text input meets the corpus format's text rules: an integer in a
 config file, in SPARSIX_WORKERS, in an integer flag or in a k list is read by
-``corpus.decimal`` (ASCII decimal digits only), and a config line holding a
-byte that is not UTF-8 fails at ``<config>:<line>`` by ``corpus.check_utf8``.
+``corpus.decimal`` (ASCII decimal digits only), a float in a config file by
+``corpus.ascii_float`` (ASCII, no ``_``), and a config line holding a byte
+that is not UTF-8 fails at ``<config>:<line>`` by ``corpus.check_utf8``.
 
 Only the commands that train (train, sweep, verify) import the training code
 and SciPy; predict and eval start without them.
@@ -38,6 +39,7 @@ import numpy as np
 
 from .codes import CodeConfig, binomial_chisquare, build_codebook, orthogonality_stats
 from .corpus import (
+    ascii_float,
     check_utf8,
     decimal,
     make_separable_corpus,
@@ -123,7 +125,7 @@ def parse_config(path: str | Path) -> dict:
         set_on[key] = line_no
         kind = CONFIG_KEYS[key][0]
         try:
-            values[key] = decimal(raw) if kind is int else kind(raw)
+            values[key] = {int: decimal, float: ascii_float}.get(kind, kind)(raw)
         except ValueError:
             raise ValueError(
                 f"{path}:{line_no}: bad value {raw!r} for {key} (expected {kind.__name__})"

@@ -15,9 +15,10 @@ based, so fractional values are rejected rather than silently rounded.  A path
 that names no file is a ``ValueError`` from every reader, naming the path, and a
 byte that is not UTF-8 a ``CorpusFormatError`` naming its line.
 
-Two of these rules serve every text input: :func:`decimal` reads each integer
-a user types (config values, ``SPARSIX_WORKERS``, integer flags, k lists), and
-:func:`check_utf8` names a config line's bad byte as it does a corpus line's.
+Three of these rules serve every text input: :func:`decimal` reads each integer
+a user types (config values, ``SPARSIX_WORKERS``, integer flags, k lists),
+:func:`ascii_float` each float (float-form counts, ``lr``), and :func:`check_utf8`
+names a config line's bad byte as it does a corpus line's.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
 :class:`features.DocBlock`; errors carry the 1-based line number.  It reads
@@ -76,19 +77,25 @@ def decimal(raw: str) -> int:
     return value
 
 
+def ascii_float(raw: str) -> float:
+    """``float(raw)`` for ASCII text without ``_``, as :func:`decimal` is for an integer."""
+    value = float(raw)
+    if not raw.isascii() or "_" in raw:
+        raise ValueError(f"{raw!r} is not an ASCII number")
+    return value
+
+
 def _parse_count(raw: str) -> int:
     # An integer literal is read exactly; only forms like "2.0" or "1e3" go
     # through float, which is exact for every integer up to 2**53.
     try:
         int(raw)
     except ValueError:
-        number = float(raw)
+        number = ascii_float(raw)
         if not np.isfinite(number):
             raise ValueError("value is not finite") from None
         if number != int(number):
             raise ValueError(f"count must be a positive integer, got {raw!r}") from None
-        if not raw.isascii() or "_" in raw:
-            raise ValueError(f"{raw!r} is not an ASCII number") from None
         value = int(number)
     else:
         value = decimal(raw)

@@ -21,9 +21,10 @@ strongest unvisited selected probability: an unselected bucket is no
 stronger in full-vector mode and counts 0 in truncated mode.  Once the
 top_k-th visited score beats that bound, no unvisited label can enter the
 top_k, and the labels, their order and their score bits are those of
-scoring the whole union.  Otherwise the prefix doubles, up to the whole
-selection.  This is the threshold algorithm of Fagin, Lotem and Naor (PODS
-2001), with one sorted list per chunk and its per-list threshold.
+scoring the whole union.  Otherwise the prefix doubles while it holds at most
+a quarter of the selection, and then the whole selection is scored.  This is
+the threshold algorithm of Fagin, Lotem and Naor (PODS 2001), with one sorted
+list per chunk and its per-list threshold.
 
 No stage does work that grows with the catalog size N: a pass's union sorts
 its R retrieved postings and drops repeats, O(R log R); scoring gathers one
@@ -35,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -250,52 +252,37 @@ def predict(
     """Sparse retrieval for one query: embed, prune, look up, fuse, rank.
 
     The ranking is that of every label in the selected buckets, bit for bit.
-    The pruning passes ``_passes`` plans come first; the counters sum the work
-    of every pass run.
+    The pruning passes ``_passes`` plans, each at most a quarter of the K*m
+    selection, and then the whole selection are scored in turn until one's
+    top_k-th score beats its bound; the counters sum the work of every pass run.
     """
     counters = OpCounters()
     emb = embed_query(ensemble, doc, params.m)
     counters.buckets_scored = int(emb.probs.size)
-    for visited, bound in _passes(emb, cb.config.num_labels, params):
-        labels, scores = _score_buckets(cb, idx, emb, visited, params, counters)
+    # the pruning passes, then the whole selection, beyond which no label can rank;
+    # the candidates replace the last pass's labels, so a query's peak is its largest pass's
+    for visited, bound in chain(_passes(emb, cb.config.num_labels, params), ((emb, math.inf),)):
+        labels = retrieve_candidates(idx, visited, counters)
+        scores = aggregate_scores(cb, emb, labels, counters, params.aggregation)
+        labels, scores = _rank(labels, scores, params.top_k)
         # no label outside the visited buckets scores above ``bound``
         if scores.size == params.top_k and scores[-1] > bound:
-            return Prediction(labels=labels, scores=scores, counters=counters)
-        del labels, scores  # so a query's peak is that of its largest pass
-    labels, scores = _score_buckets(cb, idx, emb, emb, params, counters)
+            break
     return Prediction(labels=labels, scores=scores, counters=counters)
 
 
-def _score_buckets(
-    cb: LabelCodebook,
-    idx: InvertedIndex,
-    emb: QuerySparseEmbedding,
-    visited: QuerySparseEmbedding,
-    params: InferParams,
-    counters: OpCounters,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The top_k of the labels posted in ``visited``'s buckets, scored against ``emb``."""
-    candidates = retrieve_candidates(idx, visited, counters)
-    scores = aggregate_scores(cb, emb, candidates, counters, params.aggregation)
-    return _rank(candidates, scores, params.top_k)
-
-
-# Pruning passes run only when s0 is at most a quarter of the K*m selection.
-# Where it is more, the first passes hold too few labels to stop: at N 2,000,
-# B 256, m 10 and top_k 100 (s0 = 13 of 40), a rule of at most half the
-# selection ran passes of 13 and then 40 buckets on every trained query and
-# raised p50 by 36% (300 queries, 20 interleaved rounds in-process, 2 vCPUs).
+# A pruning pass runs only while it visits at most a quarter of the K*m
+# selection: a larger one saves little over the whole selection, and costs it
+# again if it fails to stop.  At N 2,000, B 256, m 10 and top_k 100 (s0 = 13 of
+# 40), a rule of at most half the selection ran passes of 13 and then 40
+# buckets on every trained query and raised p50 by 36% (300 queries, 20
+# interleaved rounds in-process, 2 vCPUs).  At N 100,000 (passes of 4 and 8
+# buckets, then all 40), of 1,000 held-out queries on the benchmark's engines
+# for seeds 11 and 12, 986 and 978 stopped after 4 buckets, 12 and 14 after 8,
+# and 2 and 8 visited all 40.  Pruning cut p50 by 35-45% and p95 by 29-45%
+# (300 queries, interleaved rounds in-process, 2 vCPUs, at each of the host's
+# two speeds).
 _PRUNE_SHARE = 4
-# Once a doubled pass would visit more than half the selection, the whole
-# selection is visited instead: a pass that large saves little over it, and
-# one that fails to stop costs it again.  At N 100,000 (K 4, B 256, m 10,
-# top_k 100: passes of 4, 8, 16 and 40 buckets), of 1,000 trained queries 987
-# stopped after 4 buckets, 10 after 8, 2 after 16 and 1 visited all 40 (944,
-# 45, 9 and 2 under the uniform bound K*max(t, p), where t is the strongest
-# unselected probability); pruning cut p50 by 35-45% and p95 by 29-45% (300
-# queries, interleaved rounds in-process, 2 vCPUs, at each of the host's two
-# speeds).
-_FALLBACK_SHARE = 2
 
 
 def _passes(
@@ -308,7 +295,9 @@ def _passes(
     selected buckets: highest probability first, ties to the lower chunk and
     then the lower bucket, NaN last.  The first visits s0 = max(K,
     ceil(top_k*B/N)), enough buckets to hold top_k labels at N/B labels a
-    bucket, and each next one twice as many.
+    bucket, and each next one twice as many, while a pass visits at most a
+    quarter of the K*m selection (``_PRUNE_SHARE``): checked before any
+    planning and again for each doubled pass.
 
     In each chunk a pass visits a prefix of that chunk's own order.  A label
     posted in none of the visited buckets draws its chunk-c term from an
@@ -341,7 +330,7 @@ def _passes(
     strongest = 0.0
     for row in ranked:
         strongest -= row[0]
-    while _FALLBACK_SHARE * s <= k * m:
+    while _PRUNE_SHARE * s <= k * m:
         depth = [0] * k  # buckets visited per chunk
         for position in order[:s]:
             depth[position // m] += 1

@@ -118,8 +118,8 @@ def save_ensemble(
 
 
 def _train_config(fields: dict) -> TrainConfig:
-    """A TrainConfig from its manifest entry, accepting Adam's fixed keys."""
-    fields = dict(fields)
+    """A TrainConfig from its manifest entry, a JSON object, accepting Adam's fixed keys."""
+    fields = {**fields}  # a copy, and a TypeError for anything but a mapping
     for key, fixed in _FIXED_ADAM_KEYS.items():
         if key in fields and fields.pop(key) != fixed:
             raise ManifestError(
@@ -143,7 +143,7 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
             code_config=CodeConfig(**doc["code_config"]),
             engine=EngineConfig(**doc["engine"]),
             train_config=(
-                _train_config(doc["train_config"]) if doc["train_config"] else None
+                None if doc["train_config"] is None else _train_config(doc["train_config"])
             ),
             blobs=tuple(BlobRef(**b) for b in doc["blobs"]),
         )

@@ -168,6 +168,17 @@ class TestParseConfig:
         with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: bad value"):
             parse_config(p)
 
+    @pytest.mark.parametrize("raw", ["1_0e-3", "\u0661e-3"])
+    def test_float_is_ascii_without_underscores(self, tmp_path, raw):
+        """As a float-form count in a corpus: no ``_`` and no other script's digits
+        (here Arabic-Indic 1), where ``float`` would read 0.01 and 0.001."""
+        p = self.write(tmp_path, f"corpus = c.txt\nlr = {raw}\n")
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(str(p))}:2: bad value {re.escape(repr(raw))} for lr "
+        ):
+            parse_config(p)
+        assert parse_config(self.write(tmp_path, "corpus = c.txt\nlr = 2e-3\n"))["lr"] == 0.002
+
     def test_non_utf8_byte_names_its_line(self, tmp_path):
         p = tmp_path / "t.cfg"
         p.write_bytes(b"corpus = c.txt\nepochs = 3\xff\n")
@@ -471,6 +482,25 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert f"error: unreadable manifest {manifest}: " in err and "Traceback" not in err
         assert not out.exists()
+
+    def test_grouped_lr_and_empty_train_config_are_validation_errors(
+        self, workspace, tmp_path, capsys
+    ):
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("corpus = c.txt\nlr = 1_0e-3\n", encoding="utf-8")
+        rc = main(["train", "--config", str(cfg)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert f"error: {cfg}:2: bad value '1_0e-3' for lr (expected float)" in err
+        engine = tmp_path / "engine"
+        shutil.copytree(workspace / "engine", engine)
+        doc = json.loads((engine / "manifest.json").read_text())
+        doc["train_config"] = {}
+        (engine / "manifest.json").write_text(json.dumps(doc))
+        rc = main(["verify", "--manifest", str(engine / "manifest.json")])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: malformed manifest" in err and "Traceback" not in err
 
     def test_verify_reads_the_manifest_before_any_check(self, tmp_path, capsys):
         rc = main(["verify", "--manifest", str(tmp_path / "absent.json")])

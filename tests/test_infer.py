@@ -615,6 +615,29 @@ def composed_stages(ensemble, cb, idx, doc, params):
     return _rank(cand, scores, params.top_k)
 
 
+def interleaved_embedding(k, b, m, rng):
+    """m random buckets selected in each of k chunks of b, with distinct dyadic
+    probabilities, exact in any sum: the i-th strongest of chunk c ranks i*k + c
+    overall, so every pass visits each chunk's share of the selection.  The
+    unselected buckets score 0."""
+    probs = np.zeros((k, b))
+    tops = []
+    for chunk in range(k):
+        buckets = np.sort(rng.choice(b, m, replace=False))
+        strength = rng.permutation(m)  # 0 is the chunk's strongest
+        probs[chunk, buckets] = (k * m - strength * k - chunk) / 2.0**20
+        tops.append(buckets.astype(np.int64))
+    return QuerySparseEmbedding(probs, tops)
+
+
+def pass_sizes(emb, num_labels, top_k):
+    """The number of buckets each pruning pass visits."""
+    params = InferParams(emb.top_buckets[0].size, top_k)
+    return [
+        sum(t.size for t in visited.top_buckets) for visited, _ in _passes(emb, num_labels, params)
+    ]
+
+
 class TestPrunedPredict:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -719,6 +742,39 @@ class TestPrunedPredict:
             for _ in range(k):
                 uniform += most
             assert bound <= uniform or np.isnan(uniform)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_labels=st.integers(1, 10**6),
+        k=st.integers(1, 16),
+        b=st.integers(1, 512),
+        top_k=st.integers(1, 1000),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pass_sizes(self, seed, num_labels, k, b, top_k, data):
+        """The first pass visits s0 = max(K, ceil(top_k*B/N)) buckets, each next
+        one twice as many, and none more than a quarter of the K*m selection;
+        planning stops at the first doubling past that quarter.  The selected
+        probabilities interleave the chunks, so no pass visits a chunk's whole
+        selection or fails to lower its bound, and every planned pass is yielded."""
+        m = data.draw(st.integers(1, b), label="m")
+        emb = interleaved_embedding(k, b, m, np.random.default_rng(seed))
+        sizes = pass_sizes(emb, num_labels, top_k)
+        s0 = max(k, math.ceil(top_k * b / num_labels))
+        if not sizes:
+            assert 4 * s0 > k * m
+            return
+        assert sizes[0] == s0
+        assert all(later == 2 * size for size, later in zip(sizes, sizes[1:]))
+        assert 4 * sizes[-1] <= k * m < 4 * 2 * sizes[-1]
+
+    def test_pass_sizes_at_the_benchmark_shape(self):
+        """K 4, B 256, m 10 and top_k 100: at N 2,000 (s0 = 13 of 40) no pass is
+        planned, and at N 100,000 passes of 4 and 8 buckets only, not 16."""
+        emb = interleaved_embedding(4, 256, 10, np.random.default_rng(0))
+        assert pass_sizes(emb, 2_000, 100) == []
+        assert pass_sizes(emb, 100_000, 100) == [4, 8]
 
     def test_a_score_tied_with_the_bound_does_not_stop(self):
         """K 2, B 8, m 4, top_k 1.  The first pass visits chunk 0's buckets 0 and 1,

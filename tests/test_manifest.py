@@ -145,6 +145,20 @@ class TestValidation:
         with pytest.raises(ManifestError, match="malformed"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("value", [{}, [], 0, "", False, [["epochs", 3]]])
+    def test_train_config_other_than_an_object_or_null_rejected(self, saved_engine, value):
+        """Only JSON null means no train config: an empty or falsy value, or a
+        list of key-value pairs, is a malformed manifest."""
+        _, path = saved_engine
+        self.edit_manifest(path, lambda d: d.update(train_config=value))
+        with pytest.raises(ManifestError, match="^malformed manifest"):
+            load_manifest(path)
+
+    def test_null_train_config_is_absent(self, saved_engine):
+        _, path = saved_engine
+        self.edit_manifest(path, lambda d: d.update(train_config=None))
+        assert load_manifest(path).train_config is None
+
     @pytest.mark.parametrize(
         "field, value",
         [
