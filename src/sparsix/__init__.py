@@ -15,7 +15,7 @@ from .corpus import CorpusFormatError, parse_corpus, read_block, read_header, wr
 from .features import Document, hash_features, make_document
 from .index import InvertedIndex, build_index, lookup
 from .infer import InferParams, Prediction, predict, predict_full
-from .manifest import load_ensemble, save_ensemble
+from .manifest import load_ensemble, load_serving, save_ensemble
 from .metrics import MetricReport, evaluate, precision_at_k, recall_at_k
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
 
@@ -41,6 +41,7 @@ __all__ = [
     "predict",
     "predict_full",
     "load_ensemble",
+    "load_serving",
     "save_ensemble",
     "MetricReport",
     "evaluate",

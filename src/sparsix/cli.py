@@ -57,7 +57,7 @@ from .equivalence import (
 from .features import DocBlock
 from .index import build_index, bucket_loads
 from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
-from .manifest import BlobChecksumError, load_ensemble, load_manifest, save_ensemble
+from .manifest import BlobChecksumError, load_ensemble, load_manifest, load_serving, save_ensemble
 from .metrics import evaluate
 from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
 
@@ -97,14 +97,30 @@ CONFIG_KEYS = {
     "lr": (float, 1e-3),
     "workers": (int, 1),
 }
+_DEFAULTS = {key: default for key, (_, default) in CONFIG_KEYS.items() if default is not None}
+
+
+def _configs(values: dict, num_labels: int) -> tuple[CodeConfig, EngineConfig, TrainConfig]:
+    """The code, engine and train configs of config ``values``; each checks its fields' ranges."""
+    code = CodeConfig(
+        num_labels, values["num_chunks"], values["buckets_per_chunk"], values["code_seed"]
+    )
+    # every field of these two configs is a config key of the same name
+    engine, train_cfg = (
+        cls(**{f.name: values[f.name] for f in fields(cls)}) for cls in (EngineConfig, TrainConfig)
+    )
+    return code, engine, train_cfg
 
 
 def parse_config(path: str | Path) -> dict:
-    """Read a flat key = value config file with typed, defaulted keys."""
+    """Read a flat key = value config file with typed, defaulted keys.
+
+    A value of the wrong type or out of its config's range fails at its line.
+    """
     path = Path(path)
     if not path.is_file():
         raise ValueError(f"config file not found: {path}")
-    values = {key: default for key, (_, default) in CONFIG_KEYS.items() if default is not None}
+    values = dict(_DEFAULTS)
     set_on: dict[str, int] = {}  # the line that set each key
     text = path.read_text(encoding="utf-8", errors="surrogateescape")
     # a line ends where a corpus line does: at "\n", after read_text's newline translation
@@ -130,6 +146,10 @@ def parse_config(path: str | Path) -> dict:
             raise ValueError(
                 f"{path}:{line_no}: bad value {raw!r} for {key} (expected {kind.__name__})"
             ) from None
+        try:  # the value among the defaults, so only its own range can fail
+            _configs({**_DEFAULTS, key: values[key]}, num_labels=1)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {exc}") from None
     if "corpus" not in values:
         raise ValueError(f"{path}: missing required key 'corpus'")
     base = path.parent
@@ -176,13 +196,7 @@ def _train(
     """
     from .train import check_memory, train_all
 
-    code = CodeConfig(
-        num_labels, values["num_chunks"], values["buckets_per_chunk"], values["code_seed"]
-    )
-    # every field of these two configs is a config key of the same name
-    engine, train_cfg = (
-        cls(**{f.name: values[f.name] for f in fields(cls)}) for cls in (EngineConfig, TrainConfig)
-    )
+    code, engine, train_cfg = _configs(values, num_labels)
     block = read()
     check_memory(block, code, engine, train_cfg)
     cb = build_codebook(code)
@@ -251,13 +265,13 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with _replacing(args.out) as out:
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
         read_header(args.corpus)
-        ensemble, _ = load_ensemble(args.manifest)
-        cb = build_codebook(ensemble.code_config)
-        if args.mode == "sparse":
-            idx = build_index(cb)
+        sparse = args.mode == "sparse"
+        ensemble, cb, idx = load_serving(
+            args.manifest, index=sparse, m=params.m if sparse else None
+        )
         queries, totals = 0, [0] * len(PREDICT_COUNTERS)
         for doc in parse_corpus(args.corpus):
-            if args.mode == "sparse":
+            if sparse:
                 pred = predict(ensemble, cb, idx, doc, params)
             else:
                 pred = predict_full(ensemble, cb, doc, params.top_k)
@@ -286,13 +300,11 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 def cmd_eval(args: argparse.Namespace) -> int:
     with _replacing(args.json) as out:
         testset = list(parse_corpus(args.corpus))
-        ensemble, _ = load_ensemble(args.manifest)
-        cb = build_codebook(ensemble.code_config)
-        idx = build_index(cb)
         ks_precision = _parse_ks(args.ks_precision)
         ks_recall = _parse_ks(args.ks_recall)
         top_k = max(*ks_precision, *ks_recall)
         params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
+        ensemble, cb, idx = load_serving(args.manifest, index=True, m=params.m)
         report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
         _print(report.as_text())
         if out is not None:

@@ -131,10 +131,14 @@ def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
     probs_row = np.asarray(probs_row, dtype=np.float64)
     if probs_row.ndim != 1:
         raise ValueError("expected a single chunk's probability row")
-    b = probs_row.size
-    if not 1 <= m <= b:
-        raise ValueError(f"m must be in [1, {b}], got {m}")
+    check_m(m, probs_row.size)
     return _top_k(probs_row, m)
+
+
+def check_m(m: int, buckets: int) -> None:
+    """Raise ``ValueError`` unless m buckets can be kept of a chunk's ``buckets``."""
+    if not 1 <= m <= buckets:
+        raise ValueError(f"m must be in [1, {buckets}], got {m}")
 
 
 @lru_cache(maxsize=64)

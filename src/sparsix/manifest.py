@@ -12,6 +12,12 @@ digits.  Each blob is read once on load and its checksum verified before
 or fewer bytes than its header claims is rejected.  Seeds are stored as JSON
 integers (they can exceed 2^53; the reference reader is Python, which keeps
 them exact).
+
+Two loaders share one prologue (the manifest, then the memory check) and one
+per-blob function.  :func:`load_ensemble` reads the blobs in turn.
+:func:`load_serving`, which ``predict`` and ``eval`` use, reads them in the
+same order on one helper thread while the calling thread builds the codebook
+and the index, and raises the first bad blob's error as the serial loader does.
 """
 from __future__ import annotations
 
@@ -19,15 +25,16 @@ import hashlib
 import json
 import posixpath
 import re
+import threading
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .codes import CodeConfig, codebook_bytes
+from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes
 from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
-from .index import index_bytes
-from .infer import query_bytes
+from .index import InvertedIndex, build_index, index_bytes
+from .infer import check_m, query_bytes
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, model_bytes
 from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, forward_bytes, save_model
 
@@ -37,6 +44,9 @@ FORMAT_VERSION = 1
 # train_config; such a manifest loads if it holds these same values
 _FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 _SHA256 = re.compile("[0-9a-f]{64}")
+# Loading's Python objects beside its arrays, with room to spare (see _loading_bytes)
+_OBJECT_BYTES = 32 * 1024
+_CHUNK_OBJECT_BYTES = 2 * 1024
 
 
 class ManifestError(ValueError):
@@ -156,16 +166,62 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 def _loading_bytes(manifest: Manifest) -> int:
     """Peak bytes of loading an engine and serving its first query.
 
-    :func:`load_ensemble` holds K models and the one blob it parses; every
-    serving command then builds the codebook and the index and serves queries,
-    each embedded one ``forward`` at a time.  Each module that allocates one of
-    these counts its bytes.
+    Loading holds K models and the one blob it parses, and :func:`load_serving`
+    builds the codebook and the index meanwhile.  Their build scratch, at most
+    28 bytes a label, is less than the first query's, which is not yet held.
+    Serving then embeds each query one ``forward`` at a time.  Each module that
+    allocates one of these counts its bytes.  Beside the arrays, loading makes
+    Python objects: the parsed manifest, the helper thread, and each chunk's
+    blob reference and model.  ``tracemalloc`` reads about 12 KiB and 1.2 KiB
+    a chunk for them, which ``_OBJECT_BYTES`` and ``_CHUNK_OBJECT_BYTES`` cover.
     """
     cc = manifest.code_config
     b = cc.buckets_per_chunk
     models = (cc.num_chunks + 1) * model_bytes(manifest.engine, b)
     serving = codebook_bytes(cc) + index_bytes(cc) + forward_bytes(manifest.engine, b)
-    return models + serving + query_bytes(cc)
+    objects = _OBJECT_BYTES + cc.num_chunks * _CHUNK_OBJECT_BYTES
+    return models + serving + query_bytes(cc) + objects
+
+
+def _checked_manifest(manifest_path: Path) -> Manifest:
+    """The manifest, once it is known that loading its engine fits in memory."""
+    manifest = load_manifest(manifest_path)
+    check_fits(_loading_bytes(manifest), f"loading {manifest_path}")
+    return manifest
+
+
+def _load_blob(base: Path, ref: BlobRef, engine: EngineConfig) -> ChunkModel:
+    """Read one blob, verify its checksum, parse it, and check its chunk and init seed."""
+    blob_path = base / ref.path
+    try:
+        data = blob_path.read_bytes()
+    except OSError as exc:
+        if exc.errno not in MISSING_ERRNOS:
+            raise
+        raise BlobChecksumError(f"missing model blob {blob_path}") from exc
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != ref.sha256:
+        raise BlobChecksumError(
+            f"checksum mismatch for {blob_path}: "
+            f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
+        )
+    model = load_model(data)
+    if model.chunk != ref.chunk:
+        raise ManifestError(
+            f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"
+        )
+    seed = engine.chunk_init_seed(ref.chunk)
+    if model.init_seed != seed:
+        raise ManifestError(
+            f"blob {ref.path} records init_seed {model.init_seed}, "
+            f"manifest's engine gives chunk {ref.chunk} {seed}"
+        )
+    return model
+
+
+def _load_models(manifest_path: Path, manifest: Manifest) -> list[ChunkModel]:
+    """Every blob's model, one blob at a time in manifest order; the first bad blob raises."""
+    return [_load_blob(manifest_path.parent, ref, manifest.engine) for ref in manifest.blobs]
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
@@ -175,37 +231,53 @@ def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
     its manifest alone, before any blob is read.
     """
     manifest_path = Path(manifest_path)
-    manifest = load_manifest(manifest_path)
-    check_fits(_loading_bytes(manifest), f"loading {manifest_path}")
-    base = manifest_path.parent
-    models: list[ChunkModel] = []
-    for ref in manifest.blobs:
-        blob_path = base / ref.path
-        try:
-            data = blob_path.read_bytes()
-        except OSError as exc:
-            if exc.errno not in MISSING_ERRNOS:
-                raise
-            raise BlobChecksumError(f"missing model blob {blob_path}") from exc
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != ref.sha256:
-            raise BlobChecksumError(
-                f"checksum mismatch for {blob_path}: "
-                f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
-            )
-        model = load_model(data)
-        if model.chunk != ref.chunk:
-            raise ManifestError(
-                f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"
-            )
-        seed = manifest.engine.chunk_init_seed(ref.chunk)
-        if model.init_seed != seed:
-            raise ManifestError(
-                f"blob {ref.path} records init_seed {model.init_seed}, "
-                f"manifest's engine gives chunk {ref.chunk} {seed}"
-            )
-        models.append(model)
+    manifest = _checked_manifest(manifest_path)
+    models = _load_models(manifest_path, manifest)
     ensemble = ChunkEnsemble(
         code_config=manifest.code_config, engine=manifest.engine, models=models
     )
     return ensemble, manifest
+
+
+def load_serving(
+    manifest_path: str | Path, index: bool, m: int | None = None
+) -> tuple[ChunkEnsemble, LabelCodebook, InvertedIndex | None]:
+    """Load a trained engine with its codebook and, if ``index``, its inverted index.
+
+    The prologue is :func:`load_ensemble`'s: the manifest, then the memory
+    check, before anything is read or built.  An ``m`` (buckets kept per
+    chunk) above the manifest's B fails there too.  Then one helper thread
+    loads the blobs as :func:`load_ensemble` does while this thread builds the
+    codebook and the index: blob reading, hashing and parsing run mostly
+    outside the GIL, the table builds inside it.  A blob error is re-raised
+    here once the tables are built, and the helper has ended by the time this
+    returns or raises.  A plain ``threading.Thread`` rather than an executor:
+    ``concurrent.futures`` would add its import, and that of ``logging``,
+    to every process that imports this module.
+    """
+    manifest_path = Path(manifest_path)
+    manifest = _checked_manifest(manifest_path)
+    if m is not None:
+        check_m(m, manifest.code_config.buckets_per_chunk)
+    loaded: list = []  # the helper's models, or the exception that stopped it
+
+    def load() -> None:
+        try:
+            loaded.append(_load_models(manifest_path, manifest))
+        except BaseException as exc:  # raised again below, in the calling thread
+            loaded.append(exc)
+
+    helper = threading.Thread(target=load)
+    helper.start()
+    try:
+        cb = build_codebook(manifest.code_config)
+        idx = build_index(cb) if index else None
+    finally:
+        helper.join()
+    models = loaded.pop()  # popped, so the list and the error's traceback form no cycle
+    if isinstance(models, BaseException):
+        raise models
+    ensemble = ChunkEnsemble(
+        code_config=manifest.code_config, engine=manifest.engine, models=models
+    )
+    return ensemble, cb, idx

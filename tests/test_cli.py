@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import sparsix.codes
+import sparsix.manifest
 import sparsix.model as model_mod
 import sparsix.train as train_mod
 from sparsix import cli
@@ -456,6 +457,7 @@ class TestExitCodes:
                 "--manifest", str(broken / "manifest.json"),
                 "--corpus", str(workspace / "test.txt"),
                 "--out", str(tmp_path / "p.tsv"),
+                "--m", "4",
             ]
         )
         capsys.readouterr()
@@ -558,6 +560,7 @@ class TestExitCodes:
                 "--manifest", str(broken / "manifest.json"),
                 "--corpus", str(workspace / "test.txt"),
                 "--out", str(tmp_path / "p.tsv"),
+                "--m", "4",
             ]
         )
         capsys.readouterr()
@@ -638,6 +641,7 @@ class TestExitCodes:
                     "--manifest", str(engine / "manifest.json"),
                     "--corpus", str(workspace / "test.txt"),
                     "--out", str(out),
+                    "--m", "4",
                 ]
             )
             assert out.read_bytes() == b"0\t1:0.500000\n"
@@ -828,6 +832,7 @@ class TestExitCodes:
                 "--manifest", str(workspace / "engine" / "manifest.json"),
                 "--corpus", str(corpus),
                 "--out", str(out),
+                "--m", "4",
             ]
         )
         err = capsys.readouterr().err
@@ -869,6 +874,92 @@ class TestExitCodes:
         rows = capsys.readouterr().out.splitlines()
         assert rc == EXIT_OK
         assert rows[1].startswith("8\t2\t2\t-\t") and "\terror: training needs about" in rows[1]
+
+    def desk_config(self, workspace, tmp_path, settings: str = "") -> Path:
+        paths = f"corpus = {workspace / 'train.txt'}\neval_corpus = {workspace / 'test.txt'}"
+        cfg = tmp_path / "run.cfg"
+        text = with_settings(DESK_CONFIG, f"{paths}\nout_dir = {tmp_path / 'engine'}\n{settings}")
+        cfg.write_text(text, encoding="utf-8")
+        return cfg
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("epochs = 0", "epochs must be an integer >= 1, got 0"),
+            ("lr = nan", "lr must be positive and finite, got nan"),
+            (
+                "buckets_per_chunk = 0",
+                "buckets_per_chunk must be an integer in [2, 2147483648], got 0",
+            ),
+        ],
+    )
+    def test_value_out_of_range_names_its_line(
+        self, workspace, tmp_path, capsys, command, setting, message
+    ):
+        """A value of the right type but out of range fails at ``<config>:<line>`` as a
+        wrong-type value does, before anything is trained; a sweep's flags override
+        buckets_per_chunk, yet the config's own line still fails."""
+        cfg = self.desk_config(workspace, tmp_path, setting)
+        line_no = cfg.read_text(encoding="utf-8").splitlines().index(setting) + 1
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--buckets", "8", "--chunks", "2", "--m", "2"]
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION
+        assert f"error: {cfg}:{line_no}: {message}\n" in err and "Traceback" not in err
+        assert out == "" and not (tmp_path / "engine").exists()
+
+    def test_out_of_range_workers_from_the_environment_keeps_its_message(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """SPARSIX_WORKERS, not a config line, sets the value: no line to name."""
+        monkeypatch.setenv("SPARSIX_WORKERS", "0")
+        rc = main(["train", "--config", str(self.desk_config(workspace, tmp_path))])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert err == "error: workers must be an integer >= 1, got 0\n"
+
+    def test_sweep_flag_out_of_range_is_a_cell_error(self, workspace, tmp_path, capsys):
+        cfg = self.desk_config(workspace, tmp_path)
+        rc = main(["sweep", "--config", str(cfg), "--buckets", "1,8", "--chunks", "2", "--m", "2"])
+        rows = capsys.readouterr().out.splitlines()
+        assert rc == EXIT_OK
+        assert rows[1] == (
+            "1\t2\t2\t-\t-\t-\t-\terror: buckets_per_chunk must be an integer in "
+            "[2, 2147483648], got 1"
+        )
+        assert rows[2].startswith("8\t2\t2\t") and rows[2].endswith("\tok")
+
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_m_above_b_fails_before_any_blob_or_table(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        """The engine has B = 16: --m 17 fails from the manifest, output file untouched."""
+        monkeypatch.setattr(sparsix.manifest, "_load_blob", pytest.fail)
+        monkeypatch.setattr(sparsix.manifest, "build_codebook", pytest.fail)
+        out = tmp_path / "out"
+        out.write_bytes(b"keep\n")
+        manifest = workspace / "engine" / "manifest.json"
+        argv = [command, "--manifest", str(manifest), "--corpus", str(workspace / "test.txt")]
+        rc = main([*argv, "--m", "17", "--out" if command == "predict" else "--json", str(out)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert err == "error: m must be in [1, 16], got 17\n"
+        assert out.read_bytes() == b"keep\n"
+
+    def test_full_mode_ignores_m_and_builds_no_index(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        manifest = workspace / "engine" / "manifest.json"
+        argv = ["predict", "--manifest", str(manifest), "--corpus", str(workspace / "test.txt")]
+        assert main([*argv, "--mode", "full", "--out", str(tmp_path / "a.tsv")]) == EXIT_OK
+        monkeypatch.setattr(sparsix.manifest, "build_index", pytest.fail)
+        rc = main([*argv, "--mode", "full", "--m", "17", "--out", str(tmp_path / "b.tsv")])
+        capsys.readouterr()
+        assert rc == EXIT_OK
+        assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
 
 
 def tree_bytes(root: Path) -> dict:
@@ -915,8 +1006,8 @@ class TestOutputClaimedFirst:
             "train": ["train", "--config", str(tmp_path / "run.cfg")],
         }[command]
         calls = []
-        for module, name in [(cli, "load_ensemble"), (cli, "parse_corpus"),
-                             (cli, "read_block"), (train_mod, "train_all")]:
+        for module, name in [(cli, "load_ensemble"), (cli, "load_serving"),
+                             (cli, "parse_corpus"), (cli, "read_block"), (train_mod, "train_all")]:
             real = getattr(module, name)
             monkeypatch.setattr(
                 module, name, lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ import pytest
 import sparsix.manifest
 import sparsix.model as model_mod
 from conftest import traced_peak
+from sparsix.codes import build_codebook
+from sparsix.index import build_index
 from sparsix.infer import InferParams, embed_query, predict
 from sparsix.manifest import (
     FORMAT_VERSION,
@@ -19,6 +22,7 @@ from sparsix.manifest import (
     _loading_bytes,
     load_ensemble,
     load_manifest,
+    load_serving,
     save_ensemble,
 )
 from sparsix.codes import CodeConfig
@@ -240,16 +244,19 @@ class TestMemoryCheck:
     def test_estimate_is_k_models_plus_one_blob_and_serving_tables(
         self, saved_engine, monkeypatch
     ):
-        """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, then for
-        N = 60 the int32 codebook, the index (uint32 labels, int64 offsets per
-        chunk), ``forward``'s float64 copy of W2 beside its float64 h and z, and
+        """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, loading's
+        Python objects (32 KiB and 2 KiB a chunk), then for N = 60 the int32
+        codebook, the index (uint32 labels, int64 offsets per chunk),
+        ``forward``'s float64 copy of W2 beside its float64 h and z, and
         one query at m = B, whose scoring (N int64 candidates, an (N, K) int32
         code gather, N int64 indexes, N float64 scores and one gathered row:
         2,880 bytes) outgrows its union (1,920 bytes)."""
         _, path = saved_engine
         forward = 8 * (32 * 24 + 24 + 32)
         serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + forward + (4 * 4 * 60 + 32 * 60)
-        assert _loading_bytes(load_manifest(path)) == 4 * 5 * num_params(512, 24, 32) + serving
+        objects = 32 * 1024 + 4 * 2 * 1024
+        models = 4 * 5 * num_params(512, 24, 32)
+        assert _loading_bytes(load_manifest(path)) == models + serving + objects
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
         assert {p.dtype for m in loaded.models for p in m.params()} == {np.dtype(np.float32)}
@@ -285,6 +292,133 @@ class TestMemoryCheck:
         ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
         _, peak = traced_peak(lambda: save_ensemble(ensemble, tmp_path / "wide"))
         assert peak < PARAM_DTYPE.itemsize * num_params(f, h, b) + 64 * 1024
+
+
+def save_untrained(path, k, f, h, b, n):
+    """A K-chunk engine of freshly initialised float32 models over N labels."""
+    engine = EngineConfig(f, h, feature_seed=3, init_seed=4)
+    models = [
+        init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE) for c in range(k)
+    ]
+    return save_ensemble(ChunkEnsemble(CodeConfig(n, k, b, base_seed=5), engine, models), path)
+
+
+def rewrite_blob(path, chunk, edit):
+    """Replace chunk ``chunk``'s blob bytes by ``edit(bytes)``; the manifest keeps its checksum."""
+    blob = path.parent / f"chunk_{chunk:04d}.bin"
+    blob.write_bytes(edit(blob.read_bytes()))
+    return blob
+
+
+def rewrite_header(path, chunk, at, value):
+    """Rewrite a little-endian header field and record the blob's new checksum."""
+    blob = rewrite_blob(path, chunk, lambda raw: raw[:at] + value + raw[at + len(value) :])
+    doc = json.loads(path.read_text())
+    doc["blobs"][chunk]["sha256"] = hashlib.sha256(blob.read_bytes()).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
+# Each blob fault load_ensemble names, applied to one chunk of a saved engine
+BLOB_FAULTS = {
+    "missing": lambda path, c: (path.parent / f"chunk_{c:04d}.bin").unlink(),
+    "checksum": lambda path, c: rewrite_blob(path, c, lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])),
+    "chunk": lambda path, c: rewrite_header(path, c, 0, (c + 1).to_bytes(4, "little")),
+    "init_seed": lambda path, c: rewrite_header(path, c, 16, (7).to_bytes(8, "little")),
+}
+
+
+def raised(fn):
+    """The exception ``fn()`` raises, as its type and message."""
+    with pytest.raises(Exception) as info:
+        fn()
+    return type(info.value), str(info.value)
+
+
+class TestLoadServing:
+    """``load_serving`` loads the blobs on a helper thread while it builds the
+    tables, and gives what the serial calls give."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_bit_identical_to_the_serial_calls(self, tmp_path, k):
+        path = save_untrained(tmp_path / "e", k, f=64, h=6, b=8, n=40)
+        threads = threading.active_count()
+        ensemble, cb, idx = load_serving(path, index=True)
+        serial, manifest = load_ensemble(path)
+        serial_cb = build_codebook(serial.code_config)
+        serial_idx = build_index(serial_cb)
+        assert threading.active_count() == threads
+        assert (ensemble.code_config, ensemble.engine) == (manifest.code_config, manifest.engine)
+        assert [m.chunk for m in ensemble.models] == list(range(k))
+        for mine, theirs in zip(ensemble.models, serial.models, strict=True):
+            assert mine.init_seed == theirs.init_seed
+            for p, q in zip(mine.params(), theirs.params(), strict=True):
+                assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+        assert cb.config == serial_cb.config and cb.codes.tobytes() == serial_cb.codes.tobytes()
+        for name in ("offsets", "labels"):
+            mine, theirs = getattr(idx, name), getattr(serial_idx, name)
+            assert [(t.dtype, t.tobytes()) for t in mine] == [(t.dtype, t.tobytes()) for t in theirs]
+
+    def test_no_index_asked_builds_none(self, tmp_path, monkeypatch):
+        path = save_untrained(tmp_path / "e", 2, f=64, h=6, b=8, n=40)
+        monkeypatch.setattr(sparsix.manifest, "build_index", pytest.fail)
+        ensemble, cb, idx = load_serving(path, index=False)
+        assert idx is None and len(ensemble.models) == 2 and cb.codes.shape == (40, 2)
+
+    @pytest.mark.parametrize("fault", list(BLOB_FAULTS))
+    def test_blob_fault_raises_as_the_serial_load(self, tmp_path, fault):
+        path = save_untrained(tmp_path / "e", 3, f=64, h=6, b=8, n=40)
+        BLOB_FAULTS[fault](path, 1)
+        threads = threading.active_count()
+        serial = raised(lambda: load_ensemble(path))
+        assert raised(lambda: load_serving(path, index=True)) == serial
+        assert threading.active_count() == threads
+        assert "chunk_0001.bin" in serial[1]
+
+    @pytest.mark.parametrize(
+        "first, second", [(a, b) for a in BLOB_FAULTS for b in BLOB_FAULTS if a != b]
+    )
+    def test_first_bad_blob_in_manifest_order_wins(self, tmp_path, first, second):
+        path = save_untrained(tmp_path / "e", 4, f=64, h=6, b=8, n=40)
+        BLOB_FAULTS[first](path, 1)
+        BLOB_FAULTS[second](path, 2)
+        threads = threading.active_count()
+        error = raised(lambda: load_serving(path, index=True))
+        assert error == raised(lambda: load_ensemble(path))
+        assert threading.active_count() == threads
+        assert "chunk_0001.bin" in error[1] and "chunk_0002.bin" not in error[1]
+
+    @pytest.mark.parametrize("limit, m", [(-1, None), (0, 9)])
+    def test_refused_before_any_blob_or_table(self, tmp_path, monkeypatch, limit, m):
+        """An engine over memory, or an m above B = 8, reads no blob and builds nothing."""
+        path = save_untrained(tmp_path / "e", 2, f=64, h=6, b=8, n=40)
+        need = _loading_bytes(load_manifest(path))
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: need + limit)
+        monkeypatch.setattr(sparsix.manifest, "_load_blob", pytest.fail)
+        monkeypatch.setattr(sparsix.manifest, "build_codebook", pytest.fail)
+        threads = threading.active_count()
+        message = "m must be in \\[1, 8\\], got 9" if m else "GiB but this machine has"
+        with pytest.raises(ValueError, match=message):
+            load_serving(path, index=True, m=m)
+        assert threading.active_count() == threads
+
+    def test_m_up_to_b_is_served(self, tmp_path):
+        path = save_untrained(tmp_path / "e", 2, f=64, h=6, b=8, n=40)
+        load_serving(path, index=True, m=8)
+
+    @pytest.mark.parametrize(
+        "k, f, h, b, n",
+        [(4, 100_000, 16, 32, 50), (4, 512, 16, 256, 300_000)],
+        ids=["wide-F-small-N", "large-N"],
+    )
+    def test_traced_peak_within_the_estimate(self, tmp_path, k, f, h, b, n):
+        """Two shapes: K + 1 models dominate the first, the codebook and index the
+        second.  Each peak lies between what must be held and the estimate."""
+        path = save_untrained(tmp_path / "e", k, f, h, b, n)
+        manifest = load_manifest(path)
+        _, peak = traced_peak(lambda: load_serving(path, index=True))
+        models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
+        tables = 4 * n * k + k * (4 * n + 8 * (b + 1))
+        assert max(models, tables) <= peak <= _loading_bytes(manifest)
 
 
 class TestOlderManifests:
