@@ -102,9 +102,12 @@ _DEFAULTS = {key: default for key, (_, default) in CONFIG_KEYS.items() if defaul
 
 def _configs(values: dict, num_labels: int) -> tuple[CodeConfig, EngineConfig, TrainConfig]:
     """The code, engine and train configs of config ``values``; each checks its fields' ranges."""
-    code = CodeConfig(
-        num_labels, values["num_chunks"], values["buckets_per_chunk"], values["code_seed"]
-    )
+    try:
+        code = CodeConfig(
+            num_labels, values["num_chunks"], values["buckets_per_chunk"], values["code_seed"]
+        )
+    except ValueError as exc:  # CodeConfig's base_seed is the config's code_seed
+        raise ValueError(str(exc).replace("base_seed", "code_seed")) from None
     # every field of these two configs is a config key of the same name
     engine, train_cfg = (
         cls(**{f.name: values[f.name] for f in fields(cls)}) for cls in (EngineConfig, TrainConfig)

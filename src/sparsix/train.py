@@ -6,14 +6,18 @@ from its own derived seed.  A chunk's trained parameters are a pure function
 of (block, targets, engine config, train config, chunk), so running
 the K chunks serially or across a process pool yields bit-identical models.
 Parallelism is across chunks only; within a chunk, batches are processed
-sequentially in a fixed order, and each pool worker runs NumPy's BLAS on one
-thread.
+sequentially in a fixed order, and every chunk, in a pool or a serial run,
+runs NumPy's BLAS on one thread.
 
 Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
 arrays and its CSR target matrix, which :func:`train_all` builds from the
-caller's codebook; no chunk sees a codebook.  A chunk hashes the block's token
-ids in one call into its CSR input matrix; the block's offsets are the row
-pointers of both.  Each epoch permutes both once, and each batch slices them and
+caller's codebook; no chunk sees a codebook.  The block reaches a process once,
+when :func:`_start_worker` starts it, and a chunk's payload carries only its
+targets and configs.  A pool forked from the caller shares the caller's block
+pages; a spawned pool unpickles one copy per worker; a serial run starts the
+caller itself as its one worker.  A chunk hashes the block's token ids in one
+call into its CSR input matrix; the block's offsets are the row pointers of
+both.  Each epoch permutes both once, and each batch slices them and
 takes one :func:`model.batch_step`, the only loss-and-gradient code in the
 package, in float32 (``model.PARAM_DTYPE``).
 
@@ -28,6 +32,7 @@ is the OR of the document's label codes for that chunk.
 """
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import logging
 import os
@@ -191,7 +196,8 @@ def train_chunk(
     return full, curve
 
 
-# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
+# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name
+# it; each has a getter of the same name with "_get_" for "_set_"
 _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
     "openblas_set_num_threads64_",
@@ -214,31 +220,66 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _one_blas_thread() -> bool:
-    """Pool initializer: run NumPy's OpenBLAS on one thread in this worker.
+def _blas_threads(count: int) -> int | None:
+    """Run NumPy's OpenBLAS on ``count`` threads in this process; returns the count before.
 
-    Training runs in parallel across chunks, one process each.  A BLAS thread
-    pool inside every worker oversubscribes the cores: its idle threads spin
-    while the other workers wait for a core.  With two workers on a 2-vCPU VM
-    a chunk took three times as long, by a factor that changed from run to
-    run.  The thread count does not change the learned bytes.  Returns False,
-    and changes nothing, where NumPy uses another BLAS or none is found.
+    Returns None, and changes nothing, where NumPy uses another BLAS or none is found.
     """
     lib = _numpy_openblas()
     for name in _OPENBLAS_SETTERS:
         setter = getattr(lib, name, None)
         if setter is not None:
-            setter(1)
-            return True
-    return False
+            getter = getattr(lib, name.replace("_set_", "_get_"))
+            # void set(int) and int get(void), in every OpenBLAS interface
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            before = getter()
+            setter(count)
+            return before
+    return None
+
+
+_block: DocBlock | None = None  # the block this process's chunks train on
+
+
+def _start_worker(block: DocBlock) -> int | None:
+    """Pool initializer: keep ``block`` for this process's chunks, and run BLAS on one thread.
+
+    Training runs in parallel across chunks, one process each.  A BLAS thread
+    pool inside every worker oversubscribes the cores: its idle threads spin
+    while the other workers wait for a core.  With two workers on a 2-vCPU VM
+    a chunk took three times as long, by a factor that changed from run to
+    run.  A float32 product summed across threads also has other bits, at
+    shapes as small as a batch of 1000 rows, H 512 and B 2048, so a chunk
+    trains at one thread in a pool and in a serial run alike.  Returns the
+    thread count before, as :func:`_blas_threads` does.
+    """
+    global _block
+    _block = block
+    return _blas_threads(1)
+
+
+@contextlib.contextmanager
+def _caller_as_worker(block: DocBlock) -> Iterator[None]:
+    """The calling process as the one worker of a serial run; its thread count comes back."""
+    global _block
+    before = _start_worker(block)
+    try:
+        yield
+    finally:
+        _block = None
+        if before is not None:
+            _blas_threads(before)
 
 
 def _train_chunk_task(
-    payload: tuple[int, DocBlock, sp.csr_matrix, EngineConfig, TrainConfig],
+    payload: tuple[int, sp.csr_matrix, EngineConfig, TrainConfig],
 ) -> tuple[ChunkModel, list[float], float]:
-    """Process-pool entry point: :func:`train_chunk` on one payload, and its seconds."""
+    """Process-pool entry point: :func:`train_chunk` on one payload and this process's
+    block, and its seconds."""
     t0 = time.perf_counter()
-    model, curve = train_chunk(*payload)
+    chunk, targets, engine, cfg = payload
+    model, curve = train_chunk(chunk, _block, targets, engine, cfg)
     return model, curve, time.perf_counter() - t0
 
 
@@ -250,8 +291,8 @@ def _training_bytes(
 
     ``min(workers, k)`` chunks run at once.  Each holds its training steps'
     state (:func:`model.step_bytes`, whose live rows are at most the block's
-    distinct token ids) and, throughout, its copies of the block and its
-    targets, its CSR inputs, built in float64 and then cast, their renumbered
+    distinct token ids) and, throughout, a copy of the block, its targets, its
+    CSR inputs, built in float64 and then cast, their renumbered
     columns, and each epoch's permuted copies of its inputs and targets.
     Beside them are the caller's codebook (:func:`codes.codebook_bytes`), the
     targets of the payloads in flight (a value and column per label, an offset
@@ -259,6 +300,12 @@ def _training_bytes(
     the chunks have ended, :func:`manifest.save_ensemble` builds one blob at a
     time in their place, a model's bytes (:func:`model.save_model`), which is
     less than any running chunk's share.
+
+    Under ``spawn`` or ``forkserver`` each worker holds the block it unpickled
+    when it started, the copy counted here.  A ``fork`` worker shares the
+    caller's block pages, which no chunk writes, and a serial run trains on the
+    caller's own block, so there the estimate counts one block per running
+    chunk more than is held.
     """
     k, b = code.num_chunks, code.buckets_per_chunk
     item = PARAM_DTYPE.itemsize
@@ -303,8 +350,12 @@ def train_all(
     Rows without labels cannot produce a target, so they are dropped and
     counted.  ``cfg.workers`` chunks run concurrently in separate processes;
     results are bit-identical to the serial run because every chunk executes
-    the same sequential code path either way.  A run whose estimated bytes
-    exceed the machine's memory fails before it allocates any.
+    the same sequential code path, at one BLAS thread, either way.  A serial
+    run trains in the calling process, started as a worker: the process-wide
+    thread count is one until the run returns or raises, and is then put back,
+    so two threads of one process must not train serially at once.  A run
+    whose estimated bytes exceed the machine's memory fails before it
+    allocates any.
     """
     if not isinstance(documents, DocBlock):
         documents = DocBlock.from_documents(documents)
@@ -318,13 +369,14 @@ def train_all(
     check_memory(block, cb.config, engine, cfg)
     k = cb.config.num_chunks
     workers = min(cfg.workers, k)
-    payloads = ((c, block, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
+    payloads = ((c, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
     if workers == 1:
-        results = [_train_chunk_task(payload) for payload in payloads]
+        with _caller_as_worker(block):
+            results = [_train_chunk_task(payload) for payload in payloads]
     else:
         # at most `workers` payloads, and so targets, are alive at a time: the
         # next chunk's targets are built only once a running chunk has finished
-        with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
+        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
             futures, running = [], set()
             for _ in range(k):
                 if len(running) == workers:

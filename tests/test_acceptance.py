@@ -42,6 +42,7 @@ from sparsix.manifest import load_ensemble, save_ensemble
 from sparsix.metrics import evaluate
 from sparsix.model import grad_check, init_model, save_model
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
+from sparsix.train import _numpy_openblas
 
 
 def emit(capsys, name: str, ok: bool, detail: str) -> None:
@@ -238,8 +239,29 @@ def test_criterion_5_basis_equivalence(capsys):
     )
 
 
+def _openblas_threads(count: int | None = None) -> int | None:
+    """NumPy's OpenBLAS thread count, first set to ``count`` if given; None without OpenBLAS."""
+    lib = _numpy_openblas()
+    for name in (
+        "scipy_openblas_get_num_threads64_",
+        "openblas_get_num_threads64_",
+        "openblas_get_num_threads",
+    ):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            if count is not None:
+                getattr(lib, name.replace("_get_", "_set_"))(count)
+            return getter()
+    return None
+
+
 def test_criterion_6_parallel_identity(capsys):
-    """Worker count never changes the learned bytes."""
+    """Worker count never changes the learned bytes, also where OpenBLAS threads a product.
+
+    The wide shape's float32 products differ between one BLAS thread and two, so
+    the caller runs at two threads first and a serial run must train at one; the
+    caller's count must be back at two afterwards.
+    """
     t0 = time.perf_counter()
     train_docs, _, _ = make_separable_corpus(
         num_labels=40,
@@ -261,14 +283,37 @@ def test_criterion_6_parallel_identity(capsys):
         return [save_model(model) for model in ensemble.models]
 
     pairs = list(zip(blob_bytes(serial.ensemble), blob_bytes(parallel.ensemble)))
-    identical = all(x == y for x, y in pairs)
+    small_seconds = time.perf_counter() - t0
+
+    t1 = time.perf_counter()
+    wide_docs, _, _ = make_separable_corpus(num_labels=200, docs_per_label=20)
+    wide_cb = build_codebook(CodeConfig(200, 2, 2048, base_seed=3))
+    wide = EngineConfig(feature_dim=8192, hidden_dim=512, feature_seed=1, init_seed=2)
+    before = _openblas_threads()
+    caller = _openblas_threads(2)
+    try:
+        wide_runs = [
+            train_all(wide_docs, wide_cb, wide, TrainConfig(epochs=1, batch_size=1000, workers=w))
+            for w in (1, 2)
+        ]
+        after = _openblas_threads()
+    finally:
+        if before is not None:
+            _openblas_threads(before)
+    wide_pairs = list(zip(*(blob_bytes(run.ensemble) for run in wide_runs)))
+    wide_seconds = time.perf_counter() - t1
+
+    same, wide_same = (sum(x == y for x, y in p) for p in (pairs, wide_pairs))
     elapsed = time.perf_counter() - t0
     emit(
         capsys,
         "criterion-6 parallel-identity",
-        identical and elapsed < 120.0,
-        f"{len(pairs)} chunk blobs bit-identical between workers=1 and workers={k}, "
-        f"{elapsed:.1f}s < 120s",
+        same == len(pairs) and wide_same == len(wide_pairs) and after == caller
+        and elapsed < 120.0,
+        f"{same}/{len(pairs)} chunk blobs bit-identical between workers=1 and workers={k} "
+        f"({small_seconds:.1f}s), {wide_same}/{len(wide_pairs)} at H=512, B=2048 between "
+        f"workers=1 and 2 with the caller at {caller} BLAS threads, {after} after "
+        f"({wide_seconds:.1f}s), {elapsed:.1f}s < 120s",
     )
 
 

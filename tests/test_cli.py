@@ -892,6 +892,12 @@ class TestExitCodes:
                 "buckets_per_chunk = 0",
                 "buckets_per_chunk must be an integer in [2, 2147483648], got 0",
             ),
+            # the config key, not CodeConfig's field of the same value
+            (
+                "code_seed = 18446744073709551616",
+                "code_seed must be an integer in [0, 18446744073709551615], "
+                "got 18446744073709551616",
+            ),
         ],
     )
     def test_value_out_of_range_names_its_line(

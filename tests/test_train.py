@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
+import multiprocessing
 import os
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -295,6 +298,30 @@ def _chunk_task_reporting_blas_threads(payload):
     return model, curve, _blas_threads()
 
 
+def _chunk_task_reporting_payload_bytes(payload):
+    """A chunk task whose last field is its payload's pickled size."""
+    model, curve, _ = _CHUNK_TASK(payload)
+    return model, curve, len(pickle.dumps(payload))
+
+
+@pytest.fixture
+def spawned_pools():
+    """Pools start their workers by ``spawn``, as macOS and Python 3.14 do by default."""
+    before = multiprocessing.get_start_method(allow_none=True)
+    multiprocessing.set_start_method("spawn", force=True)
+    try:
+        yield
+    finally:
+        multiprocessing.set_start_method(before, force=True)
+
+
+_START_WORKER = train._start_worker
+
+
+def _chunk_task_failing(payload):
+    raise RuntimeError("chunk failed")
+
+
 EVENT_LOG_ENV = "SPARSIX_TEST_EVENT_LOG"
 
 
@@ -430,6 +457,74 @@ class TestTrainAll:
         monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_blas_threads)
         result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
         assert result.chunk_seconds == [1, 1]
+
+    @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
+    def test_serial_run_trains_at_one_thread_and_puts_the_callers_back(self, monkeypatch):
+        """At two threads in the caller, each chunk runs at one, and then the caller is at two."""
+        cb, eng, docs = small_setup(num_chunks=2)
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_blas_threads)
+        before = train._blas_threads(2)
+        try:
+            result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=1))
+            assert result.chunk_seconds == [1, 1]
+            assert _blas_threads() == 2
+            monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_failing)
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=1))
+            assert _blas_threads() == 2
+        finally:
+            train._blas_threads(before)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_payload_carries_no_block(self, monkeypatch, workers):
+        """A chunk's pickled payload, its targets and configs, is under a tenth of the block."""
+        cb, eng, _ = small_setup(num_chunks=2)
+        rng = np.random.default_rng(5)
+        docs = [
+            make_document(i, [(int(t), 1) for t in rng.choice(5000, 40, replace=False)], [i % 40])
+            for i in range(1000)
+        ]
+        block = DocBlock.from_documents(docs)
+        block_bytes = sum(getattr(block, f.name).nbytes for f in dataclasses.fields(block))
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_payload_bytes)
+        cfg = TrainConfig(epochs=1, batch_size=100, workers=workers)
+        sizes = train_all(block, cb, eng, cfg).chunk_seconds
+        assert len(sizes) == 2 and max(sizes) < block_bytes / 10, (sizes, block_bytes)
+
+    def test_spawned_pool_trains_the_serial_bytes(self, spawned_pools):
+        """Spawned workers unpickle the block once each, as they start, and learn the same bytes."""
+        cb, eng, docs = small_setup(num_chunks=3)
+        runs = [
+            train_all(docs, cb, eng, TrainConfig(epochs=2, batch_size=16, workers=workers))
+            for workers in (1, 2)
+        ]
+        serial, spawned = ([save_model(m) for m in r.ensemble.models] for r in runs)
+        assert len(serial) == 3 and serial == spawned
+        assert runs[0].loss_curves == runs[1].loss_curves
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_serial_run_keeps_no_block(self, monkeypatch, fails):
+        """Once a serial run returns or raises, nothing holds the block its chunks trained on."""
+        cb, eng, docs = small_setup(num_chunks=2)
+        started = []
+
+        def start_worker(block):
+            started.append(weakref.ref(block))
+            return _START_WORKER(block)
+
+        monkeypatch.setattr(train, "_start_worker", start_worker)
+        # an unlabeled row, so train_all trains on a block of its own
+        documents = DocBlock.from_documents([*docs, make_document(50, [(1, 1)], [])])
+        cfg = TrainConfig(epochs=1, batch_size=16, workers=1)
+        if fails:
+            monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_failing)
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                train_all(documents, cb, eng, cfg)
+        else:
+            train_all(documents, cb, eng, cfg)
+        gc.collect()
+        assert len(started) == 1 and started[0]() is None
+        assert train._block is None
 
     def test_unlabeled_documents_skipped_and_counted(self, tmp_path):
         """A read block and a parsed document list lose the same rows and train the same bytes."""
