@@ -185,7 +185,10 @@ def _stdout_guarded(write, *args) -> None:
 
 
 def _print(line: str) -> None:
+    # flushed here, where a closed reader is guarded: a training pool flushes
+    # stdout unguarded before it starts a worker
     _stdout_guarded(print, line)
+    _stdout_guarded(sys.stdout.flush)
 
 
 def _train(
@@ -589,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return EXIT_RUNTIME
     finally:
-        # a block-buffered stdout meets a closed reader only here, or at exit
+        # stdout written past _print meets a closed reader here, not at exit
         _stdout_guarded(sys.stdout.flush)
 
 

@@ -3,23 +3,22 @@
 Each chunk trains independently: its targets come from its own codebook
 column, its inputs from its own feature-hash seed, and its shuffle order
 from its own derived seed.  A chunk's trained parameters are a pure function
-of (block, targets, engine config, train config, chunk), so running
-the K chunks serially or across a process pool yields bit-identical models.
-Parallelism is across chunks only; within a chunk, batches are processed
-sequentially in a fixed order, and every chunk, in a pool or a serial run,
-runs NumPy's BLAS on one thread.
+of (block, targets, engine config, train config, chunk), so any number of
+worker processes yields bit-identical models.  Parallelism is across chunks
+only; within a chunk, batches are processed sequentially in a fixed order.
+Every chunk trains in a worker process at one BLAS thread, in a run with one
+worker too, so the caller's BLAS thread count is never touched.
 
 Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
 arrays and its CSR target matrix, which :func:`train_all` builds from the
 caller's codebook; no chunk sees a codebook.  The block reaches a process once,
 when :func:`_start_worker` starts it, and a chunk's payload carries only its
 targets and configs.  A pool forked from the caller shares the caller's block
-pages; a spawned pool unpickles one copy per worker; a serial run starts the
-caller itself as its one worker.  A chunk hashes the block's token ids in one
-call into its CSR input matrix; the block's offsets are the row pointers of
-both.  Each epoch permutes both once, and each batch slices them and
-takes one :func:`model.batch_step`, the only loss-and-gradient code in the
-package, in float32 (``model.PARAM_DTYPE``).
+pages; a spawned pool unpickles one copy per worker.  A chunk hashes the
+block's token ids in one call into its CSR input matrix; the block's offsets
+are the row pointers of both.  Each epoch permutes both once, and each batch
+slices them and takes one :func:`model.batch_step`, the only
+loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
 
 A chunk trains only the rows of W1 its inputs reach.  A row that no document
 hashes into gets an exactly zero gradient at every step, so Adam would leave
@@ -32,7 +31,6 @@ is the OR of the document's label codes for that chunk.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import logging
 import os
@@ -196,8 +194,7 @@ def train_chunk(
     return full, curve
 
 
-# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name
-# it; each has a getter of the same name with "_get_" for "_set_"
+# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
 _OPENBLAS_SETTERS = (
     "scipy_openblas_set_num_threads64_",
     "openblas_set_num_threads64_",
@@ -220,29 +217,25 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     return None
 
 
-def _blas_threads(count: int) -> int | None:
-    """Run NumPy's OpenBLAS on ``count`` threads in this process; returns the count before.
+def _one_blas_thread() -> None:
+    """Run NumPy's OpenBLAS on one thread in this process.
 
-    Returns None, and changes nothing, where NumPy uses another BLAS or none is found.
+    Changes nothing where NumPy uses another BLAS or none is found.
     """
     lib = _numpy_openblas()
     for name in _OPENBLAS_SETTERS:
         setter = getattr(lib, name, None)
         if setter is not None:
-            getter = getattr(lib, name.replace("_set_", "_get_"))
-            # void set(int) and int get(void), in every OpenBLAS interface
+            # void set(int), in every OpenBLAS interface
             setter.argtypes, setter.restype = [ctypes.c_int], None
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            before = getter()
-            setter(count)
-            return before
-    return None
+            setter(1)
+            return
 
 
-_block: DocBlock | None = None  # the block this process's chunks train on
+_block: DocBlock | None = None  # the block this worker process's chunks train on
 
 
-def _start_worker(block: DocBlock) -> int | None:
+def _start_worker(block: DocBlock) -> None:
     """Pool initializer: keep ``block`` for this process's chunks, and run BLAS on one thread.
 
     Training runs in parallel across chunks, one process each.  A BLAS thread
@@ -250,26 +243,12 @@ def _start_worker(block: DocBlock) -> int | None:
     while the other workers wait for a core.  With two workers on a 2-vCPU VM
     a chunk took three times as long, by a factor that changed from run to
     run.  A float32 product summed across threads also has other bits, at
-    shapes as small as a batch of 1000 rows, H 512 and B 2048, so a chunk
-    trains at one thread in a pool and in a serial run alike.  Returns the
-    thread count before, as :func:`_blas_threads` does.
+    shapes as small as a batch of 1000 rows, H 512 and B 2048, so every chunk
+    trains at one thread, whatever the number of workers.
     """
     global _block
     _block = block
-    return _blas_threads(1)
-
-
-@contextlib.contextmanager
-def _caller_as_worker(block: DocBlock) -> Iterator[None]:
-    """The calling process as the one worker of a serial run; its thread count comes back."""
-    global _block
-    before = _start_worker(block)
-    try:
-        yield
-    finally:
-        _block = None
-        if before is not None:
-            _blas_threads(before)
+    _one_blas_thread()
 
 
 def _train_chunk_task(
@@ -303,9 +282,8 @@ def _training_bytes(
 
     Under ``spawn`` or ``forkserver`` each worker holds the block it unpickled
     when it started, the copy counted here.  A ``fork`` worker shares the
-    caller's block pages, which no chunk writes, and a serial run trains on the
-    caller's own block, so there the estimate counts one block per running
-    chunk more than is held.
+    caller's block pages, which no chunk writes, so there the estimate counts
+    one block per running chunk more than is held.
     """
     k, b = code.num_chunks, code.buckets_per_chunk
     item = PARAM_DTYPE.itemsize
@@ -348,13 +326,15 @@ def train_all(
     """Train all chunks with zero shared mutable state.
 
     Rows without labels cannot produce a target, so they are dropped and
-    counted.  ``cfg.workers`` chunks run concurrently in separate processes;
-    results are bit-identical to the serial run because every chunk executes
-    the same sequential code path, at one BLAS thread, either way.  A serial
-    run trains in the calling process, started as a worker: the process-wide
-    thread count is one until the run returns or raises, and is then put back,
-    so two threads of one process must not train serially at once.  A run
-    whose estimated bytes exceed the machine's memory fails before it
+    counted.  ``min(cfg.workers, K)`` chunks run concurrently in worker
+    processes, and a run with one worker starts a pool of one; results are
+    bit-identical at any worker count because every chunk executes the same
+    sequential code path at one BLAS thread.  The calling process trains
+    nothing, so its BLAS thread count is never touched.  Under the ``spawn`` and ``forkserver``
+    start methods a calling script needs an ``if __name__ == "__main__":``
+    guard, and the workers' per-epoch log lines do not reach the caller's
+    handlers.  A daemonic process cannot train, since it cannot start workers.
+    A run whose estimated bytes exceed the machine's memory fails before it
     allocates any.
     """
     if not isinstance(documents, DocBlock):
@@ -370,19 +350,15 @@ def train_all(
     k = cb.config.num_chunks
     workers = min(cfg.workers, k)
     payloads = ((c, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
-    if workers == 1:
-        with _caller_as_worker(block):
-            results = [_train_chunk_task(payload) for payload in payloads]
-    else:
-        # at most `workers` payloads, and so targets, are alive at a time: the
-        # next chunk's targets are built only once a running chunk has finished
-        with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
-            futures, running = [], set()
-            for _ in range(k):
-                if len(running) == workers:
-                    running = wait(running, return_when=FIRST_COMPLETED).not_done
-                futures.append(pool.submit(_train_chunk_task, next(payloads)))
-                running.add(futures[-1])
-            results = [future.result() for future in futures]
+    # at most `workers` payloads, and so targets, are alive at a time: the
+    # next chunk's targets are built only once a running chunk has finished
+    with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
+        futures, running = [], set()
+        for _ in range(k):
+            if len(running) == workers:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            futures.append(pool.submit(_train_chunk_task, next(payloads)))
+            running.add(futures[-1])
+        results = [future.result() for future in futures]
     models, curves, seconds = (list(column) for column in zip(*results))
     return TrainResult(ChunkEnsemble(cb.config, engine, models), curves, skipped, seconds)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import openblas_threads
 from sparsix.codes import (
     CodeConfig,
     LabelCodebook,
@@ -42,7 +43,6 @@ from sparsix.manifest import load_ensemble, save_ensemble
 from sparsix.metrics import evaluate
 from sparsix.model import grad_check, init_model, save_model
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
-from sparsix.train import _numpy_openblas
 
 
 def emit(capsys, name: str, ok: bool, detail: str) -> None:
@@ -86,7 +86,7 @@ def learned_engine():
     )
     cb = build_codebook(CodeConfig(LEARN_N, LEARN_K, LEARN_B, base_seed=42))
     engine = EngineConfig(feature_dim=8192, hidden_dim=64, feature_seed=1, init_seed=2)
-    cfg = TrainConfig(epochs=10, batch_size=200, lr=2e-3, shuffle_seed=3)
+    cfg = TrainConfig(epochs=10, batch_size=200, lr=2e-3, shuffle_seed=3, workers=2)
     result = train_all(train_docs, cb, engine, cfg)
     idx = build_index(cb)
     return LearnedEngine(
@@ -239,28 +239,12 @@ def test_criterion_5_basis_equivalence(capsys):
     )
 
 
-def _openblas_threads(count: int | None = None) -> int | None:
-    """NumPy's OpenBLAS thread count, first set to ``count`` if given; None without OpenBLAS."""
-    lib = _numpy_openblas()
-    for name in (
-        "scipy_openblas_get_num_threads64_",
-        "openblas_get_num_threads64_",
-        "openblas_get_num_threads",
-    ):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            if count is not None:
-                getattr(lib, name.replace("_get_", "_set_"))(count)
-            return getter()
-    return None
-
-
 def test_criterion_6_parallel_identity(capsys):
     """Worker count never changes the learned bytes, also where OpenBLAS threads a product.
 
     The wide shape's float32 products differ between one BLAS thread and two, so
-    the caller runs at two threads first and a serial run must train at one; the
-    caller's count must be back at two afterwards.
+    the caller runs at two threads first and every run must train at one; the
+    caller's count must be untouched, at two, afterwards.
     """
     t0 = time.perf_counter()
     train_docs, _, _ = make_separable_corpus(
@@ -289,17 +273,17 @@ def test_criterion_6_parallel_identity(capsys):
     wide_docs, _, _ = make_separable_corpus(num_labels=200, docs_per_label=20)
     wide_cb = build_codebook(CodeConfig(200, 2, 2048, base_seed=3))
     wide = EngineConfig(feature_dim=8192, hidden_dim=512, feature_seed=1, init_seed=2)
-    before = _openblas_threads()
-    caller = _openblas_threads(2)
+    before = openblas_threads()
+    caller = openblas_threads(2)
     try:
         wide_runs = [
             train_all(wide_docs, wide_cb, wide, TrainConfig(epochs=1, batch_size=1000, workers=w))
             for w in (1, 2)
         ]
-        after = _openblas_threads()
+        after = openblas_threads()
     finally:
         if before is not None:
-            _openblas_threads(before)
+            openblas_threads(before)
     wide_pairs = list(zip(*(blob_bytes(run.ensemble) for run in wide_runs)))
     wide_seconds = time.perf_counter() - t1
 
@@ -312,7 +296,7 @@ def test_criterion_6_parallel_identity(capsys):
         and elapsed < 120.0,
         f"{same}/{len(pairs)} chunk blobs bit-identical between workers=1 and workers={k} "
         f"({small_seconds:.1f}s), {wide_same}/{len(wide_pairs)} at H=512, B=2048 between "
-        f"workers=1 and 2 with the caller at {caller} BLAS threads, {after} after "
+        f"workers=1 and 2 with the caller at {caller} BLAS threads, untouched at {after} after "
         f"({wide_seconds:.1f}s), {elapsed:.1f}s < 120s",
     )
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import sparsix.codes
@@ -1161,6 +1161,118 @@ class TestAnyBadField:
         else:
             run(["train", *argv], limit=0)
         assert not (tmp_path / "trained").exists()
+
+
+# What a byte edit inserts: bytes that end, split or comment out a field, start
+# a JSON value, or are no UTF-8, no ASCII digit, or a value out of any range
+EDIT_TOKENS = (
+    b"\x00", b"\xff", b"\xc3", b"\n", b"\r", b"\x0c", b" ", b"\t", b"#", b"=", b":", b",",
+    b"-", b"+", b"_", b".", b"0", b"9", b"e", b'"', b"{", b"[", b"null", b"\xd9\xa2",
+    b"99999999999999999999999999",
+)
+
+
+@st.composite
+def byte_edits(draw, raw: bytes) -> bytes:
+    """``raw`` after 1-4 edits, each a deletion, an inserted token, an overwritten byte or a cut."""
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(raw)))
+        kind = draw(st.sampled_from(["delete", "insert", "overwrite", "cut"]))
+        if kind == "delete":
+            raw = raw[:at] + raw[at + draw(st.integers(1, 8)) :]
+        elif kind == "insert":
+            raw = raw[:at] + draw(st.sampled_from(EDIT_TOKENS)) + raw[at:]
+        elif kind == "overwrite":
+            raw = raw[:at] + draw(st.binary(min_size=1, max_size=1)) + raw[at + 1 :]
+        else:
+            raw = raw[:at]
+    return raw
+
+
+class LongRun(BaseException):
+    """A training run the fuzz stops before its chunks train: no ``except Exception`` takes it."""
+
+
+_TRAIN_ALL = train_mod.train_all
+
+
+def bounded_train_all(block, cb, engine, cfg):
+    """``train_all``, unless it would take over 1,000 steps (the desk config takes 40) or
+    10**7 multiply-adds (about 120 times the desk config's): then ``LongRun``.  No config
+    integer has an upper bound, so an edit can ask for a run of years, ``epochs =
+    99999999999999999999999991`` say."""
+    rows, k, b = block.label_offsets.size - 1, cb.config.num_chunks, cb.config.buckets_per_chunk
+    steps = k * cfg.epochs * -(-rows // cfg.batch_size)
+    work = k * engine.hidden_dim * (engine.feature_dim + cfg.epochs * rows * b)
+    if steps > 1000 or work > 10**7:
+        raise LongRun
+    return _TRAIN_ALL(block, cb, engine, cfg)
+
+
+class TestByteEdits:
+    """1-4 byte edits to the corpus, the config or the manifest one command reads.
+
+    Every run exits 0, 1 or 3, never with a traceback, and a failing run prints
+    an ``error:`` line and leaves ``--out`` as it was.  Two outcomes are by
+    design: a huge ``lr`` exits 2 with the non-finite-gradient error, and a huge
+    ``epochs`` (or any edit that multiplies training's work) is a long run,
+    which ``bounded_train_all`` stops before it trains.  Memory is patched to
+    64 MiB, about 60 times what the desk config trains in, so no edit that grows
+    an engine allocates much.
+    """
+
+    INPUTS = [
+        ("predict", "corpus"),
+        ("predict", "manifest"),
+        ("eval", "corpus"),
+        ("eval", "manifest"),
+        ("train", "corpus"),
+        ("train", "config"),
+    ]
+
+    @settings(max_examples=300, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), command_input=st.sampled_from(INPUTS))
+    def test_runs_fail_cleanly(self, workspace, tmp_path, monkeypatch, capsys, data, command_input):
+        command, edited = command_input
+        run = tmp_path / "run"
+        shutil.rmtree(run, ignore_errors=True)
+        shutil.copytree(workspace / "engine", run / "engine")
+        for name in ("train.txt", "test.txt"):
+            shutil.copy(workspace / name, run / name)
+        config = with_settings(DESK_CONFIG, "out_dir = trained")
+        (run / "desk.cfg").write_text(config, encoding="utf-8")
+        path = {
+            "corpus": run / ("train.txt" if command == "train" else "test.txt"),
+            "config": run / "desk.cfg",
+            "manifest": run / "engine" / "manifest.json",
+        }[edited]
+        path.write_bytes(data.draw(byte_edits(path.read_bytes())))
+        out = run / "out"
+        out.write_bytes(b"keep\n")
+        argv = {
+            "predict": ["--manifest", str(run / "engine" / "manifest.json"),
+                        "--corpus", str(run / "test.txt"), "--m", "4", "--out", str(out)],
+            "eval": ["--manifest", str(run / "engine" / "manifest.json"),
+                     "--corpus", str(run / "test.txt"), "--m", "4", "--json", str(out)],
+            "train": ["--config", str(run / "desk.cfg")],
+        }[command]
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: 64 * 2**20)
+        monkeypatch.setattr(train_mod, "train_all", bounded_train_all)
+
+        try:
+            rc = main([command, *argv])
+        except LongRun:
+            rc = None
+        err = capsys.readouterr().err
+        outcome = "a long run" if rc is None else f"exit {rc}"
+        event(f"{command} with an edited {edited}: {outcome}")
+        assert "Traceback" not in err, err
+        if rc is None or rc == EXIT_RUNTIME and "non-finite gradient" in err:
+            return  # the two outcomes by design
+        assert rc in (EXIT_OK, EXIT_VALIDATION, EXIT_VERIFY), err
+        if rc != EXIT_OK:
+            assert "error: " in err and out.read_bytes() == b"keep\n", err
 
 
 def run_into_closed_reader(argv: list[str], unbuffered: bool) -> subprocess.CompletedProcess:

@@ -2,20 +2,18 @@
 from __future__ import annotations
 
 import dataclasses
-import gc
 import hashlib
 import multiprocessing
 import os
 import pickle
 import time
-import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 import sparsix.model as model_mod
-from conftest import traced_peak
+from conftest import openblas_threads, traced_peak
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook
 from sparsix.corpus import parse_corpus, read_block, write_corpus
@@ -277,25 +275,13 @@ class TestDocBlock:
         assert len(pickle.dumps(block)) <= sum(a.nbytes for a in arrays) + 4096
 
 
-def _blas_threads() -> int:
-    lib = _numpy_openblas()
-    for name in (
-        "scipy_openblas_get_num_threads64_",
-        "openblas_get_num_threads64_",
-        "openblas_get_num_threads",
-    ):
-        if hasattr(lib, name):
-            return getattr(lib, name)()
-    raise LookupError("no OpenBLAS thread-count getter")
-
-
 _CHUNK_TASK = train._train_chunk_task
 
 
 def _chunk_task_reporting_blas_threads(payload):
     """A chunk task whose last field is the worker's BLAS thread count."""
     model, curve, _ = _CHUNK_TASK(payload)
-    return model, curve, _blas_threads()
+    return model, curve, openblas_threads()
 
 
 def _chunk_task_reporting_payload_bytes(payload):
@@ -313,9 +299,6 @@ def spawned_pools():
         yield
     finally:
         multiprocessing.set_start_method(before, force=True)
-
-
-_START_WORKER = train._start_worker
 
 
 def _chunk_task_failing(payload):
@@ -413,7 +396,7 @@ class TestTrainAll:
         assert serial.loss_curves == parallel.loss_curves
 
     def test_parallel_matches_serial_bitwise_at_threaded_blas_sizes(self):
-        """Batches big enough for a multithreaded GEMM in the serial run."""
+        """Batches big enough for a multithreaded GEMM, in a pool of one and of two."""
         cb, eng, docs = small_setup(num_labels=200, num_chunks=2, buckets=256)
         eng = EngineConfig(feature_dim=512, hidden_dim=48, feature_seed=5, init_seed=9)
         serial = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=50, workers=1))
@@ -459,21 +442,35 @@ class TestTrainAll:
         assert result.chunk_seconds == [1, 1]
 
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
-    def test_serial_run_trains_at_one_thread_and_puts_the_callers_back(self, monkeypatch):
-        """At two threads in the caller, each chunk runs at one, and then the caller is at two."""
-        cb, eng, docs = small_setup(num_chunks=2)
-        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_blas_threads)
-        before = train._blas_threads(2)
+    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_leaves_the_caller_untouched(self, monkeypatch, workers, fails):
+        """With the caller at two BLAS threads, every chunk trains at one in a worker; the
+        caller stays at two and keeps no block while it builds targets and once the run ends."""
+        cb, eng, docs = small_setup(num_chunks=3)
+        seen = []
+
+        def targets_in_the_caller(block, cb, chunk):
+            seen.append((openblas_threads(), train._block is None))
+            return _target_matrix(block, cb, chunk)
+
+        monkeypatch.setattr(train, "_target_matrix", targets_in_the_caller)
+        task = _chunk_task_failing if fails else _chunk_task_reporting_blas_threads
+        monkeypatch.setattr(train, "_train_chunk_task", task)
+        cfg = TrainConfig(epochs=1, batch_size=16, workers=workers)
+        before = openblas_threads()
+        openblas_threads(2)
         try:
-            result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=1))
-            assert result.chunk_seconds == [1, 1]
-            assert _blas_threads() == 2
-            monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_failing)
-            with pytest.raises(RuntimeError, match="chunk failed"):
-                train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=1))
-            assert _blas_threads() == 2
+            if fails:
+                with pytest.raises(RuntimeError, match="chunk failed"):
+                    train_all(docs, cb, eng, cfg)
+            else:
+                assert train_all(docs, cb, eng, cfg).chunk_seconds == [1, 1, 1]
+            after = openblas_threads()
         finally:
-            train._blas_threads(before)
+            openblas_threads(before)
+        assert seen == [(2, True)] * 3
+        assert after == 2 and train._block is None
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_payload_carries_no_block(self, monkeypatch, workers):
@@ -501,30 +498,6 @@ class TestTrainAll:
         serial, spawned = ([save_model(m) for m in r.ensemble.models] for r in runs)
         assert len(serial) == 3 and serial == spawned
         assert runs[0].loss_curves == runs[1].loss_curves
-
-    @pytest.mark.parametrize("fails", [False, True])
-    def test_serial_run_keeps_no_block(self, monkeypatch, fails):
-        """Once a serial run returns or raises, nothing holds the block its chunks trained on."""
-        cb, eng, docs = small_setup(num_chunks=2)
-        started = []
-
-        def start_worker(block):
-            started.append(weakref.ref(block))
-            return _START_WORKER(block)
-
-        monkeypatch.setattr(train, "_start_worker", start_worker)
-        # an unlabeled row, so train_all trains on a block of its own
-        documents = DocBlock.from_documents([*docs, make_document(50, [(1, 1)], [])])
-        cfg = TrainConfig(epochs=1, batch_size=16, workers=1)
-        if fails:
-            monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_failing)
-            with pytest.raises(RuntimeError, match="chunk failed"):
-                train_all(documents, cb, eng, cfg)
-        else:
-            train_all(documents, cb, eng, cfg)
-        gc.collect()
-        assert len(started) == 1 and started[0]() is None
-        assert train._block is None
 
     def test_unlabeled_documents_skipped_and_counted(self, tmp_path):
         """A read block and a parsed document list lose the same rows and train the same bytes."""
