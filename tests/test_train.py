@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import multiprocessing
 import os
 import pickle
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -305,6 +307,54 @@ def _chunk_task_failing(payload):
     raise RuntimeError("chunk failed")
 
 
+def _run_watching_the_caller(monkeypatch, workers: int, fails: bool):
+    """Runs ``train_all`` on a block with an unlabeled row, so that it trains on a block of its
+    own, with each chunk reporting its BLAS thread count, or failing.  Gives the chunks' thread
+    counts (None if the run raised); for each chunk's targets, the caller's thread count and
+    whether it held no worker block; the caller's thread count after the run; and weak
+    references to the blocks the targets were built from."""
+    cb, eng, docs = small_setup(num_chunks=3)
+    seen, built_from = [], []
+
+    def targets_in_the_caller(block, cb, chunk):
+        seen.append((openblas_threads(), train._block is None))
+        built_from.append(weakref.ref(block))
+        return _target_matrix(block, cb, chunk)
+
+    monkeypatch.setattr(train, "_target_matrix", targets_in_the_caller)
+    task = _chunk_task_failing if fails else _chunk_task_reporting_blas_threads
+    monkeypatch.setattr(train, "_train_chunk_task", task)
+    documents = DocBlock.from_documents([*docs, make_document(50, [(1, 1)], [])])
+    cfg = TrainConfig(epochs=1, batch_size=16, workers=workers)
+    chunk_threads = None
+    if fails:
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            train_all(documents, cb, eng, cfg)
+    else:
+        chunk_threads = train_all(documents, cb, eng, cfg).chunk_seconds
+    return chunk_threads, seen, openblas_threads(), built_from
+
+
+def _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers: int) -> None:
+    before = openblas_threads()
+    openblas_threads(2)
+    try:
+        for fails in (False, True):
+            chunk_threads, seen, after, _ = _run_watching_the_caller(monkeypatch, workers, fails)
+            assert chunk_threads == (None if fails else [1, 1, 1])
+            assert [threads for threads, _ in seen] == [2] * 3 and after == 2
+    finally:
+        openblas_threads(before)
+
+
+def _assert_the_caller_keeps_no_block(monkeypatch, workers: int, fails: bool) -> None:
+    _, seen, _, built_from = _run_watching_the_caller(monkeypatch, workers, fails)
+    gc.collect()
+    assert [no_block for _, no_block in seen] == [True] * 3
+    assert len(built_from) == 3 and all(ref() is None for ref in built_from)
+    assert train._block is None
+
+
 EVENT_LOG_ENV = "SPARSIX_TEST_EVENT_LOG"
 
 
@@ -436,41 +486,23 @@ class TestTrainAll:
 
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
-        cb, eng, docs = small_setup(num_chunks=2)
-        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_blas_threads)
-        result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
-        assert result.chunk_seconds == [1, 1]
+        _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers=2)
 
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
-    @pytest.mark.parametrize("fails", [False, True], ids=["returns", "raises"])
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_run_leaves_the_caller_untouched(self, monkeypatch, workers, fails):
-        """With the caller at two BLAS threads, every chunk trains at one in a worker; the
-        caller stays at two and keeps no block while it builds targets and once the run ends."""
-        cb, eng, docs = small_setup(num_chunks=3)
-        seen = []
+    def test_serial_run_trains_at_one_thread_and_puts_the_callers_back(self, monkeypatch):
+        """At two threads in the caller, a one-worker run trains each chunk at one, and the
+        caller builds every chunk's targets at two and is at two once the run returns or raises."""
+        _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers=1)
 
-        def targets_in_the_caller(block, cb, chunk):
-            seen.append((openblas_threads(), train._block is None))
-            return _target_matrix(block, cb, chunk)
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_serial_run_keeps_no_block(self, monkeypatch, fails):
+        """While a one-worker run builds targets, and once it returns or raises, the caller
+        holds no worker block and nothing holds the block its chunks trained on."""
+        _assert_the_caller_keeps_no_block(monkeypatch, workers=1, fails=fails)
 
-        monkeypatch.setattr(train, "_target_matrix", targets_in_the_caller)
-        task = _chunk_task_failing if fails else _chunk_task_reporting_blas_threads
-        monkeypatch.setattr(train, "_train_chunk_task", task)
-        cfg = TrainConfig(epochs=1, batch_size=16, workers=workers)
-        before = openblas_threads()
-        openblas_threads(2)
-        try:
-            if fails:
-                with pytest.raises(RuntimeError, match="chunk failed"):
-                    train_all(docs, cb, eng, cfg)
-            else:
-                assert train_all(docs, cb, eng, cfg).chunk_seconds == [1, 1, 1]
-            after = openblas_threads()
-        finally:
-            openblas_threads(before)
-        assert seen == [(2, True)] * 3
-        assert after == 2 and train._block is None
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_pool_run_keeps_no_block(self, monkeypatch, fails):
+        _assert_the_caller_keeps_no_block(monkeypatch, workers=2, fails=fails)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_payload_carries_no_block(self, monkeypatch, workers):
