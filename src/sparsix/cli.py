@@ -305,11 +305,11 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     with _replacing(args.json) as out:
-        testset = list(parse_corpus(args.corpus))
         ks_precision = _parse_ks(args.ks_precision)
         ks_recall = _parse_ks(args.ks_recall)
         top_k = max(*ks_precision, *ks_recall)
         params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
+        testset = list(parse_corpus(args.corpus))
         ensemble, cb, idx = load_serving(args.manifest, index=True, m=params.m)
         report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
         _print(report.as_text())

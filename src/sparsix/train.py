@@ -3,22 +3,22 @@
 Each chunk trains independently: its targets come from its own codebook
 column, its inputs from its own feature-hash seed, and its shuffle order
 from its own derived seed.  A chunk's trained parameters are a pure function
-of (block, targets, engine config, train config, chunk), so any number of
+of (block, codebook, engine config, train config, chunk), so any number of
 worker processes yields bit-identical models.  Parallelism is across chunks
 only; within a chunk, batches are processed sequentially in a fixed order.
 Every chunk trains in a worker process at one BLAS thread, in a run with one
 worker too, so the caller's BLAS thread count is never touched.
 
-Every chunk gets the labeled corpus as one :class:`features.DocBlock` of flat
-arrays and its CSR target matrix, which :func:`train_all` builds from the
-caller's codebook; no chunk sees a codebook.  The block reaches a process once,
-when :func:`_start_worker` starts it, and a chunk's payload carries only its
-targets and configs.  A pool forked from the caller shares the caller's block
-pages; a spawned pool unpickles one copy per worker.  A chunk hashes the
-block's token ids in one call into its CSR input matrix; the block's offsets
-are the row pointers of both.  Each epoch permutes both once, and each batch
-slices them and takes one :func:`model.batch_step`, the only
-loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
+A worker gets its whole job once, when :func:`_start_worker` starts it: the
+labeled corpus as one :class:`features.DocBlock` of flat arrays, the codebook
+and both configs.  A chunk's payload is its chunk id alone, and the chunk
+builds its own CSR target matrix from its codebook column.  A pool forked from
+the caller shares the caller's pages; a spawned pool unpickles one copy of the
+job per worker.  A chunk hashes the block's token ids in one call into its CSR
+input matrix; the block's offsets are the row pointers of both.  Each epoch
+permutes both once, and each batch slices them and takes one
+:func:`model.batch_step`, the only loss-and-gradient code in the package, in
+float32 (``model.PARAM_DTYPE``).
 
 A chunk trains only the rows of W1 its inputs reach.  A row that no document
 hashes into gets an exactly zero gradient at every step, so Adam would leave
@@ -35,7 +35,7 @@ import ctypes
 import logging
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -128,17 +128,18 @@ def _epoch_batches(
 def train_chunk(
     chunk: int,
     block: DocBlock,
-    targets: sp.csr_matrix,
+    cb: LabelCodebook,
     engine: EngineConfig,
     cfg: TrainConfig,
 ) -> tuple[ChunkModel, list[float]]:
     """Train one chunk's model on every row of ``block``; touches no other chunk's state.
 
-    ``targets`` is the chunk's (rows, B) :func:`_target_matrix`.  Deterministic
-    given (block, targets, configs, chunk): initialization, shuffle order, and
-    batch accumulation order are all seed-derived and sequential.
-    Inputs and targets are cast to ``PARAM_DTYPE`` once, the model is
-    initialised in it, and it comes back in it, the form a loaded blob takes.
+    The targets are the chunk's (rows, B) :func:`_target_matrix` of ``cb``.
+    Deterministic given (block, codebook, configs, chunk): initialization,
+    shuffle order, and batch accumulation order are all seed-derived and sequential.
+    Inputs are cast to ``PARAM_DTYPE`` once, targets are built in it, the
+    model is initialised in it, and it comes back in it, the form a loaded
+    blob takes.
 
     Only the rows of W1 that some input reaches train.  Every other row gets
     an exactly zero gradient at every step, so Adam would leave it at its
@@ -155,7 +156,7 @@ def train_chunk(
             block, engine.chunk_feature_seed(chunk), engine.feature_dim, engine.feature_mode
         ).astype(PARAM_DTYPE)
     )
-    y_all = targets.astype(PARAM_DTYPE, copy=False)
+    y_all = _target_matrix(block, cb, chunk)
 
     full = init_model(
         engine.feature_dim,
@@ -232,11 +233,14 @@ def _one_blas_thread() -> None:
             return
 
 
-_block: DocBlock | None = None  # the block this worker process's chunks train on
+# the block, codebook and configs this worker process's chunks train with
+_job: tuple[DocBlock, LabelCodebook, EngineConfig, TrainConfig] | None = None
 
 
-def _start_worker(block: DocBlock) -> None:
-    """Pool initializer: keep ``block`` for this process's chunks, and run BLAS on one thread.
+def _start_worker(
+    block: DocBlock, cb: LabelCodebook, engine: EngineConfig, cfg: TrainConfig
+) -> None:
+    """Pool initializer: keep the job for this process's chunks, and run BLAS on one thread.
 
     Training runs in parallel across chunks, one process each.  A BLAS thread
     pool inside every worker oversubscribes the cores: its idle threads spin
@@ -246,19 +250,17 @@ def _start_worker(block: DocBlock) -> None:
     shapes as small as a batch of 1000 rows, H 512 and B 2048, so every chunk
     trains at one thread, whatever the number of workers.
     """
-    global _block
-    _block = block
+    global _job
+    _job = (block, cb, engine, cfg)
     _one_blas_thread()
 
 
-def _train_chunk_task(
-    payload: tuple[int, sp.csr_matrix, EngineConfig, TrainConfig],
-) -> tuple[ChunkModel, list[float], float]:
-    """Process-pool entry point: :func:`train_chunk` on one payload and this process's
-    block, and its seconds."""
+def _train_chunk_task(payload: tuple[int]) -> tuple[ChunkModel, list[float], float]:
+    """Process-pool entry point: :func:`train_chunk` on the payload's chunk and this
+    process's job, and its seconds."""
     t0 = time.perf_counter()
-    chunk, targets, engine, cfg = payload
-    model, curve = train_chunk(chunk, _block, targets, engine, cfg)
+    (chunk,) = payload
+    model, curve = train_chunk(chunk, *_job)
     return model, curve, time.perf_counter() - t0
 
 
@@ -270,20 +272,20 @@ def _training_bytes(
 
     ``min(workers, k)`` chunks run at once.  Each holds its training steps'
     state (:func:`model.step_bytes`, whose live rows are at most the block's
-    distinct token ids) and, throughout, a copy of the block, its targets, its
-    CSR inputs, built in float64 and then cast, their renumbered
-    columns, and each epoch's permuted copies of its inputs and targets.
-    Beside them are the caller's codebook (:func:`codes.codebook_bytes`), the
-    targets of the payloads in flight (a value and column per label, an offset
-    per row) and the ensemble's ``k`` models (:func:`model.model_bytes`).  Once
-    the chunks have ended, :func:`manifest.save_ensemble` builds one blob at a
-    time in their place, a model's bytes (:func:`model.save_model`), which is
-    less than any running chunk's share.
+    distinct token ids) and, throughout, a copy of the block and of the
+    codebook (:func:`codes.codebook_bytes`), its targets (a value and column
+    per label, an offset per row), its CSR inputs, built in float64 and then
+    cast, their renumbered columns, and each epoch's permuted copies of its
+    inputs and targets.  Beside them are the caller's codebook and the
+    ensemble's ``k`` models (:func:`model.model_bytes`); the caller builds no
+    targets.  Once the chunks have ended, :func:`manifest.save_ensemble` builds
+    one blob at a time in their place, a model's bytes (:func:`model.save_model`),
+    which is less than any running chunk's share.
 
-    Under ``spawn`` or ``forkserver`` each worker holds the block it unpickled
-    when it started, the copy counted here.  A ``fork`` worker shares the
-    caller's block pages, which no chunk writes, so there the estimate counts
-    one block per running chunk more than is held.
+    Under ``spawn`` or ``forkserver`` each worker holds the block and codebook
+    it unpickled when it started, the copies counted here.  A ``fork`` worker
+    shares the caller's pages, which no chunk writes, so there the estimate
+    counts one block and codebook per running chunk more than is held.
     """
     k, b = code.num_chunks, code.buckets_per_chunk
     item = PARAM_DTYPE.itemsize
@@ -299,7 +301,8 @@ def _training_bytes(
     held = sum(getattr(block, a.name).nbytes for a in fields(block)) + csr + renumbered + epoch
     targets = (item + 8) * block.labels.size + 8 * n
     running = step_bytes(engine, b, rows, block.distinct_tokens) + held + targets
-    return min(cfg.workers, k) * running + k * model_bytes(engine, b) + codebook_bytes(code)
+    codebook = codebook_bytes(code)
+    return min(cfg.workers, k) * (running + codebook) + k * model_bytes(engine, b) + codebook
 
 
 def check_memory(block: DocBlock, code: CodeConfig, engine: EngineConfig, cfg: TrainConfig) -> None:
@@ -348,17 +351,8 @@ def train_all(
 
     check_memory(block, cb.config, engine, cfg)
     k = cb.config.num_chunks
-    workers = min(cfg.workers, k)
-    payloads = ((c, _target_matrix(block, cb, c), engine, cfg) for c in range(k))
-    # at most `workers` payloads, and so targets, are alive at a time: the
-    # next chunk's targets are built only once a running chunk has finished
-    with ProcessPoolExecutor(workers, initializer=_start_worker, initargs=(block,)) as pool:
-        futures, running = [], set()
-        for _ in range(k):
-            if len(running) == workers:
-                running = wait(running, return_when=FIRST_COMPLETED).not_done
-            futures.append(pool.submit(_train_chunk_task, next(payloads)))
-            running.add(futures[-1])
-        results = [future.result() for future in futures]
+    job = (block, cb, engine, cfg)
+    with ProcessPoolExecutor(min(cfg.workers, k), initializer=_start_worker, initargs=job) as pool:
+        results = list(pool.map(_train_chunk_task, [(c,) for c in range(k)]))
     models, curves, seconds = (list(column) for column in zip(*results))
     return TrainResult(ChunkEnsemble(cb.config, engine, models), curves, skipped, seconds)

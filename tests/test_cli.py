@@ -444,6 +444,24 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == EXIT_VALIDATION
 
+    @pytest.mark.parametrize(
+        "flags", [["--ks-precision", "1,x"], ["--ks-recall", "0"], ["--m", "0"]]
+    )
+    def test_bad_eval_flag_fails_before_the_corpus_is_read(
+        self, workspace, tmp_path, capsys, monkeypatch, flags
+    ):
+        """eval checks its flags first: a bad one costs no parse, and the error names the
+        flag even when the corpus is missing too."""
+        monkeypatch.setattr(cli, "parse_corpus", pytest.fail)
+        missing = tmp_path / "absent.txt"
+        rc = main(
+            ["eval", "--manifest", str(workspace / "engine" / "manifest.json"),
+             "--corpus", str(missing), *flags]
+        )
+        err = capsys.readouterr().err
+        assert rc == EXIT_VALIDATION
+        assert "error: " in err and str(missing) not in err and "Traceback" not in err
+
     def test_corrupt_blob_is_verify_error(self, workspace, tmp_path, capsys):
         broken = tmp_path / "broken"
         shutil.copytree(workspace / "engine", broken)

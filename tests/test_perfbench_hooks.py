@@ -84,7 +84,7 @@ def test_traced_chunk_task_records_every_training_span(monkeypatch, tmp_path):
     for trace in traces:
         names = {span[0] for span in json.loads(trace.read_text(encoding="utf-8"))["spans"]}
         assert expected <= names, trace.name
-        # the caller builds the codebook and each chunk's targets; no chunk rebuilds it
+        # the caller builds the codebook and each chunk its targets; no chunk rebuilds it
         assert "codes.build_codebook" not in names, trace.name
 
 

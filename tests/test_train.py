@@ -5,19 +5,17 @@ import dataclasses
 import gc
 import hashlib
 import multiprocessing
-import os
 import pickle
 import time
 import weakref
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 import sparsix.model as model_mod
 from conftest import openblas_threads, traced_peak
 from sparsix import train
-from sparsix.codes import CodeConfig, build_codebook
+from sparsix.codes import CodeConfig, build_codebook, codebook_bytes
 from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.manifest import save_ensemble
@@ -30,6 +28,7 @@ from sparsix.train import (
     _chunk_matrix,
     _numpy_openblas,
     _target_matrix,
+    check_memory,
     train_all,
     train_chunk,
 )
@@ -46,11 +45,6 @@ def small_setup(num_labels=40, num_chunks=3, buckets=16, seed=7):
         tokens = [(int(t), 1) for t in rng.choice(800, size=5, replace=False)]
         docs.append(make_document(i, tokens, labels))
     return cb, eng, docs
-
-
-def chunk_training(chunk, block, cb, eng, cfg):
-    """``train_chunk`` on the targets ``train_all`` builds for that chunk."""
-    return train_chunk(chunk, block, _target_matrix(block, cb, chunk), eng, cfg)
 
 
 def hot_rows(cb, label_lists, chunk):
@@ -95,14 +89,14 @@ class TestTrainChunk:
         """Fresh sigmoid outputs sit at 0.5, so the first losses are ~log 2."""
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=1, batch_size=512, lr=1e-5, shuffle_seed=1)
-        _, curve = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        _, curve = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert abs(curve[0] - np.log(2.0)) < 0.02
 
     def test_single_document_overfits(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=200, batch_size=1, lr=1e-2, shuffle_seed=0)
         block = DocBlock.from_documents(docs[:1])
-        model, _ = chunk_training(0, block, cb, eng, cfg)
+        model, _ = train_chunk(0, block, cb, eng, cfg)
         x = hash_features(docs[0], eng.chunk_feature_seed(0), eng.feature_dim, "counts")
         p = forward(model, x)
         hot = _target_matrix(block, cb, 0).indices
@@ -114,13 +108,13 @@ class TestTrainChunk:
     def test_loss_decreases(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=20, batch_size=8, lr=5e-3, shuffle_seed=3)
-        _, curve = chunk_training(1, DocBlock.from_documents(docs), cb, eng, cfg)
+        _, curve = train_chunk(1, DocBlock.from_documents(docs), cb, eng, cfg)
         assert curve[-1] < curve[0] / 2
 
     def test_parameters_are_f32_representable(self):
         cb, eng, docs = small_setup()
         cfg = TrainConfig(epochs=2, batch_size=16)
-        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         for p in model.params():
             assert p.dtype == np.float32
 
@@ -149,7 +143,7 @@ class TestTrainChunk:
         monkeypatch.setattr(train, "_batch_step", step)
         monkeypatch.setattr(train, "zero_adam_state", state)
         cfg = TrainConfig(epochs=2, batch_size=16)
-        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         assert seen["steps"] == 8 and seen["state"].step == 8
         assert {p.dtype for p in model.params()} == {np.dtype(np.float32)}
 
@@ -174,7 +168,7 @@ class TestTrainChunk:
         cb, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
         cfg = TrainConfig(epochs=5, batch_size=8, lr=5e-3)
-        model, _ = chunk_training(0, block, cb, eng, cfg)
+        model, _ = train_chunk(0, block, cb, eng, cfg)
         seed0 = eng.chunk_feature_seed(0)
         _, _, batch_p = _batch_forward(
             model, _chunk_matrix(block, seed0, eng.feature_dim, "counts")
@@ -186,12 +180,11 @@ class TestTrainChunk:
 
     def test_no_labeled_documents_rejected(self):
         """train_chunk trains on every row it gets: no rows, or an unlabeled one, fail."""
-        _, eng, _ = small_setup()
+        cb, eng, _ = small_setup()
         for label_lists in ([], [[2], []]):
             docs = [make_document(i, [(1, 1)], labels) for i, labels in enumerate(label_lists)]
-            targets = sp.csr_matrix((len(docs), 16), dtype=np.float32)
             with pytest.raises(ValueError, match="labels on every one"):
-                train_chunk(0, DocBlock.from_documents(docs), targets, eng, TrainConfig(epochs=1))
+                train_chunk(0, DocBlock.from_documents(docs), cb, eng, TrainConfig(epochs=1))
 
     @pytest.mark.parametrize("bad_label", [-1, 40])
     def test_label_outside_codebook_rejected(self, bad_label):
@@ -286,17 +279,18 @@ def _chunk_task_reporting_blas_threads(payload):
     return model, curve, openblas_threads()
 
 
-def _chunk_task_reporting_payload_bytes(payload):
-    """A chunk task whose last field is its payload's pickled size."""
+def _chunk_task_reporting_its_payload(payload):
+    """A chunk task whose last field is its payload."""
     model, curve, _ = _CHUNK_TASK(payload)
-    return model, curve, len(pickle.dumps(payload))
+    return model, curve, payload
 
 
-@pytest.fixture
-def spawned_pools():
-    """Pools start their workers by ``spawn``, as macOS and Python 3.14 do by default."""
+@pytest.fixture(params=["spawn", "forkserver"])
+def spawned_pools(request):
+    """Pools start their workers by ``spawn``, as macOS does by default, or by
+    ``forkserver``, as Python 3.14 does on Linux."""
     before = multiprocessing.get_start_method(allow_none=True)
-    multiprocessing.set_start_method("spawn", force=True)
+    multiprocessing.set_start_method(request.param, force=True)
     try:
         yield
     finally:
@@ -307,21 +301,21 @@ def _chunk_task_failing(payload):
     raise RuntimeError("chunk failed")
 
 
-def _run_watching_the_caller(monkeypatch, workers: int, fails: bool):
+def _watch_the_caller(monkeypatch, workers: int, fails: bool):
     """Runs ``train_all`` on a block with an unlabeled row, so that it trains on a block of its
-    own, with each chunk reporting its BLAS thread count, or failing.  Gives the chunks' thread
-    counts (None if the run raised); for each chunk's targets, the caller's thread count and
-    whether it held no worker block; the caller's thread count after the run; and weak
-    references to the blocks the targets were built from."""
+    own, with each chunk reporting its BLAS thread count, or failing.  Checks that the caller
+    holds no job while it checks the run's memory or after the run, that nothing holds the
+    block the chunks trained on and that no worker process is left.  Gives the chunks' thread
+    counts (None if the run raised) and the caller's, as it checked the memory and after."""
     cb, eng, docs = small_setup(num_chunks=3)
-    seen, built_from = [], []
+    seen, trained_on = [], []
 
-    def targets_in_the_caller(block, cb, chunk):
-        seen.append((openblas_threads(), train._block is None))
-        built_from.append(weakref.ref(block))
-        return _target_matrix(block, cb, chunk)
+    def memory_checked_in_the_caller(block, *configs):
+        seen.append((openblas_threads(), train._job is None))
+        trained_on.append(weakref.ref(block))
+        check_memory(block, *configs)
 
-    monkeypatch.setattr(train, "_target_matrix", targets_in_the_caller)
+    monkeypatch.setattr(train, "check_memory", memory_checked_in_the_caller)
     task = _chunk_task_failing if fails else _chunk_task_reporting_blas_threads
     monkeypatch.setattr(train, "_train_chunk_task", task)
     documents = DocBlock.from_documents([*docs, make_document(50, [(1, 1)], [])])
@@ -332,7 +326,12 @@ def _run_watching_the_caller(monkeypatch, workers: int, fails: bool):
             train_all(documents, cb, eng, cfg)
     else:
         chunk_threads = train_all(documents, cb, eng, cfg).chunk_seconds
-    return chunk_threads, seen, openblas_threads(), built_from
+    seen.append((openblas_threads(), train._job is None))
+    gc.collect()
+    assert [no_job for _, no_job in seen] == [True, True]
+    assert len(trained_on) == 1 and trained_on[0]() is None
+    assert multiprocessing.active_children() == []
+    return chunk_threads, [threads for threads, _ in seen]
 
 
 def _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers: int) -> None:
@@ -340,34 +339,26 @@ def _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers: int
     openblas_threads(2)
     try:
         for fails in (False, True):
-            chunk_threads, seen, after, _ = _run_watching_the_caller(monkeypatch, workers, fails)
+            chunk_threads, caller_threads = _watch_the_caller(monkeypatch, workers, fails)
             assert chunk_threads == (None if fails else [1, 1, 1])
-            assert [threads for threads, _ in seen] == [2] * 3 and after == 2
+            assert caller_threads == [2, 2]
     finally:
         openblas_threads(before)
 
 
-def _assert_the_caller_keeps_no_block(monkeypatch, workers: int, fails: bool) -> None:
-    _, seen, _, built_from = _run_watching_the_caller(monkeypatch, workers, fails)
-    gc.collect()
-    assert [no_block for _, no_block in seen] == [True] * 3
-    assert len(built_from) == 3 and all(ref() is None for ref in built_from)
-    assert train._block is None
+def _chunk_task_timing_its_targets_and_end(payload):
+    """A chunk task whose last field is when it built its targets and when it was done,
+    on the system-wide monotonic clock."""
+    built = []
 
+    def timed_targets(block, cb, chunk):
+        built.append(time.monotonic_ns())
+        return _target_matrix(block, cb, chunk)
 
-EVENT_LOG_ENV = "SPARSIX_TEST_EVENT_LOG"
-
-
-def _log_event(kind: str, chunk: int) -> None:
-    with open(os.environ[EVENT_LOG_ENV], "a", encoding="utf-8") as log:
-        log.write(f"{time.monotonic_ns()} {kind} {chunk}\n")
-
-
-def _chunk_task_logging_its_end(payload):
-    """A chunk task that logs when it is done, before its result goes back."""
-    result = _CHUNK_TASK(payload)
-    _log_event("end", payload[0])
-    return result
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(train, "_target_matrix", timed_targets)
+        model, curve, _ = _CHUNK_TASK(payload)
+    return model, curve, (built[0], time.monotonic_ns())
 
 
 # sha256 of the blobs small_setup's corpus trains, recorded before training
@@ -407,7 +398,7 @@ class TestLiveRows:
         block = DocBlock.from_documents(docs)
         cfg = TrainConfig(epochs=3, batch_size=16, lr=1e-2)
         for chunk in range(3):
-            model, _ = chunk_training(chunk, block, cb, eng, cfg)
+            model, _ = train_chunk(chunk, block, cb, eng, cfg)
             seed = eng.chunk_init_seed(chunk)
             init = init_model(100_000, eng.hidden_dim, 16, seed, chunk, dtype=PARAM_DTYPE)
             live = live_rows(block, eng, chunk)
@@ -419,7 +410,7 @@ class TestLiveRows:
         cb, eng, _ = small_setup()
         docs = [make_document(i, [], [i]) for i in range(4)]
         cfg = TrainConfig(epochs=2, batch_size=3, lr=1e-2)
-        model, _ = chunk_training(0, DocBlock.from_documents(docs), cb, eng, cfg)
+        model, _ = train_chunk(0, DocBlock.from_documents(docs), cb, eng, cfg)
         init = init_model(128, 12, 16, eng.chunk_init_seed(0), 0, dtype=PARAM_DTYPE)
         assert model.W1.tobytes() == init.W1.tobytes()
         assert np.any(model.b2)
@@ -465,24 +456,16 @@ class TestTrainAll:
             blobs.append([p.read_bytes() for p in sorted((tmp_path / str(workers)).glob("*.bin"))])
         assert len(blobs[0]) == 5 and blobs[0] == blobs[1] == blobs[2]
 
-    def test_pool_builds_targets_only_for_a_free_worker(self, tmp_path, monkeypatch):
-        """With two workers, chunk c's targets are built after chunk c - 2 or a later one ended."""
+    def test_pool_builds_targets_only_for_a_free_worker(self, monkeypatch):
+        """With two workers, chunk c's targets are built after chunk c - 2 or a later one ended:
+        each chunk builds its own, in its worker."""
         cb, eng, docs = small_setup(num_chunks=5)
-        monkeypatch.setenv(EVENT_LOG_ENV, str(tmp_path / "events"))
-        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_logging_its_end)
-
-        def logged_targets(block, cb, chunk):
-            _log_event("targets", chunk)
-            return _target_matrix(block, cb, chunk)
-
-        monkeypatch.setattr(train, "_target_matrix", logged_targets)
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_timing_its_targets_and_end)
         result = train_all(docs, cb, eng, TrainConfig(epochs=1, batch_size=16, workers=2))
         assert [m.chunk for m in result.ensemble.models] == list(range(5))
-        lines = [line.split() for line in (tmp_path / "events").read_text().splitlines()]
-        events = [(kind, int(c)) for _, kind, c in sorted(lines, key=lambda e: int(e[0]))]
-        for chunk in range(5):
-            before = events[: events.index(("targets", chunk))]
-            assert sum(kind == "end" for kind, _ in before) >= chunk - 1, events
+        times = result.chunk_seconds
+        for chunk, (built, _) in enumerate(times):
+            assert sum(end < built for _, end in times) >= chunk - 1, times
 
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
     def test_pool_workers_run_blas_on_one_thread(self, monkeypatch):
@@ -491,37 +474,31 @@ class TestTrainAll:
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
     def test_serial_run_trains_at_one_thread_and_puts_the_callers_back(self, monkeypatch):
         """At two threads in the caller, a one-worker run trains each chunk at one, and the
-        caller builds every chunk's targets at two and is at two once the run returns or raises."""
+        caller is at two while it checks the run's memory and once the run returns or raises."""
         _assert_chunks_at_one_thread_and_the_caller_at_two(monkeypatch, workers=1)
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_serial_run_keeps_no_block(self, monkeypatch, fails):
-        """While a one-worker run builds targets, and once it returns or raises, the caller
-        holds no worker block and nothing holds the block its chunks trained on."""
-        _assert_the_caller_keeps_no_block(monkeypatch, workers=1, fails=fails)
+        """While a one-worker run checks its memory, and once it returns or raises, the caller
+        holds no worker job, nothing holds the block its chunks trained on, and no worker is
+        left running."""
+        _watch_the_caller(monkeypatch, workers=1, fails=fails)
 
     @pytest.mark.parametrize("fails", [False, True])
     def test_pool_run_keeps_no_block(self, monkeypatch, fails):
-        _assert_the_caller_keeps_no_block(monkeypatch, workers=2, fails=fails)
+        _watch_the_caller(monkeypatch, workers=2, fails=fails)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_payload_carries_no_block(self, monkeypatch, workers):
-        """A chunk's pickled payload, its targets and configs, is under a tenth of the block."""
-        cb, eng, _ = small_setup(num_chunks=2)
-        rng = np.random.default_rng(5)
-        docs = [
-            make_document(i, [(int(t), 1) for t in rng.choice(5000, 40, replace=False)], [i % 40])
-            for i in range(1000)
-        ]
-        block = DocBlock.from_documents(docs)
-        block_bytes = sum(getattr(block, f.name).nbytes for f in dataclasses.fields(block))
-        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_payload_bytes)
-        cfg = TrainConfig(epochs=1, batch_size=100, workers=workers)
-        sizes = train_all(block, cb, eng, cfg).chunk_seconds
-        assert len(sizes) == 2 and max(sizes) < block_bytes / 10, (sizes, block_bytes)
+        """A chunk's payload is its chunk id alone: the block, codebook and configs reach a
+        worker once, as it starts."""
+        cb, eng, docs = small_setup(num_chunks=2)
+        monkeypatch.setattr(train, "_train_chunk_task", _chunk_task_reporting_its_payload)
+        cfg = TrainConfig(epochs=1, batch_size=16, workers=workers)
+        assert train_all(docs, cb, eng, cfg).chunk_seconds == [(0,), (1,)]
 
     def test_spawned_pool_trains_the_serial_bytes(self, spawned_pools):
-        """Spawned workers unpickle the block once each, as they start, and learn the same bytes."""
+        """Spawned workers unpickle the job once each, as they start, and learn the same bytes."""
         cb, eng, docs = small_setup(num_chunks=3)
         runs = [
             train_all(docs, cb, eng, TrainConfig(epochs=2, batch_size=16, workers=workers))
@@ -590,7 +567,7 @@ class TestMemoryCheck:
 
     def test_estimate_counts_running_chunks_and_the_ensemble(self):
         """Workers beyond K add nothing; every chunk's float32 model is kept, each
-        running chunk's target matrix, and the caller's int32 codebook once."""
+        running chunk's target matrix and int32 codebook, and the caller's codebook."""
         _, eng, docs = small_setup()
         block = DocBlock.from_documents(docs)
         code = CodeConfig(40, 2, 16, base_seed=7)
@@ -602,7 +579,7 @@ class TestMemoryCheck:
         targets = (4 + 8) * block.labels.size + 8 * (50 + 1)
         codebook = 4 * 40 * 2
         assert two - one == one - ensemble - codebook and three == two
-        assert one - ensemble - codebook > targets
+        assert one - ensemble - codebook > targets + codebook
 
     @pytest.mark.parametrize(
         "labeled, feature_dim, workers, batch_size, recorded",
@@ -617,13 +594,15 @@ class TestMemoryCheck:
         self, labeled, feature_dim, workers, batch_size, recorded
     ):
         """The bytes the estimate gave when every call sorted the block's token ids;
-        at F=128 every row is live, at F=100000 the distinct ids bound them."""
+        at F=128 every row is live, at F=100000 the distinct ids bound them.  Since
+        chunks build their own targets, each running chunk also holds a codebook."""
         cb, _, docs = small_setup()
         block = DocBlock.from_documents([*docs, make_document(50, [(3, 1), (900, 2)], [])])
         block = block.labeled() if labeled else block
         eng = EngineConfig(feature_dim=feature_dim, hidden_dim=12)
         cfg = TrainConfig(epochs=1, batch_size=batch_size, workers=workers)
-        assert train._training_bytes(block, cb.config, eng, cfg) == recorded
+        codebooks = workers * codebook_bytes(cb.config)  # workers <= K = 3
+        assert train._training_bytes(block, cb.config, eng, cfg) == recorded + codebooks
 
     def test_one_chunk_peaks_within_its_share(self):
         """A traced chunk allocates no more than the estimate less its ensemble term.
@@ -638,7 +617,7 @@ class TestMemoryCheck:
         b = cb.config.buckets_per_chunk
         ensemble = PARAM_DTYPE.itemsize * num_params(100_000, 64, b)
         share = train._training_bytes(block, cb.config, eng, cfg) - ensemble
-        _, peak = traced_peak(lambda: chunk_training(0, block, cb, eng, cfg))
+        _, peak = traced_peak(lambda: train_chunk(0, block, cb, eng, cfg))
         assert peak <= share
 
     def test_step_counts_one_w1_and_its_live_rows(self):
