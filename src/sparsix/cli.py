@@ -445,8 +445,6 @@ def _check_basis_equivalence() -> str:
 
 
 def _tiny_trained_engine() -> tuple:
-    from .train import train_all
-
     train_docs, test_docs, num_features = make_separable_corpus(
         num_labels=200,
         docs_per_label=3,
@@ -454,13 +452,12 @@ def _tiny_trained_engine() -> tuple:
         noise_vocab=200,
         seed=VERIFY_SEED,
     )
-    code = CodeConfig(num_labels=200, num_chunks=4, buckets_per_chunk=32, base_seed=VERIFY_SEED)
-    engine = EngineConfig(
-        feature_dim=512, hidden_dim=16, feature_seed=VERIFY_SEED + 1, init_seed=VERIFY_SEED + 2
+    values = dict(
+        _DEFAULTS, num_chunks=4, buckets_per_chunk=32, feature_dim=512, hidden_dim=16,
+        code_seed=VERIFY_SEED, feature_seed=VERIFY_SEED + 1, init_seed=VERIFY_SEED + 2,
+        shuffle_seed=VERIFY_SEED + 3, epochs=3, batch_size=100, lr=5e-3,
     )
-    cfg = TrainConfig(epochs=3, batch_size=100, lr=5e-3, shuffle_seed=VERIFY_SEED + 3)
-    cb = build_codebook(code)
-    result = train_all(train_docs, cb, engine, cfg)
+    result, cb, _ = _train(values, 200, lambda: DocBlock.from_documents(train_docs))
     return result.ensemble, cb, build_index(cb), test_docs
 
 

@@ -21,7 +21,8 @@ a user types (config values, ``SPARSIX_WORKERS``, integer flags, k lists),
 names a config line's bad byte as it does a corpus line's.
 
 One parser, ``read_block``, reads and checks the whole file into a columnar
-:class:`features.DocBlock`; errors carry the 1-based line number.  It reads
+:class:`features.DocBlock`, whose row offsets :func:`features.row_offsets`
+builds from each line's sizes; errors carry the 1-based line number.  It reads
 the file in windows of whole lines.  A plain line is labels joined by commas
 (possibly none), then `` id:count`` pairs, each number 1 to 18 ASCII digits:
 ``(?:D(?:,D)*)?(?: D:D)*`` with ``D = [0-9]{1,18}``.  A window of plain lines
@@ -41,7 +42,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .features import DocBlock, Document, make_document
+from .features import DocBlock, Document, make_document, row_offsets
 
 # Characters of whole lines per window (a long line may run past it): the
 # array pass's working memory stays small beside a large block's bytes.
@@ -176,16 +177,10 @@ def read_block(path: str | Path) -> DocBlock:
     return DocBlock(
         np.frombuffer(ids, dtype=np.uint64),
         np.frombuffer(counts, dtype=np.int64),
-        _offsets(token_sizes),
+        row_offsets(token_sizes),
         np.frombuffer(labels, dtype=np.int64),
-        _offsets(label_sizes),
+        row_offsets(label_sizes),
     )
-
-
-def _offsets(sizes: array) -> np.ndarray:
-    offsets = np.zeros(len(sizes) + 1, np.int64)
-    np.cumsum(np.frombuffer(sizes, dtype=np.int64), out=offsets[1:])
-    return offsets
 
 
 def parse_corpus(path: str | Path) -> Iterator[Document]:

@@ -9,17 +9,18 @@ Values are token counts by default; binary mode saturates every occupied
 slot at 1.  Hashing is unsigned (no sign flip): inputs stay non-negative,
 which pairs well with ReLU hidden layers.
 
-``merge_slots`` adds up colliding tokens, for a query (``hash_features``) and a
-training block (``train._chunk_matrix``) alike: a stable sort keeps a slot's
-tokens in token order, and one ``np.add.reduceat`` sums them.  Float sums past
-2**53 depend on their order, so this one merge keeps the two paths' bits equal.
-``hash_features`` takes a sequence of chunk seeds too: a query is then hashed
-and merged once for all its chunks, with each chunk's bits unchanged.
+Rows are flat entries plus offsets, row r being ``[offsets[r]:offsets[r + 1]]``,
+and no other module knows more of their layout.  ``row_offsets`` builds offsets
+from row sizes.  ``merge_rows`` adds up a row's entries that share a column, for
+a query (``hash_features``, a row per chunk seed) and a training block's inputs
+and targets (``train``) alike: a stable sort keeps each column's entries in
+order, and one ``np.add.reduceat`` sums them.  Float sums past 2**53 depend on
+their order, so this one merge keeps the query's and the training block's bits equal.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -92,10 +93,9 @@ class DocBlock:
     @classmethod
     def from_documents(cls, docs: list[Document]) -> DocBlock:
         def flat(arrays: list[np.ndarray], dtype: type) -> tuple[np.ndarray, np.ndarray]:
-            offsets = np.cumsum([0] + [a.size for a in arrays], dtype=np.int64)
             # cast, as hash_token_ids casts ids: promoting int64 with uint64 gives float64
             joined = np.concatenate([np.empty(0, dtype), *arrays], dtype=dtype, casting="unsafe")
-            return joined, offsets
+            return joined, row_offsets([a.size for a in arrays])
 
         ids, token_offsets = flat([d.token_ids for d in docs], np.uint64)
         labels, label_offsets = flat([d.labels for d in docs], np.int64)
@@ -128,7 +128,7 @@ class DocBlock:
         return DocBlock(
             self.token_ids[tokens],
             self.token_counts[tokens],
-            np.concatenate(([0], np.cumsum(sizes[keep]))),
+            row_offsets(sizes[keep]),
             self.labels,
             np.concatenate(([0], self.label_offsets[1:][keep])),
         )
@@ -154,8 +154,8 @@ def make_document(
 class HashedFeatures:
     """Sparse non-negative input vector: strictly increasing indexes below dim.
 
-    Unchecked: ``merge_slots`` gives sorted unique slots, below dim by the modulo,
-    and counts below 2**63 sum to finite values.
+    Unchecked: ``merge_rows`` gives each row's columns sorted and unique, below
+    dim, and counts below 2**63 sum to finite values.
     """
 
     dim: int
@@ -176,42 +176,48 @@ def hash_features(
     :class:`HashedFeatures`; a sequence of seeds gives one per seed, in order.
 
     Every seed's slots are hashed in one ``hash_token_ids`` call and merged
-    in one ``merge_slots`` over the keys ``j * stride + slot`` for seed j,
-    where ``stride`` bounds every slot.  Each seed's keys keep their own run,
-    in token order, so each seed's sums have the bits of merging it alone.
+    in one ``merge_rows``, a row per seed, so each seed's sums have the bits
+    of merging it alone.
     """
     if mode not in FEATURE_MODES:
         raise ValueError(f"unknown feature mode {mode!r}")
     one = isinstance(chunk_seed, (int, np.integer))
     slots = hash_token_ids(doc.token_ids, [chunk_seed] if one else chunk_seed, feature_dim)
-    # every slot is below feature_dim and 2**32, so runs * stride stays in int64
-    stride = min(feature_dim, 2**32)
-    firsts = _run_firsts(slots.shape[0], stride)
-    slots += firsts[:, None]
     counts = np.empty(slots.shape)
     counts[:] = doc.token_counts  # each seed's row of the float64 counts
-    keys, values = merge_slots(slots.ravel(), counts.ravel(), mode == "binary")
-    bounds = keys.searchsorted(firsts).tolist() + [keys.size]
-    keys %= stride
+    offsets = np.arange(slots.shape[0] + 1, dtype=np.int64) * slots.shape[1]
+    indptr, cols, values = merge_rows(
+        slots.ravel(), counts.ravel(), offsets, feature_dim, mode == "binary"
+    )
+    bounds = indptr.tolist()
     feats = [
-        HashedFeatures(dim=feature_dim, indexes=keys[a:b], values=values[a:b])
+        HashedFeatures(dim=feature_dim, indexes=cols[a:b], values=values[a:b])
         for a, b in zip(bounds, bounds[1:])
     ]
     return feats[0] if one else feats
 
 
-@lru_cache(maxsize=64)
-def _run_firsts(runs: int, stride: int) -> np.ndarray:
-    """The first key of each seed's run, ``j * stride``; read only, shared per shape."""
-    firsts = np.arange(runs, dtype=np.int64) * stride
-    firsts.flags.writeable = False
-    return firsts
+def row_offsets(sizes: Sequence[int] | np.ndarray) -> np.ndarray:
+    """The offsets of rows of ``sizes`` entries each: 0, then their running sum, int64."""
+    offsets = np.zeros(len(sizes) + 1, np.int64)
+    np.cumsum(sizes, dtype=np.int64, out=offsets[1:])
+    return offsets
 
 
-def merge_slots(
-    keys: np.ndarray, values: np.ndarray, saturate: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct keys, sorted, with their values summed in input order; capped at 1 if ``saturate``."""
+def merge_rows(
+    cols: np.ndarray, values: np.ndarray, offsets: np.ndarray, dim: int, saturate: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge the entries each row has in one column, as CSR ``(indptr, cols, values)``.
+
+    Row r is entries ``offsets[r]:offsets[r + 1]``, each column below ``dim`` and
+    2**32.  Each row's columns come out sorted and unique, each value the sum of
+    its entries in input order, capped at 1 if ``saturate``.  One stable sort over
+    the keys ``row * stride + column`` (int64 below 2**31 rows) and one
+    ``np.add.reduceat`` merge every row, each with the bits of merging it alone.
+    """
+    stride = min(dim, 2**32)
+    firsts = np.arange(offsets.size, dtype=np.int64) * stride  # each row's first key
+    keys = np.repeat(firsts[:-1], offsets[1:] - offsets[:-1]) + cols
     order = keys.argsort(kind="stable")
     keys, values = keys[order], values[order]
     fresh = keys[1:] != keys[:-1]
@@ -220,7 +226,9 @@ def merge_slots(
         keys, values = keys[starts], np.add.reduceat(values, starts)
     if saturate:
         np.minimum(values, 1.0, out=values)
-    return keys, values
+    indptr = keys.searchsorted(firsts)
+    keys %= stride
+    return indptr, keys, values
 
 
 def hash_token_ids(

@@ -14,11 +14,12 @@ labeled corpus as one :class:`features.DocBlock` of flat arrays, the codebook
 and both configs.  A chunk's payload is its chunk id alone, and the chunk
 builds its own CSR target matrix from its codebook column.  A pool forked from
 the caller shares the caller's pages; a spawned pool unpickles one copy of the
-job per worker.  A chunk hashes the block's token ids in one call into its CSR
-input matrix; the block's offsets are the row pointers of both.  Each epoch
-permutes both once, and each batch slices them and takes one
-:func:`model.batch_step`, the only loss-and-gradient code in the package, in
-float32 (``model.PARAM_DTYPE``).
+job per worker.  A chunk hashes the block's token ids in one call, and
+:func:`features.merge_rows`, the merge a query's hashing uses, turns the
+block's rows into its CSR input matrix and its labels' buckets into its CSR
+target matrix; this module keys no rows itself.  Each epoch permutes both
+once, and each batch slices them and takes one :func:`model.batch_step`, the
+only loss-and-gradient code in the package, in float32 (``model.PARAM_DTYPE``).
 
 A chunk trains only the rows of W1 its inputs reach.  A row that no document
 hashes into gets an exactly zero gradient at every step, so Adam would leave
@@ -45,7 +46,7 @@ import scipy.sparse as sp
 
 # no chunk builds a codebook; the benchmark's chunk tracer still wraps build_codebook
 from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes  # noqa: F401
-from .features import DocBlock, Document, hash_token_ids, merge_slots
+from .features import DocBlock, Document, hash_token_ids, merge_rows
 from .hashing import derive_seed
 from .model import PARAM_DTYPE, ChunkModel, apply_update, check_fits, init_model, model_bytes
 from .model import step_bytes, zero_adam_state
@@ -65,19 +66,6 @@ class TrainResult:
     chunk_seconds: list[float]
 
 
-def _block_csr(
-    values: np.ndarray, cols: np.ndarray, offsets: np.ndarray, width: int, saturate: bool
-) -> sp.csr_matrix:
-    """One CSR row per block row; entries sharing a column add up, capped at 1 if ``saturate``.
-
-    The merge is a query's, over ``row * width + column`` keys (int64 below 2**31 rows).
-    """
-    row_keys = np.arange(offsets.size, dtype=np.int64) * width  # each row's first key
-    keys, data = merge_slots(np.repeat(row_keys[:-1], np.diff(offsets)) + cols, values, saturate)
-    indptr = np.searchsorted(keys, row_keys)
-    return sp.csr_matrix((data, keys % width, indptr), shape=(offsets.size - 1, width))
-
-
 def _chunk_matrix(
     block: DocBlock, chunk_seed: int, feature_dim: int, mode: str
 ) -> sp.csr_matrix:
@@ -85,7 +73,8 @@ def _chunk_matrix(
     cols = hash_token_ids(block.token_ids, chunk_seed, feature_dim)
     vals = block.token_counts.astype(np.float64)
     # colliding tokens add up; binary mode saturates the slot at 1
-    return _block_csr(vals, cols, block.token_offsets, feature_dim, mode == "binary")
+    indptr, cols, vals = merge_rows(cols, vals, block.token_offsets, feature_dim, mode == "binary")
+    return sp.csr_matrix((vals, cols, indptr), shape=(indptr.size - 1, feature_dim))
 
 
 def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_matrix:
@@ -95,7 +84,8 @@ def _target_matrix(block: DocBlock, cb: LabelCodebook, chunk: int) -> sp.csr_mat
     cols = cb.codes[block.labels, chunk]
     # labels sharing a bucket make one hot entry, not a count
     ones, b = np.ones(cols.size, dtype=PARAM_DTYPE), cb.config.buckets_per_chunk
-    return _block_csr(ones, cols, block.label_offsets, b, saturate=True)
+    indptr, cols, ones = merge_rows(cols, ones, block.label_offsets, b, saturate=True)
+    return sp.csr_matrix((ones, cols, indptr), shape=(indptr.size - 1, b))
 
 
 def _live_columns(x: sp.csr_matrix) -> tuple[np.ndarray, sp.csr_matrix]:

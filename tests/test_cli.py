@@ -984,6 +984,11 @@ class TestExitCodes:
         capsys.readouterr()
         assert rc == EXIT_OK
         assert (tmp_path / "a.tsv").read_bytes() == (tmp_path / "b.tsv").read_bytes()
+        # full mode never bounds m by B, but m must still be a positive integer
+        rc = main([*argv, "--mode", "full", "--m", "0", "--out", str(tmp_path / "c.tsv")])
+        assert rc == EXIT_VALIDATION
+        assert "m must be an integer >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "c.tsv").exists()
 
 
 def tree_bytes(root: Path) -> dict:

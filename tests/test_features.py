@@ -1,4 +1,4 @@
-"""Feature hashing tests: conservation, collisions, and seed independence."""
+"""Feature hashing tests: conservation, collisions, seed independence, and the row merge."""
 from __future__ import annotations
 
 import numpy as np
@@ -12,6 +12,8 @@ from sparsix.features import (
     hash_features,
     hash_token_ids,
     make_document,
+    merge_rows,
+    row_offsets,
 )
 from sparsix.hashing import derive_seed, murmur3_32
 from sparsix.train import EngineConfig
@@ -209,6 +211,43 @@ def assert_k_wide(doc, seeds, feature_dim, mode):
         assert feats.indexes.tobytes() == one.indexes.tobytes()
         assert feats.values.dtype == one.values.dtype == np.float64
         assert feats.values.tobytes() == one.values.tobytes()
+
+
+class TestMergeRows:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        sizes=st.lists(st.integers(min_value=0, max_value=12), max_size=8),
+        dim=st.one_of(st.integers(min_value=1, max_value=3), st.integers(1, 2**40)),
+        saturate=st.booleans(),
+    )
+    def test_each_row_merges_as_alone(self, data, sizes, dim, saturate):
+        """Property: one merge over many rows, empty ones included, gives each row
+        the columns and value bits of merging that row alone, strictly increasing,
+        and ``indptr`` ends at the number of merged entries."""
+        n = sum(sizes)
+        cols = data.draw(st.lists(st.integers(0, min(dim, 2**32) - 1), min_size=n, max_size=n))
+        counts = data.draw(st.lists(st.integers(1, 2**62), min_size=n, max_size=n))
+        cols, values = np.array(cols, dtype=np.int64), np.array(counts, dtype=np.float64)
+        offsets = row_offsets(sizes)
+        indptr, merged_cols, merged_values = merge_rows(cols, values, offsets, dim, saturate)
+        assert indptr.size == len(sizes) + 1 and indptr[0] == 0
+        assert indptr[-1] == merged_cols.size == merged_values.size
+        for row, (a, b) in enumerate(zip(offsets.tolist(), offsets[1:].tolist())):
+            _, alone_cols, alone_values = merge_rows(
+                cols[a:b], values[a:b], row_offsets([b - a]), dim, saturate
+            )
+            got = slice(indptr[row], indptr[row + 1])
+            assert merged_cols[got].tobytes() == alone_cols.tobytes()
+            assert merged_values[got].tobytes() == alone_values.tobytes()
+            assert merged_cols[got].tolist() == np.unique(cols[a:b]).tolist()
+            assert (np.diff(merged_cols[got]) > 0).all()
+
+    def test_row_offsets(self):
+        empty = row_offsets([])
+        assert empty.dtype == np.int64 and empty.tolist() == [0]
+        offsets = row_offsets(np.array([2, 0, 3]))
+        assert offsets.dtype == np.int64 and offsets.tolist() == [0, 2, 2, 5]
 
 
 class TestHashedFeaturesChecks:
