@@ -14,7 +14,7 @@ from .codes import CodeConfig, LabelCodebook, build_codebook
 from .corpus import CorpusFormatError, parse_corpus, read_block, read_header, write_corpus
 from .features import Document, hash_features, make_document
 from .index import InvertedIndex, build_index, lookup
-from .infer import InferParams, Prediction, predict, predict_full
+from .infer import InferParams, Prediction, predict, predict_block, predict_full
 from .manifest import load_ensemble, load_serving, save_ensemble
 from .metrics import MetricReport, evaluate, precision_at_k, recall_at_k
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
@@ -39,6 +39,7 @@ __all__ = [
     "InferParams",
     "Prediction",
     "predict",
+    "predict_block",
     "predict_full",
     "load_ensemble",
     "load_serving",

@@ -16,7 +16,9 @@ config file, in SPARSIX_WORKERS, in an integer flag or in a k list is read by
 that is not UTF-8 fails at ``<config>:<line>`` by ``corpus.check_utf8``.
 
 Only the commands that train (train, sweep, verify) import the training code
-and SciPy; predict and eval start without them.
+and SciPy; predict and eval start without them.  Every command runs NumPy's
+OpenBLAS on one thread, so its output does not depend on the host's cores,
+and predict embeds its queries a block at a time (``infer.predict_block``).
 """
 from __future__ import annotations
 
@@ -56,10 +58,12 @@ from .equivalence import (
 )
 from .features import DocBlock
 from .index import build_index, bucket_loads
-from .infer import AGGREGATION_MODES, InferParams, predict, predict_full
+from .infer import AGGREGATION_MODES, InferParams, block_rows, predict, predict_block
+from .infer import predict_full
 from .manifest import BlobChecksumError, load_ensemble, load_manifest, load_serving, save_ensemble
 from .metrics import evaluate
-from .model import EngineConfig, NonFiniteGradientError, TrainConfig, grad_check, init_model
+from .model import EngineConfig, NonFiniteGradientError, TrainConfig, one_blas_thread
+from .model import grad_check, init_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -270,23 +274,25 @@ PREDICT_COUNTERS = ("candidates_retrieved", "unique_candidates", "scores_summed"
 def cmd_predict(args: argparse.Namespace) -> int:
     with _replacing(args.out) as out:
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
-        read_header(args.corpus)
+        queries = read_header(args.corpus)[0]  # parse_corpus reads exactly this many
+        if queries == 0:
+            raise ValueError("no queries in corpus")
         sparse = args.mode == "sparse"
         ensemble, cb, idx = load_serving(
             args.manifest, index=sparse, m=params.m if sparse else None
         )
-        queries, totals = 0, [0] * len(PREDICT_COUNTERS)
-        for doc in parse_corpus(args.corpus):
+        # sparse mode embeds a block of queries at once; full mode serves one at a time
+        rows = block_rows(ensemble.code_config) if sparse else 1
+        docs, totals = parse_corpus(args.corpus), [0] * len(PREDICT_COUNTERS)
+        while block := list(itertools.islice(docs, rows)):
             if sparse:
-                pred = predict(ensemble, cb, idx, doc, params)
+                preds = predict_block(ensemble, cb, idx, block, params)
             else:
-                pred = predict_full(ensemble, cb, doc, params.top_k)
-            out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
-            queries += 1
-            for i, name in enumerate(PREDICT_COUNTERS):
-                totals[i] += getattr(pred.counters, name)
-        if queries == 0:
-            raise ValueError("no queries in corpus")
+                preds = [predict_full(ensemble, cb, block[0], params.top_k)]
+            for doc, pred in zip(block, preds):
+                out.write(_format_prediction(doc.doc_id, pred.labels, pred.scores) + "\n")
+                for i, name in enumerate(PREDICT_COUNTERS):
+                    totals[i] += getattr(pred.counters, name)
     _print(f"queries = {queries}")
     for name, total in zip(PREDICT_COUNTERS, totals):
         _print(f"mean_{name} = {total / queries:.2f}")
@@ -574,6 +580,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
+    # a product summed across BLAS threads can have other bits than at one, so every
+    # command computes at one, and a file it writes does not follow the host's cores
+    one_blas_thread()
     try:
         return args.func(args)
     except BlobChecksumError as exc:

@@ -1,12 +1,17 @@
 """Sparse retrieval: top-m bucket selection, candidate lookup, score fusion.
 
-A query is hashed for all K chunks in one call, each chunk under its own
-seed, then each chunk's forward pass gives its row of a K x B matrix of
-bucket probabilities.  Keeping only the m highest-probability
-buckets per chunk turns the embedding into a candidate generator: the labels
-posted in the selected buckets form the candidate set.  Candidates are then
-scored with the full probability rows, one bucket per chunk, so setting
-m = B reproduces brute-force scoring over every label exactly.
+Queries are embedded a block at a time (``embed_block``): one call hashes
+every query of the block for all K chunks, each chunk under its own seed,
+one forward pass a chunk gives each query its row of a K x B matrix of
+bucket probabilities, and one cut keeps the m highest-probability buckets
+of every query's K rows.  Each row keeps its own BLAS products, so a
+query's bits never depend on its block, and ``predict`` is a block of one.
+Keeping only m buckets per chunk turns the embedding into a candidate
+generator: the labels posted in the selected buckets form the candidate
+set.  Candidates are then scored with the full probability rows, one bucket
+per chunk, so setting m = B reproduces brute-force scoring over every label
+exactly.  ``predict`` and ``predict_block`` search each embedded query by
+the same function.
 
 One cut rule, ``_top_k``, serves both bucket selection and label ranking:
 ties break toward the lower index and NaN ranks lowest, which keeps every
@@ -37,7 +42,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +74,7 @@ class QuerySparseEmbedding:
     """Per-chunk bucket probabilities plus the surviving top-m bucket ids."""
 
     probs: np.ndarray  # (K, B) float64
-    top_buckets: list[np.ndarray]  # per chunk, ascending bucket ids, size <= m
+    top_buckets: Sequence[np.ndarray]  # per chunk, ascending bucket ids, size <= m
 
     def __post_init__(self) -> None:
         if self.probs.ndim != 2:
@@ -96,7 +101,9 @@ class Prediction:
 
 
 def _top_k(values: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k largest values, ascending; ties keep the lower position.
+    """Positions of each row's k largest values along the last axis, ascending;
+    ties keep the lower position.  The result has ``values``'s shape, with k
+    in its last axis.
 
     A partition finds the k-th largest value, the cut.  Every entry above
     the cut survives, then the lowest positions among the entries equal to
@@ -104,9 +111,23 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     position) would keep first.  NaN ranks below every number: when the cut
     is NaN, every number survives and the lowest-position NaNs fill the rest.
     The partition runs in place on the negated copy, which puts NaN last.
+
+    A block of rows is partitioned and cut at once: each row keeps every
+    entry not below its cut, NaN included, at least k, and exactly its
+    selection when there are k.  If some row keeps more, each row is cut on
+    its own.
     """
     neg = -values
     neg.partition(k - 1)
+    if values.ndim > 1:
+        n = values.shape[-1]
+        keep = values < -neg[..., k - 1 : k]
+        np.logical_not(keep, out=keep)
+        if np.count_nonzero(keep) == keep.size // n * k:
+            positions = keep.ravel().nonzero()[0] % n
+        else:  # a run of ties or NaN straddles some row's cut
+            positions = np.concatenate([_top_k(row, k) for row in values.reshape(-1, n)])
+        return positions.astype(np.int64, copy=False).reshape(values.shape[:-1] + (k,))
     cut = -neg[k - 1]
     if cut != cut:  # NaN
         tied = np.isnan(values)
@@ -122,17 +143,19 @@ def _top_k(values: np.ndarray, k: int) -> np.ndarray:
     return keep.nonzero()[0].astype(np.int64, copy=False)
 
 
-def sparsify_topm(probs_row: np.ndarray, m: int) -> np.ndarray:
-    """Indexes of the m largest entries, ascending; ties keep the lower index.
+def sparsify_topm(probs: np.ndarray, m: int) -> np.ndarray:
+    """Indexes of each row's m largest entries, ascending; ties keep the lower index.
 
-    The selection is a set, since downstream lookups do not care about
-    rank.  NaN ranks below every number.
+    ``probs`` is one chunk's probability row, giving ``(m,)``, or a
+    ``(rows, B)`` block of rows, giving ``(rows, m)``.  The selection is a
+    set, since downstream lookups do not care about rank.  NaN ranks below
+    every number.
     """
-    probs_row = np.asarray(probs_row, dtype=np.float64)
-    if probs_row.ndim != 1:
-        raise ValueError("expected a single chunk's probability row")
-    check_m(m, probs_row.size)
-    return _top_k(probs_row, m)
+    probs = np.asarray(probs, dtype=np.float64)
+    if probs.ndim not in (1, 2):
+        raise ValueError("expected a probability row or a (rows, buckets) block of rows")
+    check_m(m, probs.shape[-1])
+    return _top_k(probs, m)
 
 
 def check_m(m: int, buckets: int) -> None:
@@ -147,20 +170,53 @@ def _feature_seeds(engine: EngineConfig, chunks: int) -> tuple[int, ...]:
     return tuple(engine.chunk_feature_seed(chunk) for chunk in range(chunks))
 
 
-def embed_query(
-    ensemble: ChunkEnsemble, doc: Document, m: int
-) -> QuerySparseEmbedding:
-    """Hash and score the query in every chunk, then keep m buckets each."""
+def embed_block(
+    ensemble: ChunkEnsemble, docs: Sequence[Document], m: int
+) -> list[QuerySparseEmbedding]:
+    """Hash and score every query in every chunk, then keep m buckets each.
+
+    One ``hash_features`` call hashes the block for all K chunks, each under
+    its own seed; one ``forward`` a chunk scores the block's rows; one
+    ``sparsify_topm`` cuts all of the block's K probability rows a query.  A
+    query's probabilities, and so its selection, have the bits of embedding
+    it alone.
+    """
     k = ensemble.code_config.num_chunks
     b = ensemble.code_config.buckets_per_chunk
     engine = ensemble.engine
-    probs = np.empty((k, b))
-    # one hashing call for all K chunks, each under its own seed
-    feats = hash_features(doc, _feature_seeds(engine, k), engine.feature_dim, engine.feature_mode)
+    rows = len(docs)
+    probs = np.empty((k, rows, b))  # chunk-major: each forward fills one contiguous block
+    feats = hash_features(docs, _feature_seeds(engine, k), engine.feature_dim, engine.feature_mode)
     for chunk, x in enumerate(feats):
-        probs[chunk] = forward(ensemble.models[chunk], x)
-    tops = [sparsify_topm(probs[chunk], m) for chunk in range(k)]
-    return QuerySparseEmbedding(probs=probs, top_buckets=tops)
+        forward(ensemble.models[chunk], x, out=probs[chunk])
+    tops = sparsify_topm(probs.reshape(-1, b), m).reshape(k, rows, m)
+    return [QuerySparseEmbedding(probs[:, r], tops[:, r]) for r in range(rows)]
+
+
+def embed_query(ensemble: ChunkEnsemble, doc: Document, m: int) -> QuerySparseEmbedding:
+    """:func:`embed_block` of one query."""
+    return embed_block(ensemble, [doc], m)[0]
+
+
+# Bytes a served block's rows may hold while they are embedded (``embed_bytes``).
+# At the benchmark's K 4, B 256 a row takes 33,792 bytes, so a block holds 124
+# queries; at the shipped K 16, B 30,000 one row outgrows it, and a block is one query.
+BLOCK_BYTES = 4 * 2**20
+
+
+def block_rows(config: CodeConfig) -> int:
+    """How many queries ``sparsix predict`` embeds a block: as many as ``BLOCK_BYTES`` holds."""
+    return max(1, BLOCK_BYTES // embed_bytes(config, 1))
+
+
+def embed_bytes(config: CodeConfig, rows: int) -> int:
+    """Peak bytes ``embed_block`` holds for ``rows`` queries beside each ``forward``'s scratch.
+
+    A row holds its K·B float64 probabilities, which each ``forward`` writes,
+    and while ``sparsify_topm`` cuts them at up to m = B, their negated copy,
+    a K·B-byte mask and the kept positions, 16 bytes a kept bucket: 33·K·B bytes.
+    """
+    return 33 * config.num_chunks * config.buckets_per_chunk * rows
 
 
 def retrieve_candidates(
@@ -253,16 +309,36 @@ def predict(
     doc: Document,
     params: InferParams,
 ) -> Prediction:
-    """Sparse retrieval for one query: embed, prune, look up, fuse, rank.
+    """Sparse retrieval for one query: embed, prune, look up, fuse, rank."""
+    return _search(cb, idx, embed_query(ensemble, doc, params.m), params)
+
+
+def predict_block(
+    ensemble: ChunkEnsemble,
+    cb: LabelCodebook,
+    idx: InvertedIndex,
+    docs: Sequence[Document],
+    params: InferParams,
+) -> list[Prediction]:
+    """:func:`predict` for each query of a block, embedded at once by :func:`embed_block`.
+
+    Each query is searched on its own, by the code ``predict`` runs, so its
+    prediction is ``predict``'s bit for bit, counters included, in any block.
+    """
+    return [_search(cb, idx, emb, params) for emb in embed_block(ensemble, docs, params.m)]
+
+
+def _search(
+    cb: LabelCodebook, idx: InvertedIndex, emb: QuerySparseEmbedding, params: InferParams
+) -> Prediction:
+    """Prune, look up, fuse and rank one embedded query.
 
     The ranking is that of every label in the selected buckets, bit for bit.
     The pruning passes ``_passes`` plans, each at most a quarter of the K*m
     selection, and then the whole selection are scored in turn until one's
     top_k-th score beats its bound; the counters sum the work of every pass run.
     """
-    counters = OpCounters()
-    emb = embed_query(ensemble, doc, params.m)
-    counters.buckets_scored = int(emb.probs.size)
+    counters = OpCounters(buckets_scored=int(emb.probs.size))
     # the pruning passes, then the whole selection, beyond which no label can rank;
     # the candidates replace the last pass's labels, so a query's peak is its largest pass's
     for visited, bound in chain(_passes(emb, cb.config.num_labels, params), ((emb, math.inf),)):

@@ -34,7 +34,7 @@ from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes
 from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
 from .index import InvertedIndex, build_index, index_bytes
-from .infer import check_m, query_bytes
+from .infer import block_rows, check_m, embed_bytes, query_bytes
 from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, model_bytes
 from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, forward_bytes, save_model
 
@@ -164,13 +164,15 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 
 
 def _loading_bytes(manifest: Manifest) -> int:
-    """Peak bytes of loading an engine and serving its first query.
+    """Peak bytes of loading an engine and serving its first block of queries.
 
     Loading holds K models and the one blob it parses, and :func:`load_serving`
     builds the codebook and the index meanwhile.  Their build scratch, at most
     28 bytes a label, is less than the first query's, which is not yet held.
-    Serving then embeds each query one ``forward`` at a time.  Each module that
-    allocates one of these counts its bytes.  Beside the arrays, loading makes
+    Serving then embeds a block of ``infer.block_rows`` queries, one ``forward``
+    at a time, and searches each; ``forward``'s block of outputs is counted
+    beside the probabilities it is written into.  Each module that allocates
+    one of these counts its bytes.  Beside the arrays, loading makes
     Python objects: the parsed manifest, the helper thread, and each chunk's
     blob reference and model.  ``tracemalloc`` reads about 12 KiB and 1.2 KiB
     a chunk for them, which ``_OBJECT_BYTES`` and ``_CHUNK_OBJECT_BYTES`` cover.
@@ -178,7 +180,9 @@ def _loading_bytes(manifest: Manifest) -> int:
     cc = manifest.code_config
     b = cc.buckets_per_chunk
     models = (cc.num_chunks + 1) * model_bytes(manifest.engine, b)
-    serving = codebook_bytes(cc) + index_bytes(cc) + forward_bytes(manifest.engine, b)
+    rows = block_rows(cc)
+    embedding = forward_bytes(manifest.engine, b, rows) + embed_bytes(cc, rows)
+    serving = codebook_bytes(cc) + index_bytes(cc) + embedding
     objects = _OBJECT_BYTES + cc.num_chunks * _CHUNK_OBJECT_BYTES
     return models + serving + query_bytes(cc) + objects
 

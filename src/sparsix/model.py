@@ -7,7 +7,8 @@ code that computes the loss and its exact, analytic gradients, over a CSR
 batch of hashed documents.  :func:`grad_check` takes such a batch and its
 dense 0/1 targets, as training builds them, and checks that same function
 against central finite differences.  :func:`forward`
-embeds one document at query time.  :func:`apply_update` takes one Adam step
+embeds a block of queries, each row with the bits it has alone.
+:func:`apply_update` takes one Adam step
 with the standard constants below; the learning rate is the one
 optimizer setting a run chooses.
 
@@ -17,7 +18,9 @@ The engine's configs (:class:`EngineConfig`, :class:`TrainConfig`), the
 trained :class:`ChunkEnsemble`, the bytes a model and a training step take
 (:func:`model_bytes`, :func:`step_bytes`) and :func:`check_fits`, where both
 the training and the loading estimate meet the memory limit, live here too,
-for the same reason.
+for the same reason, as does :func:`one_blas_thread`, which training's
+workers and every command call so that no product's bits follow the
+host's cores.
 
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
@@ -46,6 +49,8 @@ from .features import FEATURE_MODES, HashedFeatures
 from .hashing import SEED_RANGE, check_ints, derive_seed
 
 if TYPE_CHECKING:
+    import ctypes
+
     import scipy.sparse as sp
 
 LOSS_CLAMP_EPS = 1e-12
@@ -192,21 +197,34 @@ def sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.divide(1.0, t, out=t)
 
 
-def forward(model: ChunkModel, x: HashedFeatures) -> np.ndarray:
-    """Bucket probability vector for one document, unclamped, computed in float64.
+def forward(
+    model: ChunkModel, x: HashedFeatures, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Bucket probabilities, ``(rows, B)``, one row per row of ``x``, unclamped, in float64.
 
-    ``sigmoid(W2 @ relu(x W1 + b1) + b2)``, by that expression's operations in
-    its order; the bias, ReLU and sigmoid steps write into the product they
-    follow.
+    Row r is ``sigmoid(W2 @ relu(x_r W1 + b1) + b2)``, by that expression's
+    operations in its order, with the bits of computing it alone.  Each row
+    takes its two products as one BLAS call each, as a single row does, and
+    its biases and ReLU into them; the sigmoid then runs over the whole block,
+    elementwise.  One product ``h @ W2.T`` for the block would make a row's
+    bits depend on its block.  The result is written into ``out``, a
+    C-contiguous float64 ``(rows, B)`` array, if given.
     """
     if x.dim != model.input_dim:
         raise ValueError(f"input dim {x.dim} != model input dim {model.input_dim}")
-    # only the touched rows of W1 are read; x's float64 values widen them, and h widens W2
-    h = x.values @ model.W1[x.indexes]
-    h += model.b1
-    np.maximum(h, 0.0, out=h)
-    z = model.W2 @ h
-    z += model.b2
+    bounds = [0, x.indexes.size] if x.offsets is None else x.offsets.tolist()
+    rows = len(bounds) - 1
+    # only the touched rows of W1 are read, in one gather; x's float64 values widen them
+    touched = model.W1[x.indexes]
+    w2 = model.W2.astype(np.float64, copy=False)  # widened once a call, not once a row
+    z = np.empty((rows, model.output_dim)) if out is None else out
+    for r in range(rows):
+        a, b = bounds[r], bounds[r + 1]
+        h = x.values[a:b] @ touched[a:b]
+        h += model.b1
+        np.maximum(h, 0.0, out=h)
+        zr = np.matmul(w2, h, out=z[r])
+        zr += model.b2
     return sigmoid(z, out=z)
 
 
@@ -488,11 +506,12 @@ def model_bytes(engine: EngineConfig, buckets: int) -> int:
     return PARAM_DTYPE.itemsize * num_params(engine.feature_dim, engine.hidden_dim, buckets)
 
 
-def forward_bytes(engine: EngineConfig, buckets: int) -> int:
-    """Peak bytes :func:`forward` adds beside its model: ``W2 @ h`` multiplies a
-    float64 copy of the whole float32 W2, next to the float64 ``h`` and ``z``."""
+def forward_bytes(engine: EngineConfig, buckets: int, rows: int) -> int:
+    """Peak bytes :func:`forward` adds beside its model for a block of ``rows`` rows:
+    ``W2 @ h`` multiplies a float64 copy of the whole float32 W2, next to one
+    row's float64 ``h`` at a time and the block's float64 ``z``, 8·B bytes a row."""
     h = engine.hidden_dim
-    return 8 * (buckets * h + h + buckets)
+    return 8 * (buckets * h + h + rows * buckets)
 
 
 def step_bytes(engine: EngineConfig, buckets: int, rows: int, live_rows: int) -> int:
@@ -513,6 +532,50 @@ def step_bytes(engine: EngineConfig, buckets: int, rows: int, live_rows: int) ->
     activations = rows * (h + buckets) * (4 * item + 24)
     init = 8 * min(h, INIT_BLOCK_UNITS) * f
     return item * f * h + 4 * live + adam + activations + init
+
+
+# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
+_OPENBLAS_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
+
+
+def _numpy_openblas() -> ctypes.CDLL | None:
+    """The OpenBLAS bundled with NumPy's wheel, if this process has it loaded."""
+    import ctypes
+
+    numpy_dir = Path(np.__file__).resolve().parent
+    bundled = [
+        *numpy_dir.parent.glob("numpy.libs/*openblas*"),
+        *numpy_dir.glob(".dylibs/*openblas*"),
+    ]
+    for path in bundled:
+        try:
+            return ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
+        except OSError:
+            continue
+    return None
+
+
+def one_blas_thread() -> None:
+    """Run NumPy's OpenBLAS on one thread in this process.
+
+    A product summed across threads can have other bits than at one, so
+    training's workers and the serving commands run at one thread.  Changes
+    nothing where NumPy uses another BLAS or none is found.
+    """
+    import ctypes
+
+    lib = _numpy_openblas()
+    for name in _OPENBLAS_SETTERS:
+        setter = getattr(lib, name, None)
+        if setter is not None:
+            # void set(int), in every OpenBLAS interface
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 def _memory_limit() -> int:

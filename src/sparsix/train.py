@@ -32,14 +32,11 @@ is the OR of the document's label codes for that chunk.
 """
 from __future__ import annotations
 
-import ctypes
 import logging
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,7 +46,7 @@ from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes  # 
 from .features import DocBlock, Document, hash_token_ids, merge_rows
 from .hashing import derive_seed
 from .model import PARAM_DTYPE, ChunkModel, apply_update, check_fits, init_model, model_bytes
-from .model import step_bytes, zero_adam_state
+from .model import one_blas_thread, step_bytes, zero_adam_state
 # the engine's configs and ensemble live in model, which serving imports without SciPy
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -185,44 +182,6 @@ def train_chunk(
     return full, curve
 
 
-# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
-
-
-def _numpy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled with NumPy's wheel, if this process has it loaded."""
-    numpy_dir = Path(np.__file__).resolve().parent
-    bundled = [
-        *numpy_dir.parent.glob("numpy.libs/*openblas*"),
-        *numpy_dir.glob(".dylibs/*openblas*"),
-    ]
-    for path in bundled:
-        try:
-            return ctypes.CDLL(str(path), mode=getattr(os, "RTLD_NOLOAD", 0))
-        except OSError:
-            continue
-    return None
-
-
-def _one_blas_thread() -> None:
-    """Run NumPy's OpenBLAS on one thread in this process.
-
-    Changes nothing where NumPy uses another BLAS or none is found.
-    """
-    lib = _numpy_openblas()
-    for name in _OPENBLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            # void set(int), in every OpenBLAS interface
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
-
-
 # the block, codebook and configs this worker process's chunks train with
 _job: tuple[DocBlock, LabelCodebook, EngineConfig, TrainConfig] | None = None
 
@@ -242,7 +201,7 @@ def _start_worker(
     """
     global _job
     _job = (block, cb, engine, cfg)
-    _one_blas_thread()
+    one_blas_thread()
 
 
 def _train_chunk_task(payload: tuple[int]) -> tuple[ChunkModel, list[float], float]:

@@ -1,6 +1,7 @@
 """Shared fixtures: one small trained engine reused across test modules;
 ``traced_peak``, which tests import to measure what a call allocates; and
-``openblas_threads``, which reads or sets this process's BLAS thread count."""
+``openblas_threads``, which reads or sets this process's BLAS thread count; and
+``save_untrained``, an engine of freshly initialised models on disk."""
 from __future__ import annotations
 
 import ctypes
@@ -14,7 +15,9 @@ from sparsix.codes import CodeConfig, LabelCodebook, build_codebook
 from sparsix.corpus import make_separable_corpus
 from sparsix.features import Document
 from sparsix.index import InvertedIndex, build_index
-from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, _numpy_openblas, train_all
+from sparsix.manifest import save_ensemble
+from sparsix.model import PARAM_DTYPE, _numpy_openblas, init_model
+from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
 
 T = TypeVar("T")
 
@@ -48,6 +51,15 @@ def openblas_threads(count: int | None = None) -> int | None:
                 setter(count)
             return getter()
     return None
+
+
+def save_untrained(path, k, f, h, b, n):
+    """A K-chunk engine of freshly initialised float32 models over N labels."""
+    engine = EngineConfig(f, h, feature_seed=3, init_seed=4)
+    models = [
+        init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE) for c in range(k)
+    ]
+    return save_ensemble(ChunkEnsemble(CodeConfig(n, k, b, base_seed=5), engine, models), path)
 
 
 @dataclass(frozen=True)

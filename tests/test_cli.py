@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, assume, event, given, settings
 from hypothesis import strategies as st
 
 import sparsix.codes
+import sparsix.infer
 import sparsix.manifest
 import sparsix.model as model_mod
 import sparsix.train as train_mod
@@ -31,12 +32,13 @@ from sparsix.cli import (
     main,
     parse_config,
 )
+from conftest import openblas_threads, save_untrained, traced_peak
 from sparsix.corpus import make_separable_corpus, write_corpus
 from sparsix.features import DocBlock
-from sparsix.infer import InferParams
+from sparsix.infer import InferParams, block_rows
 from sparsix.manifest import _loading_bytes, load_manifest
 from sparsix.metrics import evaluate
-from sparsix.model import TrainConfig
+from sparsix.model import TrainConfig, _numpy_openblas
 
 DESK_CONFIG = """\
 # desk-scale settings, everything tiny
@@ -1374,6 +1376,74 @@ print(rc, sorted(name for name in sys.modules if name.partition(".")[0] == "scip
 from sparsix import train_all
 print(train_all.__module__, "scipy.sparse" in sys.modules)
 """
+
+
+def write_queries(path: Path, count: int, num_labels: int) -> Path:
+    _, test, num_features = make_separable_corpus(
+        num_labels=count, tokens_per_label=3, docs_per_label=1, test_docs_per_label=1, seed=5
+    )
+    write_corpus(path, test, num_features, num_labels)
+    return path
+
+
+class TestServingBlocks:
+    def test_empty_corpus_refused_before_the_engine_loads(self, workspace, tmp_path, capsys, monkeypatch):
+        """The header's count of 0 fails the command before any blob is read or table built."""
+        monkeypatch.setattr(cli, "load_serving", pytest.fail)
+        corpus = tmp_path / "queries.txt"
+        corpus.write_text("0 5 20\n", encoding="utf-8")
+        argv = ["predict", "--manifest", str(workspace / "engine" / "manifest.json"),
+                "--corpus", str(corpus), "--out", str(tmp_path / "p.tsv")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "error: no queries in corpus" in capsys.readouterr().err
+        assert not (tmp_path / "p.tsv").exists()
+
+    @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
+    def test_predict_bits_do_not_follow_the_callers_blas_threads(self, tmp_path, monkeypatch, capsys):
+        """At K 2, B 1003, H 4096, ``W2 @ h`` summed across two OpenBLAS threads has other
+        bits than at one.  ``main`` serves at one thread whatever the caller set, so the
+        probabilities, and the files, are the same from a caller at one thread or two."""
+        manifest = save_untrained(tmp_path / "engine", k=2, f=64, h=4096, b=1003, n=2000)
+        corpus = write_queries(tmp_path / "queries.txt", 60, 2000)
+        recorded = []
+        inner = sparsix.infer.forward
+
+        def recording(*args, **kwargs):
+            z = inner(*args, **kwargs)
+            recorded[-1].append(z.tobytes())
+            return z
+
+        monkeypatch.setattr(sparsix.infer, "forward", recording)
+        before = openblas_threads()
+        try:
+            for threads in (1, 2):
+                openblas_threads(threads)
+                recorded.append([])
+                argv = ["predict", "--manifest", str(manifest), "--corpus", str(corpus),
+                        "--out", str(tmp_path / f"{threads}.tsv"), "--m", "10"]
+                assert main(argv) == EXIT_OK
+        finally:
+            openblas_threads(before)
+        capsys.readouterr()
+        assert recorded[0] and recorded[0] == recorded[1]
+        assert (tmp_path / "1.tsv").read_bytes() == (tmp_path / "2.tsv").read_bytes()
+
+    def test_blocks_peak_within_the_loading_estimate(self, tmp_path, monkeypatch, capsys):
+        """At K 2, B 16,384 a row counts 1,081,344 bytes, so the budget binds at 3 rows
+        and 7 queries take 3 blocks.  The traced peak of the whole command, loading
+        included, stays within ``_loading_bytes``, which serves one block."""
+        manifest = save_untrained(tmp_path / "engine", k=2, f=64, h=16, b=16_384, n=1000)
+        corpus = write_queries(tmp_path / "queries.txt", 7, 1000)
+        assert block_rows(load_manifest(manifest).code_config) == 3
+        blocks = []
+        inner = cli.predict_block
+        monkeypatch.setattr(cli, "predict_block", lambda *a: blocks.append(len(a[3])) or inner(*a))
+        argv = ["predict", "--manifest", str(manifest), "--corpus", str(corpus),
+                "--out", str(tmp_path / "p.tsv"), "--m", "10"]
+        rc, peak = traced_peak(lambda: main(argv))
+        capsys.readouterr()
+        assert rc == EXIT_OK and blocks == [3, 3, 1]
+        assert peak <= _loading_bytes(load_manifest(manifest))
 
 
 class TestServingImports:

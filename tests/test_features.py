@@ -213,6 +213,46 @@ def assert_k_wide(doc, seeds, feature_dim, mode):
         assert feats.values.tobytes() == one.values.tobytes()
 
 
+class TestHashBlock:
+    @pytest.mark.parametrize("mode", ["counts", "binary"])
+    @pytest.mark.parametrize("feature_dim", [1, 5, 1 << 13])
+    def test_rows_are_the_documents_alone(self, mode, feature_dim):
+        """A list of documents, an empty one and a repeated one among them, gives one
+        ``HashedFeatures`` a seed whose row r has the bits of hashing document r alone."""
+        rng = np.random.default_rng(feature_dim)
+        docs = []
+        for i in range(9):
+            n = 0 if i == 4 else int(rng.integers(1, 12))
+            ids = rng.choice(2**40, size=n, replace=False).tolist()
+            docs.append(make_document(i, list(zip(ids, rng.integers(1, 2**20, size=n).tolist())), []))
+        docs.append(docs[2])
+        for seeds in (11, [11, 2**40 + 3, 7]):
+            many = hash_features(docs, seeds, feature_dim, mode)
+            for feats, seed in zip([many] if isinstance(seeds, int) else many, np.atleast_1d(seeds)):
+                assert feats.offsets.dtype == np.int64 and feats.offsets.size == len(docs) + 1
+                assert feats.offsets[0] == 0 and feats.offsets[-1] == feats.indexes.size
+                for r, doc in enumerate(docs):
+                    alone = hash_features(doc, int(seed), feature_dim, mode)
+                    assert alone.offsets is None  # one document is one row
+                    a, b = feats.offsets[r], feats.offsets[r + 1]
+                    assert feats.indexes[a:b].tobytes() == alone.indexes.tobytes()
+                    assert feats.values[a:b].tobytes() == alone.values.tobytes()
+
+    def test_list_of_one_is_the_document(self):
+        doc = make_document(0, [(5, 2), (9, 1)], [])
+        for one, alone in zip(hash_features([doc], [1, 2], 16), hash_features(doc, [1, 2], 16)):
+            assert one.offsets is None
+            assert one.indexes.tobytes() == alone.indexes.tobytes()
+            assert one.values.tobytes() == alone.values.tobytes()
+
+    def test_no_documents(self):
+        feats = hash_features([], [1, 2], 16)
+        assert [(f.indexes.size, f.values.size, f.offsets.tolist()) for f in feats] == [
+            (0, 0, [0]),
+            (0, 0, [0]),
+        ]
+
+
 class TestMergeRows:
     @settings(max_examples=200, deadline=None)
     @given(

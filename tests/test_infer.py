@@ -9,13 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import traced_peak
 from sparsix.codes import CodeConfig, LabelCodebook, build_codebook
 from sparsix.corpus import make_separable_corpus
 import sparsix.features
 import sparsix.infer
-from sparsix.features import hash_features, make_document
+from sparsix.features import FEATURE_MODES, hash_features, make_document
 from sparsix.index import build_index, lookup
 from sparsix.infer import (
     AGGREGATION_MODES,
@@ -24,11 +25,15 @@ from sparsix.infer import (
     QuerySparseEmbedding,
     _passes,
     _rank,
+    _top_k,
     aggregate_scores,
+    block_rows,
     dense_op_count,
+    embed_bytes,
     embed_query,
     op_count_bound,
     predict,
+    predict_block,
     predict_full,
     query_bytes,
     retrieve_candidates,
@@ -66,9 +71,20 @@ class TestSparsifyTopm:
         with pytest.raises(ValueError):
             sparsify_topm(np.array([0.1, 0.2, 0.3, 0.4]), m)
 
-    def test_rejects_matrix_input(self):
-        with pytest.raises(ValueError):
-            sparsify_topm(np.zeros((2, 3)), 1)
+    def test_rejects_scalar_and_3d_input(self):
+        for probs in (np.float64(0.5), np.zeros((2, 3, 4))):
+            with pytest.raises(ValueError, match="probability row"):
+                sparsify_topm(probs, 1)
+
+    def test_cuts_each_row_of_a_block(self):
+        """A (rows, B) block gives (rows, m): each row's cut, as cutting it alone gives."""
+        p = np.array([[0.5, 0.9, 0.5, 0.1], [np.nan, 0.1, np.nan, 0.3], [0.2, 0.2, 0.2, 0.2]])
+        got = sparsify_topm(p, 3)
+        assert got.dtype == np.int64 and got.tolist() == [[0, 1, 2], [0, 1, 3], [0, 1, 2]]
+        assert [sparsify_topm(row, 3).tolist() for row in p] == got.tolist()
+        assert sparsify_topm(np.empty((0, 4)), 2).shape == (0, 2)
+        with pytest.raises(ValueError, match="m must be in"):
+            sparsify_topm(p, 5)
 
     @given(st.integers(0, 2**32 - 1), st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
@@ -118,6 +134,32 @@ class TestTopmMatchesLexsort:
         p = np.array([np.nan, 0.1, np.nan, 0.3])
         assert sparsify_topm(p, 2).tolist() == [1, 3]
         assert sparsify_topm(p, 3).tolist() == [0, 1, 3]
+
+
+# values that tie, order NaN, and compare ±0 and ±inf equal or extreme
+TOP_K_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+class TestTopKRows:
+    @given(data=st.data(), rows=st.integers(0, 6), n=st.integers(1, 24))
+    @settings(max_examples=300, deadline=None)
+    def test_each_row_is_its_stable_sort(self, data, rows, n):
+        """Property: ``_top_k`` over a (rows, n) block keeps, in each row, the first
+        k positions of a stable sort by (-value, position), NaN last, in ascending
+        order; and a row cut alone, 1-D, keeps the same positions."""
+        values = data.draw(hnp.arrays(np.float64, (rows, n), elements=TOP_K_ENTRIES))
+        k = data.draw(st.integers(1, n))
+        before = values.tobytes()
+        got = _top_k(values, k)
+        assert got.dtype == np.int64 and got.shape == (rows, k)
+        assert values.tobytes() == before
+        for row, cut in zip(values, got):
+            first = np.argsort(-row, kind="stable")[:k]
+            assert cut.tolist() == sorted(first.tolist())
+            assert _top_k(row, k).tolist() == cut.tolist()
 
 
 class TestParams:
@@ -189,6 +231,52 @@ class TestExactness:
         trunc = aggregate_scores(tiny_engine.cb, emb, cand, OpCounters(), "truncated")
         assert np.all(trunc <= full)
         assert np.all(trunc >= 0.0)
+
+
+class TestPredictBlock:
+    @pytest.mark.parametrize("mode", FEATURE_MODES)
+    @pytest.mark.parametrize("aggregation", AGGREGATION_MODES)
+    @pytest.mark.parametrize("m", [1, 10, 32])
+    def test_rows_are_predict_at_every_block_size(self, tiny_engine, mode, aggregation, m):
+        """Each row of ``predict_block`` is ``predict``'s prediction of that query: its
+        labels, its score bits and its counters, in blocks of 1, 2, 7, 64 and 256 rows
+        and of the 992 rows the budget gives this engine, full and part-filled.  At
+        m = 10 and 32 queries run pruning passes (s0 = 4 of K*m = 40 or 128 buckets)."""
+        engine = dataclasses.replace(tiny_engine.ensemble.engine, feature_mode=mode)
+        ensemble = dataclasses.replace(tiny_engine.ensemble, engine=engine)
+        cb, idx = tiny_engine.cb, tiny_engine.idx
+        params = InferParams(m=m, top_k=5, aggregation=aggregation)
+        budget = block_rows(cb.config)
+        assert budget == 992
+        docs = tiny_engine.test_docs + [make_document(0, [], [])]  # a query with no tokens too
+        queries = [docs[i % len(docs)] for i in range(budget + 1)]
+        want = [predict(ensemble, cb, idx, doc, params) for doc in queries]
+        for size in (1, 2, 7, 64, 256, budget):
+            n = min(len(queries), 2 * size + 1)
+            got = []
+            for start in range(0, n, size):
+                got += predict_block(ensemble, cb, idx, queries[start : min(start + size, n)], params)
+            assert len(got) == n
+            for row, (g, w) in enumerate(zip(got, want)):
+                assert g.labels.tobytes() == w.labels.tobytes(), (size, row)
+                assert g.scores.tobytes() == w.scores.tobytes(), (size, row)
+                assert g.counters == w.counters, (size, row)
+
+    def test_empty_block(self, tiny_engine):
+        args = tiny_engine.ensemble, tiny_engine.cb, tiny_engine.idx
+        assert predict_block(*args, [], InferParams(m=4, top_k=5)) == []
+
+
+class TestBlockRows:
+    def test_budget_over_a_rows_bytes(self):
+        """33·K·B bytes of probabilities and top-m scratch a row: the benchmark's K 4,
+        B 256 serve 124 queries a block, so each of its 100-query commands is one block,
+        and the shipped K 16, B 30,000 one query a block."""
+        bench = CodeConfig(2000, 4, 256, base_seed=1)
+        assert embed_bytes(bench, 1) == 33 * 4 * 256 == 33_792
+        assert block_rows(bench) == 4 * 2**20 // 33_792 == 124
+        assert embed_bytes(bench, 124) == 124 * 33_792
+        assert block_rows(CodeConfig(1000, 16, 30_000, base_seed=1)) == 1
 
 
 class TestEmbedQuery:
@@ -560,7 +648,7 @@ class TestQueryBytes:
         cb = build_codebook(CodeConfig(n, k, b, base_seed=5))
         idx = build_index(cb)
         ensemble = served_over(untrained_ensemble(cb, hidden_dim=h), cb, "flat", None)
-        estimate = forward_bytes(ensemble.engine, b) + query_bytes(cb.config)
+        estimate = forward_bytes(ensemble.engine, b, 1) + query_bytes(cb.config)
         queries = [
             lambda: predict(ensemble, cb, idx, QUERY, InferParams(m=b, top_k=100)),
             lambda: predict_full(ensemble, cb, QUERY, top_k=100),

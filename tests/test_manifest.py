@@ -11,7 +11,7 @@ import pytest
 
 import sparsix.manifest
 import sparsix.model as model_mod
-from conftest import traced_peak
+from conftest import save_untrained, traced_peak
 from sparsix.codes import build_codebook
 from sparsix.index import build_index
 from sparsix.infer import InferParams, embed_query, predict
@@ -246,14 +246,17 @@ class TestMemoryCheck:
     ):
         """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, loading's
         Python objects (32 KiB and 2 KiB a chunk), then for N = 60 the int32
-        codebook, the index (uint32 labels, int64 offsets per chunk),
-        ``forward``'s float64 copy of W2 beside its float64 h and z, and
-        one query at m = B, whose scoring (N int64 candidates, an (N, K) int32
-        code gather, N int64 indexes, N float64 scores and one gathered row:
-        2,880 bytes) outgrows its union (1,920 bytes)."""
+        codebook, the index (uint32 labels, int64 offsets per chunk), a block
+        of 992 queries (4 MiB over 33·K·B = 4,224 bytes a row): ``forward``'s
+        float64 copy of W2 beside one row's float64 h and the block's float64
+        z, and the block's probabilities and top-m scratch, 33·K·B bytes a row;
+        and one query at m = B, whose scoring (N int64 candidates, an (N, K)
+        int32 code gather, N int64 indexes, N float64 scores and one gathered
+        row: 2,880 bytes) outgrows its union (1,920 bytes)."""
         _, path = saved_engine
-        forward = 8 * (32 * 24 + 24 + 32)
-        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + forward + (4 * 4 * 60 + 32 * 60)
+        rows = 992
+        embedding = 8 * (32 * 24 + 24 + rows * 32) + 33 * 4 * 32 * rows
+        serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + embedding + (4 * 4 * 60 + 32 * 60)
         objects = 32 * 1024 + 4 * 2 * 1024
         models = 4 * 5 * num_params(512, 24, 32)
         assert _loading_bytes(load_manifest(path)) == models + serving + objects
@@ -292,15 +295,6 @@ class TestMemoryCheck:
         ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
         _, peak = traced_peak(lambda: save_ensemble(ensemble, tmp_path / "wide"))
         assert peak < PARAM_DTYPE.itemsize * num_params(f, h, b) + 64 * 1024
-
-
-def save_untrained(path, k, f, h, b, n):
-    """A K-chunk engine of freshly initialised float32 models over N labels."""
-    engine = EngineConfig(f, h, feature_seed=3, init_seed=4)
-    models = [
-        init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE) for c in range(k)
-    ]
-    return save_ensemble(ChunkEnsemble(CodeConfig(n, k, b, base_seed=5), engine, models), path)
 
 
 def rewrite_blob(path, chunk, edit):

@@ -13,7 +13,7 @@ from hypothesis.extra import numpy as hnp
 
 import sparsix.model as model_mod
 from conftest import traced_peak
-from sparsix.features import HashedFeatures
+from sparsix.features import HashedFeatures, row_offsets
 from sparsix.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -82,19 +82,19 @@ class TestChunkModel:
 class TestForward:
     def test_hand_computed_probabilities(self):
         # x = [1, 0, 2]: h_pre = [5.5, 1.5], z = [0, 1.5]
-        p = forward(hand_model(), feats([0, 2], [1.0, 2.0]))
+        p = forward(hand_model(), feats([0, 2], [1.0, 2.0]))[0]
         expected = np.array([0.5, 1.0 / (1.0 + np.exp(-1.5))])
         np.testing.assert_allclose(p, expected, rtol=1e-14)
 
     def test_relu_clamps_negative_unit(self):
         # x = [0, 1, 0]: h_pre = [0.5, -1.5] so unit 1 contributes nothing
-        p = forward(hand_model(), feats([1], [1.0]))
+        p = forward(hand_model(), feats([1], [1.0]))[0]
         z = np.array([0.5 - 4.0, 0.25 - 2.0])
         np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-z)), rtol=1e-14)
 
     def test_empty_input_uses_biases_only(self):
         m = hand_model()
-        p = forward(m, feats([], []))
+        p = forward(m, feats([], []))[0]
         h = np.maximum(m.b1, 0.0)
         z = m.W2 @ h + m.b2
         np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-z)), rtol=1e-14)
@@ -161,9 +161,61 @@ class TestForwardBits:
             h = np.maximum(x.values @ model.W1[x.indexes] + model.b1, 0.0)
             want = np.divide(1.0, 1.0 + np.exp(-(model.W2 @ h + model.b2)))
             got = forward(model, x)
-        assert got.dtype == np.float64 and got.shape == (model.output_dim,)
+        assert got.dtype == np.float64 and got.shape == (1, model.output_dim)
         assert got.tobytes() == want.tobytes()
         assert [p.tobytes() for p in model.params()] == before
+
+
+def block_of(rows: list[HashedFeatures]) -> HashedFeatures:
+    """One input whose rows are ``rows``, in order."""
+    return HashedFeatures(
+        dim=rows[0].dim,
+        indexes=np.concatenate([np.empty(0, np.int64), *(x.indexes for x in rows)]),
+        values=np.concatenate([np.empty(0), *(x.values for x in rows)]),
+        offsets=row_offsets([x.indexes.size for x in rows]),
+    )
+
+
+class TestForwardRows:
+    @given(served=served_models(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_each_row_has_its_bits_alone(self, served, data):
+        """Property: on the drawn float32 models, a block's row r has the bits of
+        ``forward`` on row r alone, empty rows included, and ``out`` receives them."""
+        model, first = served
+        f = model.input_dim
+        rows = [first]
+        for _ in range(data.draw(st.integers(0, 5))):
+            idx = np.array(sorted(data.draw(st.sets(st.integers(0, f - 1)))), dtype=np.int64)
+            vals = data.draw(hnp.arrays(np.float64, idx.size, elements=st.sampled_from([1.0, 3.0, 2.0**60])))
+            rows.append(HashedFeatures(dim=f, indexes=idx, values=vals))
+        with np.errstate(all="ignore"):
+            alone = [forward(model, x) for x in rows]
+            got = forward(model, block_of(rows))
+            out = np.empty((len(rows), model.output_dim))
+            assert forward(model, block_of(rows), out=out) is out
+        assert got.shape == (len(rows), model.output_dim)
+        for r, want in enumerate(alone):
+            assert want.shape == (1, model.output_dim)
+            assert got[r].tobytes() == want.tobytes() == out[r].tobytes(), r
+
+    def test_block_bits_at_a_wide_shape(self):
+        """At F 512, H 256, B 1003 a block of 9 rows gives each row the bits of the row
+        alone, where one (rows, H) x (H, B) product would sum in other orders."""
+        rng = np.random.default_rng(5)
+        model = init_model(512, 256, 1003, init_seed=9, dtype=np.float32)
+        model.b1 = rng.uniform(-0.05, 0.05, size=256).astype(np.float32)
+        rows = []
+        for nnz in (0, 1, 3, 8, 40, 129, 200, 5, 2):
+            idx = np.sort(rng.choice(512, size=nnz, replace=False)).astype(np.int64)
+            rows.append(HashedFeatures(dim=512, indexes=idx, values=rng.integers(1, 4, nnz) * 1.0))
+        got = forward(model, block_of(rows))
+        for r, x in enumerate(rows):
+            assert got[r].tobytes() == forward(model, x)[0].tobytes(), r
+
+    def test_no_rows(self):
+        x = HashedFeatures(dim=3, indexes=np.empty(0, np.int64), values=np.empty(0), offsets=row_offsets([]))
+        assert forward(hand_model(), x).shape == (0, 2)
 
 
 class TestSigmoid:
@@ -352,7 +404,7 @@ class TestBackward:
         m = hand_model()
         y = hot([0], 2)
         loss, _ = batch_step(m, rows([1.0, 0.0, 2.0]), y)
-        assert loss == bce_loss(forward(m, feats([0, 2], [1.0, 2.0])), y[0])
+        assert loss == bce_loss(forward(m, feats([0, 2], [1.0, 2.0]))[0], y[0])
 
 
 def ref_adam_step(p, g, m, v, step, lr):

@@ -20,13 +20,12 @@ from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.manifest import save_ensemble
 from sparsix.model import PARAM_DTYPE, _batch_forward, forward, init_model, num_params
-from sparsix.model import save_model, step_bytes
+from sparsix.model import _numpy_openblas, save_model, step_bytes
 from sparsix.train import (
     ChunkEnsemble,
     EngineConfig,
     TrainConfig,
     _chunk_matrix,
-    _numpy_openblas,
     _target_matrix,
     check_memory,
     train_all,
@@ -98,7 +97,7 @@ class TestTrainChunk:
         block = DocBlock.from_documents(docs[:1])
         model, _ = train_chunk(0, block, cb, eng, cfg)
         x = hash_features(docs[0], eng.chunk_feature_seed(0), eng.feature_dim, "counts")
-        p = forward(model, x)
+        p = forward(model, x)[0]
         hot = _target_matrix(block, cb, 0).indices
         mask = np.zeros(p.size, dtype=bool)
         mask[hot] = True
@@ -173,10 +172,9 @@ class TestTrainChunk:
         _, _, batch_p = _batch_forward(
             model, _chunk_matrix(block, seed0, eng.feature_dim, "counts")
         )
-        for row, doc in enumerate(docs):
-            p = forward(model, hash_features(doc, seed0, eng.feature_dim, "counts"))
-            # same products, but a BLAS may sum them in another order
-            np.testing.assert_allclose(p, batch_p[row], rtol=1e-12, atol=0.0)
+        p = forward(model, hash_features(docs, seed0, eng.feature_dim, "counts"))
+        # same products, but a BLAS may sum them in another order
+        np.testing.assert_allclose(p, batch_p, rtol=1e-12, atol=0.0)
 
     def test_no_labeled_documents_rejected(self):
         """train_chunk trains on every row it gets: no rows, or an unlabeled one, fail."""
