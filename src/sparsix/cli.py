@@ -316,6 +316,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         top_k = max(*ks_precision, *ks_recall)
         params = InferParams(m=args.m, top_k=top_k, aggregation=args.aggregation)
         testset = list(parse_corpus(args.corpus))
+        if not testset:
+            raise ValueError("empty test set")  # evaluate's own check, before the engine loads
         ensemble, cb, idx = load_serving(args.manifest, index=True, m=params.m)
         report = evaluate(ensemble, cb, idx, testset, params, ks_precision, ks_recall)
         _print(report.as_text())

@@ -32,36 +32,42 @@ class InvertedIndex:
 def build_index(cb: LabelCodebook) -> InvertedIndex:
     """Invert a codebook into per-chunk postings.
 
-    A stable argsort of the bucket column groups labels by bucket while
-    keeping label order increasing inside each bucket.  The column is first
-    narrowed to the smallest unsigned type that holds B - 1, so for B up to
-    65,536 NumPy sorts it with a radix sort, O(N) per chunk.
+    Each chunk sorts one key per label, ``code << s | label`` with s the bit
+    length of N - 1, in the narrowest unsigned type that holds them (uint32,
+    else uint64), and keeps each key's low s bits, its label.  The keys are
+    distinct, so any sort gives the order of a stable argsort of the code
+    column: labels grouped by bucket, increasing inside each bucket.
     """
     cfg = cb.config
     n, b = cfg.num_labels, cfg.buckets_per_chunk
+    shift = (n - 1).bit_length()
+    key_type = np.uint32 if b << shift <= 2**32 else np.uint64
     offsets = []
     labels = []
     for k in range(cfg.num_chunks):
-        column = cb.codes[:, k].astype(np.min_scalar_type(b - 1))
+        keys = cb.codes[:, k].astype(key_type)
         # bucket loads, summed in place and shifted by one: one B-sized array
-        off = np.bincount(column, minlength=b + 1)
+        off = np.bincount(keys, minlength=b + 1)
         np.cumsum(off, out=off)
         off[1:] = off[:-1]
         off[0] = 0
-        order = np.argsort(column, kind="stable").astype(np.uint32)
         assert off[-1] == n
+        keys <<= shift
+        keys |= np.arange(n, dtype=key_type)
+        keys.sort()
+        keys &= (1 << shift) - 1
         offsets.append(off)
-        labels.append(order)
+        labels.append(keys.astype(np.uint32, copy=False))
     return InvertedIndex(config=cfg, offsets=offsets, labels=labels)
 
 
 def index_bytes(config: CodeConfig) -> int:
     """Bytes of :func:`build_index`'s tables: per chunk N uint32 labels and B + 1 int64 offsets.
 
-    Building one chunk's table briefly holds its narrowed column and int64
-    sort order (at most 12 bytes a label, less than the first query's
-    :func:`infer.query_bytes`); it counts the bucket loads in the offsets
-    array itself.
+    Building one chunk's table briefly holds its keys beside their int64 copy
+    that ``bincount`` makes, or beside the label ids: at most 16 bytes a label,
+    less than the first query's :func:`infer.query_bytes`.  It counts the
+    bucket loads in the offsets array itself.
     """
     return config.num_chunks * (4 * config.num_labels + 8 * (config.buckets_per_chunk + 1))
 

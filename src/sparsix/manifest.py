@@ -7,17 +7,20 @@ therefore reproduces the original scoring function bit for bit.
 
 Blobs are referenced by a path relative to the manifest's directory, which
 must stay inside it, together with a sha256 checksum of 64 lowercase hex
-digits.  Each blob is read once on load and its checksum verified before
-:func:`model.load_model` parses those same bytes in place; a blob holding more
-or fewer bytes than its header claims is rejected.  Seeds are stored as JSON
-integers (they can exceed 2^53; the reference reader is Python, which keeps
-them exact).
+digits.  Each blob is read once on load and its checksum verified; then its
+header must give the manifest's chunk, init seed and dimensions before
+:func:`model.load_model` parses those same bytes in place.  A blob holding
+more or fewer bytes than its header claims is rejected.  Seeds are stored as
+JSON integers (they can exceed 2^53; the reference reader is Python, which
+keeps them exact).
 
 Two loaders share one prologue (the manifest, then the memory check) and one
-per-blob function.  :func:`load_ensemble` reads the blobs in turn.
-:func:`load_serving`, which ``predict`` and ``eval`` use, reads them in the
-same order on one helper thread while the calling thread builds the codebook
-and the index, and raises the first bad blob's error as the serial loader does.
+loader of models, which checks each blob as above and copies every chunk's
+W1 into one ``(K, F, H)`` array.  :func:`load_ensemble` reads the blobs in
+turn.  :func:`load_serving`, which ``predict`` and ``eval`` use, reads them on
+one helper thread while the calling thread builds the codebook and the
+index, and then on both threads, in manifest order from one queue.  Either
+raises the first bad blob's error in manifest order.
 """
 from __future__ import annotations
 
@@ -26,17 +29,21 @@ import json
 import posixpath
 import re
 import threading
+from collections import deque
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes
 from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
 from .index import InvertedIndex, build_index, index_bytes
 from .infer import block_rows, check_m, embed_bytes, query_bytes
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, load_model, model_bytes
-from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_fits, forward_bytes, save_model
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, blob_header
+from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_dims, check_fits
+from .model import forward_bytes, load_model, model_bytes, save_model
 
 FORMAT_VERSION = 1
 
@@ -166,20 +173,21 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 def _loading_bytes(manifest: Manifest) -> int:
     """Peak bytes of loading an engine and serving its first block of queries.
 
-    Loading holds K models and the one blob it parses, and :func:`load_serving`
-    builds the codebook and the index meanwhile.  Their build scratch, at most
-    28 bytes a label, is less than the first query's, which is not yet held.
-    Serving then embeds a block of ``infer.block_rows`` queries, one ``forward``
-    at a time, and searches each; ``forward``'s block of outputs is counted
-    beside the probabilities it is written into.  Each module that allocates
-    one of these counts its bytes.  Beside the arrays, loading makes
-    Python objects: the parsed manifest, the helper thread, and each chunk's
-    blob reference and model.  ``tracemalloc`` reads about 12 KiB and 1.2 KiB
-    a chunk for them, which ``_OBJECT_BYTES`` and ``_CHUNK_OBJECT_BYTES`` cover.
+    Loading holds K models and the two blobs that :func:`load_serving`'s two
+    threads may each be parsing, and builds the codebook and the index
+    meanwhile.  Their build scratch, at most 28 bytes a label, is less than
+    the first query's, which is not yet held.  Serving then embeds a block of
+    ``infer.block_rows`` queries, one ``forward`` at a time, and searches
+    each; ``forward``'s block of outputs is counted beside the probabilities
+    it is written into.  Each module that allocates one of these counts its
+    bytes.  Beside the arrays, loading makes Python objects: the parsed
+    manifest, the helper thread, and each chunk's blob reference and model.
+    ``tracemalloc`` reads about 12 KiB and 1.2 KiB a chunk for them, which
+    ``_OBJECT_BYTES`` and ``_CHUNK_OBJECT_BYTES`` cover.
     """
     cc = manifest.code_config
     b = cc.buckets_per_chunk
-    models = (cc.num_chunks + 1) * model_bytes(manifest.engine, b)
+    models = (cc.num_chunks + 2) * model_bytes(manifest.engine, b)
     rows = block_rows(cc)
     embedding = forward_bytes(manifest.engine, b, rows) + embed_bytes(cc, rows)
     serving = codebook_bytes(cc) + index_bytes(cc) + embedding
@@ -194,8 +202,9 @@ def _checked_manifest(manifest_path: Path) -> Manifest:
     return manifest
 
 
-def _load_blob(base: Path, ref: BlobRef, engine: EngineConfig) -> ChunkModel:
-    """Read one blob, verify its checksum, parse it, and check its chunk and init seed."""
+def _load_blob(base: Path, ref: BlobRef, manifest: Manifest, W1: np.ndarray) -> ChunkModel:
+    """Read one blob, verify its checksum, check its header against the manifest,
+    then parse it, copying its W1 into ``W1``."""
     blob_path = base / ref.path
     try:
         data = blob_path.read_bytes()
@@ -209,38 +218,74 @@ def _load_blob(base: Path, ref: BlobRef, engine: EngineConfig) -> ChunkModel:
             f"checksum mismatch for {blob_path}: "
             f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
         )
-    model = load_model(data)
-    if model.chunk != ref.chunk:
+    chunk, f, h, b, init_seed = blob_header(data)
+    if chunk != ref.chunk:
+        raise ManifestError(f"blob {ref.path} holds chunk {chunk}, manifest says {ref.chunk}")
+    seed = manifest.engine.chunk_init_seed(ref.chunk)
+    if init_seed != seed:
         raise ManifestError(
-            f"blob {ref.path} holds chunk {model.chunk}, manifest says {ref.chunk}"
-        )
-    seed = engine.chunk_init_seed(ref.chunk)
-    if model.init_seed != seed:
-        raise ManifestError(
-            f"blob {ref.path} records init_seed {model.init_seed}, "
+            f"blob {ref.path} records init_seed {init_seed}, "
             f"manifest's engine gives chunk {ref.chunk} {seed}"
         )
-    return model
+    check_dims(chunk, (f, h, b), manifest.engine, manifest.code_config.buckets_per_chunk)
+    return load_model(data, W1)
 
 
-def _load_models(manifest_path: Path, manifest: Manifest) -> list[ChunkModel]:
-    """Every blob's model, one blob at a time in manifest order; the first bad blob raises."""
-    return [_load_blob(manifest_path.parent, ref, manifest.engine) for ref in manifest.blobs]
+class _ModelLoad:
+    """An engine's models, loaded from its blobs by one thread or two.
+
+    Every chunk's W1 is a slice of one C-contiguous ``(K, F, H)`` array, so an
+    engine's W1 pages are one allocation, which NumPy asks the kernel to back
+    with huge pages once it reaches 4 MiB.  Each thread that calls
+    :meth:`run` takes blobs in manifest order from one shared queue.  A bad
+    blob's error is kept in its chunk's place and empties the queue: every
+    earlier blob has been taken by then, so :meth:`ensemble` raises the first
+    bad blob in manifest order, as reading them in turn would.
+    """
+
+    def __init__(self, manifest_path: Path, manifest: Manifest) -> None:
+        cc, engine = manifest.code_config, manifest.engine
+        self._base, self._manifest = manifest_path.parent, manifest
+        self._W1 = np.empty((cc.num_chunks, engine.feature_dim, engine.hidden_dim), PARAM_DTYPE)
+        self._pending = deque(manifest.blobs)  # popleft is atomic, whichever thread calls it
+        self._loaded: list = [None] * cc.num_chunks  # a model or the error, per chunk
+
+    def run(self) -> None:
+        """Load blobs until none is left to take."""
+        while True:
+            try:
+                ref = self._pending.popleft()
+            except IndexError:
+                return
+            try:
+                model = _load_blob(self._base, ref, self._manifest, self._W1[ref.chunk])
+            except BaseException as exc:  # raised by ensemble(), in the calling thread
+                self._pending.clear()
+                model = exc
+            self._loaded[ref.chunk] = model
+
+    def ensemble(self) -> ChunkEnsemble:
+        """The loaded engine once every thread has stopped; the first bad blob raises."""
+        loaded, self._loaded = self._loaded, []  # emptied, as the error's traceback holds self
+        for model in loaded:
+            if isinstance(model, BaseException):
+                raise model
+        cc, engine = self._manifest.code_config, self._manifest.engine
+        return ChunkEnsemble(code_config=cc, engine=engine, models=loaded)
 
 
 def load_ensemble(manifest_path: str | Path) -> tuple[ChunkEnsemble, Manifest]:
-    """Load a trained engine; each blob is checksum-verified, then parsed.
+    """Load a trained engine; each blob is checksum-verified, checked against the
+    manifest, then parsed, one at a time in manifest order.
 
     An engine whose models would not fit in the machine's memory fails, from
     its manifest alone, before any blob is read.
     """
     manifest_path = Path(manifest_path)
     manifest = _checked_manifest(manifest_path)
-    models = _load_models(manifest_path, manifest)
-    ensemble = ChunkEnsemble(
-        code_config=manifest.code_config, engine=manifest.engine, models=models
-    )
-    return ensemble, manifest
+    load = _ModelLoad(manifest_path, manifest)
+    load.run()
+    return load.ensemble(), manifest
 
 
 def load_serving(
@@ -251,37 +296,26 @@ def load_serving(
     The prologue is :func:`load_ensemble`'s: the manifest, then the memory
     check, before anything is read or built.  An ``m`` (buckets kept per
     chunk) above the manifest's B fails there too.  Then one helper thread
-    loads the blobs as :func:`load_ensemble` does while this thread builds the
-    codebook and the index: blob reading, hashing and parsing run mostly
-    outside the GIL, the table builds inside it.  A blob error is re-raised
-    here once the tables are built, and the helper has ended by the time this
-    returns or raises.  A plain ``threading.Thread`` rather than an executor:
-    ``concurrent.futures`` would add its import, and that of ``logging``,
-    to every process that imports this module.
+    loads blobs while this thread builds the codebook and the index, and this
+    thread loads blobs too once the tables are built: both take them from one
+    queue.  Blob reading, hashing and copying run mostly outside the GIL, the
+    table builds inside it.  The first bad blob in manifest order raises here,
+    as :func:`load_ensemble` would raise it, and the helper has ended by the
+    time this returns or raises.  A plain ``threading.Thread`` rather than an
+    executor: ``concurrent.futures`` would add its import, and that of
+    ``logging``, to every process that imports this module.
     """
     manifest_path = Path(manifest_path)
     manifest = _checked_manifest(manifest_path)
     if m is not None:
         check_m(m, manifest.code_config.buckets_per_chunk)
-    loaded: list = []  # the helper's models, or the exception that stopped it
-
-    def load() -> None:
-        try:
-            loaded.append(_load_models(manifest_path, manifest))
-        except BaseException as exc:  # raised again below, in the calling thread
-            loaded.append(exc)
-
-    helper = threading.Thread(target=load)
+    load = _ModelLoad(manifest_path, manifest)
+    helper = threading.Thread(target=load.run)
     helper.start()
     try:
         cb = build_codebook(manifest.code_config)
         idx = build_index(cb) if index else None
+        load.run()
     finally:
         helper.join()
-    models = loaded.pop()  # popped, so the list and the error's traceback form no cycle
-    if isinstance(models, BaseException):
-        raise models
-    ensemble = ChunkEnsemble(
-        code_config=manifest.code_config, engine=manifest.engine, models=models
-    )
-    return ensemble, cb, idx
+    return load.ensemble(), cb, idx

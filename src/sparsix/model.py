@@ -30,8 +30,11 @@ in float64.  :func:`init_model` draws in float64, the precision
 whole rows; blobs keep it in (H, F) order.  A row no input reaches has a zero
 gradient, so training hands these functions a model of the live rows only.
 :func:`save_model` returns a blob's bytes and :func:`load_model` parses those
-bytes in place, copying each array once into the model.  A blob is its header
-plus exactly the payload the header claims: fewer or more bytes are an error.
+bytes in place, copying each array once into the model, W1 into an array its
+caller may give (the engine loaders give each chunk a slice of one
+``(K, F, H)`` array).  A blob is its header plus exactly the payload the
+header claims: fewer or more bytes are an error, which :func:`blob_header`
+raises before anything is copied.
 """
 from __future__ import annotations
 
@@ -409,25 +412,42 @@ def save_model(model: ChunkModel) -> bytearray:
     return blob
 
 
-def load_model(data: bytes) -> ChunkModel:
-    """Parse a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``.
+def blob_header(data: bytes) -> tuple[int, int, int, int, int]:
+    """A blob's header, (chunk, F, H, B, init_seed), once its size is checked.
 
     A blob is its header plus exactly the payload the header claims; fewer or
-    more bytes raise ``ValueError``.  Each array is read in place from ``data``
-    and copied once, into the model's own writable buffer.
+    more bytes raise ``ValueError``.
     """
     if len(data) < _HEADER.size:
         raise ValueError("truncated model blob header")
-    chunk, f, h, b, init_seed = _HEADER.unpack_from(data)
+    header = _HEADER.unpack_from(data)
+    _, f, h, b, _ = header
     claimed, follow = _BLOB_DTYPE.itemsize * num_params(f, h, b), len(data) - _HEADER.size
     if claimed != follow:
         raise ValueError(f"model blob header claims {claimed} payload bytes, {follow} follow")
-    arrays, offset = [], _HEADER.size
+    return header
+
+
+def load_model(data: bytes, W1: np.ndarray | None = None) -> ChunkModel:
+    """Parse a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``.
+
+    The blob's size is checked by :func:`blob_header`.  Each array is read in
+    place from ``data`` and copied once, into the model's own writable buffer:
+    W1 into ``W1``, a C-contiguous ``PARAM_DTYPE`` array of the blob's (F, H),
+    if given, which the model then holds.
+    """
+    chunk, f, h, b, init_seed = blob_header(data)
+    W1 = np.empty((f, h), PARAM_DTYPE) if W1 is None else W1
+    if W1.shape != (f, h):  # copyto would broadcast a blob of F or H 1
+        raise ValueError(f"W1 of shape {W1.shape} cannot hold the blob's ({f}, {h})")
+    arrays, offset = [W1], _HEADER.size
     for i, shape in enumerate([(h, f), (h,), (b, h), (b,)]):
         stored = np.frombuffer(data, _BLOB_DTYPE, math.prod(shape), offset).reshape(shape)
         offset += stored.nbytes
-        # the blob holds W1 (H, F), the model (F, H); the copy is native and writable
-        arrays.append((stored.T if i == 0 else stored).astype(PARAM_DTYPE, order="C"))
+        if i == 0:  # the blob holds W1 (H, F), the model (F, H)
+            np.copyto(W1, stored.T)
+        else:
+            arrays.append(stored.astype(PARAM_DTYPE))
     return ChunkModel(chunk, init_seed, *arrays)
 
 
@@ -493,12 +513,16 @@ class ChunkEnsemble:
         if len(self.models) != self.code_config.num_chunks:
             raise ValueError("one model per chunk required")
         for m in self.models:
-            if (
-                m.input_dim != self.engine.feature_dim
-                or m.hidden_dim != self.engine.hidden_dim
-                or m.output_dim != self.code_config.buckets_per_chunk
-            ):
-                raise ValueError(f"chunk {m.chunk}: model dims disagree with config")
+            dims = (m.input_dim, m.hidden_dim, m.output_dim)
+            check_dims(m.chunk, dims, self.engine, self.code_config.buckets_per_chunk)
+
+
+def check_dims(
+    chunk: int, dims: tuple[int, int, int], engine: EngineConfig, buckets: int
+) -> None:
+    """Raise ``ValueError`` unless a chunk model's (F, H, B) are ``engine``'s and ``buckets``."""
+    if dims != (engine.feature_dim, engine.hidden_dim, buckets):
+        raise ValueError(f"chunk {chunk}: model dims disagree with config")
 
 
 def model_bytes(engine: EngineConfig, buckets: int) -> int:

@@ -1398,6 +1398,19 @@ class TestServingBlocks:
         assert "error: no queries in corpus" in capsys.readouterr().err
         assert not (tmp_path / "p.tsv").exists()
 
+    def test_eval_refuses_an_empty_corpus_before_the_engine_loads(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """``eval`` gives ``evaluate``'s "empty test set" before any blob is read or table built."""
+        monkeypatch.setattr(cli, "load_serving", pytest.fail)
+        corpus = tmp_path / "test.txt"
+        corpus.write_text("0 5 20\n", encoding="utf-8")
+        argv = ["eval", "--manifest", str(workspace / "engine" / "manifest.json"),
+                "--corpus", str(corpus), "--json", str(tmp_path / "report.json")]
+        assert main(argv) == EXIT_VALIDATION
+        assert "error: empty test set" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
     def test_predict_bits_do_not_follow_the_callers_blas_threads(self, tmp_path, monkeypatch, capsys):
         """At K 2, B 1003, H 4096, ``W2 @ h`` summed across two OpenBLAS threads has other

@@ -75,21 +75,37 @@ def comparison_sort_index(cb):
     return offsets, labels
 
 
+def assert_matches_comparison_sort(b, n):
+    """``build_index`` gives the int32 stable sort's offsets and labels, bit for bit."""
+    cb = build_codebook(CodeConfig(n, 3, b, base_seed=b))
+    idx = build_index(cb)
+    want_offsets, want_labels = comparison_sort_index(cb)
+    for chunk in range(3):
+        assert idx.offsets[chunk].dtype == np.int64
+        assert idx.offsets[chunk].tobytes() == want_offsets[chunk].astype(np.int64).tobytes()
+        assert idx.labels[chunk].dtype == np.uint32
+        assert idx.labels[chunk].tobytes() == want_labels[chunk].tobytes()
+        assert np.count_nonzero(bucket_loads(idx, chunk) == 0) >= max(b - n, 0)
+
+
 class TestNarrowedSort:
+    """The index sorts keys ``code << s | label``, s the bit length of N - 1, as
+    uint32 while B << s is at most 2**32 and as uint64 past it."""
+
     @pytest.mark.parametrize("b", [2, 255, 256, 257, 65536, 65537])
     @pytest.mark.parametrize("n", [1, 3000])
     def test_matches_comparison_sort_bit_for_bit(self, b, n):
-        """Narrow codes (uint8 at B <= 256, uint16 to 65,536, uint32 past it) give
-        the int32 sort's offsets and labels; n = 1 leaves all but one bucket empty."""
-        cb = build_codebook(CodeConfig(n, 3, b, base_seed=b))
-        idx = build_index(cb)
-        want_offsets, want_labels = comparison_sort_index(cb)
-        for chunk in range(3):
-            assert idx.offsets[chunk].dtype == np.int64
-            assert idx.offsets[chunk].tobytes() == want_offsets[chunk].astype(np.int64).tobytes()
-            assert idx.labels[chunk].dtype == np.uint32
-            assert idx.labels[chunk].tobytes() == want_labels[chunk].tobytes()
-            assert np.count_nonzero(bucket_loads(idx, chunk) == 0) >= max(b - n, 0)
+        """uint32 keys at every B here; n = 1 leaves all but one bucket empty."""
+        assert_matches_comparison_sort(b, n)
+
+    @pytest.mark.parametrize(
+        "b, n", [(65536, 65536), (65537, 65536), (65537, 65537)],
+        ids=["uint32-keys-at-the-edge", "uint64-keys", "uint64-keys-wider-labels"],
+    )
+    def test_wide_keys_match_comparison_sort_bit_for_bit(self, b, n):
+        """B << s reaches 2**32 exactly at (65,536, 65,536): the largest key, 2**32 - 1,
+        still fits uint32.  One bucket more, or one label more, takes uint64 keys."""
+        assert_matches_comparison_sort(b, n)
 
 
 class TestBuildMemory:

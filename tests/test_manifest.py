@@ -2,8 +2,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import re
+import sys
 import threading
 
 import numpy as np
@@ -241,10 +243,10 @@ class TestMemoryCheck:
         with pytest.raises(ValueError, match="needs about .* GiB but this machine has"):
             load_ensemble(path)
 
-    def test_estimate_is_k_models_plus_one_blob_and_serving_tables(
+    def test_estimate_is_k_models_plus_two_blobs_and_serving_tables(
         self, saved_engine, monkeypatch
     ):
-        """K = 4, F = 512, H = 24, B = 32 float32 models and one blob, loading's
+        """K = 4, F = 512, H = 24, B = 32 float32 models and two blobs, loading's
         Python objects (32 KiB and 2 KiB a chunk), then for N = 60 the int32
         codebook, the index (uint32 labels, int64 offsets per chunk), a block
         of 992 queries (4 MiB over 33·K·B = 4,224 bytes a row): ``forward``'s
@@ -258,7 +260,7 @@ class TestMemoryCheck:
         embedding = 8 * (32 * 24 + 24 + rows * 32) + 33 * 4 * 32 * rows
         serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + embedding + (4 * 4 * 60 + 32 * 60)
         objects = 32 * 1024 + 4 * 2 * 1024
-        models = 4 * 5 * num_params(512, 24, 32)
+        models = 4 * 6 * num_params(512, 24, 32)
         assert _loading_bytes(load_manifest(path)) == models + serving + objects
         monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
         loaded, _ = load_ensemble(path)
@@ -312,13 +314,31 @@ def rewrite_header(path, chunk, at, value):
     path.write_text(json.dumps(doc))
 
 
+def other_dims_blob(path, c):
+    """Copy in chunk ``c``'s blob from an engine of another F with the same seeds, and
+    record its checksum: its size, chunk and init seed all check, its dims do not."""
+    k = len(json.loads(path.read_text())["blobs"])
+    other = save_untrained(path.parent.parent / "other-f", k, f=32, h=6, b=8, n=40)
+    data = (other.parent / f"chunk_{c:04d}.bin").read_bytes()
+    rewrite_blob(path, c, lambda raw: data)
+    doc = json.loads(path.read_text())
+    doc["blobs"][c]["sha256"] = hashlib.sha256(data).hexdigest()
+    path.write_text(json.dumps(doc))
+
+
 # Each blob fault load_ensemble names, applied to one chunk of a saved engine
 BLOB_FAULTS = {
     "missing": lambda path, c: (path.parent / f"chunk_{c:04d}.bin").unlink(),
     "checksum": lambda path, c: rewrite_blob(path, c, lambda raw: raw[:-1] + bytes([raw[-1] ^ 1])),
     "chunk": lambda path, c: rewrite_header(path, c, 0, (c + 1).to_bytes(4, "little")),
     "init_seed": lambda path, c: rewrite_header(path, c, 16, (7).to_bytes(8, "little")),
+    "dims": other_dims_blob,
 }
+
+
+def blames(message, c):
+    """Whether a blob error names chunk ``c``: by its file, or, for its dims, by its id."""
+    return f"chunk_{c:04d}.bin" in message or message.startswith(f"chunk {c}: ")
 
 
 def raised(fn):
@@ -352,6 +372,32 @@ class TestLoadServing:
             mine, theirs = getattr(idx, name), getattr(serial_idx, name)
             assert [(t.dtype, t.tobytes()) for t in mine] == [(t.dtype, t.tobytes()) for t in theirs]
 
+    def test_every_chunk_loaded_once_under_fast_thread_switches(self, tmp_path, monkeypatch):
+        """Both threads take blobs from one queue: with the interpreter switching threads
+        every microsecond, each of 16 chunks is still parsed once, into its own place."""
+        path = save_untrained(tmp_path / "e", 16, f=16, h=4, b=4, n=20)
+        serial, _ = load_ensemble(path)
+        parsed, inner = [], model_mod.load_model
+
+        def counting(data, W1):
+            parsed.append(model_mod.blob_header(data)[0])
+            return inner(data, W1)
+
+        monkeypatch.setattr(sparsix.manifest, "load_model", counting)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                parsed.clear()
+                ensemble, _, _ = load_serving(path, index=True)
+                assert sorted(parsed) == list(range(16))
+                for mine, theirs in zip(ensemble.models, serial.models, strict=True):
+                    assert [p.tobytes() for p in mine.params()] == [
+                        p.tobytes() for p in theirs.params()
+                    ]
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_no_index_asked_builds_none(self, tmp_path, monkeypatch):
         path = save_untrained(tmp_path / "e", 2, f=64, h=6, b=8, n=40)
         monkeypatch.setattr(sparsix.manifest, "build_index", pytest.fail)
@@ -366,7 +412,7 @@ class TestLoadServing:
         serial = raised(lambda: load_ensemble(path))
         assert raised(lambda: load_serving(path, index=True)) == serial
         assert threading.active_count() == threads
-        assert "chunk_0001.bin" in serial[1]
+        assert blames(serial[1], 1)
 
     @pytest.mark.parametrize(
         "first, second", [(a, b) for a in BLOB_FAULTS for b in BLOB_FAULTS if a != b]
@@ -379,7 +425,55 @@ class TestLoadServing:
         error = raised(lambda: load_serving(path, index=True))
         assert error == raised(lambda: load_ensemble(path))
         assert threading.active_count() == threads
-        assert "chunk_0001.bin" in error[1] and "chunk_0002.bin" not in error[1]
+        assert blames(error[1], 1) and not blames(error[1], 2)
+
+    @pytest.mark.parametrize("loader", [load_ensemble, load_serving])
+    def test_other_dims_refused_before_the_copy(self, tmp_path, monkeypatch, loader):
+        """A blob of another F fails its own check: nothing of it is copied."""
+        path = save_untrained(tmp_path / "e", 3, f=64, h=6, b=8, n=40)
+        other_dims_blob(path, 1)
+        copied, inner = [], model_mod.load_model
+
+        def recording(data, W1):
+            copied.append(model_mod.blob_header(data)[0])
+            return inner(data, W1)
+
+        monkeypatch.setattr(sparsix.manifest, "load_model", recording)
+        with pytest.raises(ValueError, match="^chunk 1: model dims disagree with config$"):
+            loader(path, index=True) if loader is load_serving else loader(path)
+        assert 1 not in copied
+
+    @pytest.mark.parametrize("fault", list(BLOB_FAULTS))
+    def test_bad_last_blob_raises_as_the_serial_load(self, tmp_path, fault):
+        """Chunk K - 1's blob, which the calling thread may be the one to read."""
+        path = save_untrained(tmp_path / "e", 3, f=64, h=6, b=8, n=40)
+        BLOB_FAULTS[fault](path, 2)
+        threads = threading.active_count()
+        error = raised(lambda: load_serving(path, index=True))
+        assert error == raised(lambda: load_ensemble(path))
+        assert threading.active_count() == threads
+        assert blames(error[1], 2)
+
+    @pytest.mark.parametrize("loader", ["load_ensemble", "load_serving"])
+    def test_every_w1_is_a_view_of_one_array(self, tmp_path, loader):
+        """Both loaders copy each blob's W1 into one C-contiguous (K, F, H) array, and
+        every model holds the parameters it was saved with, bit for bit."""
+        k, f, h, b = 3, 64, 6, 8
+        path = save_untrained(tmp_path / "e", k, f, h, b, n=40)
+        if loader == "load_ensemble":
+            ensemble, _ = load_ensemble(path)
+        else:
+            ensemble, _, _ = load_serving(path, index=True)
+        shared = ensemble.models[0].W1.base
+        assert shared.shape == (k, f, h) and shared.dtype == PARAM_DTYPE
+        assert shared.flags.c_contiguous and shared.flags.owndata
+        engine = ensemble.engine
+        for c, model in enumerate(ensemble.models):
+            assert model.W1.base is shared and np.shares_memory(model.W1, shared[c])
+            assert model.W1.flags.c_contiguous and model.W1.flags.writeable
+            saved = init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
+            for p, q in zip(model.params(), saved.params(), strict=True):
+                assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
 
     @pytest.mark.parametrize("limit, m", [(-1, None), (0, 9)])
     def test_refused_before_any_blob_or_table(self, tmp_path, monkeypatch, limit, m):
@@ -413,6 +507,26 @@ class TestLoadServing:
         models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
         tables = 4 * n * k + k * (4 * n + 8 * (b + 1))
         assert max(models, tables) <= peak <= _loading_bytes(manifest)
+
+    def test_two_blobs_in_flight_stay_within_the_estimate(self, tmp_path, monkeypatch):
+        """At K 3, the first two blobs are held back until both threads hold one, so
+        the traced peak holds K models and two blobs, and stays within the estimate."""
+        k, f, h, b = 3, 100_000, 16, 32
+        path = save_untrained(tmp_path / "e", k, f, h, b, n=50)
+        manifest = load_manifest(path)
+        both, calls, inner = threading.Barrier(2, timeout=20), itertools.count(), model_mod.load_model
+
+        def in_pairs(data, W1):
+            if next(calls) < 2:
+                both.wait()  # fails, broken, unless two threads each bring a blob
+            return inner(data, W1)
+
+        monkeypatch.setattr(sparsix.manifest, "load_model", in_pairs)
+        threads = threading.active_count()
+        _, peak = traced_peak(lambda: load_serving(path, index=True))
+        assert threading.active_count() == threads
+        model = PARAM_DTYPE.itemsize * num_params(f, h, b)
+        assert (k + 1) * model < peak <= _loading_bytes(manifest)
 
 
 class TestOlderManifests:
