@@ -341,6 +341,13 @@ def blames(message, c):
     return f"chunk_{c:04d}.bin" in message or message.startswith(f"chunk {c}: ")
 
 
+# Each loader's ensemble, by name
+LOADERS = {
+    "load_ensemble": lambda path: load_ensemble(path)[0],
+    "load_serving": lambda path: load_serving(path, index=True)[0],
+}
+
+
 def raised(fn):
     """The exception ``fn()`` raises, as its type and message."""
     with pytest.raises(Exception) as info:
@@ -427,7 +434,7 @@ class TestLoadServing:
         assert threading.active_count() == threads
         assert blames(error[1], 1) and not blames(error[1], 2)
 
-    @pytest.mark.parametrize("loader", [load_ensemble, load_serving])
+    @pytest.mark.parametrize("loader", list(LOADERS))
     def test_other_dims_refused_before_the_copy(self, tmp_path, monkeypatch, loader):
         """A blob of another F fails its own check: nothing of it is copied."""
         path = save_untrained(tmp_path / "e", 3, f=64, h=6, b=8, n=40)
@@ -440,7 +447,7 @@ class TestLoadServing:
 
         monkeypatch.setattr(sparsix.manifest, "load_model", recording)
         with pytest.raises(ValueError, match="^chunk 1: model dims disagree with config$"):
-            loader(path, index=True) if loader is load_serving else loader(path)
+            LOADERS[loader](path)
         assert 1 not in copied
 
     @pytest.mark.parametrize("fault", list(BLOB_FAULTS))
@@ -454,16 +461,13 @@ class TestLoadServing:
         assert threading.active_count() == threads
         assert blames(error[1], 2)
 
-    @pytest.mark.parametrize("loader", ["load_ensemble", "load_serving"])
+    @pytest.mark.parametrize("loader", list(LOADERS))
     def test_every_w1_is_a_view_of_one_array(self, tmp_path, loader):
         """Both loaders copy each blob's W1 into one C-contiguous (K, F, H) array, and
         every model holds the parameters it was saved with, bit for bit."""
         k, f, h, b = 3, 64, 6, 8
         path = save_untrained(tmp_path / "e", k, f, h, b, n=40)
-        if loader == "load_ensemble":
-            ensemble, _ = load_ensemble(path)
-        else:
-            ensemble, _, _ = load_serving(path, index=True)
+        ensemble = LOADERS[loader](path)
         shared = ensemble.models[0].W1.base
         assert shared.shape == (k, f, h) and shared.dtype == PARAM_DTYPE
         assert shared.flags.c_contiguous and shared.flags.owndata
