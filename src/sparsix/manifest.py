@@ -41,7 +41,7 @@ from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
 from .index import InvertedIndex, build_index, index_bytes
 from .infer import block_rows, check_m, embed_bytes, query_bytes
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, blob_header
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, blob_header, huge_paged_empty
 from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_dims, check_fits
 from .model import forward_bytes, load_model, model_bytes, save_model
 
@@ -235,8 +235,9 @@ class _ModelLoad:
     """An engine's models, loaded from its blobs by one thread or two.
 
     Every chunk's W1 is a slice of one C-contiguous ``(K, F, H)`` array, so an
-    engine's W1 pages are one allocation, which NumPy asks the kernel to back
-    with huge pages once it reaches 4 MiB.  Each thread that calls
+    engine's W1 pages are one allocation, whose whole 2 MiB spans fault in as
+    huge pages when the blobs are copied in and stay so while the engine
+    serves (:func:`model.huge_paged_empty`).  Each thread that calls
     :meth:`run` takes blobs in manifest order from one shared queue.  A bad
     blob's error is kept in its chunk's place and empties the queue: every
     earlier blob has been taken by then, so :meth:`ensemble` raises the first
@@ -246,7 +247,7 @@ class _ModelLoad:
     def __init__(self, manifest_path: Path, manifest: Manifest) -> None:
         cc, engine = manifest.code_config, manifest.engine
         self._base, self._manifest = manifest_path.parent, manifest
-        self._W1 = np.empty((cc.num_chunks, engine.feature_dim, engine.hidden_dim), PARAM_DTYPE)
+        self._W1 = huge_paged_empty((cc.num_chunks, engine.feature_dim, engine.hidden_dim))
         self._pending = deque(manifest.blobs)  # popleft is atomic, whichever thread calls it
         self._loaded: list = [None] * cc.num_chunks  # a model or the error, per chunk
 

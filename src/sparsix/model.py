@@ -32,15 +32,18 @@ gradient, so training hands these functions a model of the live rows only.
 :func:`save_model` returns a blob's bytes and :func:`load_model` parses those
 bytes in place, copying each array once into the model, W1 into an array its
 caller may give (the engine loaders give each chunk a slice of one
-``(K, F, H)`` array).  A blob is its header plus exactly the payload the
+``(K, F, H)`` array, from :func:`huge_paged_empty`).  A blob is its header plus exactly the payload the
 header claims: fewer or more bytes are an error, which :func:`blob_header`
 raises before anything is copied.
 """
 from __future__ import annotations
 
+import functools
 import math
+import mmap
 import os
 import struct
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -449,6 +452,66 @@ def load_model(data: bytes, W1: np.ndarray | None = None) -> ChunkModel:
         else:
             arrays.append(stored.astype(PARAM_DTYPE))
     return ChunkModel(chunk, init_seed, *arrays)
+
+
+# Linux's transparent huge page where the base page is 4 KiB (x86-64, arm64)
+HUGE_PAGE = 2 * 2**20
+# madvise's synchronous collapse into huge pages, Linux 6.1 on; Python 3.11's mmap lacks it
+MADV_COLLAPSE = getattr(mmap, "MADV_COLLAPSE", 25)
+
+
+def huge_paged_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised C-contiguous ``PARAM_DTYPE`` array whose pages keep the size
+    they are first written with.
+
+    The engine loaders hold every chunk's W1 in one such array, and each query
+    reads rows scattered over it.  ``np.empty`` asks the kernel for huge pages
+    from 4 MiB, but it may hand back heap pages that earlier arrays paged in
+    small.  The kernel's background collapsing (khugepaged) then turns those
+    into huge pages at a moment of its own, and queries change speed while the
+    engine serves.  Here, on Linux, each whole 2 MiB span inside the array is
+    marked for huge pages and made one now, or on its first write where it
+    has no pages yet, where the kernel has one; the array's pages outside
+    those spans are marked to stay small.  Elsewhere this is ``np.empty``.
+    """
+    out = np.empty(shape, PARAM_DTYPE)
+    madvise = _madvise()
+    if madvise is None:
+        return out
+    page = mmap.PAGESIZE
+    first = -(-out.ctypes.data // page) * page  # the whole pages inside the array
+    last = (out.ctypes.data + out.nbytes) // page * page
+    span_first = -(-first // HUGE_PAGE) * HUGE_PAGE
+    span_last = last // HUGE_PAGE * HUGE_PAGE
+    if span_last <= span_first:  # no whole span: every page stays small
+        span_first = span_last = last
+    for start, stop, advice in (
+        (first, span_first, mmap.MADV_NOHUGEPAGE),
+        (span_last, last, mmap.MADV_NOHUGEPAGE),
+        (span_first, span_last, mmap.MADV_HUGEPAGE),
+    ):
+        if stop > start:
+            madvise(start, stop - start, advice)  # a refusal leaves the pages as they were
+    # Small pages the heap already holds in the spans are collapsed now, and a
+    # span already huge costs nothing.  Where the kernel cannot collapse (before
+    # Linux 6.1), the spans' pages are released instead: the array is uninitialised.
+    spans = span_last - span_first
+    if spans and madvise(span_first, spans, MADV_COLLAPSE) != 0:
+        madvise(span_first, spans, mmap.MADV_DONTNEED)
+    return out
+
+
+@functools.cache
+def _madvise():
+    """libc's ``madvise(addr, length, advice)`` on Linux, else None."""
+    if sys.platform != "linux" or not hasattr(mmap, "MADV_NOHUGEPAGE"):
+        return None
+    import ctypes
+
+    madvise = ctypes.CDLL(None, use_errno=True).madvise
+    madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
+    madvise.restype = ctypes.c_int
+    return madvise
 
 
 # ---------------------------------------------------------------------------

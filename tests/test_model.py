@@ -1,8 +1,11 @@
-"""Model math tests: hand-computed forward values, gradients, Adam, blobs."""
+"""Model math tests: hand-computed forward values, gradients, Adam, blobs, W1's pages."""
 from __future__ import annotations
 
+import mmap
 import struct
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +21,10 @@ from sparsix.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    HUGE_PAGE,
     INIT_BLOCK_UNITS,
     LOSS_CLAMP_EPS,
+    PARAM_DTYPE,
     ChunkModel,
     Gradients,
     NonFiniteGradientError,
@@ -28,6 +33,7 @@ from sparsix.model import (
     bce_loss,
     forward,
     grad_check,
+    huge_paged_empty,
     init_model,
     load_model,
     save_model,
@@ -596,3 +602,84 @@ class TestPersistence:
         back = load_model(save_model(m))
         x = feats([1, 7], [2.0, 1.0], dim=10)
         assert np.array_equal(forward(m, x), forward(back, x))
+
+
+def page_advice(start: int, stop: int) -> list[tuple[int, int, set[str]]]:
+    """This process's mappings over [start, stop): (first byte, end, VmFlags) each."""
+    spans, flags = [], None
+    for line in Path("/proc/self/smaps").read_text().splitlines():
+        head = line.split()[0]
+        if head == "VmFlags:":
+            flags.update(line.split()[1:])
+        elif not head.endswith(":"):
+            lo, hi = (int(x, 16) for x in head.split("-"))
+            flags = set()
+            if max(lo, start) < min(hi, stop):
+                spans.append((max(lo, start), min(hi, stop), flags))
+    return spans
+
+
+@pytest.mark.skipif(
+    sys.platform != "linux" or not Path("/sys/kernel/mm/transparent_hugepage").is_dir(),
+    reason="transparent huge pages are a Linux kernel feature",
+)
+class TestHugePagedEmpty:
+    # 8 MiB and about 6 MiB hold three or four whole spans; just under 4 MiB, NumPy's
+    # own threshold for asking for huge pages, holds one or none; one page holds none
+    @pytest.mark.parametrize("shape", [(4, 8192, 64), (3, 100_000, 5), (1023, 1024), (1024,)])
+    def test_whole_spans_advised_huge_every_other_page_small(self, shape):
+        """Every whole page of the array is advised: huge inside a whole 2 MiB span,
+        small outside one, so no background collapse can change its pages later."""
+        a = huge_paged_empty(shape)
+        assert a.shape == shape and a.dtype == PARAM_DTYPE and a.flags.c_contiguous
+        a.reshape(-1)[:] = np.arange(a.size, dtype=PARAM_DTYPE)
+        assert a.reshape(-1)[-1] == PARAM_DTYPE.type(a.size - 1)
+        page = mmap.PAGESIZE
+        first = -(-a.ctypes.data // page) * page
+        last = (a.ctypes.data + a.nbytes) // page * page
+        span_first, span_last = -(-first // HUGE_PAGE) * HUGE_PAGE, last // HUGE_PAGE * HUGE_PAGE
+        if span_last <= span_first:
+            span_first = span_last = last
+        covered = 0
+        for lo, hi, flags in page_advice(first, last):
+            inside = span_first <= lo and hi <= span_last
+            assert inside or hi <= span_first or lo >= span_last, "a mapping straddles a span edge"
+            assert ("hg" in flags, "nh" in flags) == (inside, not inside), (lo, hi, flags)
+            covered += hi - lo
+        assert covered == max(0, last - first)
+
+    @pytest.mark.parametrize("collapses", [True, False], ids=["collapse", "no-collapse"])
+    @pytest.mark.parametrize("shape", [(4, 8192, 64), (3, 100_000, 5), (1023, 1024), (1024,)])
+    def test_every_whole_page_advised_once(self, monkeypatch, shape, collapses):
+        """The advice, recorded: the array's whole pages are advised huge or small,
+        each once; huge advice is every whole 2 MiB span, which is collapsed, or
+        released where the kernel cannot collapse.  (The kernel test above can
+        pass without the huge advice where the heap's pages kept it from an
+        earlier array.)"""
+        calls = []
+
+        def advise(start, length, advice):
+            calls.append((start, start + length, advice))
+            return 0 if collapses or advice != model_mod.MADV_COLLAPSE else -1
+
+        monkeypatch.setattr(model_mod, "_madvise", lambda: advise)
+        a = huge_paged_empty(shape)
+        page = mmap.PAGESIZE
+        first = -(-a.ctypes.data // page) * page
+        last = (a.ctypes.data + a.nbytes) // page * page
+        ranges = {
+            advice: sorted((lo, hi) for lo, hi, kind in calls if kind == advice)
+            for advice in (mmap.MADV_HUGEPAGE, mmap.MADV_NOHUGEPAGE, mmap.MADV_DONTNEED)
+            + (model_mod.MADV_COLLAPSE,)
+        }
+        huge = ranges[mmap.MADV_HUGEPAGE]
+        advised = sorted(huge + ranges[mmap.MADV_NOHUGEPAGE])
+        assert all(lo < hi for lo, hi in advised)
+        assert [lo for lo, _ in advised[1:]] == [hi for _, hi in advised[:-1]]
+        assert sum(hi - lo for lo, hi in advised) == max(0, last - first)
+        assert not advised or (advised[0][0], advised[-1][1]) == (first, last)
+        spans = max(0, last // HUGE_PAGE - -(-first // HUGE_PAGE))
+        assert all(lo % HUGE_PAGE == 0 and hi % HUGE_PAGE == 0 for lo, hi in huge)
+        assert sum(hi - lo for lo, hi in huge) == spans * HUGE_PAGE
+        assert ranges[model_mod.MADV_COLLAPSE] == huge
+        assert ranges[mmap.MADV_DONTNEED] == ([] if collapses else huge)
