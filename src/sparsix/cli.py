@@ -17,8 +17,9 @@ that is not UTF-8 fails at ``<config>:<line>`` by ``corpus.check_utf8``.
 
 Only the commands that train (train, sweep, verify) import the training code
 and SciPy; predict and eval start without them.  Every command runs NumPy's
-OpenBLAS on one thread, so its output does not depend on the host's cores,
-and predict embeds its queries a block at a time (``infer.predict_block``).
+OpenBLAS on one thread, so its output does not depend on the host's cores
+(``main`` gives an in-process caller its own count back), and predict embeds
+its queries a block at a time (``infer.predict_block``).
 """
 from __future__ import annotations
 
@@ -63,6 +64,7 @@ from .infer import predict_full
 from .manifest import BlobChecksumError, load_ensemble, load_manifest, load_serving, save_ensemble
 from .metrics import evaluate
 from .model import EngineConfig, NonFiniteGradientError, TrainConfig, one_blas_thread
+from .model import openblas_threads
 from .model import grad_check, init_model
 
 EXIT_OK = 0
@@ -583,7 +585,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(message)s", stream=sys.stderr)
     # a product summed across BLAS threads can have other bits than at one, so every
-    # command computes at one, and a file it writes does not follow the host's cores
+    # command computes at one, and a file it writes does not follow the host's cores;
+    # an in-process caller gets its own count back
+    threads = openblas_threads()
     one_blas_thread()
     try:
         return args.func(args)
@@ -602,6 +606,8 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         # stdout written past _print meets a closed reader here, not at exit
         _stdout_guarded(sys.stdout.flush)
+        if threads is not None:
+            openblas_threads(threads)
 
 
 if __name__ == "__main__":

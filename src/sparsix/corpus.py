@@ -30,7 +30,9 @@ is read and checked with a few array operations; any other window, and one
 that breaks a rule, goes through the line loop, which also reads the rare
 valid forms (float-form counts, tabs, unsorted labels, longer ids) and gives
 a bad line's message and line number.  ``parse_corpus`` yields the block's
-rows once the whole file is checked, without checking each row again.
+rows, as ``Document`` handles on them, once the whole file is checked, without
+checking each row again.  ``make_separable_corpus`` builds its train and test
+splits as two blocks and returns their rows as handles.
 """
 from __future__ import annotations
 
@@ -42,7 +44,7 @@ from typing import Iterator, TextIO
 
 import numpy as np
 
-from .features import DocBlock, Document, make_document, row_offsets
+from .features import DocBlock, Document, row_offsets
 
 # Characters of whole lines per window (a long line may run past it): the
 # array pass's working memory stays small beside a large block's bytes.
@@ -186,8 +188,8 @@ def read_block(path: str | Path) -> DocBlock:
 def parse_corpus(path: str | Path) -> Iterator[Document]:
     """Yield ``read_block(path)``'s rows, checking the whole file before the first.
 
-    The rows are not checked again as each ``Document`` is built: ``read_block``
-    has enforced every rule ``Document`` states.
+    Each is a ``Document`` handle on the block's row, not checked again:
+    ``read_block`` has enforced every rule ``Document`` states.
     """
     yield from read_block(path).documents()
 
@@ -378,7 +380,8 @@ def make_separable_corpus(
     tokens can rank the true label first, which makes this corpus a quality
     oracle: high precision is achievable, so low precision indicates a bug.
 
-    Returns (train_docs, test_docs, num_features).
+    Returns (train_docs, test_docs, num_features): each split is the rows of
+    one block, as handles numbered in the order they were drawn.
     """
     if tokens_per_doc > tokens_per_label:
         raise ValueError("cannot sample more private tokens than the label owns")
@@ -388,22 +391,30 @@ def make_separable_corpus(
     noise_base = num_labels * tokens_per_label
     num_features = noise_base + noise_vocab
 
-    def draw(label: int, doc_id: int) -> Document:
-        private = label * tokens_per_label + rng.choice(
-            tokens_per_label, size=tokens_per_doc, replace=False
-        )
-        noise = noise_base + rng.choice(noise_vocab, size=noise_tokens, replace=False)
-        tokens = [(int(t), 1) for t in np.concatenate([private, noise])]
-        return make_document(doc_id, tokens, [label])
-
-    train: list[Document] = []
-    test: list[Document] = []
-    next_id = 0
+    # a label's first docs_per_label draws train and the rest test; draw i of
+    # label l is doc id l * per_label + i
+    per_label = docs_per_label + test_docs_per_label
+    tokens = np.empty((num_labels, per_label, tokens_per_doc + noise_tokens), np.uint64)
     for label in range(num_labels):
-        for _ in range(docs_per_label):
-            train.append(draw(label, next_id))
-            next_id += 1
-        for _ in range(test_docs_per_label):
-            test.append(draw(label, next_id))
-            next_id += 1
-    return train, test, num_features
+        for doc in tokens[label]:
+            doc[:tokens_per_doc] = label * tokens_per_label + rng.choice(
+                tokens_per_label, size=tokens_per_doc, replace=False
+            )
+            doc[tokens_per_doc:] = noise_base + rng.choice(
+                noise_vocab, size=noise_tokens, replace=False
+            )
+    doc_ids = np.arange(num_labels * per_label).reshape(num_labels, per_label)
+
+    def split(part: slice) -> list[Document]:
+        rows = tokens[:, part]  # (labels, draws, tokens)
+        count = rows.shape[0] * rows.shape[1]
+        block = DocBlock(
+            rows.reshape(-1),
+            np.ones(rows.size, np.int64),
+            np.arange(count + 1, dtype=np.int64) * rows.shape[2],
+            np.repeat(np.arange(num_labels, dtype=np.int64), rows.shape[1]),
+            np.arange(count + 1, dtype=np.int64),
+        )
+        return list(block.documents(doc_ids[:, part].reshape(-1).tolist()))
+
+    return split(slice(docs_per_label)), split(slice(docs_per_label, None)), num_features

@@ -10,17 +10,20 @@ slot at 1.  Hashing is unsigned (no sign flip): inputs stay non-negative,
 which pairs well with ReLU hidden layers.
 
 Rows are flat entries plus offsets, row r being ``[offsets[r]:offsets[r + 1]]``,
-and no other module knows more of their layout.  ``row_offsets`` builds offsets
-from row sizes.  ``merge_rows`` adds up a row's entries that share a column, for
-a block of queries (``hash_features``, a row per chunk seed and document) and a
-training block's inputs and targets (``train``) alike: a stable sort keeps each
-column's entries in order, and one ``np.add.reduceat`` sums them.  Float sums
-past 2**53 depend on their order, so this one merge keeps the query's and the
-training block's bits equal, and a query's bits the same in any block.
+and no other module knows more of their layout.  A corpus is a ``DocBlock`` of
+such rows, and a ``Document`` a handle on one of them that stores nothing else:
+a list of handles becomes a block, or hashed rows, by one gather an array.
+``row_offsets`` builds offsets from row sizes.  ``merge_rows`` adds up a row's
+entries that share a column, for a block of queries (``hash_features``, a row
+per chunk seed and document) and a training block's inputs and targets
+(``train``) alike: a stable sort keeps each column's entries in order, and one
+``np.add.reduceat`` sums them.  Float sums past 2**53 depend on their order, so
+this one merge keeps the query's and the training block's bits equal, and a
+query's bits the same in any block.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -32,50 +35,87 @@ from .hashing import murmur3_32_u64
 FEATURE_MODES = ("counts", "binary")
 
 
-@dataclass(frozen=True)
 class Document:
-    """One data point: unique token ids with counts, plus sorted label ids.
+    """One data point: a handle on row ``row`` of ``block``, under its own doc id.
 
-    Building one checks these rules.  ``DocBlock.documents`` builds its rows
-    without checking them again: ``corpus.read_block`` checked every line of
-    a block it reads, and ``DocBlock.from_documents`` takes checked documents.
+    The row holds unique token ids (uint64) with counts (int64, >= 1) and
+    strictly increasing label ids (int64); each property returns a view of the
+    block's row, taken on access, and the handle stores nothing else.  It keeps
+    its block alive, as a view keeps its base, and pickles its row alone.  Two
+    handles are equal only when they are the same object.
+
+    ``Document(doc_id, token_ids, token_counts, labels)`` checks the rules and
+    holds the arrays, cast to those dtypes, as a one-row block.
+    ``DocBlock.documents`` builds handles without checking again:
+    ``corpus.read_block`` checked every line of a block it reads, and
+    ``DocBlock.from_documents`` takes checked documents.
     """
 
-    doc_id: int
-    token_ids: np.ndarray = field(repr=False)  # uint64, unique
-    token_counts: np.ndarray = field(repr=False)  # int64, >= 1
-    labels: np.ndarray = field(repr=False)  # int64, strictly increasing
+    __slots__ = ("doc_id", "block", "row")
 
-    def __post_init__(self) -> None:
-        ids, counts, labels = self.token_ids, self.token_counts, self.labels
+    def __init__(
+        self, doc_id: int, token_ids: np.ndarray, token_counts: np.ndarray, labels: np.ndarray
+    ) -> None:
+        ids, counts, labels = np.asarray(token_ids), np.asarray(token_counts), np.asarray(labels)
+        self._check(doc_id, ids, counts, labels)
+        # cast, as hash_token_ids casts ids: promoting int64 with uint64 gives float64
+        ids, counts, labels = (
+            a.reshape(-1).astype(t, casting="unsafe", copy=False)
+            for a, t in ((ids, np.uint64), (counts, np.int64), (labels, np.int64))
+        )
+        block = DocBlock(ids, counts, row_offsets([ids.size]), labels, row_offsets([labels.size]))
+        _set_doc_id(self, doc_id)
+        _set_block(self, block)
+        _set_row(self, 0)
+
+    @staticmethod
+    def _check(doc_id: int, ids: np.ndarray, counts: np.ndarray, labels: np.ndarray) -> None:
         if ids.shape != counts.shape:
             raise ValueError("token ids and counts must align")
         if ids.size > 1:
             ordered = np.sort(ids)
             if (ordered[1:] == ordered[:-1]).any():
-                raise ValueError(f"doc {self.doc_id}: duplicate token ids")
+                raise ValueError(f"doc {doc_id}: duplicate token ids")
         if counts.size and counts.min() < 1:
-            raise ValueError(f"doc {self.doc_id}: token counts must be >= 1")
+            raise ValueError(f"doc {doc_id}: token counts must be >= 1")
         if (labels[1:] <= labels[:-1]).any():
-            raise ValueError(f"doc {self.doc_id}: labels must be strictly increasing")
+            raise ValueError(f"doc {doc_id}: labels must be strictly increasing")
 
-    @classmethod
-    def _from_checked(
-        cls, doc_id: int, token_ids: np.ndarray, token_counts: np.ndarray, labels: np.ndarray
-    ) -> Document:
-        """A document over arrays that already hold the rules ``__post_init__`` checks."""
-        # set one attribute at a time, as the dataclass __init__ does: instances
-        # then share their attribute names, half the bytes of a dict of their own
-        doc = object.__new__(cls)
-        object.__setattr__(doc, "doc_id", doc_id)
-        object.__setattr__(doc, "token_ids", token_ids)
-        object.__setattr__(doc, "token_counts", token_counts)
-        object.__setattr__(doc, "labels", labels)
-        return doc
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        return f"Document(doc_id={self.doc_id!r})"
+
+    def __reduce__(self) -> tuple:
+        return Document, (self.doc_id, self.token_ids, self.token_counts, self.labels)
+
+    @property
+    def token_ids(self) -> np.ndarray:
+        t, r = self.block.token_offsets, self.row
+        return self.block.token_ids[t[r] : t[r + 1]]
+
+    @property
+    def token_counts(self) -> np.ndarray:
+        t, r = self.block.token_offsets, self.row
+        return self.block.token_counts[t[r] : t[r + 1]]
+
+    @property
+    def labels(self) -> np.ndarray:
+        l, r = self.block.label_offsets, self.row
+        return self.block.labels[l[r] : l[r + 1]]
 
     @property
     def num_tokens(self) -> int:
-        return int(self.token_ids.size)
+        t, r = self.block.token_offsets, self.row
+        return int(t[r + 1] - t[r])
+
+
+# a handle's slots are set through their descriptors: Document.__setattr__ refuses
+_set_doc_id, _set_block, _set_row = (getattr(Document, s).__set__ for s in Document.__slots__)
 
 
 @dataclass(frozen=True)
@@ -93,20 +133,28 @@ class DocBlock:
 
     @classmethod
     def from_documents(cls, docs: Sequence[Document]) -> DocBlock:
-        ids, counts, sizes = _flat_tokens(docs)
-        labels = [d.labels for d in docs]
-        joined = np.concatenate([np.empty(0, np.int64), *labels], dtype=np.int64, casting="unsafe")
-        return cls(ids, counts, row_offsets(sizes), joined, row_offsets([a.size for a in labels]))
+        """The documents' rows, in order, as one block, by one gather an array."""
+        block, rows = _source(docs)
+        token_offsets, ids, counts = _take(
+            block.token_offsets, rows, block.token_ids, block.token_counts
+        )
+        label_offsets, labels = _take(block.label_offsets, rows, block.labels)
+        return cls(ids, counts, token_offsets, labels, label_offsets)
 
-    def documents(self) -> Iterator[Document]:
-        """Each row as a :class:`Document` whose doc id is the row, over views of these arrays.
+    def documents(self, doc_ids: Sequence[int] | None = None) -> Iterator[Document]:
+        """Each row as a :class:`Document`: row r under doc id ``doc_ids[r]``, or r.
 
         The rows are not checked again; a block holds the rows its builder checked.
         """
-        t, l = self.token_offsets.tolist(), self.label_offsets.tolist()
-        ids, counts, labels = self.token_ids, self.token_counts, self.labels
-        for row, (t0, t1, l0, l1) in enumerate(zip(t, t[1:], l, l[1:])):
-            yield Document._from_checked(row, ids[t0:t1], counts[t0:t1], labels[l0:l1])
+        # a list, so that without doc ids one int object is both a row's doc id and its row
+        rows = list(range(self.token_offsets.size - 1))
+        new = object.__new__
+        for row, doc_id in zip(rows, rows if doc_ids is None else doc_ids, strict=True):
+            doc = new(Document)
+            _set_doc_id(doc, doc_id)
+            _set_block(doc, self)
+            _set_row(doc, row)
+            yield doc
 
     @cached_property
     def distinct_tokens(self) -> int:
@@ -146,13 +194,52 @@ def make_document(
     )
 
 
-def _flat_tokens(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The documents' token ids (uint64) and counts (int64), joined, and each one's size."""
-    ids = [d.token_ids for d in docs]
-    # cast, as hash_token_ids casts ids: promoting int64 with uint64 gives float64
-    joined = np.concatenate([np.empty(0, np.uint64), *ids], dtype=np.uint64, casting="unsafe")
-    counts = np.concatenate([np.empty(0, np.int64), *(d.token_counts for d in docs)])
-    return joined, counts, [a.size for a in ids]
+def _source(docs: Sequence[Document]) -> tuple[DocBlock, np.ndarray]:
+    """A block holding every document's row, and the row each one is in it.
+
+    Handles of one block use that block as it is.  Otherwise each distinct
+    block is joined once, in order of first use, and a row moves down past the
+    rows of the blocks before its own.
+    """
+    blocks = [d.block for d in docs]
+    rows = np.array([d.row for d in docs], dtype=np.int64)
+    keys = list(map(id, blocks))
+    if keys and keys.count(keys[0]) == len(keys):
+        return blocks[0], rows
+    distinct = list(dict(zip(keys, blocks)).values())
+    place = {id(b): i for i, b in enumerate(distinct)}
+    rows += row_offsets([b.token_offsets.size - 1 for b in distinct])[[place[k] for k in keys]]
+    ids, token_offsets = _join([(b.token_ids, b.token_offsets) for b in distinct], np.uint64)
+    counts, _ = _join([(b.token_counts, b.token_offsets) for b in distinct], np.int64)
+    labels, label_offsets = _join([(b.labels, b.label_offsets) for b in distinct], np.int64)
+    return DocBlock(ids, counts, token_offsets, labels, label_offsets), rows
+
+
+def _join(parts: list[tuple[np.ndarray, np.ndarray]], dtype: type) -> tuple[np.ndarray, np.ndarray]:
+    """Blocks' ``(entries, offsets)``, each block's rows after the last's, as one pair."""
+    shifts = row_offsets([entries.size for entries, _ in parts])
+    joined = np.concatenate([np.empty(0, dtype), *(entries for entries, _ in parts)])
+    offsets = np.concatenate([shifts[:1], *(o[1:] + s for (_, o), s in zip(parts, shifts))])
+    return joined, offsets
+
+
+def _take(offsets: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Rows ``rows`` of columns whose row r is ``[offsets[r]:offsets[r + 1]]``.
+
+    Gives the taken rows' offsets, then each column's entries, by one gather.
+    """
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    taken = row_offsets(sizes)
+    index = np.arange(taken[-1]) + np.repeat(starts - taken[:-1], sizes)
+    return (taken, *(c[index] for c in columns))
+
+
+def _flat_tokens(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The documents' token ids (uint64) and counts (int64), joined, and their row offsets."""
+    block, rows = _source(docs)
+    offsets, ids, counts = _take(block.token_offsets, rows, block.token_ids, block.token_counts)
+    return ids, counts, offsets
 
 
 @dataclass(frozen=True)
@@ -195,17 +282,18 @@ def hash_features(
     block = [docs] if isinstance(docs, Document) else docs
     n = len(block)
     # a lone document's arrays are already flat, and its features one row: skipping the
-    # join and the offsets saves 6 us of a 37 us call (K 4, 5 tokens)
+    # gather and the offsets saves 6 us of a 37 us call (K 4, 5 tokens)
     if n == 1:
-        ids, counts, sizes = block[0].token_ids, block[0].token_counts, [block[0].num_tokens]
+        ids, counts = block[0].token_ids, block[0].token_counts
     else:
-        ids, counts, sizes = _flat_tokens(block)
+        ids, counts, offsets = _flat_tokens(block)
     slots = hash_token_ids(ids, [chunk_seed] if one else chunk_seed, feature_dim)
     values = np.empty(slots.shape)
     values[:] = counts  # each seed's row of the float64 counts
     # row j * n + r holds document r under seed j
+    sizes = [ids.size] * len(slots) if n == 1 else np.tile(np.diff(offsets), len(slots))
     indptr, cols, values = merge_rows(
-        slots.ravel(), values.ravel(), row_offsets(sizes * len(slots)), feature_dim, mode == "binary"
+        slots.ravel(), values.ravel(), row_offsets(sizes), feature_dim, mode == "binary"
     )
     bounds, feats = indptr.tolist(), []
     for j in range(len(slots)):

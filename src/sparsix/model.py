@@ -621,16 +621,18 @@ def step_bytes(engine: EngineConfig, buckets: int, rows: int, live_rows: int) ->
     return item * f * h + 4 * live + adam + activations + init
 
 
-# OpenBLAS's thread-count setter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name it
-_OPENBLAS_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
+# OpenBLAS's thread-count getter as NumPy 2 and NumPy 1 wheels, and 32-bit builds, name
+# it; each setter's name has _set_ for _get_
+_OPENBLAS_GETTERS = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
 )
 
 
+@functools.cache
 def _numpy_openblas() -> ctypes.CDLL | None:
-    """The OpenBLAS bundled with NumPy's wheel, if this process has it loaded."""
+    """The OpenBLAS bundled with NumPy's wheel, if this process has it loaded (looked up once)."""
     import ctypes
 
     numpy_dir = Path(np.__file__).resolve().parent
@@ -646,6 +648,28 @@ def _numpy_openblas() -> ctypes.CDLL | None:
     return None
 
 
+def openblas_threads(count: int | None = None) -> int | None:
+    """NumPy's OpenBLAS thread count in this process, first set to ``count`` if given.
+
+    The setting is process-wide.  None, and nothing set, where NumPy uses
+    another BLAS or none is found.
+    """
+    import ctypes
+
+    lib = _numpy_openblas()
+    for name in _OPENBLAS_GETTERS:
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            # int get(void) and void set(int), in every OpenBLAS interface
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            if count is not None:
+                setter = getattr(lib, name.replace("_get_", "_set_"))
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(count)
+            return getter()
+    return None
+
+
 def one_blas_thread() -> None:
     """Run NumPy's OpenBLAS on one thread in this process.
 
@@ -653,16 +677,7 @@ def one_blas_thread() -> None:
     training's workers and the serving commands run at one thread.  Changes
     nothing where NumPy uses another BLAS or none is found.
     """
-    import ctypes
-
-    lib = _numpy_openblas()
-    for name in _OPENBLAS_SETTERS:
-        setter = getattr(lib, name, None)
-        if setter is not None:
-            # void set(int), in every OpenBLAS interface
-            setter.argtypes, setter.restype = [ctypes.c_int], None
-            setter(1)
-            return
+    openblas_threads(1)
 
 
 def _memory_limit() -> int:

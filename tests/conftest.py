@@ -1,10 +1,8 @@
 """Shared fixtures: one small trained engine reused across test modules;
 ``traced_peak``, which tests import to measure what a call allocates; and
-``openblas_threads``, which reads or sets this process's BLAS thread count; and
 ``save_untrained``, an engine of freshly initialised models on disk."""
 from __future__ import annotations
 
-import ctypes
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable, TypeVar
@@ -16,7 +14,7 @@ from sparsix.corpus import make_separable_corpus
 from sparsix.features import Document
 from sparsix.index import InvertedIndex, build_index
 from sparsix.manifest import save_ensemble
-from sparsix.model import PARAM_DTYPE, _numpy_openblas, init_model
+from sparsix.model import PARAM_DTYPE, init_model
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
 
 T = TypeVar("T")
@@ -31,26 +29,6 @@ def traced_peak(fn: Callable[[], T]) -> tuple[T, int]:
     finally:
         tracemalloc.stop()
     return result, peak
-
-
-def openblas_threads(count: int | None = None) -> int | None:
-    """NumPy's OpenBLAS thread count in this process, first set to ``count`` if given;
-    None without OpenBLAS."""
-    lib = _numpy_openblas()
-    for name in (
-        "scipy_openblas_get_num_threads64_",
-        "openblas_get_num_threads64_",
-        "openblas_get_num_threads",
-    ):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            if count is not None:
-                setter = getattr(lib, name.replace("_get_", "_set_"))
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(count)
-            return getter()
-    return None
 
 
 def save_untrained(path, k, f, h, b, n):

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import openblas_threads
 from sparsix.codes import (
     CodeConfig,
     LabelCodebook,
@@ -41,7 +40,7 @@ from sparsix.infer import (
 )
 from sparsix.manifest import load_ensemble, save_ensemble
 from sparsix.metrics import evaluate
-from sparsix.model import grad_check, init_model, save_model
+from sparsix.model import grad_check, init_model, openblas_threads, save_model
 from sparsix.train import ChunkEnsemble, EngineConfig, TrainConfig, train_all
 
 

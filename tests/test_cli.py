@@ -32,13 +32,13 @@ from sparsix.cli import (
     main,
     parse_config,
 )
-from conftest import openblas_threads, save_untrained, traced_peak
+from conftest import save_untrained, traced_peak
 from sparsix.corpus import make_separable_corpus, write_corpus
 from sparsix.features import DocBlock
 from sparsix.infer import InferParams, block_rows
 from sparsix.manifest import _loading_bytes, load_manifest
 from sparsix.metrics import evaluate
-from sparsix.model import TrainConfig, _numpy_openblas
+from sparsix.model import TrainConfig, _numpy_openblas, openblas_threads
 
 DESK_CONFIG = """\
 # desk-scale settings, everything tiny
@@ -1440,6 +1440,33 @@ class TestServingBlocks:
         capsys.readouterr()
         assert recorded[0] and recorded[0] == recorded[1]
         assert (tmp_path / "1.tsv").read_bytes() == (tmp_path / "2.tsv").read_bytes()
+
+    @pytest.mark.skipif(_numpy_openblas() is None, reason="NumPy does not use a bundled OpenBLAS")
+    def test_main_gives_the_caller_its_blas_threads_back(self, tmp_path, monkeypatch, capsys):
+        """The command computes at one thread, and a caller at one or two threads has its
+        own count again after."""
+        manifest = save_untrained(tmp_path / "engine", k=2, f=64, h=16, b=32, n=100)
+        corpus = write_queries(tmp_path / "queries.txt", 5, 100)
+        during = []
+        inner = sparsix.infer.forward
+
+        def recording(*args, **kwargs):
+            during.append(openblas_threads())
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(sparsix.infer, "forward", recording)
+        before = openblas_threads()
+        try:
+            for threads in (1, 2):
+                openblas_threads(threads)
+                argv = ["predict", "--manifest", str(manifest), "--corpus", str(corpus),
+                        "--out", str(tmp_path / "out.tsv"), "--m", "4"]
+                assert main(argv) == EXIT_OK
+                assert openblas_threads() == threads
+        finally:
+            openblas_threads(before)
+        capsys.readouterr()
+        assert during and set(during) == {1}
 
     def test_blocks_peak_within_the_loading_estimate(self, tmp_path, monkeypatch, capsys):
         """At K 2, B 16,384 a row counts 1,081,344 bytes, so the budget binds at 3 rows

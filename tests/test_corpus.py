@@ -1,6 +1,7 @@
 """Corpus file format: header, labels, token pairs, errors, synthesis."""
 from __future__ import annotations
 
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -249,15 +250,32 @@ class TestBlock:
     def test_parse_corpus_does_not_check_rows_again(self, tmp_path, monkeypatch):
         """read_block has checked every line, so parse_corpus builds no checked Document."""
         calls = []
-        post_init = Document.__post_init__
+        check = Document._check
         monkeypatch.setattr(
-            Document, "__post_init__", lambda doc: calls.append(doc.doc_id) or post_init(doc)
+            Document,
+            "_check",
+            staticmethod(lambda doc_id, *arrays: calls.append(doc_id) or check(doc_id, *arrays)),
         )
         p = corpus_file(tmp_path, "3 10 5\n0 1:1\n\n1,2 2:1 3:4\n 4:1\n")
         docs = list(parse_corpus(p))
         assert [d.doc_id for d in docs] == [0, 1, 2] and calls == []
         make_document(0, [(1, 1)], [])
         assert calls == [0]
+
+    def test_documents_hold_little_beside_their_block(self, tmp_path):
+        """A parsed Document is a handle on its block's row: 10,000 of them hold a few
+        dozen bytes each beside the block, where a dataclass of views held over 500."""
+        rng = np.random.default_rng(0)
+        rows = 10_000
+        lines = [f"{rows} 1000 50"]
+        for i in range(rows):
+            tokens = rng.choice(1000, 3, replace=False)
+            lines.append(f"{i % 50} " + " ".join(f"{t}:{1 + t % 3}" for t in tokens))
+        p = corpus_file(tmp_path, "\n".join(lines) + "\n")
+        docs, peak = traced_peak(lambda: list(parse_corpus(p)))
+        nbytes = sum(a.nbytes for a in vars(docs[0].block).values())
+        assert len(docs) == rows and all(d.block is docs[0].block for d in docs)
+        assert peak <= nbytes + 160 * rows
 
     def test_peak_memory_near_the_block_size(self, tmp_path):
         """Values collect in typed buffers: a Python int per value would cost several times more."""
@@ -506,3 +524,27 @@ class TestSeparableCorpus:
             make_separable_corpus(num_labels=3, tokens_per_label=2, tokens_per_doc=5)
         with pytest.raises(ValueError):
             make_separable_corpus(num_labels=3, noise_tokens=10, noise_vocab=5)
+
+    def test_splits_are_rows_of_two_blocks(self, tmp_path):
+        """Each split is the rows of one block, in order, under the draws' doc ids; the
+        files written from them have the digests of one document built per draw."""
+        train, test, num_features = make_separable_corpus(
+            num_labels=7, docs_per_label=4, test_docs_per_label=3, noise_tokens=3, seed=3
+        )
+        for docs, ids in ((train, [0, 1, 2, 3, 7, 8, 9, 10]), (test, [4, 5, 6, 11, 12, 13])):
+            assert [d.doc_id for d in docs[: len(ids)]] == ids
+            assert all(d.block is docs[0].block for d in docs)
+            assert [d.row for d in docs] == list(range(len(docs)))
+        assert train[0].block is not test[0].block
+        digests = []
+        for name, docs in (("train", train), ("test", test)):
+            write_corpus(tmp_path / name, docs, num_features, 7)
+            digests.append(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest())
+        assert digests == [
+            "c774f574a3673660dbdd175d45b0306d3f2f209255ce7a69a11d092262185f8a",
+            "0d1b5a0cfb650d9728061d32e9f8627276628f097170f6042675f1e7090a11b3",
+        ]
+
+    def test_empty_split(self):
+        train, test, _ = make_separable_corpus(num_labels=3, test_docs_per_label=0, seed=2)
+        assert len(train) == 3 * 20 and test == []

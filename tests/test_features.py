@@ -1,12 +1,18 @@
 """Feature hashing tests: conservation, collisions, seed independence, and the row merge."""
 from __future__ import annotations
 
+import gc
+import pickle
+import weakref
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsix.features import (
+    DocBlock,
     Document,
     HashedFeatures,
     hash_features,
@@ -66,6 +72,123 @@ class TestDocument:
                 np.array(labels, dtype=np.int64),
             )
         assert str(err.value) == message
+
+
+def made_documents(seed, rows):
+    """Checked documents, one a block: every fifth has no tokens, every seventh no labels."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for r in range(rows):
+        ids = [] if r % 5 == 0 else rng.choice(2**40, rng.integers(1, 9), replace=False).tolist()
+        labels = [] if r % 7 == 0 else rng.choice(50, rng.integers(1, 4), replace=False).tolist()
+        docs.append(make_document(100 + r, [(t, 1 + t % 5) for t in ids], labels))
+    return docs
+
+
+def per_row(docs):
+    """The five arrays of a block, joined from each document's own arrays."""
+    ids = [d.token_ids for d in docs]
+    labels = [d.labels for d in docs]
+    return (
+        np.concatenate([np.empty(0, np.uint64), *ids]),
+        np.concatenate([np.empty(0, np.int64), *(d.token_counts for d in docs)]),
+        row_offsets([a.size for a in ids]),
+        np.concatenate([np.empty(0, np.int64), *labels]),
+        row_offsets([a.size for a in labels]),
+    )
+
+
+def cases():
+    made = made_documents(0, 30)
+    rows = list(DocBlock.from_documents(made).documents())
+    other = list(DocBlock.from_documents(made_documents(1, 12)).documents(range(500, 512)))
+    return {
+        "in order": rows,
+        "reversed": rows[::-1],
+        "subset": rows[3:20:4],
+        "repeated": [rows[2], rows[2], rows[0], rows[2]],
+        "mixed blocks": [*rows[:4], *other[2:5], *rows[4:6], made[1], other[0], made[9]],
+        "made": made,
+        "empty rows": [d for d in rows if d.num_tokens == 0 or d.labels.size == 0],
+        "one": [rows[3]],
+        "none": [],
+    }
+
+
+class TestHandles:
+    def test_rows_of_their_block(self):
+        block = DocBlock.from_documents(made_documents(0, 30))
+        docs = list(block.documents())
+        assert [d.doc_id for d in docs] == list(range(30)) == [d.row for d in docs]
+        for d in docs:
+            assert d.block is block
+            t0, t1 = block.token_offsets[d.row : d.row + 2]
+            assert np.shares_memory(d.token_ids, block.token_ids) or t0 == t1
+            assert d.token_ids.tolist() == block.token_ids[t0:t1].tolist()
+        with pytest.raises(ValueError):
+            list(block.documents(range(29)))
+
+    @pytest.mark.parametrize("name", list(cases()))
+    def test_from_documents_equals_joining_rows(self, name):
+        docs = cases()[name]
+        block = DocBlock.from_documents(docs)
+        got = (block.token_ids, block.token_counts, block.token_offsets)
+        got += (block.labels, block.label_offsets)
+        for a, b in zip(got, per_row(docs)):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+
+    @pytest.mark.parametrize("mode", ["counts", "binary"])
+    @pytest.mark.parametrize("name", [n for n in cases() if n != "none"])
+    def test_hash_features_rows_have_their_lone_bits(self, name, mode):
+        docs = cases()[name]
+        feats = hash_features(docs, [3, 9], 64, mode)
+        for seed, f in zip([3, 9], feats):
+            offsets = [0, f.indexes.size] if len(docs) == 1 else f.offsets.tolist()
+            for r, doc in enumerate(docs):
+                alone = hash_features(doc, seed, 64, mode)
+                a, b = offsets[r], offsets[r + 1]
+                assert f.indexes[a:b].tobytes() == alone.indexes.tobytes()
+                assert f.values[a:b].tobytes() == alone.values.tobytes()
+
+    def test_pickles_its_row_alone(self):
+        block = DocBlock.from_documents(made_documents(0, 400))
+        doc = list(block.documents(range(1000, 1400)))[33]
+        raw = pickle.dumps(doc)
+        back = pickle.loads(raw)
+        assert type(back) is Document and back.doc_id == 1033
+        for name in ("token_ids", "token_counts", "labels"):
+            a, b = getattr(doc, name), getattr(back, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        row = doc.token_ids.nbytes + doc.token_counts.nbytes + doc.labels.nbytes
+        assert len(raw) <= row + 1024
+        assert len(pickle.dumps(block)) > 10 * len(raw)
+
+    def test_keeps_its_block_alive(self):
+        block = DocBlock.from_documents(made_documents(0, 3))
+        doc, alive = list(block.documents())[1], weakref.ref(block)
+        want = doc.token_ids.tolist()
+        del block
+        gc.collect()
+        assert alive() is not None and doc.token_ids.tolist() == want
+        del doc
+        gc.collect()
+        assert alive() is None
+
+    def test_immutable_and_equal_only_to_itself(self):
+        doc = make_document(3, [(10, 2)], [1])
+        twin = make_document(3, [(10, 2)], [1])
+        with pytest.raises(FrozenInstanceError):
+            doc.doc_id = 4
+        with pytest.raises(FrozenInstanceError):
+            del doc.row
+        assert doc == doc and doc != twin and len({doc, twin}) == 2
+        assert repr(doc) == "Document(doc_id=3)"
+
+    def test_cast_to_the_block_dtypes(self):
+        ids, counts = np.array([2**60 + 1, 5]), np.array([1, 2], np.int32)
+        doc = Document(0, ids, counts, np.array([3], np.uint64))
+        assert doc.token_ids.dtype == np.uint64 and doc.token_ids.tolist() == [2**60 + 1, 5]
+        assert doc.token_counts.dtype == np.int64 and doc.labels.dtype == np.int64
 
 
 class TestHashFeatures:

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 import sparsix.model as model_mod
-from conftest import openblas_threads, traced_peak
+from conftest import traced_peak
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook, codebook_bytes
 from sparsix.corpus import parse_corpus, read_block, write_corpus
 from sparsix.features import DocBlock, Document, hash_features, make_document
 from sparsix.manifest import save_ensemble
 from sparsix.model import PARAM_DTYPE, _batch_forward, forward, init_model, num_params
-from sparsix.model import _numpy_openblas, save_model, step_bytes
+from sparsix.model import _numpy_openblas, openblas_threads, save_model, step_bytes
 from sparsix.train import (
     ChunkEnsemble,
     EngineConfig,
