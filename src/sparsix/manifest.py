@@ -7,25 +7,30 @@ therefore reproduces the original scoring function bit for bit.
 
 Blobs are referenced by a path relative to the manifest's directory, which
 must stay inside it, together with a sha256 checksum of 64 lowercase hex
-digits.  Each blob is read once on load and its checksum verified; then its
-header must give the manifest's chunk, init seed and dimensions before
-:func:`model.load_model` parses those same bytes in place.  A blob holding
-more or fewer bytes than its header claims is rejected.  Seeds are stored as
-JSON integers (they can exceed 2^53; the reference reader is Python, which
-keeps them exact).
+digits.  On load each blob is mapped read-only and the checksum of the
+mapped bytes verified; then its header must give the manifest's chunk, init
+seed and dimensions before :func:`model.load_model` parses those same bytes
+in place.  So what is checked is what serves: each model's W1 is a read-only
+view of its blob's map, which lives, holding a file descriptor, as long as
+the model.  A blob holding more or fewer bytes than its header claims is
+rejected.  Saving writes each blob to a sibling file and renames it into
+place, so it never rewrites the bytes an engine loaded from that directory
+serves.  Seeds are stored as JSON integers (they can exceed 2^53; the
+reference reader is Python, which keeps them exact).
 
 Two loaders share one prologue (the manifest, then the memory check) and one
-loader of models, which checks each blob as above and copies every chunk's
-W1 into one ``(K, F, H)`` array.  :func:`load_ensemble` reads the blobs in
-turn.  :func:`load_serving`, which ``predict`` and ``eval`` use, reads them on
-one helper thread while the calling thread builds the codebook and the
-index, and then on both threads, in manifest order from one queue.  Either
-raises the first bad blob's error in manifest order.
+loader of models, which checks each blob as above.  :func:`load_ensemble`
+reads the blobs in turn.  :func:`load_serving`, which ``predict`` and
+``eval`` use, reads them on one helper thread while the calling thread builds
+the codebook and the index, and then on both threads, in manifest order from
+one queue.  Either raises the first bad blob's error in manifest order.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import mmap
+import os
 import posixpath
 import re
 import threading
@@ -34,18 +39,17 @@ from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
 from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes
 from .corpus import MISSING_ERRNOS
 from .hashing import check_ints
 from .index import InvertedIndex, build_index, index_bytes
 from .infer import block_rows, check_m, embed_bytes, query_bytes
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, ChunkModel, blob_header, huge_paged_empty
+from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, blob_header
 from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_dims, check_fits
-from .model import forward_bytes, load_model, model_bytes, save_model
+from .model import forward_bytes, load_model, num_params, save_model
 
-FORMAT_VERSION = 1
+# Version 2 stores W1 (F, H), the order a model serves it in; version 1 stored it (H, F)
+FORMAT_VERSION = 2
 
 # Manifests written while Adam's constants were settings record them in
 # train_config; such a manifest loads if it holds these same values
@@ -117,7 +121,12 @@ def save_ensemble(
     for model in ensemble.models:
         name = f"chunk_{model.chunk:04d}.bin"
         data = save_model(model)
-        (out_dir / name).write_bytes(data)
+        partial = out_dir / f".{name}.{os.getpid()}.partial"
+        try:
+            partial.write_bytes(data)
+            os.replace(partial, out_dir / name)  # a loaded engine keeps mapping the old file
+        finally:
+            partial.unlink(missing_ok=True)
         blobs.append(BlobRef(model.chunk, name, hashlib.sha256(data).hexdigest()))
         del data  # else this blob outlives the next one's build
 
@@ -173,10 +182,11 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
 def _loading_bytes(manifest: Manifest) -> int:
     """Peak bytes of loading an engine and serving its first block of queries.
 
-    Loading holds K models and the two blobs that :func:`load_serving`'s two
-    threads may each be parsing, and builds the codebook and the index
-    meanwhile.  Their build scratch, at most 28 bytes a label, is less than
-    the first query's, which is not yet held.  Serving then embeds a block of
+    Loading holds each of the K models' b1, W2 and b2, and builds the
+    codebook and the index meanwhile.  W1 is not counted: it is a read-only
+    map of its blob, whose clean pages the kernel can drop and read again.
+    The tables' build scratch, at most 28 bytes a label, is less than the
+    first query's, which is not yet held.  Serving then embeds a block of
     ``infer.block_rows`` queries, one ``forward`` at a time, and searches
     each; ``forward``'s block of outputs is counted beside the probabilities
     it is written into.  Each module that allocates one of these counts its
@@ -187,7 +197,8 @@ def _loading_bytes(manifest: Manifest) -> int:
     """
     cc = manifest.code_config
     b = cc.buckets_per_chunk
-    models = (cc.num_chunks + 2) * model_bytes(manifest.engine, b)
+    h = manifest.engine.hidden_dim
+    models = PARAM_DTYPE.itemsize * cc.num_chunks * num_params(0, h, b)  # all but W1
     rows = block_rows(cc)
     embedding = forward_bytes(manifest.engine, b, rows) + embed_bytes(cc, rows)
     serving = codebook_bytes(cc) + index_bytes(cc) + embedding
@@ -202,54 +213,66 @@ def _checked_manifest(manifest_path: Path) -> Manifest:
     return manifest
 
 
-def _load_blob(base: Path, ref: BlobRef, manifest: Manifest, W1: np.ndarray) -> ChunkModel:
-    """Read one blob, verify its checksum, check its header against the manifest,
-    then parse it, copying its W1 into ``W1``."""
-    blob_path = base / ref.path
+def _map_blob(blob_path: Path) -> mmap.mmap | bytes:
+    """The blob file's bytes, mapped read-only; the file itself is closed again.
+
+    A zero-byte file, which cannot be mapped, is ``b""``: its checksum fails.
+    """
     try:
-        data = blob_path.read_bytes()
+        file = open(blob_path, "rb")
     except OSError as exc:
         if exc.errno not in MISSING_ERRNOS:
             raise
         raise BlobChecksumError(f"missing model blob {blob_path}") from exc
-    actual = hashlib.sha256(data).hexdigest()
-    if actual != ref.sha256:
-        raise BlobChecksumError(
-            f"checksum mismatch for {blob_path}: "
-            f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
-        )
-    chunk, f, h, b, init_seed = blob_header(data)
-    if chunk != ref.chunk:
-        raise ManifestError(f"blob {ref.path} holds chunk {chunk}, manifest says {ref.chunk}")
-    seed = manifest.engine.chunk_init_seed(ref.chunk)
-    if init_seed != seed:
-        raise ManifestError(
-            f"blob {ref.path} records init_seed {init_seed}, "
-            f"manifest's engine gives chunk {ref.chunk} {seed}"
-        )
-    check_dims(chunk, (f, h, b), manifest.engine, manifest.code_config.buckets_per_chunk)
-    return load_model(data, W1)
+    with file:
+        try:
+            return mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # mmap refuses an empty file
+            return b""
+
+
+def _load_blob(base: Path, ref: BlobRef, manifest: Manifest) -> ChunkModel:
+    """Map one blob, verify its checksum, check its header against the manifest,
+    then parse it: the model's W1 is a view of the map."""
+    blob_path = base / ref.path
+    data = _map_blob(blob_path)
+    try:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != ref.sha256:
+            raise BlobChecksumError(
+                f"checksum mismatch for {blob_path}: "
+                f"manifest says {ref.sha256[:12]}…, file is {actual[:12]}…"
+            )
+        chunk, f, h, b, init_seed = blob_header(data)
+        if chunk != ref.chunk:
+            raise ManifestError(f"blob {ref.path} holds chunk {chunk}, manifest says {ref.chunk}")
+        seed = manifest.engine.chunk_init_seed(ref.chunk)
+        if init_seed != seed:
+            raise ManifestError(
+                f"blob {ref.path} records init_seed {init_seed}, "
+                f"manifest's engine gives chunk {ref.chunk} {seed}"
+            )
+        check_dims(chunk, (f, h, b), manifest.engine, manifest.code_config.buckets_per_chunk)
+    except BaseException:
+        if isinstance(data, mmap.mmap):
+            data.close()  # now, rather than when the error's traceback goes
+        raise
+    return load_model(data)
 
 
 class _ModelLoad:
-    """An engine's models, loaded from its blobs by one thread or two.
+    """An engine's models, loaded from their blobs by one thread or two.
 
-    Every chunk's W1 is a slice of one C-contiguous ``(K, F, H)`` array, so an
-    engine's W1 pages are one allocation, whose whole 2 MiB spans fault in as
-    huge pages when the blobs are copied in and stay so while the engine
-    serves (:func:`model.huge_paged_empty`).  Each thread that calls
-    :meth:`run` takes blobs in manifest order from one shared queue.  A bad
-    blob's error is kept in its chunk's place and empties the queue: every
-    earlier blob has been taken by then, so :meth:`ensemble` raises the first
-    bad blob in manifest order, as reading them in turn would.
+    Each thread that calls :meth:`run` takes blobs in manifest order from one
+    shared queue.  A bad blob's error is kept in its chunk's place and empties
+    the queue: every earlier blob has been taken by then, so :meth:`ensemble`
+    raises the first bad blob in manifest order, as reading them in turn would.
     """
 
     def __init__(self, manifest_path: Path, manifest: Manifest) -> None:
-        cc, engine = manifest.code_config, manifest.engine
         self._base, self._manifest = manifest_path.parent, manifest
-        self._W1 = huge_paged_empty((cc.num_chunks, engine.feature_dim, engine.hidden_dim))
         self._pending = deque(manifest.blobs)  # popleft is atomic, whichever thread calls it
-        self._loaded: list = [None] * cc.num_chunks  # a model or the error, per chunk
+        self._loaded: list = [None] * len(manifest.blobs)  # a model or the error, per chunk
 
     def run(self) -> None:
         """Load blobs until none is left to take."""
@@ -259,7 +282,7 @@ class _ModelLoad:
             except IndexError:
                 return
             try:
-                model = _load_blob(self._base, ref, self._manifest, self._W1[ref.chunk])
+                model = _load_blob(self._base, ref, self._manifest)
             except BaseException as exc:  # raised by ensemble(), in the calling thread
                 self._pending.clear()
                 model = exc
@@ -270,6 +293,7 @@ class _ModelLoad:
         loaded, self._loaded = self._loaded, []  # emptied, as the error's traceback holds self
         for model in loaded:
             if isinstance(model, BaseException):
+                loaded.clear()  # the traceback holds this frame: the maps go now
                 raise model
         cc, engine = self._manifest.code_config, self._manifest.engine
         return ChunkEnsemble(code_config=cc, engine=engine, models=loaded)
@@ -299,9 +323,9 @@ def load_serving(
     chunk) above the manifest's B fails there too.  Then one helper thread
     loads blobs while this thread builds the codebook and the index, and this
     thread loads blobs too once the tables are built: both take them from one
-    queue.  Blob reading, hashing and copying run mostly outside the GIL, the
-    table builds inside it.  The first bad blob in manifest order raises here,
-    as :func:`load_ensemble` would raise it, and the helper has ended by the
+    queue.  Blob hashing runs mostly outside the GIL, the table builds inside
+    it.  The first bad blob in manifest order raises here, as
+    :func:`load_ensemble` would raise it, and the helper has ended by the
     time this returns or raises.  A plain ``threading.Thread`` rather than an
     executor: ``concurrent.futures`` would add its import, and that of
     ``logging``, to every process that imports this module.

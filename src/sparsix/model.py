@@ -27,23 +27,21 @@ and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
 in float64.  :func:`init_model` draws in float64, the precision
 :func:`grad_check` checks in, and casts to the dtype asked for.  W1 is held
 (F, H), one row per input index, so a batch's sparse inputs read and write
-whole rows; blobs keep it in (H, F) order.  A row no input reaches has a zero
-gradient, so training hands these functions a model of the live rows only.
-:func:`save_model` returns a blob's bytes and :func:`load_model` parses those
-bytes in place, copying each array once into the model, W1 into an array its
-caller may give (the engine loaders give each chunk a slice of one
-``(K, F, H)`` array, from :func:`huge_paged_empty`).  A blob is its header plus exactly the payload the
-header claims: fewer or more bytes are an error, which :func:`blob_header`
-raises before anything is copied.
+whole rows, and blobs store it in the same order.  A row no input reaches has
+a zero gradient, so training hands these functions a model of the live rows
+only.  :func:`save_model` returns a blob's bytes and :func:`load_model` parses
+those bytes in place: W1 is a view of them, and b1, W2 and b2 are copied once
+into the model (the engine loaders hand it a read-only map of the blob file,
+so a loaded W1 is read-only).  A blob is its header plus exactly the payload
+the header claims: fewer or more bytes are an error, which
+:func:`blob_header` raises before any array is made.
 """
 from __future__ import annotations
 
 import functools
 import math
-import mmap
 import os
 import struct
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -401,14 +399,14 @@ def num_params(f: int, h: int, b: int) -> int:
 def save_model(model: ChunkModel) -> bytearray:
     """Header (chunk, F, H, B, init_seed), then W1, b1, W2, b2 as little-endian ``PARAM_DTYPE``.
 
-    W1 is written (H, F), hidden unit by hidden unit.  Each array is copied
-    once, straight into the blob, so building it holds one blob's bytes.
+    W1 is written (F, H), the order the model holds it in.  Each array is
+    copied once, straight into the blob, so building it holds one blob's bytes.
     """
     f, h, b = model.input_dim, model.hidden_dim, model.output_dim
     blob = bytearray(_HEADER.size + _BLOB_DTYPE.itemsize * num_params(f, h, b))
     _HEADER.pack_into(blob, 0, model.chunk, f, h, b, model.init_seed)
     offset = _HEADER.size
-    for p in (model.W1.T, model.b1, model.W2, model.b2):
+    for p in model.params():
         stored = np.frombuffer(blob, _BLOB_DTYPE, p.size, offset).reshape(p.shape)
         stored[...] = p
         offset += stored.nbytes
@@ -431,87 +429,22 @@ def blob_header(data: bytes) -> tuple[int, int, int, int, int]:
     return header
 
 
-def load_model(data: bytes, W1: np.ndarray | None = None) -> ChunkModel:
+def load_model(data: bytes) -> ChunkModel:
     """Parse a blob written by :func:`save_model`; parameters come back ``PARAM_DTYPE``.
 
-    The blob's size is checked by :func:`blob_header`.  Each array is read in
-    place from ``data`` and copied once, into the model's own writable buffer:
-    W1 into ``W1``, a C-contiguous ``PARAM_DTYPE`` array of the blob's (F, H),
-    if given, which the model then holds.
+    The blob's size is checked by :func:`blob_header`.  W1 is a C-contiguous
+    (F, H) view of ``data``, read-only where ``data`` is, such as a read-only
+    map of the blob.  b1, W2 and b2 are read in place and copied once, into
+    the model's own writable arrays.
     """
     chunk, f, h, b, init_seed = blob_header(data)
-    W1 = np.empty((f, h), PARAM_DTYPE) if W1 is None else W1
-    if W1.shape != (f, h):  # copyto would broadcast a blob of F or H 1
-        raise ValueError(f"W1 of shape {W1.shape} cannot hold the blob's ({f}, {h})")
-    arrays, offset = [W1], _HEADER.size
-    for i, shape in enumerate([(h, f), (h,), (b, h), (b,)]):
+    arrays, offset = [], _HEADER.size
+    for shape in [(f, h), (h,), (b, h), (b,)]:
         stored = np.frombuffer(data, _BLOB_DTYPE, math.prod(shape), offset).reshape(shape)
         offset += stored.nbytes
-        if i == 0:  # the blob holds W1 (H, F), the model (F, H)
-            np.copyto(W1, stored.T)
-        else:
-            arrays.append(stored.astype(PARAM_DTYPE))
+        # W1 stays a view, copied only to swap its bytes on a big-endian host
+        arrays.append(stored.astype(PARAM_DTYPE, copy=bool(arrays)))
     return ChunkModel(chunk, init_seed, *arrays)
-
-
-# Linux's transparent huge page where the base page is 4 KiB (x86-64, arm64)
-HUGE_PAGE = 2 * 2**20
-# madvise's synchronous collapse into huge pages, Linux 6.1 on; Python 3.11's mmap lacks it
-MADV_COLLAPSE = getattr(mmap, "MADV_COLLAPSE", 25)
-
-
-def huge_paged_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised C-contiguous ``PARAM_DTYPE`` array whose pages keep the size
-    they are first written with.
-
-    The engine loaders hold every chunk's W1 in one such array, and each query
-    reads rows scattered over it.  ``np.empty`` asks the kernel for huge pages
-    from 4 MiB, but it may hand back heap pages that earlier arrays paged in
-    small.  The kernel's background collapsing (khugepaged) then turns those
-    into huge pages at a moment of its own, and queries change speed while the
-    engine serves.  Here, on Linux, each whole 2 MiB span inside the array is
-    marked for huge pages and made one now, or on its first write where it
-    has no pages yet, where the kernel has one; the array's pages outside
-    those spans are marked to stay small.  Elsewhere this is ``np.empty``.
-    """
-    out = np.empty(shape, PARAM_DTYPE)
-    madvise = _madvise()
-    if madvise is None:
-        return out
-    page = mmap.PAGESIZE
-    first = -(-out.ctypes.data // page) * page  # the whole pages inside the array
-    last = (out.ctypes.data + out.nbytes) // page * page
-    span_first = -(-first // HUGE_PAGE) * HUGE_PAGE
-    span_last = last // HUGE_PAGE * HUGE_PAGE
-    if span_last <= span_first:  # no whole span: every page stays small
-        span_first = span_last = last
-    for start, stop, advice in (
-        (first, span_first, mmap.MADV_NOHUGEPAGE),
-        (span_last, last, mmap.MADV_NOHUGEPAGE),
-        (span_first, span_last, mmap.MADV_HUGEPAGE),
-    ):
-        if stop > start:
-            madvise(start, stop - start, advice)  # a refusal leaves the pages as they were
-    # Small pages the heap already holds in the spans are collapsed now, and a
-    # span already huge costs nothing.  Where the kernel cannot collapse (before
-    # Linux 6.1), the spans' pages are released instead: the array is uninitialised.
-    spans = span_last - span_first
-    if spans and madvise(span_first, spans, MADV_COLLAPSE) != 0:
-        madvise(span_first, spans, mmap.MADV_DONTNEED)
-    return out
-
-
-@functools.cache
-def _madvise():
-    """libc's ``madvise(addr, length, advice)`` on Linux, else None."""
-    if sys.platform != "linux" or not hasattr(mmap, "MADV_NOHUGEPAGE"):
-        return None
-    import ctypes
-
-    madvise = ctypes.CDLL(None, use_errno=True).madvise
-    madvise.argtypes = [ctypes.c_void_p, ctypes.c_size_t, ctypes.c_int]
-    madvise.restype = ctypes.c_int
-    return madvise
 
 
 # ---------------------------------------------------------------------------

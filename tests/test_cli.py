@@ -559,7 +559,7 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert out.read_bytes() == b"0\t1:0.500000\n"
 
-    @pytest.mark.parametrize("damage", ["missing", "corrupted"])
+    @pytest.mark.parametrize("damage", ["missing", "corrupted", "empty"])
     def test_blob_fault_on_an_engine_that_fits_is_verify_error(
         self, workspace, tmp_path, capsys, monkeypatch, damage
     ):
@@ -570,6 +570,8 @@ class TestExitCodes:
         blob = broken / "chunk_0001.bin"
         if damage == "missing":
             blob.unlink()
+        elif damage == "empty":  # a zero-byte file, which cannot be mapped
+            blob.write_bytes(b"")
         else:
             raw = bytearray(blob.read_bytes())
             raw[-1] ^= 0xFF
@@ -583,8 +585,10 @@ class TestExitCodes:
                 "--m", "4",
             ]
         )
-        capsys.readouterr()
+        err = capsys.readouterr().err
         assert rc == EXIT_VERIFY
+        reason = "missing model blob" if damage == "missing" else "checksum mismatch"
+        assert f"error: {reason}" in err and "Traceback" not in err
 
     def test_other_adam_constant_in_manifest_is_validation_error(
         self, workspace, tmp_path, capsys
@@ -614,6 +618,7 @@ class TestExitCodes:
             ({"code_config": {"num_labels": 10**12}}, "GiB but this machine has"),
             ({"blob": {"sha256": 5}}, "sha256 must be 64 lowercase hex digits"),
             ({"format_version": "1"}, "unsupported manifest version '1'"),
+            ({"format_version": 1}, "unsupported manifest version 1, this build reads version 2"),
             ({"format_version": True}, "unsupported manifest version True"),
             ({"train_config": {"lr": True}}, "lr must be positive and finite, got True"),
             ({"blob": {"path": "/etc/passwd"}}, "path must be relative"),
@@ -625,7 +630,7 @@ class TestExitCodes:
         ],
         ids=[
             "num_labels-float", "num_labels-bool", "num_labels-1e12", "sha256-int",
-            "version-str", "version-bool", "lr-bool", "path-absolute", "path-too-long",
+            "version-str", "version-1", "version-bool", "lr-bool", "path-absolute", "path-too-long",
             "path-directory", "feature_seed-2**70",
             "config-seed-negative", "config-repeated-key",
         ],

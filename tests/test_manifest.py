@@ -1,12 +1,16 @@
 """Persistence tests: round-trip fidelity, checksums, version gating."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
+import mmap
+import os
 import re
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,6 +77,26 @@ class TestRoundTrip:
             for x, y in zip(p.params(), q.params()):
                 assert np.array_equal(x, y)
 
+    @pytest.mark.parametrize("loader", ["load_ensemble", "load_serving"])
+    def test_saving_over_a_loaded_engine_leaves_it_as_it_was(self, tmp_path, loader):
+        """Saving another engine of the same dims into a loaded engine's directory
+        gives each blob a new file: the loaded engine keeps serving its own bits."""
+        path = save_untrained(tmp_path / "e", 3, f=64, h=6, b=8, n=40)
+        loaded = LOADERS[loader](path)
+        before = [[p.tobytes() for p in m.params()] for m in loaded.models]
+        engine = EngineConfig(64, 6, feature_seed=3, init_seed=5)
+        other = [
+            init_model(64, 6, 8, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE) for c in range(3)
+        ]
+        save_ensemble(ChunkEnsemble(CodeConfig(40, 3, 8, base_seed=5), engine, other), path.parent)
+        assert [[p.tobytes() for p in m.params()] for m in loaded.models] == before
+        reloaded = LOADERS[loader](path)
+        for mine, theirs in zip(reloaded.models, other, strict=True):
+            assert [p.tobytes() for p in mine.params()] == [p.tobytes() for p in theirs.params()]
+        assert sorted(f.name for f in path.parent.iterdir()) == [
+            "chunk_0000.bin", "chunk_0001.bin", "chunk_0002.bin", "manifest.json"
+        ]
+
     def test_train_config_optional(self, tiny_engine, tmp_path):
         path = save_ensemble(tiny_engine.ensemble, tmp_path / "nocfg")
         _, manifest = load_ensemble(path)
@@ -91,6 +115,19 @@ class TestChecksums:
         raw[-1] ^= 0xFF
         blob.write_bytes(bytes(raw))
         with pytest.raises(BlobChecksumError, match="mismatch"):
+            load_ensemble(path)
+
+    def test_empty_blob_fails_its_checksum(self, saved_engine):
+        """A zero-byte blob, which cannot be mapped, fails as any other wrong bytes do."""
+        _, path = saved_engine
+        blob = path.parent / "chunk_0001.bin"
+        recorded = json.loads(path.read_text())["blobs"][1]["sha256"]
+        blob.write_bytes(b"")
+        empty = hashlib.sha256(b"").hexdigest()
+        message = (
+            f"checksum mismatch for {blob}: manifest says {recorded[:12]}…, file is {empty[:12]}…"
+        )
+        with pytest.raises(BlobChecksumError, match=f"^{re.escape(message)}$"):
             load_ensemble(path)
 
     def test_missing_blob_detected(self, saved_engine):
@@ -243,47 +280,49 @@ class TestMemoryCheck:
         with pytest.raises(ValueError, match="needs about .* GiB but this machine has"):
             load_ensemble(path)
 
-    def test_estimate_is_k_models_plus_two_blobs_and_serving_tables(
+    def test_estimate_is_k_models_without_w1_and_serving_tables(
         self, saved_engine, monkeypatch
     ):
-        """K = 4, F = 512, H = 24, B = 32 float32 models and two blobs, loading's
-        Python objects (32 KiB and 2 KiB a chunk), then for N = 60 the int32
-        codebook, the index (uint32 labels, int64 offsets per chunk), a block
-        of 992 queries (4 MiB over 33·K·B = 4,224 bytes a row): ``forward``'s
-        float64 copy of W2 beside one row's float64 h and the block's float64
-        z, and the block's probabilities and top-m scratch, 33·K·B bytes a row;
-        and one query at m = B, whose scoring (N int64 candidates, an (N, K)
-        int32 code gather, N int64 indexes, N float64 scores and one gathered
-        row: 2,880 bytes) outgrows its union (1,920 bytes)."""
+        """K = 4, H = 24, B = 32 float32 models without W1, which is mapped
+        rather than held, loading's Python objects (32 KiB and 2 KiB a chunk),
+        then for N = 60 the int32 codebook, the index (uint32 labels, int64
+        offsets per chunk), a block of 992 queries (4 MiB over 33·K·B = 4,224
+        bytes a row): ``forward``'s float64 copy of W2 beside one row's float64
+        h and the block's float64 z, and the block's probabilities and top-m
+        scratch, 33·K·B bytes a row; and one query at m = B, whose scoring (N
+        int64 candidates, an (N, K) int32 code gather, N int64 indexes, N
+        float64 scores and one gathered row: 2,880 bytes) outgrows its union
+        (1,920 bytes).  The estimate does not grow with F."""
         _, path = saved_engine
         rows = 992
         embedding = 8 * (32 * 24 + 24 + rows * 32) + 33 * 4 * 32 * rows
         serving = 4 * 60 * 4 + 4 * (4 * 60 + 8 * 33) + embedding + (4 * 4 * 60 + 32 * 60)
         objects = 32 * 1024 + 4 * 2 * 1024
-        models = 4 * 6 * num_params(512, 24, 32)
-        assert _loading_bytes(load_manifest(path)) == models + serving + objects
-        monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(load_manifest(path)))
+        models = 4 * 4 * num_params(0, 24, 32)
+        manifest = load_manifest(path)
+        assert manifest.engine.feature_dim == 512
+        assert _loading_bytes(manifest) == models + serving + objects
+        wide = dataclasses.replace(manifest.engine, feature_dim=2**32 - 1)
+        assert _loading_bytes(dataclasses.replace(manifest, engine=wide)) == _loading_bytes(manifest)
+        monkeypatch.setattr(model_mod, "_memory_limit", lambda: _loading_bytes(manifest))
         loaded, _ = load_ensemble(path)
         assert {p.dtype for m in loaded.models for p in m.params()} == {np.dtype(np.float32)}
 
-    def test_load_holds_k_models_and_one_blob(self, tmp_path):
-        """At F = 100000, H = 16 a second copy of W1 would add 6.4 MB; the traced
-        peak stays within interpreter overhead of K models plus one blob."""
-        k, f, h, b = 3, 100_000, 16, 32
-        engine = EngineConfig(f, h)
-        models = [
-            init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
-            for c in range(k)
-        ]
-        ensemble = ChunkEnsemble(CodeConfig(50, k, b, base_seed=1), engine, models)
-        path = save_ensemble(ensemble, tmp_path / "wide")
-        del ensemble, models
-        (loaded, manifest), peak = traced_peak(lambda: load_ensemble(path))
-        models_and_blob = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
-        assert models_and_blob <= peak < models_and_blob + 64 * 1024
-        assert models_and_blob < _loading_bytes(manifest)
-        for p in loaded.models[0].params():
-            assert p.flags.c_contiguous and p.flags.writeable and p.dtype.isnative
+    def test_load_holds_no_w1_on_the_heap(self, tmp_path):
+        """At F = 100,000, H = 16 each W1 is 6.4 MB, and none of it is on the heap:
+        loading's traced peak is that of the same engine at F = 64, within
+        interpreter overhead, and within the estimate."""
+        peaks = []
+        for f in (64, 100_000):
+            path = save_untrained(tmp_path / f"f{f}", 3, f, h=16, b=32, n=50)
+            (loaded, manifest), peak = traced_peak(lambda: load_ensemble(path))
+            assert peak <= _loading_bytes(manifest)
+            peaks.append(peak)
+            for m in loaded.models:
+                assert all(p.flags.c_contiguous and p.dtype.isnative for p in m.params())
+                assert not m.W1.flags.writeable
+                assert all(p.flags.writeable for p in (m.b1, m.W2, m.b2))
+        assert peaks[1] < peaks[0] + 64 * 1024
 
     def test_save_builds_one_blob_at_a_time(self, tmp_path):
         """A blob is released before the next is built, and building one copies each
@@ -333,6 +372,7 @@ BLOB_FAULTS = {
     "chunk": lambda path, c: rewrite_header(path, c, 0, (c + 1).to_bytes(4, "little")),
     "init_seed": lambda path, c: rewrite_header(path, c, 16, (7).to_bytes(8, "little")),
     "dims": other_dims_blob,
+    "empty": lambda path, c: rewrite_blob(path, c, lambda raw: b""),
 }
 
 
@@ -346,6 +386,18 @@ LOADERS = {
     "load_ensemble": lambda path: load_ensemble(path)[0],
     "load_serving": lambda path: load_serving(path, index=True)[0],
 }
+
+
+def buffer_owner(a):
+    """The object whose buffer ``a`` views, past its chain of bases and memoryviews."""
+    while isinstance(a, (np.ndarray, memoryview)):
+        a = a.obj if isinstance(a, memoryview) else a.base
+    return a
+
+
+def open_descriptors():
+    """How many file descriptors this process has open."""
+    return len(os.listdir("/proc/self/fd"))
 
 
 def raised(fn):
@@ -386,9 +438,9 @@ class TestLoadServing:
         serial, _ = load_ensemble(path)
         parsed, inner = [], model_mod.load_model
 
-        def counting(data, W1):
+        def counting(data):
             parsed.append(model_mod.blob_header(data)[0])
-            return inner(data, W1)
+            return inner(data)
 
         monkeypatch.setattr(sparsix.manifest, "load_model", counting)
         interval = sys.getswitchinterval()
@@ -441,9 +493,9 @@ class TestLoadServing:
         other_dims_blob(path, 1)
         copied, inner = [], model_mod.load_model
 
-        def recording(data, W1):
+        def recording(data):
             copied.append(model_mod.blob_header(data)[0])
-            return inner(data, W1)
+            return inner(data)
 
         monkeypatch.setattr(sparsix.manifest, "load_model", recording)
         with pytest.raises(ValueError, match="^chunk 1: model dims disagree with config$"):
@@ -462,22 +514,46 @@ class TestLoadServing:
         assert blames(error[1], 2)
 
     @pytest.mark.parametrize("loader", list(LOADERS))
-    def test_every_w1_is_a_view_of_one_array(self, tmp_path, loader):
-        """Both loaders copy each blob's W1 into one C-contiguous (K, F, H) array, and
-        every model holds the parameters it was saved with, bit for bit."""
+    def test_every_w1_is_a_read_only_view_of_its_blob(self, tmp_path, loader):
+        """Both loaders give each model's W1 as a read-only, C-contiguous (F, H) view
+        of its own blob's map, past the header, and every model holds the
+        parameters it was saved with, bit for bit."""
         k, f, h, b = 3, 64, 6, 8
         path = save_untrained(tmp_path / "e", k, f, h, b, n=40)
         ensemble = LOADERS[loader](path)
-        shared = ensemble.models[0].W1.base
-        assert shared.shape == (k, f, h) and shared.dtype == PARAM_DTYPE
-        assert shared.flags.c_contiguous and shared.flags.owndata
-        engine = ensemble.engine
+        engine, maps = ensemble.engine, []
         for c, model in enumerate(ensemble.models):
-            assert model.W1.base is shared and np.shares_memory(model.W1, shared[c])
-            assert model.W1.flags.c_contiguous and model.W1.flags.writeable
+            W1 = model.W1
+            assert W1.shape == (f, h) and W1.dtype == PARAM_DTYPE
+            assert W1.flags.c_contiguous and not W1.flags.writeable
+            owner = buffer_owner(W1)
+            assert isinstance(owner, mmap.mmap)
+            assert owner[:] == (path.parent / f"chunk_{c:04d}.bin").read_bytes()
+            assert W1.ctypes.data == np.frombuffer(owner, np.uint8).ctypes.data + 24
+            maps.append(owner)
             saved = init_model(f, h, b, engine.chunk_init_seed(c), c, dtype=PARAM_DTYPE)
             for p, q in zip(model.params(), saved.params(), strict=True):
                 assert p.dtype == q.dtype and p.tobytes() == q.tobytes()
+        assert len({id(m) for m in maps}) == k
+
+    @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+    @pytest.mark.parametrize("fault", [None, "checksum", "dims"])
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_dropping_an_engine_closes_its_descriptors(self, tmp_path, loader, fault):
+        """A loaded engine holds one descriptor a blob, CPython's mmap's own, until it
+        is dropped; a failed load holds none once it has raised."""
+        k = 3
+        path = save_untrained(tmp_path / "e", k, f=64, h=6, b=8, n=40)
+        if fault:
+            BLOB_FAULTS[fault](path, 2)
+        before = open_descriptors()
+        if fault:
+            raised(lambda: LOADERS[loader](path))
+        else:
+            ensemble = LOADERS[loader](path)
+            assert open_descriptors() == before + k
+            del ensemble
+        assert open_descriptors() == before
 
     @pytest.mark.parametrize("limit, m", [(-1, None), (0, 9)])
     def test_refused_before_any_blob_or_table(self, tmp_path, monkeypatch, limit, m):
@@ -503,34 +579,43 @@ class TestLoadServing:
         ids=["wide-F-small-N", "large-N"],
     )
     def test_traced_peak_within_the_estimate(self, tmp_path, k, f, h, b, n):
-        """Two shapes: K + 1 models dominate the first, the codebook and index the
-        second.  Each peak lies between what must be held and the estimate."""
-        path = save_untrained(tmp_path / "e", k, f, h, b, n)
-        manifest = load_manifest(path)
-        _, peak = traced_peak(lambda: load_serving(path, index=True))
-        models = PARAM_DTYPE.itemsize * (k + 1) * num_params(f, h, b)
-        tables = 4 * n * k + k * (4 * n + 8 * (b + 1))
-        assert max(models, tables) <= peak <= _loading_bytes(manifest)
+        """Two shapes: K models without W1 dominate the first, the codebook and index
+        the second.  Each peak lies between what must be held and the estimate, and
+        is that of the same engine at F = 64, within interpreter overhead."""
+        peaks = []
+        for dim in (64, f):
+            path = save_untrained(tmp_path / f"f{dim}", k, dim, h, b, n)
+            manifest = load_manifest(path)
+            _, peak = traced_peak(lambda: load_serving(path, index=True))
+            models = PARAM_DTYPE.itemsize * k * num_params(0, h, b)
+            tables = 4 * n * k + k * (4 * n + 8 * (b + 1))
+            assert max(models, tables) <= peak <= _loading_bytes(manifest)
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 64 * 1024
 
     def test_two_blobs_in_flight_stay_within_the_estimate(self, tmp_path, monkeypatch):
-        """At K 3, the first two blobs are held back until both threads hold one, so
-        the traced peak holds K models and two blobs, and stays within the estimate."""
-        k, f, h, b = 3, 100_000, 16, 32
-        path = save_untrained(tmp_path / "e", k, f, h, b, n=50)
-        manifest = load_manifest(path)
-        both, calls, inner = threading.Barrier(2, timeout=20), itertools.count(), model_mod.load_model
+        """At K 3, the first two blobs are held back until both threads hold one.  The
+        traced peak stays within the estimate, and is that of the same engine at
+        F = 64, within interpreter overhead: the blobs in flight are maps."""
+        k, h, b = 3, 16, 32
+        inner, peaks = model_mod.load_model, []
+        for f in (64, 100_000):
+            path = save_untrained(tmp_path / f"f{f}", k, f, h, b, n=50)
+            manifest = load_manifest(path)
+            both, calls = threading.Barrier(2, timeout=20), itertools.count()
 
-        def in_pairs(data, W1):
-            if next(calls) < 2:
-                both.wait()  # fails, broken, unless two threads each bring a blob
-            return inner(data, W1)
+            def in_pairs(data):
+                if next(calls) < 2:
+                    both.wait()  # fails, broken, unless two threads each bring a blob
+                return inner(data)
 
-        monkeypatch.setattr(sparsix.manifest, "load_model", in_pairs)
-        threads = threading.active_count()
-        _, peak = traced_peak(lambda: load_serving(path, index=True))
-        assert threading.active_count() == threads
-        model = PARAM_DTYPE.itemsize * num_params(f, h, b)
-        assert (k + 1) * model < peak <= _loading_bytes(manifest)
+            monkeypatch.setattr(sparsix.manifest, "load_model", in_pairs)
+            threads = threading.active_count()
+            _, peak = traced_peak(lambda: load_serving(path, index=True))
+            assert threading.active_count() == threads
+            assert peak <= _loading_bytes(manifest)
+            peaks.append(peak)
+        assert peaks[1] < peaks[0] + 64 * 1024
 
 
 class TestOlderManifests:

@@ -1,11 +1,8 @@
-"""Model math tests: hand-computed forward values, gradients, Adam, blobs, W1's pages."""
+"""Model math tests: hand-computed forward values, gradients, Adam, blobs."""
 from __future__ import annotations
 
-import mmap
 import struct
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +18,6 @@ from sparsix.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    HUGE_PAGE,
     INIT_BLOCK_UNITS,
     LOSS_CLAMP_EPS,
     PARAM_DTYPE,
@@ -33,7 +29,6 @@ from sparsix.model import (
     bce_loss,
     forward,
     grad_check,
-    huge_paged_empty,
     init_model,
     load_model,
     save_model,
@@ -534,14 +529,19 @@ class TestAdam:
 class TestPersistence:
     def test_round_trip_bit_exact_after_quantize(self):
         m = init_model(12, 5, 7, init_seed=3, chunk=2, dtype=np.float32)
-        back = load_model(save_model(m))
+        blob = save_model(m)
+        back = load_model(blob)
         assert back.chunk == 2 and back.init_seed == 3
         assert back.input_dim == 12 and back.hidden_dim == 5 and back.output_dim == 7
         for a, b in zip(m.params(), back.params()):
             assert a.dtype == np.float32 and b.dtype == np.float32
             assert a.tobytes() == b.tobytes()
-            # each is the model's own array, not a read-only view into the blob's bytes
             assert b.dtype.isnative and b.flags.c_contiguous and b.flags.writeable
+        # W1 is a view of the blob's bytes, writable here as save_model's bytearray
+        # is; b1, W2 and b2 are the model's own arrays
+        raw = np.frombuffer(blob, np.uint8)
+        assert np.shares_memory(back.W1, raw)
+        assert not any(np.shares_memory(p, raw) for p in (back.b1, back.W2, back.b2))
 
     def test_quantize_idempotent(self):
         """Saving rounds to float32 once: a second round trip changes no bit."""
@@ -573,28 +573,29 @@ class TestPersistence:
             raised.match("claims")
             assert peak < 4 * (f * h + h + b * h + b)
 
-    def test_blob_holds_w1_hidden_major(self):
-        """W1 is written (H, F), hidden unit by hidden unit, whatever the model holds."""
+    def test_blob_holds_w1_feature_major(self):
+        """W1 is written (F, H), input index by input index, as the model holds it."""
         start = struct.calcsize("<IIIIQ")
-        want = np.array([[1, 0, 2], [0, -1, 1]], "<f4").tobytes()
+        want = np.array([[1, 0], [0, -1], [2, 1]], "<f4").tobytes()
         assert save_model(hand_model())[start : start + len(want)] == want
 
-    def test_hand_packed_blob_loads_w1_transposed(self):
-        """A blob packed (H, F) by hand loads with W1[f, h] equal to its (h, f) value."""
+    def test_hand_packed_blob_loads_w1_feature_major(self):
+        """A blob packed (F, H) by hand loads with W1[f, h] equal to its (f, h) value."""
         f_dim, h_dim, b_dim = 3, 2, 2
-        w1_hf = np.array([[1.5, -2.0, 0.25], [3.0, 0.5, -1.0]], "<f4")
+        w1_fh = np.array([[1.5, 3.0], [-2.0, 0.5], [0.25, -1.0]], "<f4")
         b1 = np.array([0.125, -0.75], "<f4")
         w2 = np.array([[4.0, -0.5], [2.0, 6.0]], "<f4")
         b2 = np.array([-3.0, 7.0], "<f4")
         blob = struct.pack("<IIIIQ", 5, f_dim, h_dim, b_dim, 11) + b"".join(
-            a.tobytes() for a in (w1_hf, b1, w2, b2)
+            a.tobytes() for a in (w1_fh, b1, w2, b2)
         )
         m = load_model(blob)
         assert (m.chunk, m.init_seed) == (5, 11)
-        assert m.W1.shape == (f_dim, h_dim)
+        assert m.W1.shape == (f_dim, h_dim) and m.W1.flags.c_contiguous
+        assert not m.W1.flags.writeable  # a view of the immutable bytes
         for f in range(f_dim):
             for h in range(h_dim):
-                assert m.W1[f, h] == w1_hf[h, f]
+                assert m.W1[f, h] == w1_fh[f, h]
         assert np.array_equal(m.b1, b1) and np.array_equal(m.W2, w2) and np.array_equal(m.b2, b2)
 
     def test_forward_identical_after_reload(self):
@@ -602,84 +603,3 @@ class TestPersistence:
         back = load_model(save_model(m))
         x = feats([1, 7], [2.0, 1.0], dim=10)
         assert np.array_equal(forward(m, x), forward(back, x))
-
-
-def page_advice(start: int, stop: int) -> list[tuple[int, int, set[str]]]:
-    """This process's mappings over [start, stop): (first byte, end, VmFlags) each."""
-    spans, flags = [], None
-    for line in Path("/proc/self/smaps").read_text().splitlines():
-        head = line.split()[0]
-        if head == "VmFlags:":
-            flags.update(line.split()[1:])
-        elif not head.endswith(":"):
-            lo, hi = (int(x, 16) for x in head.split("-"))
-            flags = set()
-            if max(lo, start) < min(hi, stop):
-                spans.append((max(lo, start), min(hi, stop), flags))
-    return spans
-
-
-@pytest.mark.skipif(
-    sys.platform != "linux" or not Path("/sys/kernel/mm/transparent_hugepage").is_dir(),
-    reason="transparent huge pages are a Linux kernel feature",
-)
-class TestHugePagedEmpty:
-    # 8 MiB and about 6 MiB hold three or four whole spans; just under 4 MiB, NumPy's
-    # own threshold for asking for huge pages, holds one or none; one page holds none
-    @pytest.mark.parametrize("shape", [(4, 8192, 64), (3, 100_000, 5), (1023, 1024), (1024,)])
-    def test_whole_spans_advised_huge_every_other_page_small(self, shape):
-        """Every whole page of the array is advised: huge inside a whole 2 MiB span,
-        small outside one, so no background collapse can change its pages later."""
-        a = huge_paged_empty(shape)
-        assert a.shape == shape and a.dtype == PARAM_DTYPE and a.flags.c_contiguous
-        a.reshape(-1)[:] = np.arange(a.size, dtype=PARAM_DTYPE)
-        assert a.reshape(-1)[-1] == PARAM_DTYPE.type(a.size - 1)
-        page = mmap.PAGESIZE
-        first = -(-a.ctypes.data // page) * page
-        last = (a.ctypes.data + a.nbytes) // page * page
-        span_first, span_last = -(-first // HUGE_PAGE) * HUGE_PAGE, last // HUGE_PAGE * HUGE_PAGE
-        if span_last <= span_first:
-            span_first = span_last = last
-        covered = 0
-        for lo, hi, flags in page_advice(first, last):
-            inside = span_first <= lo and hi <= span_last
-            assert inside or hi <= span_first or lo >= span_last, "a mapping straddles a span edge"
-            assert ("hg" in flags, "nh" in flags) == (inside, not inside), (lo, hi, flags)
-            covered += hi - lo
-        assert covered == max(0, last - first)
-
-    @pytest.mark.parametrize("collapses", [True, False], ids=["collapse", "no-collapse"])
-    @pytest.mark.parametrize("shape", [(4, 8192, 64), (3, 100_000, 5), (1023, 1024), (1024,)])
-    def test_every_whole_page_advised_once(self, monkeypatch, shape, collapses):
-        """The advice, recorded: the array's whole pages are advised huge or small,
-        each once; huge advice is every whole 2 MiB span, which is collapsed, or
-        released where the kernel cannot collapse.  (The kernel test above can
-        pass without the huge advice where the heap's pages kept it from an
-        earlier array.)"""
-        calls = []
-
-        def advise(start, length, advice):
-            calls.append((start, start + length, advice))
-            return 0 if collapses or advice != model_mod.MADV_COLLAPSE else -1
-
-        monkeypatch.setattr(model_mod, "_madvise", lambda: advise)
-        a = huge_paged_empty(shape)
-        page = mmap.PAGESIZE
-        first = -(-a.ctypes.data // page) * page
-        last = (a.ctypes.data + a.nbytes) // page * page
-        ranges = {
-            advice: sorted((lo, hi) for lo, hi, kind in calls if kind == advice)
-            for advice in (mmap.MADV_HUGEPAGE, mmap.MADV_NOHUGEPAGE, mmap.MADV_DONTNEED)
-            + (model_mod.MADV_COLLAPSE,)
-        }
-        huge = ranges[mmap.MADV_HUGEPAGE]
-        advised = sorted(huge + ranges[mmap.MADV_NOHUGEPAGE])
-        assert all(lo < hi for lo, hi in advised)
-        assert [lo for lo, _ in advised[1:]] == [hi for _, hi in advised[:-1]]
-        assert sum(hi - lo for lo, hi in advised) == max(0, last - first)
-        assert not advised or (advised[0][0], advised[-1][1]) == (first, last)
-        spans = max(0, last // HUGE_PAGE - -(-first // HUGE_PAGE))
-        assert all(lo % HUGE_PAGE == 0 and hi % HUGE_PAGE == 0 for lo, hi in huge)
-        assert sum(hi - lo for lo, hi in huge) == spans * HUGE_PAGE
-        assert ranges[model_mod.MADV_COLLAPSE] == huge
-        assert ranges[mmap.MADV_DONTNEED] == ([] if collapses else huge)

@@ -362,10 +362,12 @@ def _chunk_task_timing_its_targets_and_end(payload):
 # sha256 of the blobs small_setup's corpus trains, recorded before training
 # was restricted to the rows of W1 a chunk's inputs reach: at F = 16 every row
 # is live, at F = 100,000 at most 250 are.  Another BLAS, summing a product in
-# another order, would give other digests.
+# another order, would give other digests.  These are the format-2 blobs (W1
+# stored (F, H)); the same learned parameters gave 5d28ea87…5f9e and
+# 920347c2…6f46 stored (H, F), as format 1 did.
 LEARNED_DIGESTS = {
-    16: "5d28ea87e242b47c82dbc9197f36805f87d20697bce8213198582d5f5c345f9e",
-    100_000: "920347c23cbe9848d1f1bfaa9df88ef12ecfd23f38571722bee8809091ec6f46",
+    16: "fb12f09c7639a5c720c8e27d70bc847faa755c3c35721912dd42b0fda1fb2493",
+    100_000: "762c66e730cf0181b2e02d633d862a56d839ff40099658e9673b685d7e76f999",
 }
 
 
