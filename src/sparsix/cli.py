@@ -20,12 +20,14 @@ and SciPy; predict and eval start without them.  Every command runs NumPy's
 OpenBLAS on one thread, so its output does not depend on the host's cores
 (``main`` gives an in-process caller its own count back), and predict embeds
 its queries a block at a time (``infer.predict_block``).
+
+An output file (predict's ``--out``, eval's ``--json``, sweep's ``--out``) is
+claimed before any work and replaces its path only once the command succeeds,
+by ``corpus.replacing``; an error names the path, never the hidden sibling.
 """
 from __future__ import annotations
 
 import argparse
-import contextlib
-import errno
 import itertools
 import json
 import logging
@@ -33,10 +35,9 @@ import os
 import sys
 import time
 import traceback
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import fields
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .corpus import (
     parse_corpus,
     read_block,
     read_header,
+    replacing,
 )
 from .equivalence import (
     argmax_invariant,
@@ -73,8 +75,6 @@ EXIT_RUNTIME = 2
 EXIT_VERIFY = 3
 
 WORKERS_ENV = "SPARSIX_WORKERS"
-
-logger = logging.getLogger(__name__)
 
 
 class VerificationFailure(Exception):
@@ -217,34 +217,6 @@ def _train(
     return train_all(block, cb, engine, train_cfg), cb, train_cfg
 
 
-@contextlib.contextmanager
-def _replacing(path: str | None) -> Iterator[TextIO | None]:
-    """A new file, a hidden sibling of ``path``, that replaces it once the block succeeds.
-
-    It is created before the block does any work, so a path that cannot be written or
-    names a directory fails first, naming ``path``, and any failure leaves it as it was.
-    Mode "x" is O_CREAT | O_EXCL at 0o666, so the umask sets the mode as a plain open would.
-    ``None``, no output asked for, yields ``None``.
-    """
-    if path is None:
-        yield None
-        return
-    path = Path(path)
-    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
-    if path.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-    try:
-        out = partial.open("x", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
-    try:
-        with out:
-            yield out
-        os.replace(partial, path)
-    finally:
-        partial.unlink(missing_ok=True)
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     values = parse_config(args.config)
     _, _, num_labels = read_header(values["corpus"])
@@ -274,7 +246,7 @@ PREDICT_COUNTERS = ("candidates_retrieved", "unique_candidates", "scores_summed"
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    with _replacing(args.out) as out:
+    with replacing(args.out) as out:
         params = InferParams(m=args.m, top_k=args.top_k, aggregation=args.aggregation)
         queries = read_header(args.corpus)[0]  # parse_corpus reads exactly this many
         if queries == 0:
@@ -312,7 +284,7 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    with _replacing(args.json) as out:
+    with replacing(args.json) as out:
         ks_precision = _parse_ks(args.ks_precision)
         ks_recall = _parse_ks(args.ks_recall)
         top_k = max(*ks_precision, *ks_recall)
@@ -329,7 +301,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    with _replacing(args.out) as out:
+    with replacing(args.out) as out:
         values = parse_config(args.config)
         if "eval_corpus" not in values:
             raise ValueError("sweep needs 'eval_corpus' in the config file")

@@ -33,14 +33,21 @@ a bad line's message and line number.  ``parse_corpus`` yields the block's
 rows, as ``Document`` handles on them, once the whole file is checked, without
 checking each row again.  ``make_separable_corpus`` builds its train and test
 splits as two blocks and returns their rows as handles.
+
+:func:`replacing` is the package's one writer: a corpus, each blob, a manifest
+and every command's output file is written to a hidden sibling that replaces
+the file only once it is whole.  It lives here, beside ``MISSING_ERRNOS``, as
+the lowest module both the CLI and the manifest import.
 """
 from __future__ import annotations
 
+import contextlib
 import errno
+import os
 import re
 from array import array
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import IO, Iterator, TextIO
 
 import numpy as np
 
@@ -334,10 +341,42 @@ def _parse_line(
     return ids, counts, labels
 
 
+@contextlib.contextmanager
+def replacing(path: str | Path | None, binary: bool = False) -> Iterator[IO | None]:
+    """The package's one writer: a new file, a hidden sibling of ``path``, that
+    replaces ``path`` once the block succeeds; UTF-8 text, or bytes if ``binary``.
+
+    It is created before the block does any work, so a path that cannot be written or
+    names a directory fails first, naming ``path``, and any failure leaves it as it was,
+    with no sibling left.  A reader meets the old file or the new one, whole, and one
+    that holds the old file open or mapped keeps it.  Mode "x" is O_CREAT | O_EXCL at
+    0o666, so the umask sets the mode as a plain open would.  ``None``, no output asked
+    for, yields ``None``.
+    """
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.{os.getpid()}.partial")
+    if path.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    try:
+        out = partial.open("xb") if binary else partial.open("x", encoding="utf-8")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        with out:
+            yield out
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)
+
+
 def write_corpus(
     path: str | Path, documents: list[Document], num_features: int, num_labels: int
 ) -> None:
-    """Write documents in the corpus file format that read_block reads.
+    """Write documents in the corpus file format that read_block reads, replacing
+    ``path`` whole once every line is written.
 
     A document with neither labels nor tokens would be an empty line, which
     the format reserves for blank lines, so it is rejected with ValueError
@@ -348,8 +387,7 @@ def write_corpus(
             raise ValueError(
                 f"doc {doc.doc_id} has no labels and no tokens; the corpus format has no line for it"
             )
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with replacing(path) as fh:
         fh.write(f"{len(documents)} {num_features} {num_labels}\n")
         for doc in documents:
             labels = ",".join(str(x) for x in doc.labels.tolist())

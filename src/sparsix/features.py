@@ -235,13 +235,6 @@ def _take(offsets: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> tuple[
     return (taken, *(c[index] for c in columns))
 
 
-def _flat_tokens(docs: Sequence[Document]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The documents' token ids (uint64) and counts (int64), joined, and their row offsets."""
-    block, rows = _source(docs)
-    offsets, ids, counts = _take(block.token_offsets, rows, block.token_ids, block.token_counts)
-    return ids, counts, offsets
-
-
 @dataclass(frozen=True)
 class HashedFeatures:
     """Sparse non-negative input rows, each with strictly increasing indexes below dim.
@@ -286,7 +279,8 @@ def hash_features(
     if n == 1:
         ids, counts = block[0].token_ids, block[0].token_counts
     else:
-        ids, counts, offsets = _flat_tokens(block)
+        joined = DocBlock.from_documents(block)
+        ids, counts, offsets = joined.token_ids, joined.token_counts, joined.token_offsets
     slots = hash_token_ids(ids, [chunk_seed] if one else chunk_seed, feature_dim)
     values = np.empty(slots.shape)
     values[:] = counts  # each seed's row of the float64 counts

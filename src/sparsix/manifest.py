@@ -13,10 +13,13 @@ seed and dimensions before :func:`model.load_model` parses those same bytes
 in place.  So what is checked is what serves: each model's W1 is a read-only
 view of its blob's map, which lives, holding a file descriptor, as long as
 the model.  A blob holding more or fewer bytes than its header claims is
-rejected.  Saving writes each blob to a sibling file and renames it into
-place, so it never rewrites the bytes an engine loaded from that directory
-serves.  Seeds are stored as JSON integers (they can exceed 2^53; the
-reference reader is Python, which keeps them exact).
+rejected.  Saving writes each blob, then manifest.json, through
+:func:`corpus.replacing`: each file is replaced whole, so a reader meets the old
+one or the new one, an engine loaded from that directory keeps serving the
+bytes it mapped, and the manifest names only blobs already written.  Seeds are
+stored as JSON integers (they can exceed 2^53; the reference reader is Python,
+which keeps them exact).  A manifest's version is read before any other field:
+one of another version fails with that, whatever else it holds.
 
 Two loaders share one prologue (the manifest, then the memory check) and one
 loader of models, which checks each blob as above.  :func:`load_ensemble`
@@ -30,7 +33,6 @@ from __future__ import annotations
 import hashlib
 import json
 import mmap
-import os
 import posixpath
 import re
 import threading
@@ -40,20 +42,17 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes
-from .corpus import MISSING_ERRNOS
+from .corpus import MISSING_ERRNOS, replacing
 from .hashing import check_ints
 from .index import InvertedIndex, build_index, index_bytes
 from .infer import block_rows, check_m, embed_bytes, query_bytes
-from .model import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, PARAM_DTYPE, ChunkModel, blob_header
+from .model import PARAM_DTYPE, ChunkModel, blob_header
 from .model import ChunkEnsemble, EngineConfig, TrainConfig, check_dims, check_fits
 from .model import forward_bytes, load_model, num_params, save_model
 
 # Version 2 stores W1 (F, H), the order a model serves it in; version 1 stored it (H, F)
 FORMAT_VERSION = 2
 
-# Manifests written while Adam's constants were settings record them in
-# train_config; such a manifest loads if it holds these same values
-_FIXED_ADAM_KEYS = {"beta1": ADAM_BETA1, "beta2": ADAM_BETA2, "adam_eps": ADAM_EPS}
 _SHA256 = re.compile("[0-9a-f]{64}")
 # Loading's Python objects beside its arrays, with room to spare (see _loading_bytes)
 _OBJECT_BYTES = 32 * 1024
@@ -98,11 +97,6 @@ class Manifest:
     blobs: tuple[BlobRef, ...]
 
     def __post_init__(self) -> None:
-        if type(self.format_version) is not int or self.format_version != FORMAT_VERSION:
-            raise ManifestError(
-                f"unsupported manifest version {self.format_version!r}, "
-                f"this build reads version {FORMAT_VERSION}"
-            )
         if len(self.blobs) != self.code_config.num_chunks:
             raise ManifestError("one blob per chunk required")
         if [b.chunk for b in self.blobs] != list(range(len(self.blobs))):
@@ -121,12 +115,8 @@ def save_ensemble(
     for model in ensemble.models:
         name = f"chunk_{model.chunk:04d}.bin"
         data = save_model(model)
-        partial = out_dir / f".{name}.{os.getpid()}.partial"
-        try:
-            partial.write_bytes(data)
-            os.replace(partial, out_dir / name)  # a loaded engine keeps mapping the old file
-        finally:
-            partial.unlink(missing_ok=True)
+        with replacing(out_dir / name, binary=True) as out:  # a loaded engine keeps its map
+            out.write(data)
         blobs.append(BlobRef(model.chunk, name, hashlib.sha256(data).hexdigest()))
         del data  # else this blob outlives the next one's build
 
@@ -139,19 +129,9 @@ def save_ensemble(
         "blobs": [asdict(b) for b in blobs],
     }
     manifest_path = out_dir / "manifest.json"
-    manifest_path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    with replacing(manifest_path) as out:
+        out.write(json.dumps(doc, indent=2) + "\n")
     return manifest_path
-
-
-def _train_config(fields: dict) -> TrainConfig:
-    """A TrainConfig from its manifest entry, a JSON object, accepting Adam's fixed keys."""
-    fields = {**fields}  # a copy, and a TypeError for anything but a mapping
-    for key, fixed in _FIXED_ADAM_KEYS.items():
-        if key in fields and fields.pop(key) != fixed:
-            raise ManifestError(
-                f"train_config {key} must be {fixed!r}, the constant training uses"
-            )
-    return TrainConfig(**fields)
 
 
 def load_manifest(manifest_path: str | Path) -> Manifest:
@@ -163,13 +143,20 @@ def load_manifest(manifest_path: str | Path) -> Manifest:
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ManifestError(f"unreadable manifest {manifest_path}: {exc}") from exc
     try:
+        # the version first: a manifest of another version fails with it, whatever its fields
+        version = doc["format_version"]
+        if type(version) is not int or version != FORMAT_VERSION:
+            raise ManifestError(
+                f"unsupported manifest version {version!r}, "
+                f"this build reads version {FORMAT_VERSION}"
+            )
         return Manifest(
-            format_version=doc["format_version"],
+            format_version=version,
             created_at=doc["created_at"],
             code_config=CodeConfig(**doc["code_config"]),
             engine=EngineConfig(**doc["engine"]),
             train_config=(
-                None if doc["train_config"] is None else _train_config(doc["train_config"])
+                None if doc["train_config"] is None else TrainConfig(**doc["train_config"])
             ),
             blobs=tuple(BlobRef(**b) for b in doc["blobs"]),
         )

@@ -610,6 +610,41 @@ class TestExitCodes:
         assert rc == EXIT_VALIDATION
         assert "error: " in err and "beta1" in err
 
+    @pytest.mark.parametrize("command", ["predict", "verify"])
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"train_config": {"beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08}},
+            {"train_config": {"beta1": 0.8, "beta2": 0.999, "adam_eps": 1e-08}},
+            {"engine": {"hidden_units": 16}},
+        ],
+        ids=["standard-adam", "other-adam", "unknown-engine-key"],
+    )
+    def test_version_1_manifest_fails_with_its_version(
+        self, workspace, tmp_path, capsys, command, edit
+    ):
+        """Whatever else a version-1 manifest holds, its version is the error."""
+        older = tmp_path / "older"
+        shutil.copytree(workspace / "engine", older)
+        doc = json.loads((older / "manifest.json").read_text())
+        doc["format_version"] = 1
+        for section, fields in edit.items():
+            doc[section].update(fields)
+        (older / "manifest.json").write_text(json.dumps(doc))
+        manifest = ["--manifest", str(older / "manifest.json")]
+        rc = main(
+            {
+                "predict": ["predict", *manifest, "--corpus", str(workspace / "test.txt"),
+                            "--out", str(tmp_path / "p.tsv")],
+                "verify": ["verify", *manifest],
+            }[command]
+        )
+        out, err = capsys.readouterr()
+        assert rc == EXIT_VALIDATION and out == ""
+        message = "unsupported manifest version 1, this build reads version 2"
+        assert err == f"error: {message}\n"
+        assert not (tmp_path / "p.tsv").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [

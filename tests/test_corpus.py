@@ -469,6 +469,26 @@ class TestRoundTrip:
             write_corpus(p, docs, num_features=10, num_labels=5)
         assert not p.exists()
 
+    def test_failed_write_keeps_the_old_corpus(self, tmp_path):
+        """A write that fails after its header leaves the file it would replace as it
+        was, with no hidden sibling beside it."""
+
+        class Unreadable:  # passes the up-front check, fails once its line is written
+            doc_id, labels, num_tokens = 1, np.array([1]), 1
+
+            @property
+            def token_ids(self):
+                raise RuntimeError("lost the tokens")
+
+        p = tmp_path / "c.txt"
+        write_corpus(p, [make_document(0, [(3, 1)], [0])], num_features=10, num_labels=5)
+        before = p.read_bytes()
+        docs = [make_document(0, [(4, 2)], [2]), Unreadable()]
+        with pytest.raises(RuntimeError, match="lost the tokens"):
+            write_corpus(p, docs, num_features=10, num_labels=5)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["c.txt"]
+
     def test_synthetic_corpus_round_trips(self, tmp_path):
         train, _, num_features = make_separable_corpus(
             num_labels=10, docs_per_label=3, test_docs_per_label=1, seed=4

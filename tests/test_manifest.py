@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import hashlib
 import itertools
 import json
@@ -20,7 +21,7 @@ import sparsix.model as model_mod
 from conftest import save_untrained, traced_peak
 from sparsix.codes import build_codebook
 from sparsix.index import build_index
-from sparsix.infer import InferParams, embed_query, predict
+from sparsix.infer import embed_query
 from sparsix.manifest import (
     FORMAT_VERSION,
     BlobChecksumError,
@@ -619,33 +620,50 @@ class TestLoadServing:
 
 
 class TestOlderManifests:
-    """Manifests written while Adam's constants were settings record them."""
-
-    def with_adam_keys(self, path, beta1=0.9):
-        doc = json.loads(path.read_text())
-        doc["train_config"].update(beta1=beta1, beta2=0.999, adam_eps=1e-08)
-        path.write_text(json.dumps(doc))
+    """Manifests written while Adam's constants were settings recorded them; every
+    such manifest has version 1, which this build refuses (``tests/test_cli.py``)."""
 
     def test_fresh_manifest_omits_adam_keys(self, saved_engine):
         _, path = saved_engine
         recorded = json.loads(path.read_text())["train_config"]
         assert not {"beta1", "beta2", "adam_eps"} & recorded.keys()
 
-    def test_standard_values_load_and_predict_identically(self, saved_engine):
-        engine, path = saved_engine
-        fresh, fresh_manifest = load_ensemble(path)
-        self.with_adam_keys(path)
-        older, older_manifest = load_ensemble(path)
-        assert older_manifest.train_config == fresh_manifest.train_config
-        params = InferParams(m=4, top_k=10)
-        for doc in engine.test_docs[:20]:
-            a = predict(fresh, engine.cb, engine.idx, doc, params)
-            b = predict(older, engine.cb, engine.idx, doc, params)
-            assert np.array_equal(a.labels, b.labels)
-            assert np.array_equal(a.scores, b.scores)
 
-    def test_other_value_rejected(self, saved_engine):
-        _, path = saved_engine
-        self.with_adam_keys(path, beta1=0.8)
-        with pytest.raises(ManifestError, match="beta1"):
-            load_manifest(path)
+class _FullDisk:
+    """A file that takes half of the first write, then fails as a full disk does."""
+
+    def __init__(self, file):
+        self._file = file
+
+    def write(self, data):
+        self._file.write(data[: len(data) // 2])
+        self._file.flush()
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._file.close()
+
+
+class TestReplacedWhole:
+    def test_failed_manifest_write_keeps_the_old_manifest(self, saved_engine, monkeypatch):
+        """A save whose manifest.json write fails part-way leaves the directory as it
+        was: the old manifest byte for byte, and no hidden sibling beside it."""
+        engine, path = saved_engine
+        before = {f.name: f.read_bytes() for f in path.parent.iterdir()}
+        real_open = Path.open
+
+        def open_full_disk(self, mode="r", *args, **kwargs):
+            file = real_open(self, mode, *args, **kwargs)
+            if "manifest.json" in self.name and "r" not in mode:
+                return _FullDisk(file)
+            return file
+
+        monkeypatch.setattr(Path, "open", open_full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            save_ensemble(engine.ensemble, path.parent, engine.train_config)
+        monkeypatch.undo()
+        assert {f.name: f.read_bytes() for f in path.parent.iterdir()} == before
+        load_ensemble(path)

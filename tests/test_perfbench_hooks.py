@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import importlib
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import sparsix.infer
 import sparsix.train
-from sparsix.codes import CodeConfig, build_codebook
-from sparsix.features import make_document
 from sparsix.infer import (
     AGGREGATION_MODES,
     InferParams,
@@ -64,20 +66,45 @@ def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
         assert callable(getattr(sparsix.train, name)), name
 
 
+# Trains two chunks with every chunk task traced, at the start method argv[1]
+TRACED_TRAINING = """
+import multiprocessing, sys
+multiprocessing.set_start_method(sys.argv[1])
+import spans, sparsix.train
+from sparsix.codes import CodeConfig, build_codebook
+from sparsix.features import make_document
+
+sparsix.train._train_chunk_task = spans.traced_chunk_task
+docs = [make_document(i, [(i, 1), (i + 7, 2)], [i % 3]) for i in range(12)]
+cb = build_codebook(CodeConfig(num_labels=3, num_chunks=2, buckets_per_chunk=4, base_seed=1))
+engine = sparsix.train.EngineConfig(feature_dim=16, hidden_dim=3)
+cfg = sparsix.train.TrainConfig(epochs=1, batch_size=5, workers=1)
+result = sparsix.train.train_all(docs, cb, engine, cfg)
+print(*[m.chunk for m in result.ensemble.models])
+"""
+
+
 def test_traced_chunk_task_records_every_training_span(monkeypatch, tmp_path):
-    """Each worker's trace holds the spans the benchmark's training figures read."""
+    """Each worker's trace holds the spans the benchmark's training figures read.
+
+    A worker reads the trace directory from the environment it starts with, and a
+    fork server keeps the environment it started with.  So the traced training runs
+    in a fresh interpreter whose environment holds the directory before any pool
+    starts, at this process's start method.
+    """
     monkeypatch.syspath_prepend(str(PERFBENCH))
     spans = importlib.import_module("spans")
-    monkeypatch.setattr(sparsix.train, "_train_chunk_task", spans.traced_chunk_task)
-    monkeypatch.setenv(spans.TRACE_DIR_ENV, str(tmp_path))
+    package_root = Path(sparsix.train.__file__).resolve().parents[1]
+    env = {
+        **os.environ,
+        spans.TRACE_DIR_ENV: str(tmp_path),
+        "PYTHONPATH": os.pathsep.join([str(package_root), str(PERFBENCH)]),
+    }
+    argv = [sys.executable, "-c", TRACED_TRAINING, multiprocessing.get_start_method()]
+    run = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
 
-    docs = [make_document(i, [(i, 1), (i + 7, 2)], [i % 3]) for i in range(12)]
-    cb = build_codebook(CodeConfig(num_labels=3, num_chunks=2, buckets_per_chunk=4, base_seed=1))
-    engine = sparsix.train.EngineConfig(feature_dim=16, hidden_dim=3)
-    cfg = sparsix.train.TrainConfig(epochs=1, batch_size=5, workers=1)
-    result = sparsix.train.train_all(docs, cb, engine, cfg)
-
-    assert [m.chunk for m in result.ensemble.models] == [0, 1]
+    assert run.stdout.split() == ["0", "1"]
     traces = sorted(tmp_path.glob("chunk-*.json"))
     assert [t.name for t in traces] == ["chunk-0.json", "chunk-1.json"]
     expected = {"train._chunk_matrix", "train._batch_step", "model.apply_update"}
