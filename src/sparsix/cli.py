@@ -65,8 +65,7 @@ from .infer import AGGREGATION_MODES, InferParams, block_rows, predict, predict_
 from .infer import predict_full
 from .manifest import BlobChecksumError, load_ensemble, load_manifest, load_serving, save_ensemble
 from .metrics import evaluate
-from .model import EngineConfig, NonFiniteGradientError, TrainConfig, one_blas_thread
-from .model import openblas_threads
+from .model import EngineConfig, NonFiniteGradientError, TrainConfig, openblas_threads
 from .model import grad_check, init_model
 
 EXIT_OK = 0
@@ -560,7 +559,7 @@ def main(argv: list[str] | None = None) -> int:
     # command computes at one, and a file it writes does not follow the host's cores;
     # an in-process caller gets its own count back
     threads = openblas_threads()
-    one_blas_thread()
+    openblas_threads(1)
     try:
         return args.func(args)
     except BlobChecksumError as exc:

@@ -379,14 +379,24 @@ def write_corpus(
     ``path`` whole once every line is written.
 
     A document with neither labels nor tokens would be an empty line, which
-    the format reserves for blank lines, so it is rejected with ValueError
-    before anything is written.
+    the format reserves for blank lines, and one with a token id at or past
+    ``num_features`` or a label id at or past ``num_labels`` a line that
+    read_block refuses, so each is rejected with ValueError before anything
+    is written.
     """
     for doc in documents:
-        if doc.labels.size == 0 and doc.num_tokens == 0:
+        ids, labels = doc.token_ids, doc.labels
+        if labels.size == 0 and ids.size == 0:
             raise ValueError(
                 f"doc {doc.doc_id} has no labels and no tokens; the corpus format has no line for it"
             )
+        # a Document's token ids are unsigned and its labels increase from 0 up
+        top = int(ids.max()) if ids.size else -1
+        if top >= num_features:
+            raise ValueError(f"doc {doc.doc_id}: token id {top} outside [0, {num_features})")
+        top = int(labels[-1]) if labels.size else -1
+        if top >= num_labels:
+            raise ValueError(f"doc {doc.doc_id}: label id {top} outside [0, {num_labels})")
     with replacing(path) as fh:
         fh.write(f"{len(documents)} {num_features} {num_labels}\n")
         for doc in documents:

@@ -12,7 +12,8 @@ which pairs well with ReLU hidden layers.
 Rows are flat entries plus offsets, row r being ``[offsets[r]:offsets[r + 1]]``,
 and no other module knows more of their layout.  A corpus is a ``DocBlock`` of
 such rows, and a ``Document`` a handle on one of them that stores nothing else:
-a list of handles becomes a block, or hashed rows, by one gather an array.
+handles of one block become a block, or hashed rows, by one gather an array,
+and handles of several blocks are joined row by row.
 ``row_offsets`` builds offsets from row sizes.  ``merge_rows`` adds up a row's
 entries that share a column, for a block of queries (``hash_features``, a row
 per chunk seed and document) and a training block's inputs and targets
@@ -39,7 +40,7 @@ class Document:
     """One data point: a handle on row ``row`` of ``block``, under its own doc id.
 
     The row holds unique token ids (uint64) with counts (int64, >= 1) and
-    strictly increasing label ids (int64); each property returns a view of the
+    strictly increasing label ids (int64, >= 0); each property returns a view of the
     block's row, taken on access, and the handle stores nothing else.  It keeps
     its block alive, as a view keeps its base, and pickles its row alone.  Two
     handles are equal only when they are the same object.
@@ -72,6 +73,8 @@ class Document:
     def _check(doc_id: int, ids: np.ndarray, counts: np.ndarray, labels: np.ndarray) -> None:
         if ids.shape != counts.shape:
             raise ValueError("token ids and counts must align")
+        if ids.size and ids.min() < 0:
+            raise ValueError(f"doc {doc_id}: token ids must be >= 0")
         if ids.size > 1:
             ordered = np.sort(ids)
             if (ordered[1:] == ordered[:-1]).any():
@@ -80,6 +83,8 @@ class Document:
             raise ValueError(f"doc {doc_id}: token counts must be >= 1")
         if (labels[1:] <= labels[:-1]).any():
             raise ValueError(f"doc {doc_id}: labels must be strictly increasing")
+        if labels.size and labels[0] < 0:
+            raise ValueError(f"doc {doc_id}: labels must be >= 0")
 
     def __setattr__(self, name: str, value: object) -> None:
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -133,13 +138,27 @@ class DocBlock:
 
     @classmethod
     def from_documents(cls, docs: Sequence[Document]) -> DocBlock:
-        """The documents' rows, in order, as one block, by one gather an array."""
-        block, rows = _source(docs)
-        token_offsets, ids, counts = _take(
-            block.token_offsets, rows, block.token_ids, block.token_counts
+        """The documents' rows, in order, as one block.
+
+        Handles of one block are taken by one gather an array; handles of
+        several blocks, which no corpus read gives, are joined row by row.
+        """
+        keys = [id(d.block) for d in docs]
+        if keys and keys.count(keys[0]) == len(keys):
+            block, rows = docs[0].block, np.array([d.row for d in docs], dtype=np.int64)
+            token_offsets, ids, counts = _take(
+                block.token_offsets, rows, block.token_ids, block.token_counts
+            )
+            label_offsets, labels = _take(block.label_offsets, rows, block.labels)
+            return cls(ids, counts, token_offsets, labels, label_offsets)
+        ids, labels = [d.token_ids for d in docs], [d.labels for d in docs]
+        return cls(
+            np.concatenate([np.empty(0, np.uint64), *ids]),
+            np.concatenate([np.empty(0, np.int64), *(d.token_counts for d in docs)]),
+            row_offsets([a.size for a in ids]),
+            np.concatenate([np.empty(0, np.int64), *labels]),
+            row_offsets([a.size for a in labels]),
         )
-        label_offsets, labels = _take(block.label_offsets, rows, block.labels)
-        return cls(ids, counts, token_offsets, labels, label_offsets)
 
     def documents(self, doc_ids: Sequence[int] | None = None) -> Iterator[Document]:
         """Each row as a :class:`Document`: row r under doc id ``doc_ids[r]``, or r.
@@ -192,35 +211,6 @@ def make_document(
         token_counts=counts,
         labels=np.array(sorted(labels), dtype=np.int64),
     )
-
-
-def _source(docs: Sequence[Document]) -> tuple[DocBlock, np.ndarray]:
-    """A block holding every document's row, and the row each one is in it.
-
-    Handles of one block use that block as it is.  Otherwise each distinct
-    block is joined once, in order of first use, and a row moves down past the
-    rows of the blocks before its own.
-    """
-    blocks = [d.block for d in docs]
-    rows = np.array([d.row for d in docs], dtype=np.int64)
-    keys = list(map(id, blocks))
-    if keys and keys.count(keys[0]) == len(keys):
-        return blocks[0], rows
-    distinct = list(dict(zip(keys, blocks)).values())
-    place = {id(b): i for i, b in enumerate(distinct)}
-    rows += row_offsets([b.token_offsets.size - 1 for b in distinct])[[place[k] for k in keys]]
-    ids, token_offsets = _join([(b.token_ids, b.token_offsets) for b in distinct], np.uint64)
-    counts, _ = _join([(b.token_counts, b.token_offsets) for b in distinct], np.int64)
-    labels, label_offsets = _join([(b.labels, b.label_offsets) for b in distinct], np.int64)
-    return DocBlock(ids, counts, token_offsets, labels, label_offsets), rows
-
-
-def _join(parts: list[tuple[np.ndarray, np.ndarray]], dtype: type) -> tuple[np.ndarray, np.ndarray]:
-    """Blocks' ``(entries, offsets)``, each block's rows after the last's, as one pair."""
-    shifts = row_offsets([entries.size for entries, _ in parts])
-    joined = np.concatenate([np.empty(0, dtype), *(entries for entries, _ in parts)])
-    offsets = np.concatenate([shifts[:1], *(o[1:] + s for (_, o), s in zip(parts, shifts))])
-    return joined, offsets
 
 
 def _take(offsets: np.ndarray, rows: np.ndarray, *columns: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -18,9 +18,9 @@ The engine's configs (:class:`EngineConfig`, :class:`TrainConfig`), the
 trained :class:`ChunkEnsemble`, the bytes a model and a training step take
 (:func:`model_bytes`, :func:`step_bytes`) and :func:`check_fits`, where both
 the training and the loading estimate meet the memory limit, live here too,
-for the same reason, as does :func:`one_blas_thread`, which training's
-workers and every command call so that no product's bits follow the
-host's cores.
+for the same reason, as does :func:`openblas_threads`, which training's
+workers and every command call to run at one thread, so that no product's
+bits follow the host's cores.
 
 A trained or loaded model holds ``PARAM_DTYPE``, float32, the blobs' precision,
 and trains in it; only :func:`bce_loss` reduces, and :func:`forward` computes,
@@ -585,7 +585,8 @@ def openblas_threads(count: int | None = None) -> int | None:
     """NumPy's OpenBLAS thread count in this process, first set to ``count`` if given.
 
     The setting is process-wide.  None, and nothing set, where NumPy uses
-    another BLAS or none is found.
+    another BLAS or none is found.  A product summed across threads can have
+    other bits than at one, so training's workers and every command set 1.
     """
     import ctypes
 
@@ -601,16 +602,6 @@ def openblas_threads(count: int | None = None) -> int | None:
                 setter(count)
             return getter()
     return None
-
-
-def one_blas_thread() -> None:
-    """Run NumPy's OpenBLAS on one thread in this process.
-
-    A product summed across threads can have other bits than at one, so
-    training's workers and the serving commands run at one thread.  Changes
-    nothing where NumPy uses another BLAS or none is found.
-    """
-    openblas_threads(1)
 
 
 def _memory_limit() -> int:

@@ -46,7 +46,7 @@ from .codes import CodeConfig, LabelCodebook, build_codebook, codebook_bytes  # 
 from .features import DocBlock, Document, hash_token_ids, merge_rows
 from .hashing import derive_seed
 from .model import PARAM_DTYPE, ChunkModel, apply_update, check_fits, init_model, model_bytes
-from .model import one_blas_thread, step_bytes, zero_adam_state
+from .model import openblas_threads, step_bytes, zero_adam_state
 # the engine's configs and ensemble live in model, which serving imports without SciPy
 from .model import ChunkEnsemble, EngineConfig, TrainConfig
 # train_chunk calls the step through this module's name, where a tracer can wrap it
@@ -201,7 +201,7 @@ def _start_worker(
     """
     global _job
     _job = (block, cb, engine, cfg)
-    one_blas_thread()
+    openblas_threads(1)
 
 
 def _train_chunk_task(payload: tuple[int]) -> tuple[ChunkModel, list[float], float]:

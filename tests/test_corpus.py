@@ -474,18 +474,39 @@ class TestRoundTrip:
         was, with no hidden sibling beside it."""
 
         class Unreadable:  # passes the up-front check, fails once its line is written
-            doc_id, labels, num_tokens = 1, np.array([1]), 1
+            doc_id, labels, token_ids = 1, np.array([1]), np.array([3], np.uint64)
 
             @property
-            def token_ids(self):
-                raise RuntimeError("lost the tokens")
+            def token_counts(self):
+                raise RuntimeError("lost the counts")
 
         p = tmp_path / "c.txt"
         write_corpus(p, [make_document(0, [(3, 1)], [0])], num_features=10, num_labels=5)
         before = p.read_bytes()
         docs = [make_document(0, [(4, 2)], [2]), Unreadable()]
-        with pytest.raises(RuntimeError, match="lost the tokens"):
+        with pytest.raises(RuntimeError, match="lost the counts"):
             write_corpus(p, docs, num_features=10, num_labels=5)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["c.txt"]
+
+    @pytest.mark.parametrize(
+        "bad,message",
+        [
+            (make_document(7, [(4, 1), (10, 1)], [1]), "doc 7: token id 10 outside [0, 10)"),
+            (make_document(7, [(2**64 - 1, 1)], []), f"doc 7: token id {2**64 - 1} outside [0, 10)"),
+            (make_document(7, [(3, 1)], [2, 5]), "doc 7: label id 5 outside [0, 5)"),
+            (make_document(7, [], [30]), "doc 7: label id 30 outside [0, 5)"),
+        ],
+    )
+    def test_out_of_range_ids_rejected_before_writing(self, tmp_path, bad, message):
+        """A line read_block would refuse is refused before the header: the file it
+        would replace stays as it was, with no hidden sibling beside it."""
+        p = tmp_path / "c.txt"
+        write_corpus(p, [make_document(0, [(3, 1)], [0])], num_features=10, num_labels=5)
+        before = p.read_bytes()
+        with pytest.raises(ValueError) as err:
+            write_corpus(p, [make_document(0, [(9, 1)], [4]), bad], num_features=10, num_labels=5)
+        assert str(err.value) == message
         assert p.read_bytes() == before
         assert [f.name for f in tmp_path.iterdir()] == ["c.txt"]
 

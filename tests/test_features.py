@@ -73,6 +73,27 @@ class TestDocument:
             )
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "ids,labels,message",
+        [
+            ([-1, 5], [], "doc 5: token ids must be >= 0"),
+            ([7, -2**63], [1], "doc 5: token ids must be >= 0"),
+            ([-1, 5], [-3], "doc 5: token ids must be >= 0"),
+            ([], [-3], "doc 5: labels must be >= 0"),
+            ([4], [-1, 2], "doc 5: labels must be >= 0"),
+        ],
+    )
+    def test_refuses_negative_ids_before_casting(self, ids, labels, message):
+        # signed arrays: cast unchecked, -1 would become token id 2**64 - 1
+        with pytest.raises(ValueError) as err:
+            Document(
+                5,
+                np.array(ids, dtype=np.int64),
+                np.ones(len(ids), dtype=np.int64),
+                np.array(labels, dtype=np.int64),
+            )
+        assert str(err.value) == message
+
 
 def made_documents(seed, rows):
     """Checked documents, one a block: every fifth has no tokens, every seventh no labels."""

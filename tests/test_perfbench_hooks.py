@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import sparsix.cli
 import sparsix.infer
 import sparsix.train
 from sparsix.infer import (
@@ -64,6 +65,10 @@ def test_benchmark_hooks_resolve(monkeypatch, tiny_engine):
     # the names traced_chunk_task wraps inside a training worker
     for name in ("_chunk_matrix", "_batch_step", "apply_update", "build_codebook"):
         assert callable(getattr(sparsix.train, name)), name
+    # the names _trace_cli wraps in the predict command; its figures index two of their spans
+    cli_names = ("load_ensemble", "build_codebook", "build_index", "parse_corpus", "predict")
+    for name in (*cli_names, "_format_prediction"):
+        assert callable(getattr(sparsix.cli, name)), name
 
 
 # Trains two chunks with every chunk task traced, at the start method argv[1]

@@ -17,7 +17,7 @@ from conftest import traced_peak
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook, codebook_bytes
 from sparsix.corpus import parse_corpus, read_block, write_corpus
-from sparsix.features import DocBlock, Document, hash_features, make_document
+from sparsix.features import DocBlock, Document, hash_features, make_document, row_offsets
 from sparsix.manifest import save_ensemble
 from sparsix.model import PARAM_DTYPE, _batch_forward, forward, init_model, num_params
 from sparsix.model import _numpy_openblas, openblas_threads, save_model, step_bytes
@@ -186,11 +186,16 @@ class TestTrainChunk:
 
     @pytest.mark.parametrize("bad_label", [-1, 40])
     def test_label_outside_codebook_rejected(self, bad_label):
-        """A label below 0, or at or above num_labels, has no code to target."""
+        """A label below 0, or at or above num_labels, has no code to target.
+
+        A block's arrays are unchecked, and a Document refuses a negative label
+        itself, so the bad label comes in a block built from its arrays."""
         cb, eng, _ = small_setup(num_labels=40)
-        docs = [make_document(0, [(1, 1)], [3]), make_document(1, [(2, 1)], [bad_label, 39])]
+        ids, ones, one_each = np.array([1, 2], np.uint64), np.ones(2, np.int64), row_offsets([1, 1])
+        labels = np.array([3, *sorted([bad_label, 39])], np.int64)
+        block = DocBlock(ids, ones, one_each, labels, row_offsets([1, 2]))
         with pytest.raises(ValueError, match="label id out of range"):
-            train_all(docs, cb, eng, TrainConfig(epochs=1))
+            train_all(block, cb, eng, TrainConfig(epochs=1))
 
 
 class TestDocBlock:
