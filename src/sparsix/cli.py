@@ -461,12 +461,7 @@ def _check_retrieval_equivalence() -> str:
 
 def _check_manifest(manifest_path: str) -> str:
     ensemble, _ = load_ensemble(manifest_path)
-    again, _ = load_ensemble(manifest_path)
-    for m1, m2 in zip(ensemble.models, again.models):
-        for p1, p2 in zip(m1.params(), m2.params()):
-            if not np.array_equal(p1, p2):
-                raise VerificationFailure("reload is not bit-stable")
-    return f"{len(ensemble.models)} blobs checksum-verified, reload bit-stable"
+    return f"{len(ensemble.models)} blobs checksum-verified"
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

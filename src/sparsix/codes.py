@@ -41,10 +41,6 @@ class CodeConfig:
             base_seed=SEED_RANGE,
         )
 
-    @property
-    def total_dim(self) -> int:
-        return self.num_chunks * self.buckets_per_chunk
-
     def chunk_seed(self, chunk: int) -> int:
         """64-bit seed for one chunk, split off the base seed."""
         return derive_seed(self.base_seed, chunk)

@@ -1577,16 +1577,19 @@ class TestDocs:
                 assert kind(documented[key].strip("`")) == default, key
 
     def test_readme_library_block_runs(self, tmp_path, monkeypatch, capsys):
-        """The README's "Library use" example runs as written, on a small train.txt."""
+        """The README's "Library use" example runs as written, on a small train.txt
+        whose header names the 2,000 labels of the example's codebook."""
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
         section = readme.partition("## Library use")[2]
         code = section.partition("```python\n")[2].partition("```")[0]
         train, _, num_features = make_separable_corpus(
-            num_labels=40, docs_per_label=2, test_docs_per_label=0, seed=5
+            100, docs_per_label=2, test_docs_per_label=1, noise_vocab=50
         )
-        write_corpus(tmp_path / "train.txt", train, num_features, 40)
+        write_corpus(tmp_path / "train.txt", train, num_features, 2000)
         monkeypatch.chdir(tmp_path)
         namespace: dict = {}
         exec(compile(code, "README.md", "exec"), namespace)
+        assert namespace["block"].label_offsets.size == 201 and namespace["query"].doc_id == 0
         assert namespace["pred"].labels.size == 5
-        assert capsys.readouterr().out.strip()
+        assert len(namespace["queries"]) == 200
+        assert namespace["report"].as_text() in capsys.readouterr().out

@@ -85,9 +85,6 @@ class TestBuildCodebook:
 
 
 class TestCodeConfig:
-    def test_total_dim(self):
-        assert small_config().total_dim == 16
-
     def test_chunk_seed_matches_shared_derivation(self):
         cc = small_config()
         assert cc.chunk_seed(0) == derive_seed(42, 0)
@@ -112,7 +109,7 @@ class TestCodeConfig:
 
     def test_accepts_the_edges_and_numpy_ints(self):
         cc = small_config(num_labels=np.int64(3), buckets_per_chunk=2**31, base_seed=2**64 - 1)
-        assert cc.total_dim == cc.num_chunks * 2**31
+        assert (cc.num_labels, cc.buckets_per_chunk, cc.base_seed) == (3, 2**31, 2**64 - 1)
 
 
 class TestOrthogonalityStats:

@@ -84,7 +84,7 @@ class TestParsing:
         p = corpus_file(tmp_path, "1 10 5\n1,2\n")
         d = next(parse_corpus(p))
         assert d.labels.tolist() == [1, 2]
-        assert d.num_tokens == 0
+        assert d.token_ids.size == 0
 
     def test_missing_label_field_detected(self, tmp_path):
         # token pair in the label slot, no leading space
@@ -239,28 +239,21 @@ class TestBlock:
         for row, doc in enumerate(rows):
             t0, t1 = block.token_offsets[row : row + 2]
             l0, l1 = block.label_offsets[row : row + 2]
-            checked = Document(
-                row, block.token_ids[t0:t1], block.token_counts[t0:t1], block.labels[l0:l1]
-            )
+            pairs = zip(block.token_ids[t0:t1].tolist(), block.token_counts[t0:t1].tolist())
+            checked = make_document(row, list(pairs), block.labels[l0:l1].tolist())
             assert type(doc) is Document and doc.doc_id == checked.doc_id
             for name in ("token_ids", "token_counts", "labels"):
                 got, want = getattr(doc, name), getattr(checked, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), (row, name)
 
-    def test_parse_corpus_does_not_check_rows_again(self, tmp_path, monkeypatch):
-        """read_block has checked every line, so parse_corpus builds no checked Document."""
-        calls = []
-        check = Document._check
-        monkeypatch.setattr(
-            Document,
-            "_check",
-            staticmethod(lambda doc_id, *arrays: calls.append(doc_id) or check(doc_id, *arrays)),
-        )
+    def test_parse_corpus_does_not_check_rows_again(self, tmp_path):
+        """read_block has checked every line, so parse_corpus builds no checked Document:
+        every handle is a row of the block read, none a one-row block of make_document."""
         p = corpus_file(tmp_path, "3 10 5\n0 1:1\n\n1,2 2:1 3:4\n 4:1\n")
         docs = list(parse_corpus(p))
-        assert [d.doc_id for d in docs] == [0, 1, 2] and calls == []
-        make_document(0, [(1, 1)], [])
-        assert calls == [0]
+        assert [d.doc_id for d in docs] == [0, 1, 2] == [d.row for d in docs]
+        assert len({id(d.block) for d in docs}) == 1
+        assert docs[2].block.token_offsets.tolist() == [0, 1, 3, 4]
 
     def test_documents_hold_little_beside_their_block(self, tmp_path):
         """A parsed Document is a handle on its block's row: 10,000 of them hold a few

@@ -32,7 +32,7 @@ class TestDocument:
         assert doc.token_ids.tolist() == [10, 4]
         assert doc.token_counts.tolist() == [2, 1]
         assert doc.labels.tolist() == [2, 7]
-        assert doc.num_tokens == 2
+        assert type(doc) is Document and doc.block.token_offsets.tolist() == [0, 2]
 
     def test_rejects_duplicate_tokens(self):
         with pytest.raises(ValueError):
@@ -48,30 +48,34 @@ class TestDocument:
 
     def test_empty_document_allowed(self):
         doc = make_document(0, [], [])
-        assert doc.num_tokens == 0 and doc.labels.size == 0
-
+        assert doc.token_ids.size == 0 and doc.labels.size == 0
 
     @pytest.mark.parametrize(
         "ids,counts,labels,message",
         [
-            ([1, 2], [1], [], "token ids and counts must align"),
+            ([-1], [1], [1], "doc 5: token ids must be >= 0"),
             ([9, 4, 9], [1, 1, 1], [], "doc 5: duplicate token ids"),
             ([3, 3], [2, 2], [], "doc 5: duplicate token ids"),
             ([4, 9], [1, 0], [], "doc 5: token counts must be >= 1"),
             ([4], [-3], [], "doc 5: token counts must be >= 1"),
             ([4], [1], [2, 2], "doc 5: labels must be strictly increasing"),
-            ([], [], [3, 1], "doc 5: labels must be strictly increasing"),
+            ([], [], [3, 1, 3], "doc 5: labels must be strictly increasing"),
+            # checked before the cast, where NumPy would raise OverflowError naming no doc
+            ([2**64], [1], [1], "doc 5: id or count exceeds the 64-bit range"),
+            ([1], [2**63], [1], "doc 5: id or count exceeds the 64-bit range"),
+            ([1], [1], [2**63], "doc 5: id or count exceeds the 64-bit range"),
         ],
     )
     def test_bad_input_messages(self, ids, counts, labels, message):
         with pytest.raises(ValueError) as err:
-            Document(
-                5,
-                np.array(ids, dtype=np.uint64),
-                np.array(counts, dtype=np.int64),
-                np.array(labels, dtype=np.int64),
-            )
+            make_document(5, list(zip(ids, counts, strict=True)), labels)
         assert str(err.value) == message
+
+    def test_takes_the_edges_of_the_64_bit_range(self):
+        doc = make_document(0, [(2**64 - 1, 2**63 - 1), (0, 1)], [2**63 - 1, 0])
+        assert doc.token_ids.tolist() == [2**64 - 1, 0]
+        assert doc.token_counts.tolist() == [2**63 - 1, 1]
+        assert doc.labels.tolist() == [0, 2**63 - 1]
 
     @pytest.mark.parametrize(
         "ids,labels,message",
@@ -84,14 +88,9 @@ class TestDocument:
         ],
     )
     def test_refuses_negative_ids_before_casting(self, ids, labels, message):
-        # signed arrays: cast unchecked, -1 would become token id 2**64 - 1
+        # the Python values are checked: cast to uint64 unchecked, -1 is 2**64 - 1
         with pytest.raises(ValueError) as err:
-            Document(
-                5,
-                np.array(ids, dtype=np.int64),
-                np.ones(len(ids), dtype=np.int64),
-                np.array(labels, dtype=np.int64),
-            )
+            make_document(5, [(t, 1) for t in ids], labels)
         assert str(err.value) == message
 
 
@@ -130,7 +129,7 @@ def cases():
         "repeated": [rows[2], rows[2], rows[0], rows[2]],
         "mixed blocks": [*rows[:4], *other[2:5], *rows[4:6], made[1], other[0], made[9]],
         "made": made,
-        "empty rows": [d for d in rows if d.num_tokens == 0 or d.labels.size == 0],
+        "empty rows": [d for d in rows if d.token_ids.size == 0 or d.labels.size == 0],
         "one": [rows[3]],
         "none": [],
     }
@@ -207,9 +206,10 @@ class TestHandles:
 
     def test_cast_to_the_block_dtypes(self):
         ids, counts = np.array([2**60 + 1, 5]), np.array([1, 2], np.int32)
-        doc = Document(0, ids, counts, np.array([3], np.uint64))
+        doc = make_document(0, list(zip(ids, counts)), list(np.array([3], np.uint64)))
         assert doc.token_ids.dtype == np.uint64 and doc.token_ids.tolist() == [2**60 + 1, 5]
-        assert doc.token_counts.dtype == np.int64 and doc.labels.dtype == np.int64
+        assert doc.token_counts.dtype == np.int64 and doc.token_counts.tolist() == [1, 2]
+        assert doc.labels.dtype == np.int64 and doc.labels.tolist() == [3]
 
 
 class TestHashFeatures:

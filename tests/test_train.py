@@ -17,7 +17,7 @@ from conftest import traced_peak
 from sparsix import train
 from sparsix.codes import CodeConfig, build_codebook, codebook_bytes
 from sparsix.corpus import parse_corpus, read_block, write_corpus
-from sparsix.features import DocBlock, Document, hash_features, make_document, row_offsets
+from sparsix.features import DocBlock, hash_features, make_document, row_offsets
 from sparsix.manifest import save_ensemble
 from sparsix.model import PARAM_DTYPE, _batch_forward, forward, init_model, num_params
 from sparsix.model import _numpy_openblas, openblas_threads, save_model, step_bytes
@@ -188,7 +188,7 @@ class TestTrainChunk:
     def test_label_outside_codebook_rejected(self, bad_label):
         """A label below 0, or at or above num_labels, has no code to target.
 
-        A block's arrays are unchecked, and a Document refuses a negative label
+        A block's arrays are unchecked, and make_document refuses a negative label
         itself, so the bad label comes in a block built from its arrays."""
         cb, eng, _ = small_setup(num_labels=40)
         ids, ones, one_each = np.array([1, 2], np.uint64), np.ones(2, np.int64), row_offsets([1, 1])
@@ -222,15 +222,12 @@ class TestDocBlock:
         assert labeled.labeled() is labeled
 
     def test_wide_ids_and_labels_keep_their_values(self):
-        """int64 token ids and uint64 labels, which Document accepts, are cast, not
+        """int64 token ids and uint64 labels, which make_document accepts, are cast, not
         promoted to float64: the block row hashes as serving hashes the document."""
         cb = build_codebook(CodeConfig(12, 2, 8, base_seed=42))
-        doc = Document(
-            doc_id=0,
-            token_ids=np.array([2**60 + 1, 5], dtype=np.int64),
-            token_counts=np.array([1, 2], dtype=np.int64),
-            labels=np.array([3, 7], dtype=np.uint64),
-        )
+        ids = np.array([2**60 + 1, 5], dtype=np.int64)
+        doc = make_document(0, list(zip(ids, [1, 2])), list(np.array([3, 7], dtype=np.uint64)))
+        assert doc.token_ids.tolist() == [2**60 + 1, 5] and doc.labels.tolist() == [3, 7]
         block = DocBlock.from_documents([doc])
         assert block.token_ids.dtype == np.uint64 and block.labels.dtype == np.int64
         feats = hash_features(doc, 3, 2**20)
